@@ -20,9 +20,8 @@ from .models import (Affine, ExpPower, ModelManifold, PHarmonicRn, PowerLaw,
                      p_laplacian_radial, p_laplacian_scaled, potential_sharp,
                      subsolution_residual)
 from .params import (ComparisonConstants, DerivedExponents, DomainError,
-                     Params, RootBracketError, comparison_constants,
-                     compute_C0, derived_exponents, liouville_check,
-                     solve_C1)
+                     Params, comparison_constants, compute_C0,
+                     derived_exponents, liouville_check, solve_C1)
 from .quadrature import (LogQuadResult, QuadratureError, log_diff, log_quad,
                          log_sum)
 from .sharp import (SharpExample, build_sharp_example, choose_ac,
@@ -34,7 +33,7 @@ __all__ = [
     "Affine", "CheckReport", "ComparisonConstants", "DerivedExponents",
     "DomainError", "ExpPower", "GrowthSample", "LogQuadResult",
     "ModelManifold", "PHarmonicRn", "Params", "PowerLaw", "QuadratureError",
-    "RadialProfile", "RateEstimate", "RootBracketError", "SharpExample",
+    "RadialProfile", "RateEstimate", "SharpExample",
     "SharpPotential", "build_sharp_example", "check_caccioppoli",
     "check_growth_lower_bound", "check_surface_capacity", "choose_ac",
     "classify_l1_condition", "comparison_constants", "compute_C0",

@@ -35,9 +35,8 @@ from .growth import (CheckReport, classify_l1_condition, estimate_rate,
                      run_inequality_suite, sphere_log_slope)
 from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
                      subsolution_residual)
-from .params import (DomainError, Params, RootBracketError,
-                     comparison_constants, compute_C0, derived_exponents,
-                     liouville_check, solve_C1)
+from .params import (DomainError, Params, comparison_constants, compute_C0,
+                     derived_exponents, liouville_check, solve_C1)
 from .quadrature import QuadratureError
 from .sharp import build_sharp_example
 
@@ -574,7 +573,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         report = _HANDLERS[cfg.command](cfg)
         _emit(report, cfg.options)
-    except (DomainError, RootBracketError, QuadratureError) as exc:
+    except (DomainError, QuadratureError) as exc:
         print(f"growthlab: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

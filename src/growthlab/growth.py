@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelManifold, RadialProfile
-from .params import DomainError, comparison_constants
+from .params import DomainError, _annulus_constant, comparison_constants
 from .quadrature import log_quad, log_sum
 from .sharp import SharpExample
 
@@ -390,11 +390,8 @@ def check_caccioppoli(example: SharpExample, R: float,
         h = R ** (example.mu / example.p)
     if not (h > 0.0):
         raise DomainError(f"h must be positive, got {h}")
-    p, q, k = example.p, example.q, example.params.k
-    gamma = q - p + 1.0
-    p_conj = p / (p - 1.0)
-    pref = k ** (p * p_conj) * (p - 1.0) ** (p - 1.0) * 4.0 ** p \
-        / (gamma * min(1.0, gamma ** (p - 1.0)))
+    p, q = example.p, example.q
+    pref = _annulus_constant(p, q - p + 1.0, example.params.k)
     man, prof = example.manifold, example.profile
     g_rh = log_ball_integral(man, prof, q, example.s0, R + h, rel_tol=rel_tol)
     h_r, h_err = log_energy_integral(man, prof, p, q, example.s0, R,

@@ -18,15 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 
 class DomainError(ValueError):
     """Raised when an argument leaves the validity region of a formula."""
-
-
-class RootBracketError(RuntimeError):
-    """Raised when a root cannot be isolated inside its theoretical bracket."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +32,8 @@ class RootBracketError(RuntimeError):
 class Params:
     """Validated parameter tuple (p, q, mu, lam, k).
 
-    Constraints: p > 1, q > p - 1, 0 <= mu <= p, lam > 0, k > 0.
+    Constraints: p, q, lam and k finite; p > 1, q > p - 1, 0 <= mu <= p,
+    lam > 0, k > 0.
     """
 
     p: float
@@ -48,6 +43,10 @@ class Params:
     k: float = 1.0
 
     def __post_init__(self):
+        for name in ("p", "q", "lam", "k"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not (self.p > 1.0):
             raise DomainError(f"p must exceed 1, got {self.p}")
         if not (self.q > self.p - 1.0):
@@ -88,6 +87,33 @@ def derived_exponents(params: Params) -> DerivedExponents:
 # ---------------------------------------------------------------------------
 
 
+def _c0(p: float, gamma: float, amp: float, k: float) -> float:
+    """C0 at amplitude amp: p * (gamma/(p-1))**(1/p') * amp**(1/p) / k."""
+    return p * (gamma / (p - 1.0)) ** ((p - 1.0) / p) * amp ** (1.0 / p) / k
+
+
+def _c1_from_c0(p: float, C0: float) -> float:
+    """Root above p of C**(1/p) * (C-p)**(1/p') = C0; see solve_C1."""
+    if not (0.0 < C0 < math.inf):
+        raise DomainError(f"C0 must be positive and finite, got {C0} at p={p}")
+    # In z = log((C-p)/C0), (p-1) times g is p*z + softplus(w) with
+    # w = log(p/C0) - z; its derivative is p - sigmoid(w), and
+    # sigmoid(w) = exp(w - softplus(w)).
+    log_p_over_c0 = math.log(p) - math.log(C0)
+    z = 0.0
+    # for C0 in [1e-300, 1e300] this settles within 10 passes when p - 1 is
+    # in [1e-4, 20], and within 34 at p - 1 = 2**-52
+    for _ in range(64):
+        w = log_p_over_c0 - z
+        softplus = max(w, 0.0) + math.log1p(math.exp(-abs(w)))
+        g = p * z + softplus
+        z_next = z - g / (p - math.exp(w - softplus))
+        if not z_next < z:
+            return p + C0 * math.exp(z)
+        z = z_next
+    raise DomainError(f"C1 iteration did not settle at p={p}, C0={C0}")
+
+
 def compute_C0(p: float, q: float, lam: float, k: float = 1.0) -> float:
     """Sharp growth constant of the exponential regime.
 
@@ -95,50 +121,24 @@ def compute_C0(p: float, q: float, lam: float, k: float = 1.0) -> float:
 
     For p = 2 this collapses to 2*sqrt(q-1)*sqrt(lam)/k.
     """
-    params = Params(p, q, mu=0.0, lam=lam, k=k)
-    gamma = q - p + 1.0
-    inv_conj = (p - 1.0) / p          # 1 / p'
-    return p * (gamma / (p - 1.0)) ** inv_conj * lam ** (1.0 / p) / k
-
-
-def _c1_gap(p: float, C0: float, delta: float) -> float:
-    """Value of C**(1/p) * (C-p)**(1/p') - C0 at C = p + delta."""
-    inv_conj = (p - 1.0) / p
-    return (p + delta) ** (1.0 / p) * delta ** inv_conj - C0
+    Params(p, q, mu=0.0, lam=lam, k=k)
+    return _c0(p, q - p + 1.0, lam, k)
 
 
 def solve_C1(p: float, q: float, lam: float, k: float = 1.0) -> float:
     """Sharp growth constant of the polynomial regime.
 
-    C1 is the unique root above p of  C**(1/p) * (C-p)**(1/p') = C0.  The
-    left side vanishes as C -> p+ and exceeds C0 at C = p + C0, where it
-    equals (p + C0)**(1/p) * C0**(1/p') > C0**(1/p) * C0**(1/p') = C0, so
-    the root always lies in (p, p + C0) and a bracketed solver cannot miss
-    it.  For p = 2 the equation closes to
-    C1 = 1 + sqrt(1 + C0**2).
+    C1 is the unique root above p of  C**(1/p) * (C-p)**(1/p') = C0.  In
+    x = log(C - p) the equation reads g(x) = x + log(p + e**x)/(p-1)
+    - p' log C0 = 0, and g is increasing and convex.  At x0 = log C0,
+    g(x0) = log(1 + p/C0)/(p-1) > 0, so the root lies left of x0 and
+    Newton's method started there decreases monotonically onto it: it
+    needs no bracket and cannot step past the root.  The iteration is
+    carried in z = x - log C0, which keeps C - p = C0 * e**z accurate when
+    log C0 is large, and it stops once a step no longer decreases z.  For
+    p = 2 the equation closes to C1 = 1 + sqrt(1 + C0**2).
     """
-    C0 = compute_C0(p, q, lam, k)
-    lo = min(1.0, C0) / 2.0
-    for _ in range(200):
-        if _c1_gap(p, C0, lo) < 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise RootBracketError(
-            f"no sign change on ({p}, {p + C0}) for p={p}, C0={C0}: "
-            f"left endpoint value {_c1_gap(p, C0, lo)}"
-        )
-    hi = C0
-    f_lo = _c1_gap(p, C0, lo)
-    f_hi = _c1_gap(p, C0, hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise RootBracketError(
-            f"bracket [{p + lo}, {p + hi}] does not straddle the root: "
-            f"f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    delta = brentq(lambda d: _c1_gap(p, C0, d), lo, hi, xtol=1e-13,
-                   rtol=4.0 * math.ulp(1.0), maxiter=200)
-    return p + delta
+    return _c1_from_c0(p, compute_C0(p, q, lam, k))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,15 @@ class ComparisonConstants:
 
     @property
     def caccioppoli_prefactor(self) -> float:
-        """The constant C2 - 1 multiplying the annulus energy estimate."""
+        """C2 - 1, i.e. c2 times the annulus constant of check_caccioppoli."""
         return self.C2 - 1.0
+
+
+def _annulus_constant(p: float, gamma: float, k: float) -> float:
+    """k**(p*p') * (p-1)**(p-1) * 4**p / (gamma * min(1, gamma**(p-1)))."""
+    p_conj = p / (p - 1.0)
+    return k ** (p * p_conj) * (p - 1.0) ** (p - 1.0) * 4.0 ** p \
+        / (gamma * min(1.0, gamma ** (p - 1.0)))
 
 
 def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstants:
@@ -186,22 +193,12 @@ def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstant
 
     c1 = ((p - 1.0) * amp / gamma) ** (1.0 / (p * p_conj)) * k ** (1.0 / p)
     c2 = gamma / (amp * k ** p_conj)
-    c3 = p * (gamma / (p - 1.0)) ** (1.0 / p_conj) * amp ** (1.0 / p) / k
-    C2 = 1.0 + c2 * k ** (p * p_conj) * (p - 1.0) ** (p - 1.0) * 4.0 ** p \
-        / (gamma * min(1.0, gamma ** (p - 1.0)))
+    c3 = _c0(p, gamma, amp, k)
+    C2 = 1.0 + c2 * _annulus_constant(p, gamma, k)
 
     c4 = c5 = c6 = None
     if params.mu == p:
-        lo = min(1.0, c3) / 2.0
-        for _ in range(200):
-            if _c1_gap(p, c3, lo) < 0.0:
-                break
-            lo /= 2.0
-        else:
-            raise RootBracketError(f"no bracket for c5 at c3={c3}")
-        delta = brentq(lambda d: _c1_gap(p, c3, d), lo, c3, xtol=1e-13,
-                       rtol=4.0 * math.ulp(1.0), maxiter=200)
-        c5 = p + delta
+        c5 = _c1_from_c0(p, c3)
         c4 = (p * amp / c5) ** (1.0 / p)
         c6 = (p - 1.0) * c5 ** p_conj / (p ** p_conj * amp ** p_conj)
 

@@ -56,6 +56,13 @@ def test_domain_error_exit_code(capsys):
     assert "p must exceed 1" in err
 
 
+def test_non_finite_parameter_exit_code(capsys):
+    rc, _, err = run(capsys, ["constants", "--p", "2", "--q", "inf", "--mu", "0", "--lambda", "1"])
+    assert rc == 2
+    assert "q must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_rate_csv_schema(capsys):
     rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "0", "--samples", "4", "--format", "csv"])
     assert rc == 0

@@ -5,9 +5,16 @@ arithmetic or a 50-digit mpmath session before being written down here.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+
+import growthlab
 
 from growthlab import (
     ComparisonConstants,
@@ -97,6 +104,70 @@ def test_C1_extreme_parameters():
     assert C1 ** (1.0 / 1.05) * (C1 - 1.05) ** (1.0 / pc) == pytest.approx(C0, rel=1e-9)
 
 
+def c1_oracle(p, q, lam, k=1.0):
+    """50-digit root of C**(1/p) * (C-p)**(1/p') = C0 by plain bisection.
+
+    C0 comes from its closed form in mpmath.  The root is bisected in
+    d = C - p on (2**-4096, C0) at geometric midpoints, since d can be as
+    small as 1e-320.
+    """
+    with mpmath.workdps(50):
+        p, q, lam, k = (mpmath.mpf(v) for v in (p, q, lam, k))
+        pc = p / (p - 1)
+        C0 = p * ((q - p + 1) / (p - 1)) ** (1 / pc) * lam ** (1 / p) / k
+
+        def f(d):
+            return (p + d) ** (1 / p) * d ** (1 / pc) - C0
+
+        lo, hi = mpmath.mpf(2) ** -4096, C0
+        assert f(lo) < 0 < f(hi)
+        while hi / lo - 1 > mpmath.mpf(10) ** -45:
+            mid = mpmath.sqrt(lo * hi)
+            if f(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(p + lo)
+
+
+C1_ORACLE_CASES = [
+    (1.01, 0.5, 0.1),
+    (1.01, 0.5, 1e-3),
+    (1.001, 0.5, 0.5),
+    (1.1, 0.5, 0.5),
+    (2.0, 2.0, 1e-320),
+]
+
+
+@pytest.mark.parametrize("p, q, lam", C1_ORACLE_CASES)
+def test_C1_mpmath_oracle(p, q, lam):
+    assert solve_C1(p, q, lam) == pytest.approx(c1_oracle(p, q, lam), rel=1e-15)
+
+
+def test_c5_mpmath_oracle_near_one():
+    cc = comparison_constants(Params(1.01, 0.5, 1.01, 0.1))
+    assert cc.c5 == pytest.approx(c1_oracle(1.01, 0.5, 0.1), rel=1e-15)
+
+
+def test_comparison_constants_match_sharp_constants_bitwise():
+    # at eps = 0 the chain reuses the sharp formulas, so equality is exact
+    for p, q, lam, k in random_tuples(500, seed=11):
+        cc = comparison_constants(Params(p, q, p, lam, k))
+        assert cc.c3 == compute_C0(p, q, lam, k)
+        assert cc.c5 == solve_C1(p, q, lam, k)
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ)
+    src = str(Path(growthlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import growthlab, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_derived_exponents():
     d = derived_exponents(Params(3.0, 4.0, 1.5, 1.0))
     assert d.p_conj == pytest.approx(1.5, rel=1e-15)
@@ -115,6 +186,10 @@ def test_derived_exponents():
         dict(p=2.0, q=2.0, mu=2.1, lam=1.0),
         dict(p=2.0, q=2.0, mu=0.0, lam=0.0),
         dict(p=2.0, q=2.0, mu=0.0, lam=1.0, k=0.0),
+        dict(p=math.inf, q=math.inf, mu=0.0, lam=1.0),
+        dict(p=2.0, q=math.inf, mu=0.0, lam=1.0),
+        dict(p=2.0, q=2.0, mu=0.0, lam=math.inf),
+        dict(p=2.0, q=2.0, mu=0.0, lam=1.0, k=math.inf),
     ],
 )
 def test_params_validation(kwargs):
