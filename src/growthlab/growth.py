@@ -26,7 +26,8 @@ import numpy as np
 
 from .models import ModelManifold, RadialProfile
 from .params import DomainError, _annulus_constant, comparison_constants
-from .quadrature import log_quad, log_sum
+from .quadrature import (_log_combine, log_quad, log_quad_cumulative,
+                         log_sum)
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -127,22 +128,7 @@ def log_ball_integral(manifold: ModelManifold, profile: RadialProfile,
     Returns logG = -inf (with zero error) when R does not reach the region
     where v exceeds s0.
     """
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
-    log_s0 = _log_level(s0)
-    t0 = _support_start(profile, s0)
-    if R <= t0:
-        return GrowthSample(R=R, logG=-math.inf, quad_error=0.0)
-
-    def logf(s: float) -> float:
-        le = _log_excess(profile, log_s0, s)
-        if le == -math.inf:
-            return -math.inf
-        return manifold.log_warp(s) + q * le
-
-    res = log_quad(logf, t0, R, rel_tol=rel_tol)
-    return GrowthSample(R=R, logG=math.log(manifold.omega) + res.log_value,
-                        quad_error=res.rel_error)
+    return growth_samples(manifold, profile, q, s0, [R], rel_tol=rel_tol)[0]
 
 
 def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
@@ -152,14 +138,63 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
 
     Returns (log value, relative error estimate).  For q < p the integrand
     blows up like (s - t0)**(q - p) at the support edge; the leading piece
-    is integrated after the substitution s = t0 + tau**(1/gamma) with
-    gamma = q - p + 1, which removes the singularity exactly.  On that piece
-    the excess v - s0 is expanded around the computed edge through the
-    profile's log_value_delta, treating v(t0) = s0 as exact: the difference
-    log v(s) - log s0 is needed at separations far below the cancellation
-    floor of direct subtraction.  (The value of a q < p integral is
-    inherently sensitive to the edge location at relative order
-    ulp**gamma; the margins built from it are insensitive to that.)
+    over (t0, t1) is integrated after the substitution s = t0 + tau**(1/gamma)
+    with gamma = q - p + 1, which removes the singularity exactly, and the
+    rest over (t1, R) directly.  The split point is t1 = t0 + min(1,
+    (R - t0)/2).  On the leading piece the excess v - s0 is expanded around
+    the computed edge through the profile's log_value_delta, treating
+    v(t0) = s0 as exact: the difference log v(s) - log s0 is needed at
+    separations far below the cancellation floor of direct subtraction.
+    (The value of a q < p integral is inherently sensitive to the edge
+    location at relative order ulp**gamma; the margins built from it are
+    insensitive to that.)
+    """
+    return _log_energy_table(manifold, profile, p, q, s0, [R],
+                             rel_tol=rel_tol)[0]
+
+
+def growth_samples(manifold: ModelManifold, profile: RadialProfile,
+                   q: float, s0: float, radii,
+                   rel_tol: float = 1e-12) -> list[GrowthSample]:
+    """Ball integrals G(R) for every radius in an increasing grid.
+
+    The integral runs once from the support start t0 through the grid:
+    G at each radius is G at the previous one plus the integral over the
+    gap between them.  Radii at or below t0 give logG = -inf with zero
+    error.
+    """
+    if not (q > 0.0):
+        raise DomainError(f"q must be positive, got {q}")
+    radii = [float(R) for R in radii]
+    if not radii:
+        raise DomainError("radius grid is empty")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise DomainError("radii must be strictly increasing")
+    log_s0 = _log_level(s0)
+
+    def logf(s: float) -> float:
+        le = _log_excess(profile, log_s0, s)
+        if le == -math.inf:
+            return -math.inf
+        return manifold.log_warp(s) + q * le
+
+    results = log_quad_cumulative(logf, _support_start(profile, s0), radii,
+                                  rel_tol=rel_tol)
+    log_omega = math.log(manifold.omega)
+    return [GrowthSample(R=R, logG=log_omega + res.log_value,
+                         quad_error=res.rel_error)
+            for R, res in zip(radii, results)]
+
+
+def _log_energy_table(manifold: ModelManifold, profile: RadialProfile,
+                      p: float, q: float, s0: float, radii,
+                      rel_tol: float = 1e-12) -> list[tuple[float, float]]:
+    """(log H(R), relative error) for every R of a nondecreasing list.
+
+    Like growth_samples, one cumulative pass through the radii.  With a
+    singular edge (see log_energy_integral) the substituted leading piece
+    over (t0, t1) is integrated once, with t1 = t0 + min(1, (R_min - t0)/2)
+    from the smallest radius R_min above t0, and shared by every radius.
     """
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
@@ -168,8 +203,6 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError(f"q - p + 1 must be positive, got {gamma}")
     log_s0 = _log_level(s0)
     t0 = _support_start(profile, s0)
-    if R <= t0:
-        return -math.inf, 0.0
 
     def logf(s: float) -> float:
         le = _log_excess(profile, log_s0, s)
@@ -179,13 +212,15 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
 
     log_omega = math.log(manifold.omega)
     genuine_edge = s0 > 0.0 and t0 > profile.t_min
-    if q >= p or not genuine_edge:
-        res = log_quad(logf, t0, R, rel_tol=rel_tol)
-        return log_omega + res.log_value, res.rel_error
+    above = [R for R in radii if R > t0]
+    if q >= p or not genuine_edge or not above:
+        return [(log_omega + res.log_value, res.rel_error)
+                for res in log_quad_cumulative(logf, t0, radii,
+                                               rel_tol=rel_tol)]
 
     # Singular edge: integrate over tau in (0, (t1-t0)**gamma] with
     # s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau.
-    t1 = t0 + min(1.0, 0.5 * (R - t0))
+    t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
 
     def logf_sub(tau: float) -> float:
         eta = tau ** (1.0 / gamma)
@@ -199,25 +234,15 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
             + (1.0 / gamma - 1.0) * math.log(tau) - math.log(gamma)
 
     res_a = log_quad(logf_sub, 0.0, (t1 - t0) ** gamma, rel_tol=rel_tol)
-    parts = [res_a, log_quad(logf, t1, R, rel_tol=rel_tol)]
-    log_value = log_sum(r.log_value for r in parts)
-    log_abs_err = log_sum(r.log_value + math.log(r.rel_error)
-                          for r in parts if r.rel_error > 0.0)
-    rel = math.exp(log_abs_err - log_value) if log_value > -math.inf else 0.0
-    return log_omega + log_value, rel
-
-
-def growth_samples(manifold: ModelManifold, profile: RadialProfile,
-                   q: float, s0: float, radii,
-                   rel_tol: float = 1e-12) -> list[GrowthSample]:
-    """Ball integrals G(R) for every radius in an increasing grid."""
-    radii = [float(R) for R in radii]
-    if not radii:
-        raise DomainError("radius grid is empty")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise DomainError("radii must be strictly increasing")
-    return [log_ball_integral(manifold, profile, q, s0, R, rel_tol=rel_tol)
-            for R in radii]
+    table = []
+    for R, res_b in zip(radii, log_quad_cumulative(logf, t1, radii,
+                                                    rel_tol=rel_tol)):
+        if R <= t0:
+            table.append((-math.inf, 0.0))
+        else:
+            log_value, rel = _log_combine([res_a, res_b])
+            table.append((log_omega + log_value, rel))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +355,22 @@ def _check_tol(base_tol: float, *rel_errors: float) -> float:
     return base_tol + 10.0 * sum(rel_errors)
 
 
+def _g_table(example: SharpExample, radii, rel_tol: float) -> dict:
+    """radius -> GrowthSample of G, from one pass over the distinct radii."""
+    radii = sorted(set(radii))
+    return dict(zip(radii, growth_samples(
+        example.manifold, example.profile, example.q, example.s0, radii,
+        rel_tol=rel_tol)))
+
+
+def _h_table(example: SharpExample, radii, rel_tol: float) -> dict:
+    """radius -> (log H, relative error), from one pass over the radii."""
+    radii = sorted(set(radii))
+    return dict(zip(radii, _log_energy_table(
+        example.manifold, example.profile, example.p, example.q, example.s0,
+        radii, rel_tol=rel_tol)))
+
+
 def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
                              eps: float = 0.0, base_tol: float = 1e-8,
                              rel_tol: float = 1e-12) -> CheckReport:
@@ -355,11 +396,16 @@ def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
     if not (R > R1):
         raise DomainError(f"need R > R1, got R={R}, R1={R1}")
     cc = comparison_constants(example.params, eps)
-    man, prof = example.manifold, example.profile
-    q, s0, p = example.q, example.s0, example.p
-    g_r1 = log_ball_integral(man, prof, q, s0, R1, rel_tol=rel_tol)
-    g_r = log_ball_integral(man, prof, q, s0, R, rel_tol=rel_tol)
-    h_r, h_err = log_energy_integral(man, prof, p, q, s0, R, rel_tol=rel_tol)
+    return _growth_lower_bound(example, cc, R1, R,
+                               _g_table(example, [R1, R], rel_tol),
+                               _h_table(example, [R], rel_tol), base_tol)
+
+
+def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
+                        G: dict, H: dict, base_tol: float) -> CheckReport:
+    p = example.p
+    g_r1, g_r = G[R1], G[R]
+    h_r, h_err = H[R]
     if example.is_borderline:
         log_phi = log_sum([g_r.logG,
                            math.log(cc.c6) + p * math.log(R) + h_r])
@@ -390,12 +436,16 @@ def check_caccioppoli(example: SharpExample, R: float,
         h = R ** (example.mu / example.p)
     if not (h > 0.0):
         raise DomainError(f"h must be positive, got {h}")
+    return _caccioppoli(example, R, h, _g_table(example, [R + h], rel_tol),
+                        _h_table(example, [R], rel_tol), base_tol)
+
+
+def _caccioppoli(example: SharpExample, R: float, h: float, G: dict,
+                 H: dict, base_tol: float) -> CheckReport:
     p, q = example.p, example.q
     pref = _annulus_constant(p, q - p + 1.0, example.params.k)
-    man, prof = example.manifold, example.profile
-    g_rh = log_ball_integral(man, prof, q, example.s0, R + h, rel_tol=rel_tol)
-    h_r, h_err = log_energy_integral(man, prof, p, q, example.s0, R,
-                                     rel_tol=rel_tol)
+    g_rh = G[R + h]
+    h_r, h_err = H[R]
     lhs = math.log(pref) + g_rh.logG
     rhs = p * math.log(h) + h_r
     tol = _check_tol(base_tol, g_rh.quad_error, h_err)
@@ -416,11 +466,16 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
     if not (example.t0 < r < R):
         raise DomainError(
             f"need t0 < r < R, got t0={example.t0}, r={r}, R={R}")
+    return _surface_capacity(example, r, R, _h_table(example, [r], rel_tol),
+                             base_tol, rel_tol)
+
+
+def _surface_capacity(example: SharpExample, r: float, R: float, H: dict,
+                      base_tol: float, rel_tol: float) -> CheckReport:
     p, q = example.p, example.q
     gamma = q - p + 1.0
     man, prof = example.manifold, example.profile
-    h_r, h_err = log_energy_integral(man, prof, p, q, example.s0, r,
-                                     rel_tol=rel_tol)
+    h_r, h_err = H[r]
 
     def logf(s: float) -> float:
         return -log_sphere_integral(man, prof, q, example.s0, s) / (p - 1.0)
@@ -435,7 +490,11 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
 
 
 def default_check_pairs(example: SharpExample) -> dict[str, list]:
-    """Radii used by run_inequality_suite, scaled off the support radius."""
+    """Radii used by run_inequality_suite, scaled off the support radius.
+
+    Every radius exceeds max(t0, positivity radius) of an example built by
+    build_sharp_example, as the checks require.
+    """
     b = example.t0 + max(1.0, 0.2 * example.t0)
     return {
         "growth-lower-bound": [(b, 4.0 * b), (2.0 * b, 8.0 * b),
@@ -449,20 +508,31 @@ def default_check_pairs(example: SharpExample) -> dict[str, list]:
 def run_inequality_suite(example: SharpExample, eps: float = 0.0,
                          base_tol: float = 1e-8,
                          rel_tol: float = 1e-12) -> list[CheckReport]:
-    """All three inequality checks at three radius pairs each."""
+    """All three inequality checks at three radius pairs each.
+
+    G and H are tabulated once over the union of the radii the nine checks
+    need; each report equals its public check_* call up to the rounding of
+    the shared integration segments.
+    """
     pairs = default_check_pairs(example)
+    growth = pairs["growth-lower-bound"]
+    annulus = [(r, r ** (example.mu / example.p))
+               for r in pairs["annulus-caccioppoli"]]
+    capacity = pairs["surface-capacity"]
+    G = _g_table(example, [x for pair in growth for x in pair]
+                 + [r + h for r, h in annulus], rel_tol)
+    H = _h_table(example, [r for _, r in growth] + [r for r, _ in annulus]
+                 + [r for r, _ in capacity], rel_tol)
+    cc = comparison_constants(example.params, eps)
     reports = []
-    for r1, r in pairs["growth-lower-bound"]:
-        rep = check_growth_lower_bound(example, r1, r, eps=eps,
-                                       base_tol=base_tol, rel_tol=rel_tol)
+    for r1, r in growth:
+        rep = _growth_lower_bound(example, cc, r1, r, G, H, base_tol)
         reports.append(_tag(rep, f"(R1={r1:.4g};R={r:.4g})"))
-    for r in pairs["annulus-caccioppoli"]:
-        rep = check_caccioppoli(example, r, base_tol=base_tol,
-                                rel_tol=rel_tol)
+    for r, h in annulus:
+        rep = _caccioppoli(example, r, h, G, H, base_tol)
         reports.append(_tag(rep, f"(R={r:.4g})"))
-    for r1, r in pairs["surface-capacity"]:
-        rep = check_surface_capacity(example, r1, r, base_tol=base_tol,
-                                     rel_tol=rel_tol)
+    for r1, r in capacity:
+        rep = _surface_capacity(example, r1, r, H, base_tol, rel_tol)
         reports.append(_tag(rep, f"(r={r1:.4g};R={r:.4g})"))
     return reports
 

@@ -422,9 +422,11 @@ class SharpPotential:
         D    = (p-1) * (1-beta) / (beta * ((p-1)*c + a)),
 
     so the amplitude deficit lam - r**mu * V(r) equals lam * D / r**beta and
-    V is positive exactly for r > D**(1/beta).  For mu = p the pair
-    (t**(a+p-1), t**c) gives the exact power potential V = lam / r**p with
-    lam = c**(p-1) * ((p-1)*c + a) and no deficit.
+    V is positive exactly for r > D**(1/beta).  That radius is found in log
+    space; as mu -> p it passes the largest double (for p = 2, q = 3 from
+    mu = 1.988 on), and the constructor then raises DomainError.  For
+    mu = p the pair (t**(a+p-1), t**c) gives the exact power potential
+    V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.
     """
 
     def __init__(self, p: float, mu: float, a: float, c: float):
@@ -449,7 +451,15 @@ class SharpPotential:
         else:
             self.lam = c ** (p - 1.0) * ((p - 1.0) * c + a)
             self.D = 0.0
-        self.r_min_positive = self.D ** (1.0 / self.beta) if self.D > 0.0 else 0.0
+        self.r_min_positive = 0.0
+        if self.D > 0.0:
+            log_r = math.log(self.D) / self.beta
+            try:
+                self.r_min_positive = math.exp(log_r)
+            except OverflowError:
+                raise DomainError(
+                    f"positivity radius exp({log_r:.6g}) of the potential "
+                    f"exceeds double range at p={p}, mu={mu}") from None
 
     def __call__(self, r: float) -> float:
         if not (r >= 1.0):

@@ -182,7 +182,8 @@ def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstant
 
     Requires 0 <= eps < lam.  With eps = 0 the chain degenerates to the
     sharp values; c3 then equals compute_C0 and, in the borderline regime,
-    c5 equals solve_C1.
+    c5 equals solve_C1.  Raises DomainError when extreme lam or k push a
+    constant to 0 or past the largest double.
     """
     if not (0.0 <= eps < params.lam):
         raise DomainError(f"eps must lie in [0, lam) = [0, {params.lam}), got {eps}")
@@ -191,16 +192,24 @@ def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstant
     gamma, p_conj = ex.gamma, ex.p_conj
     amp = params.lam - eps
 
-    c1 = ((p - 1.0) * amp / gamma) ** (1.0 / (p * p_conj)) * k ** (1.0 / p)
-    c2 = gamma / (amp * k ** p_conj)
-    c3 = _c0(p, gamma, amp, k)
-    C2 = 1.0 + c2 * _annulus_constant(p, gamma, k)
-
     c4 = c5 = c6 = None
-    if params.mu == p:
-        c5 = _c1_from_c0(p, c3)
-        c4 = (p * amp / c5) ** (1.0 / p)
-        c6 = (p - 1.0) * c5 ** p_conj / (p ** p_conj * amp ** p_conj)
+    try:
+        c1 = ((p - 1.0) * amp / gamma) ** (1.0 / (p * p_conj)) \
+            * k ** (1.0 / p)
+        c2 = gamma / (amp * k ** p_conj)
+        c3 = _c0(p, gamma, amp, k)
+        C2 = 1.0 + c2 * _annulus_constant(p, gamma, k)
+        in_range = all(0.0 < c < math.inf for c in (c1, c2, c3, C2))
+        if in_range and params.mu == p:
+            c5 = _c1_from_c0(p, c3)
+            c4 = (p * amp / c5) ** (1.0 / p)
+            c6 = (p - 1.0) * c5 ** p_conj / (p ** p_conj * amp ** p_conj)
+            in_range = 0.0 < c4 < math.inf and 0.0 < c6 < math.inf
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise DomainError(f"comparison constants leave double range at "
+                          f"p={p}, lam={params.lam}, k={k}")
 
     return ComparisonConstants(eps=eps, c1=c1, c2=c2, c3=c3, C2=C2,
                                c4=c4, c5=c5, c6=c6)

@@ -63,6 +63,20 @@ def test_non_finite_parameter_exit_code(capsys):
     assert "Traceback" not in err
 
 
+def test_extreme_k_exit_code(capsys):
+    rc, _, err = run(capsys, ["constants", "--p", "2", "--q", "3", "--mu", "0", "--lambda", "1e300", "--k", "1e-300"])
+    assert rc == 2
+    assert "leave double range" in err
+    assert "Traceback" not in err
+
+
+def test_sharp_near_borderline_exit_code(capsys):
+    rc, _, err = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "1.999"])
+    assert rc == 2
+    assert "positivity radius" in err
+    assert "Traceback" not in err
+
+
 def test_rate_csv_schema(capsys):
     rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "0", "--samples", "4", "--format", "csv"])
     assert rc == 0

@@ -20,6 +20,7 @@ from growthlab import (
     check_surface_capacity,
     classify_l1_condition,
     compute_C0,
+    default_check_pairs,
     estimate_rate,
     growth_samples,
     iterated_log,
@@ -328,6 +329,35 @@ def test_inequality_suite_shape():
     assert sum(n.startswith("surface-capacity(") for n in names) == 3
     assert all(r.passed for r in reports)
     assert all(r.margin >= -r.tolerance for r in reports)
+
+
+@pytest.mark.parametrize("pq_mu", [(2.0, 2.0, 2.0), (2.0, 1.5, 0.0), (3.0, 4.0, 1.5), (1.5, 0.625, 0.75)])
+def test_inequality_suite_matches_public_checks(pq_mu):
+    """The suite's shared G and H tables give each public check's sides."""
+    ex = build_sharp_example(*pq_mu)
+    pairs = default_check_pairs(ex)
+    singles = [check_growth_lower_bound(ex, r1, r) for r1, r in pairs["growth-lower-bound"]]
+    singles += [check_caccioppoli(ex, r) for r in pairs["annulus-caccioppoli"]]
+    singles += [check_surface_capacity(ex, r1, r) for r1, r in pairs["surface-capacity"]]
+    suite = run_inequality_suite(ex)
+    assert len(suite) == len(singles) == 9
+    for rep, single in zip(suite, singles):
+        assert rep.name.startswith(single.name + "(")
+        assert rep.lhs == pytest.approx(single.lhs, rel=1e-12)
+        assert rep.rhs == pytest.approx(single.rhs, rel=1e-12)
+        assert rep.passed and single.passed
+
+
+def test_growth_samples_match_single_radius_integrals():
+    """One cumulative pass agrees with separate integrals from t0."""
+    ex = EX_SINGULAR
+    radii = [ex.t0 - 1.0, ex.t0, 4.0, 6.0, 8.0, 30.0]
+    samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii)
+    assert [s.logG for s in samples[:2]] == [-math.inf, -math.inf]
+    for s in samples[2:]:
+        single = log_ball_integral(ex.manifold, ex.profile, ex.q, ex.s0, s.R)
+        assert s.logG == pytest.approx(single.logG, rel=1e-12)
+        assert s.quad_error <= 1e-11
 
 
 def test_growth_lower_bound_with_amplitude_reduction():

@@ -183,6 +183,17 @@ def test_potential_level_deficit_identity(p, mu, a, c, r):
     assert pot.level_deficit(r) == pytest.approx(pot.lam - pot(r) * r ** mu, rel=1e-11, abs=1e-15)
 
 
+def test_potential_positivity_radius_near_borderline():
+    """D^(1/beta) is formed in log space; past the largest double it raises."""
+    p, mu, a, c = 2.0, 1.986, 1.0, 1.0
+    pot = SharpPotential(p, mu, a, c)
+    beta = 1 - mpmath.mpf(mu) / p
+    D = (p - 1) * (1 - beta) / (beta * ((p - 1) * c + a))
+    assert pot.r_min_positive == pytest.approx(float(D ** (1 / beta)), rel=1e-12)
+    with pytest.raises(DomainError, match="positivity radius"):
+        SharpPotential(p, 1.999, a, c)
+
+
 def test_potential_guards():
     with pytest.raises(DomainError):
         SharpPotential(2.0, 0.0, 1.0, 1.0)(0.5)

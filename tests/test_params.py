@@ -250,6 +250,14 @@ def test_comparison_constants_eps_bounds(eps):
         comparison_constants(Params(2.0, 2.0, 0.0, 1.0), eps=eps)
 
 
+@pytest.mark.parametrize("lam,k", [(1e300, 1e-300), (1e-300, 1e300), (1e300, 1e300), (1e-300, 1e-300)])
+@pytest.mark.parametrize("mu", [0.0, 2.0])
+def test_comparison_constants_out_of_range(mu, lam, k):
+    """Constants that leave the positive doubles raise DomainError."""
+    with pytest.raises(DomainError, match=r"p=2.*lam=.*k="):
+        comparison_constants(Params(2.0, 3.0, mu, lam, k))
+
+
 def test_liouville_check_threshold():
     params = Params(2.0, 2.0, 0.0, 1.0)
     C0 = compute_C0(2.0, 2.0, 1.0)
