@@ -10,14 +10,17 @@ Subcommands:
     l1            classify reciprocal integrability of sphere integrals
     liouville     compare a growth constant against the vanishing threshold
 
-Every subcommand accepts --config FILE (lines of "key = value", where key is
-a long option name), --output PATH and --format {json,csv}.  Without
---output or --format a human-readable summary is printed.  The base check
-tolerance comes from --tol, a config file, or the GROWTHLAB_TOL environment
-variable, in that order of precedence.
+Every subcommand accepts --config FILE, --output PATH and --format
+{json,csv}.  Without --output or --format a human-readable summary is
+printed.  A config file holds "key = value" lines, where key is a long flag
+without "--" (lambda, quad-tol, rate-tol, eps-auto, ...).  Each option takes
+the first value found of: its flag, the config file, the GROWTHLAB_TOL
+environment variable (--tol only), its default.  One table, _COMMANDS,
+declares every subcommand with its options, handler and provenance.
 
 Exit status: 0 on success with all checks passed, 1 when a requested check
-failed, 2 for usage or domain errors.
+failed, 2 for usage or domain errors, including a config or environment
+value that does not parse.
 """
 
 from __future__ import annotations
@@ -30,9 +33,13 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .growth import (CheckReport, classify_l1_condition, estimate_rate,
-                     growth_samples, measure_rate, rate_window,
-                     run_inequality_suite, sphere_log_slope)
+import numpy as np
+
+from .growth import (CheckReport, check_caccioppoli,
+                     check_growth_lower_bound, check_surface_capacity,
+                     classify_l1_condition, estimate_rate, growth_samples,
+                     measure_rate, rate_window, run_inequality_suite,
+                     sphere_log_slope)
 from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
                      subsolution_residual)
 from .params import (DomainError, Params, comparison_constants, compute_C0,
@@ -40,43 +47,17 @@ from .params import (DomainError, Params, comparison_constants, compute_C0,
 from .quadrature import QuadratureError
 from .sharp import build_sharp_example
 
-FD_DEFAULT_TOL = 1e-6
-RESIDUAL_DEFAULT_TOL = 1e-9
-
-# provenance strings identify the package checks that produced a report
-_PROV = {
-    "constants": ["growthlab.params:compute_C0", "growthlab.params:solve_C1",
-                  "growthlab.params:comparison_constants"],
-    "sharp": ["growthlab.sharp:build_sharp_example",
-              "growthlab.growth:measure_rate"],
-    "verify": ["growthlab.models:subsolution_residual",
-               "growthlab.models:fd_cross_check"],
-    "rate": ["growthlab.growth:growth_samples",
-             "growthlab.growth:estimate_rate"],
-    "inequalities": ["growthlab.growth:check_growth_lower_bound",
-                     "growthlab.growth:check_caccioppoli",
-                     "growthlab.growth:check_surface_capacity"],
-    "l1": ["growthlab.growth:sphere_log_slope",
-           "growthlab.growth:classify_l1_condition"],
-    "liouville": ["growthlab.params:liouville_check"],
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation: flag > config file > env > default."""
-
-    command: str
-    options: dict
-
 
 @dataclass
 class Report:
-    """Everything a subcommand produced, ready for emission."""
+    """Everything a subcommand produced, ready for emission.
 
-    command: str
-    config: dict
-    provenance: list
+    Handlers fill in the results; main adds command, config and provenance.
+    """
+
+    command: str = ""
+    config: dict = field(default_factory=dict)
+    provenance: list = field(default_factory=list)
     constants: dict | None = None
     example: dict | None = None
     samples: list = field(default_factory=list)
@@ -90,20 +71,22 @@ class Report:
 # option plumbing
 # ---------------------------------------------------------------------------
 
-# registry: command -> option dest -> (config key, converter, default)
-_OPTION_SPECS: dict[str, dict[str, tuple[str, object, object]]] = {}
-
-
-def _add_opt(parser, command, flag, dest, conv, default, help_text,
-             is_flag=False):
-    specs = _OPTION_SPECS.setdefault(command, {})
-    specs[dest] = (flag.lstrip("-"), conv, default)
-    if is_flag:
-        parser.add_argument(flag, dest=dest, action="store_true",
-                            default=False, help=help_text)
-    else:
-        parser.add_argument(flag, dest=dest, type=conv, default=None,
-                            help=help_text)
+# An option is (flag, dest, type, default, help); its config key is the flag
+# without "--", and type bool marks an on/off switch.
+_P = ("--p", "p", float, None, "degeneracy exponent")
+_Q = ("--q", "q", float, None, "zero-order exponent")
+_MU = ("--mu", "mu", float, None, "potential decay exponent")
+_LAM = ("--lambda", "lam", float, None, "potential amplitude")
+_K = ("--k", "k", float, 1.0, "coercivity constant")
+# every command takes these after its own options and --config
+_SHARED = (
+    ("--output", "output", str, None, "write the report to this path"),
+    ("--format", "fmt", str, None, "report format: json or csv"),
+    ("--tol", "tol", float, 1e-8,
+     "base tolerance for checks (env GROWTHLAB_TOL)"),
+    ("--quad-tol", "quad_tol", float, 1e-12,
+     "relative tolerance for quadratures"),
+)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -129,56 +112,47 @@ def _to_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise DomainError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    specs = _OPTION_SPECS.get(command, {})
+def _convert(typ, key: str, text: str, source: str):
+    try:
+        return _to_bool(text) if typ is bool else typ(text)
+    except ValueError:
+        raise DomainError(f"{source}: bad {typ.__name__} {text!r} "
+                          f"for {key}") from None
+
+
+def _resolve(args: argparse.Namespace, options: tuple) -> dict:
+    """Each option's first value of: flag, config file, env, default.
+
+    The environment (GROWTHLAB_TOL) only supplies tol.
+    """
     file_values = _parse_config_file(args.config) if args.config else {}
-    known_keys = {spec[0] for spec in specs.values()}
+    keys = [flag[2:] for flag, *_ in options]
     for key in file_values:
-        if key not in known_keys:
-            raise DomainError(f"unknown config key {key!r} for {command!r}")
-    options = {}
-    for dest, (key, conv, default) in specs.items():
-        cli_value = getattr(args, dest)
-        if conv is _to_bool:
-            value = cli_value or (key in file_values
-                                  and _to_bool(file_values[key]))
-            options[dest] = bool(value)
-            continue
-        if cli_value is not None:
-            options[dest] = cli_value
-        elif key in file_values:
-            options[dest] = conv(file_values[key])
+        if key not in keys:
+            raise DomainError(
+                f"unknown config key {key!r} for {args.command!r}")
+    env_tol = os.environ.get("GROWTHLAB_TOL")
+    resolved = {}
+    for key, (_, dest, typ, default, _) in zip(keys, options):
+        value = getattr(args, dest)
+        if value is None and key in file_values:
+            value = _convert(typ, key, file_values[key], args.config)
+        if value is None and key == "tol" and env_tol:
+            value = _convert(typ, key, env_tol, "GROWTHLAB_TOL")
+        resolved[dest] = default if value is None else value
+    return resolved
+
+
+def _add_arguments(parser, options) -> None:
+    for flag, dest, typ, _, help_text in options:
+        if typ is bool:
+            parser.add_argument(flag, dest=dest, action="store_true",
+                                default=None, help=help_text)
         else:
-            options[dest] = default
-    if options.get("tol") is None:
-        env = os.environ.get("GROWTHLAB_TOL")
-        options["tol"] = float(env) if env else 1e-8
-    return RunConfig(command=command, options=options)
-
-
-def _common_opts(parser, command):
-    parser.add_argument("--config", default=None, metavar="FILE",
-                        help="read defaults from FILE (key = value lines)")
-    _add_opt(parser, command, "--output", "output", str, None,
-             "write the report to this path")
-    _add_opt(parser, command, "--format", "fmt", str, None,
-             "report format: json or csv")
-    _add_opt(parser, command, "--tol", "tol", float, None,
-             "base tolerance for checks (env GROWTHLAB_TOL)")
-    _add_opt(parser, command, "--quad-tol", "quad_tol", float, 1e-12,
-             "relative tolerance for quadratures")
-
-
-def _param_opts(parser, command, mu_required):
-    _add_opt(parser, command, "--p", "p", float, None, "degeneracy exponent")
-    _add_opt(parser, command, "--q", "q", float, None, "zero-order exponent")
-    if mu_required:
-        _add_opt(parser, command, "--mu", "mu", float, None,
-                 "potential decay exponent")
+            parser.add_argument(flag, dest=dest, type=typ, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,76 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="sharp growth constants and extremal examples for "
                     "degenerate quasilinear inequalities on model surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cp = sub.add_parser("constants", help="sharp and comparison constants")
-    _param_opts(cp, "constants", mu_required=True)
-    _add_opt(cp, "constants", "--lambda", "lam", float, None,
-             "potential amplitude")
-    _add_opt(cp, "constants", "--k", "k", float, 1.0, "coercivity constant")
-    _add_opt(cp, "constants", "--eps", "eps", float, 0.0,
-             "amplitude reduction for the comparison chain")
-    _common_opts(cp, "constants")
-
-    sp = sub.add_parser("sharp", help="build an extremal example")
-    _param_opts(sp, "sharp", mu_required=True)
-    _add_opt(sp, "sharp", "--rate", "rate", _to_bool, False,
-             "measure the growth rate and compare", is_flag=True)
-    _add_opt(sp, "sharp", "--rmax", "rmax", float, None,
-             "largest sampling radius for --rate")
-    _add_opt(sp, "sharp", "--samples", "samples", int, 7,
-             "number of rate samples")
-    _add_opt(sp, "sharp", "--rate-tol", "rate_tol", float, None,
-             "relative tolerance on the measured rate")
-    _common_opts(sp, "sharp")
-
-    vp = sub.add_parser("verify", help="pointwise check of the example")
-    _param_opts(vp, "verify", mu_required=True)
-    _add_opt(vp, "verify", "--num", "num", int, 200, "grid size")
-    _add_opt(vp, "verify", "--rmax", "rmax", float, 1e3, "grid end")
-    _add_opt(vp, "verify", "--residual-tol", "residual_tol", float,
-             RESIDUAL_DEFAULT_TOL, "tolerance on the equation residual")
-    _add_opt(vp, "verify", "--fd-tol", "fd_tol", float, FD_DEFAULT_TOL,
-             "tolerance on the finite-difference cross check")
-    _common_opts(vp, "verify")
-
-    rp = sub.add_parser("rate", help="sample ball integrals and fit a rate")
-    _param_opts(rp, "rate", mu_required=True)
-    _add_opt(rp, "rate", "--rmin", "rmin", float, None,
-             "smallest sampling radius")
-    _add_opt(rp, "rate", "--rmax", "rmax", float, None,
-             "largest sampling radius")
-    _add_opt(rp, "rate", "--samples", "samples", int, 7,
-             "number of sampling radii")
-    _common_opts(rp, "rate")
-
-    ip = sub.add_parser("inequalities", help="integral inequality suite")
-    _param_opts(ip, "inequalities", mu_required=True)
-    _add_opt(ip, "inequalities", "--eps", "eps", float, 0.0,
-             "amplitude reduction for the comparison constants")
-    _add_opt(ip, "inequalities", "--eps-auto", "eps_auto", _to_bool, False,
-             "derive eps from the example's amplitude deficit", is_flag=True)
-    _common_opts(ip, "inequalities")
-
-    lp = sub.add_parser("l1", help="reciprocal integrability classification")
-    _add_opt(lp, "l1", "--slope", "slope", float, None,
-             "log-log slope of the sphere integral (skips measurement)")
-    _add_opt(lp, "l1", "--initial-infinite", "initial_infinite", _to_bool,
-             False, "the sphere integrand vanishes near the origin",
-             is_flag=True)
-    _add_opt(lp, "l1", "--euclidean", "euclidean", int, None,
-             "measure the slope on Euclidean space of this dimension")
-    _param_opts(lp, "l1", mu_required=True)
-    _common_opts(lp, "l1")
-
-    wp = sub.add_parser("liouville", help="threshold classification")
-    _param_opts(wp, "liouville", mu_required=False)
-    _add_opt(wp, "liouville", "--lambda", "lam", float, None,
-             "potential amplitude")
-    _add_opt(wp, "liouville", "--k", "k", float, 1.0, "coercivity constant")
-    _add_opt(wp, "liouville", "--growth", "growth", float, None,
-             "growth constant to classify")
-    _common_opts(wp, "liouville")
-
+    for name, (help_text, _, _, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        _add_arguments(sp, options)
+        sp.add_argument("--config", default=None, metavar="FILE",
+                        help="read defaults from FILE (key = value lines)")
+        _add_arguments(sp, _SHARED)
     return parser
 
 
@@ -270,7 +180,7 @@ def _require(options: dict, *names: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each takes the resolved options and returns a Report
 # ---------------------------------------------------------------------------
 
 
@@ -281,32 +191,24 @@ def _example_dict(ex) -> dict:
             "positivity_radius": ex.potential.r_min_positive}
 
 
-def _constants_dict(p, q, mu, lam, k, eps) -> dict:
+def _handle_constants(o: dict) -> Report:
+    _require(o, "p", "q", "mu", "lam")
+    p, q, mu, lam, k = o["p"], o["q"], o["mu"], o["lam"], o["k"]
     params = Params(p=p, q=q, mu=mu, lam=lam, k=k)
     ex = derived_exponents(params)
-    cc = comparison_constants(params, eps)
-    return {"p": p, "q": q, "mu": mu, "lam": lam, "k": k, "eps": eps,
-            "gamma": ex.gamma, "p_conj": ex.p_conj, "beta": ex.beta,
-            "C0": compute_C0(p, q, lam, k), "C1": solve_C1(p, q, lam, k),
-            "c1": cc.c1, "c2": cc.c2, "c3": cc.c3, "C2": cc.C2,
-            "c4": cc.c4, "c5": cc.c5, "c6": cc.c6}
+    cc = comparison_constants(params, o["eps"])
+    return Report(constants={
+        "p": p, "q": q, "mu": mu, "lam": lam, "k": k, "eps": o["eps"],
+        "gamma": ex.gamma, "p_conj": ex.p_conj, "beta": ex.beta,
+        "C0": compute_C0(p, q, lam, k), "C1": solve_C1(p, q, lam, k),
+        "c1": cc.c1, "c2": cc.c2, "c3": cc.c3, "C2": cc.C2,
+        "c4": cc.c4, "c5": cc.c5, "c6": cc.c6})
 
 
-def _handle_constants(cfg: RunConfig) -> Report:
-    o = cfg.options
-    _require(o, "p", "q", "mu", "lam")
-    constants = _constants_dict(o["p"], o["q"], o["mu"], o["lam"], o["k"],
-                                o["eps"])
-    return Report(command=cfg.command, config=dict(o),
-                  provenance=_PROV["constants"], constants=constants)
-
-
-def _handle_sharp(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_sharp(o: dict) -> Report:
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
-    report = Report(command=cfg.command, config=dict(o),
-                    provenance=_PROV["sharp"], example=_example_dict(ex))
+    report = Report(example=_example_dict(ex))
     if o["rate"]:
         est = measure_rate(ex, rmax=o["rmax"], num=o["samples"],
                            rel_tol=o["quad_tol"])
@@ -320,8 +222,7 @@ def _handle_sharp(cfg: RunConfig) -> Report:
     return report
 
 
-def _handle_verify(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_verify(o: dict) -> Report:
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = ex.t0 + 0.1, o["rmax"], o["num"]
@@ -329,7 +230,7 @@ def _handle_verify(cfg: RunConfig) -> Report:
         raise DomainError(f"grid needs at least 2 points, got {num}")
     if hi <= lo:
         raise DomainError(f"rmax={hi} must exceed t0 + 0.1 = {lo}")
-    radii = [lo * (hi / lo) ** (i / (num - 1)) for i in range(num)]
+    radii = np.geomspace(lo, hi, num).tolist()
     residual = subsolution_residual(ex.manifold, ex.profile, ex.potential,
                                     ex.p, ex.s0, radii)
     fd_radii = [radii[0], radii[num // 4], radii[num // 2],
@@ -344,52 +245,46 @@ def _handle_verify(cfg: RunConfig) -> Report:
                     margin=-fd_worst, passed=fd_worst <= o["fd_tol"],
                     tolerance=o["fd_tol"]),
     ]
-    return Report(command=cfg.command, config=dict(o),
-                  provenance=_PROV["verify"], example=_example_dict(ex),
-                  checks=checks, passed=all(c.passed for c in checks))
+    return Report(example=_example_dict(ex), checks=checks,
+                  passed=all(c.passed for c in checks))
 
 
-def _handle_rate(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_rate(o: dict) -> Report:
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
-    num = o["samples"]
-    if o["rmin"] is not None and o["rmax"] is not None:
-        lo, hi = o["rmin"], o["rmax"]
+    lo, hi, num = o["rmin"], o["rmax"], o["samples"]
+    if lo is None:
+        radii, regime = rate_window(ex, rmax=hi, num=num)
+    else:
+        if hi is None:
+            raise DomainError("--rmin needs --rmax")
         if not (ex.t0 < lo < hi):
             raise DomainError(f"need t0 < rmin < rmax, got [{lo}, {hi}]")
-        radii = [lo * (hi / lo) ** (i / (num - 1)) for i in range(num)]
+        if num < 4:
+            raise DomainError(f"need at least 4 samples, got num={num}")
+        radii = np.geomspace(lo, hi, num).tolist()
         regime = "log" if ex.is_borderline else "power"
-    else:
-        radii, regime = rate_window(ex, rmax=o["rmax"], num=num)
     samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii,
                              rel_tol=o["quad_tol"])
     beta = ex.beta if regime == "power" else None
     est = estimate_rate(samples, regime=regime, beta=beta)
-    return Report(command=cfg.command, config=dict(o),
-                  provenance=_PROV["rate"], example=_example_dict(ex),
-                  samples=samples,
+    return Report(example=_example_dict(ex), samples=samples,
                   rate=dict(asdict(est), expected=ex.expected_rate))
 
 
-def _handle_inequalities(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_inequalities(o: dict) -> Report:
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
-    eps = o["eps"]
     if o["eps_auto"]:
-        b = ex.t0 + max(1.0, 0.2 * ex.t0)
-        eps = ex.eps_for_radius(b)
-    checks = run_inequality_suite(ex, eps=eps, base_tol=o["tol"],
+        # the derived eps is what the report's config shows
+        o["eps"] = ex.eps_for_radius(ex.t0 + max(1.0, 0.2 * ex.t0))
+    checks = run_inequality_suite(ex, eps=o["eps"], base_tol=o["tol"],
                                   rel_tol=o["quad_tol"])
-    return Report(command=cfg.command, config=dict(o, eps=eps),
-                  provenance=_PROV["inequalities"],
-                  example=_example_dict(ex), checks=checks,
+    return Report(example=_example_dict(ex), checks=checks,
                   passed=all(c.passed for c in checks))
 
 
-def _handle_l1(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_l1(o: dict) -> Report:
     example = None
     if o["slope"] is not None:
         _require(o, "p")
@@ -415,34 +310,80 @@ def _handle_l1(cfg: RunConfig) -> Report:
         example = _example_dict(ex)
     verdict = classify_l1_condition(slope, o["p"],
                                     finite_radius_infinite=initial_infinite)
-    return Report(command=cfg.command, config=dict(o),
-                  provenance=_PROV["l1"], example=example,
+    return Report(example=example,
                   constants={"slope": slope, "p": o["p"],
                              "slope_ratio": slope / (o["p"] - 1.0),
                              "initial_infinite": initial_infinite},
                   classification=verdict)
 
 
-def _handle_liouville(cfg: RunConfig) -> Report:
-    o = cfg.options
+def _handle_liouville(o: dict) -> Report:
     _require(o, "p", "q", "lam", "growth")
     params = Params(p=o["p"], q=o["q"], mu=0.0, lam=o["lam"], k=o["k"])
     verdict = liouville_check(params, o["growth"])
     threshold = compute_C0(o["p"], o["q"], o["lam"], o["k"])
-    return Report(command=cfg.command, config=dict(o),
-                  provenance=_PROV["liouville"],
-                  constants={"C0": threshold, "growth": o["growth"]},
+    return Report(constants={"C0": threshold, "growth": o["growth"]},
                   classification=verdict)
 
 
-_HANDLERS = {
-    "constants": _handle_constants,
-    "sharp": _handle_sharp,
-    "verify": _handle_verify,
-    "rate": _handle_rate,
-    "inequalities": _handle_inequalities,
-    "l1": _handle_l1,
-    "liouville": _handle_liouville,
+# command -> (help, handler, the package functions its provenance names,
+#             its own options); --config and _SHARED follow the own options
+_COMMANDS = {
+    "constants": (
+        "sharp and comparison constants", _handle_constants,
+        (compute_C0, solve_C1, comparison_constants),
+        (_P, _Q, _MU, _LAM, _K,
+         ("--eps", "eps", float, 0.0,
+          "amplitude reduction for the comparison chain"))),
+    "sharp": (
+        "build an extremal example", _handle_sharp,
+        (build_sharp_example, measure_rate),
+        (_P, _Q, _MU,
+         ("--rate", "rate", bool, False,
+          "measure the growth rate and compare"),
+         ("--rmax", "rmax", float, None, "largest sampling radius for --rate"),
+         ("--samples", "samples", int, 7, "number of rate samples"),
+         ("--rate-tol", "rate_tol", float, None,
+          "relative tolerance on the measured rate"))),
+    "verify": (
+        "pointwise check of the example", _handle_verify,
+        (subsolution_residual, fd_cross_check),
+        (_P, _Q, _MU,
+         ("--num", "num", int, 200, "grid size"),
+         ("--rmax", "rmax", float, 1e3, "grid end"),
+         ("--residual-tol", "residual_tol", float, 1e-9,
+          "tolerance on the equation residual"),
+         ("--fd-tol", "fd_tol", float, 1e-6,
+          "tolerance on the finite-difference cross check"))),
+    "rate": (
+        "sample ball integrals and fit a rate", _handle_rate,
+        (growth_samples, estimate_rate),
+        (_P, _Q, _MU,
+         ("--rmin", "rmin", float, None, "smallest sampling radius"),
+         ("--rmax", "rmax", float, None, "largest sampling radius"),
+         ("--samples", "samples", int, 7, "number of sampling radii"))),
+    "inequalities": (
+        "integral inequality suite", _handle_inequalities,
+        (check_growth_lower_bound, check_caccioppoli, check_surface_capacity),
+        (_P, _Q, _MU,
+         ("--eps", "eps", float, 0.0,
+          "amplitude reduction for the comparison constants"),
+         ("--eps-auto", "eps_auto", bool, False,
+          "derive eps from the example's amplitude deficit"))),
+    "l1": (
+        "reciprocal integrability classification", _handle_l1,
+        (sphere_log_slope, classify_l1_condition),
+        (("--slope", "slope", float, None,
+          "log-log slope of the sphere integral (skips measurement)"),
+         ("--initial-infinite", "initial_infinite", bool, False,
+          "the sphere integrand vanishes near the origin"),
+         ("--euclidean", "euclidean", int, None,
+          "measure the slope on Euclidean space of this dimension"),
+         _P, _Q, _MU)),
+    "liouville": (
+        "threshold classification", _handle_liouville, (liouville_check,),
+        (_P, _Q, _LAM, _K,
+         ("--growth", "growth", float, None, "growth constant to classify"))),
 }
 
 
@@ -567,21 +508,19 @@ def _emit(report: Report, options: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, calls, options = _COMMANDS[args.command]
     try:
-        cfg = _resolve(args)
-        report = _HANDLERS[cfg.command](cfg)
-        _emit(report, cfg.options)
-    except (DomainError, QuadratureError) as exc:
+        resolved = _resolve(args, options + _SHARED)
+        report = handler(resolved)
+        report.command, report.config = args.command, resolved
+        report.provenance = [f"{fn.__module__}:{fn.__name__}"
+                             for fn in calls]
+        _emit(report, resolved)
+    except (DomainError, QuadratureError, OSError) as exc:
         print(f"growthlab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"growthlab: error: {exc}", file=sys.stderr)
-        return 2
-    if report.passed is False:
-        return 1
-    return 0
+    return 1 if report.passed is False else 0
 
 
 if __name__ == "__main__":

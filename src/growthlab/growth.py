@@ -313,7 +313,8 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     0.25 percent.  Sub-borderline examples place radii so that the
     log-growth variable kappa * beta * R**beta is log-spaced up to 1e4 (or
     its value at rmax), where truncation corrections are far below double
-    precision.
+    precision; a window whose radii pass the largest double raises
+    DomainError.
     """
     if num < 4:
         raise DomainError(f"need at least 4 samples, got num={num}")
@@ -322,15 +323,20 @@ def rate_window(example: SharpExample, rmax: float | None = None,
         hi = rmax if rmax is not None else 1e6
         if hi <= lo:
             raise DomainError(f"rmax={hi} must exceed the window start {lo}")
-        radii = [lo * (hi / lo) ** (i / (num - 1)) for i in range(num)]
-        return radii, "log"
+        return np.geomspace(lo, hi, num).tolist(), "log"
     beta, kappa = example.beta, example.kappa
     x_max = kappa * beta * rmax ** beta if rmax is not None else 1e4
-    x_lo = x_max / 30.0
-    if (x_lo / (kappa * beta)) ** (1.0 / beta) <= example.t0:
+    # R = (x / (kappa * beta))**(1/beta), formed in log space
+    log_kb = math.log(kappa * beta)
+    try:
+        radii = [math.exp((math.log(x) - log_kb) / beta)
+                 for x in np.geomspace(x_max / 30.0, x_max, num).tolist()]
+    except OverflowError:
+        raise DomainError(
+            f"rate window of the example at p={example.p}, q={example.q}, "
+            f"mu={example.mu} reaches past the largest double") from None
+    if radii[0] <= example.t0:
         raise DomainError(f"rmax={rmax} puts the window at the support edge")
-    radii = [(x_lo * (x_max / x_lo) ** (i / (num - 1)) / (kappa * beta))
-             ** (1.0 / beta) for i in range(num)]
     return radii, "power"
 
 
@@ -561,7 +567,7 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
     if num < 2:
         raise DomainError(f"need at least 2 points, got {num}")
-    radii = [rmin * (rmax / rmin) ** (i / (num - 1)) for i in range(num)]
+    radii = np.geomspace(rmin, rmax, num).tolist()
     vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
     if all(v == -math.inf for v in vals):
         return -math.inf

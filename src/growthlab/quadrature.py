@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import DomainError
 
 # QK15 on [-1, 1], from QUADPACK: the nonnegative Kronrod nodes (xgk), their
@@ -133,8 +135,7 @@ def _panel(logf, a: float, b: float) -> tuple[float, float]:
 
 def _initial_breakpoints(lo: float, hi: float, n: int = 8) -> list[float]:
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
-        ratio = hi / lo
-        return [lo * ratio ** (i / n) for i in range(n + 1)]
+        return np.geomspace(lo, hi, n + 1).tolist()
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 

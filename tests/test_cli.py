@@ -7,6 +7,7 @@ exercised without spawning subprocesses.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -192,3 +193,120 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_rate_too_few_samples_exit_code(capsys):
+    rc, _, err = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "1", "--samples", "1", "--rmin", "10", "--rmax", "100"])
+    assert rc == 2
+    assert "need at least 4 samples" in err
+
+
+def test_rate_rmin_needs_rmax(capsys):
+    rc, _, err = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmin", "10"])
+    assert rc == 2
+    assert "--rmin needs --rmax" in err
+    # --rmax alone still ends the default window
+    rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmax", "1e5", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["rate"]["window"][1] == pytest.approx(1e5, rel=1e-12)
+
+
+@pytest.mark.parametrize("config, env, key, text", [
+    ("p = abc\nq = 3\nmu = 1\n", None, "p", "abc"),
+    ("p = 2\nq = 3\nmu = 1\nsamples = 2.5\n", None, "samples", "2.5"),
+    (None, "abc", "tol", "abc"),
+], ids=["config-float", "config-int", "env-tol"])
+def test_malformed_value_exit_code(capsys, tmp_path, monkeypatch, config, env, key, text):
+    argv = ["rate", "--p", "2", "--q", "3", "--mu", "1"]
+    if config is not None:
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        argv = ["rate", "--config", str(cfg)]
+    if env is not None:
+        monkeypatch.setenv("GROWTHLAB_TOL", env)
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert f"{text!r} for {key}" in err
+
+
+def test_sharp_rate_window_overflow_exit_code(capsys):
+    rc, _, err = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "1.986", "--rate"])
+    assert rc == 2
+    assert "largest double" in err
+    assert "Traceback" not in err
+
+
+# Each command's config keys in report order, and its provenance, frozen from
+# the JSON reports of growthlab 0.1.0.
+COMMAND_TABLE = {
+    "constants": (
+        ["p", "q", "mu", "lam", "k", "eps", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.params:compute_C0", "growthlab.params:solve_C1",
+         "growthlab.params:comparison_constants"]),
+    "sharp": (
+        ["p", "q", "mu", "rate", "rmax", "samples", "rate_tol", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.sharp:build_sharp_example", "growthlab.growth:measure_rate"]),
+    "verify": (
+        ["p", "q", "mu", "num", "rmax", "residual_tol", "fd_tol", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.models:subsolution_residual", "growthlab.models:fd_cross_check"]),
+    "rate": (
+        ["p", "q", "mu", "rmin", "rmax", "samples", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.growth:growth_samples", "growthlab.growth:estimate_rate"]),
+    "inequalities": (
+        ["p", "q", "mu", "eps", "eps_auto", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.growth:check_growth_lower_bound", "growthlab.growth:check_caccioppoli",
+         "growthlab.growth:check_surface_capacity"]),
+    "l1": (
+        ["slope", "initial_infinite", "euclidean", "p", "q", "mu", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.growth:sphere_log_slope", "growthlab.growth:classify_l1_condition"]),
+    "liouville": (
+        ["p", "q", "lam", "k", "growth", "output", "fmt", "tol", "quad_tol"],
+        ["growthlab.params:liouville_check"]),
+}
+
+COMMAND_ARGV = {
+    "constants": ["--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"],
+    "sharp": ["--p", "2", "--q", "3", "--mu", "1"],
+    "verify": ["--p", "2", "--q", "3", "--mu", "1", "--num", "12"],
+    "rate": ["--p", "2", "--q", "3", "--mu", "1", "--samples", "4"],
+    "inequalities": ["--p", "2", "--q", "3", "--mu", "1"],
+    "l1": ["--slope", "0.5", "--p", "2"],
+    "liouville": ["--p", "2", "--q", "2", "--lambda", "1", "--growth", "1.5"],
+}
+
+
+def flag_of(key):
+    """The long flag of a report config key."""
+    return "--" + {"lam": "lambda", "fmt": "format"}.get(key, key.replace("_", "-"))
+
+
+@pytest.mark.parametrize("command", COMMAND_TABLE)
+def test_config_keys_and_provenance(capsys, command):
+    rc, out, _ = run(capsys, [command, *COMMAND_ARGV[command], "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    keys, provenance = COMMAND_TABLE[command]
+    assert list(doc["config"]) == keys
+    assert doc["provenance"] == provenance
+
+
+@pytest.mark.parametrize("command", COMMAND_TABLE)
+def test_help_lists_the_table_flags(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out.split("options:")[0]
+    flags = re.findall(r"\[(-[-\w]+)", usage)
+    expected = ["-h", "--config", *map(flag_of, COMMAND_TABLE[command][0])]
+    assert sorted(flags) == sorted(expected)
+
+
+@pytest.mark.parametrize("command", COMMAND_TABLE)
+def test_config_file_keys_are_the_flags(capsys, tmp_path, command):
+    # a key the command does not know is rejected; each of its flags is not
+    keys = [flag_of(key)[2:] for key in COMMAND_TABLE[command][0]]
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("".join(f"{key} = x\n" for key in keys))
+    rc, _, err = run(capsys, [command, "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config key" not in err

@@ -7,6 +7,7 @@ frozen. Every expectation is independent of the code under test.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +238,20 @@ def test_rate_window_borderline_default():
     assert regime == "log"
     assert radii[0] == pytest.approx(1e4, rel=1e-12)
     assert radii[-1] == pytest.approx(1e6, rel=1e-12)
+
+
+def test_rate_window_power_matches_loop_formula():
+    # radii solve kappa * beta * R**beta = x on a geometric grid 1e4/30 .. 1e4
+    radii, _ = rate_window(EX_DECAY)
+    kb, beta = EX_DECAY.kappa * EX_DECAY.beta, EX_DECAY.beta
+    ref = [(1e4 / 30.0 * 30.0 ** (i / 6) / kb) ** (1.0 / beta) for i in range(7)]
+    assert radii == pytest.approx(ref, rel=64 * sys.float_info.epsilon)
+
+
+def test_measure_rate_window_past_double_range():
+    # beta = 0.007 puts the window's radii past the largest double
+    with pytest.raises(DomainError, match="largest double"):
+        measure_rate(build_sharp_example(2.0, 3.0, 1.986))
 
 
 def test_measure_rate_power():

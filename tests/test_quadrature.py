@@ -5,6 +5,7 @@ quadrature is always compared against independent arithmetic.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from growthlab import (
     log_quad,
     log_sum,
 )
-from growthlab.quadrature import _NODES, log_quad_cumulative
+from growthlab.quadrature import _NODES, _initial_breakpoints, log_quad_cumulative
 
 
 def test_polynomial_with_zero_at_endpoint():
@@ -54,6 +55,14 @@ def test_breakpoints_resolve_jump():
     res = log_quad(logf, 0.0, 1.0, breakpoints=[0.3])
     assert res.log_value == pytest.approx(math.log(1.7), abs=1e-13)
     assert res.panels <= 4
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 16.0), (3.0, 1e6), (1e-150, 1e150)])
+def test_initial_breakpoints_match_loop_formula(lo, hi):
+    ref = [lo * (hi / lo) ** (i / 8) for i in range(9)]
+    got = _initial_breakpoints(lo, hi)
+    assert got == pytest.approx(ref, rel=8 * sys.float_info.epsilon)
+    assert (got[0], got[-1]) == (lo, hi)
 
 
 def test_deterministic():
