@@ -35,11 +35,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .growth import (CheckReport, check_caccioppoli,
-                     check_growth_lower_bound, check_surface_capacity,
-                     classify_l1_condition, estimate_rate, growth_samples,
-                     measure_rate, rate_window, run_inequality_suite,
-                     sphere_log_slope)
+from .growth import (CheckReport, _check_finite_positive,
+                     check_caccioppoli, check_growth_lower_bound,
+                     check_surface_capacity, classify_l1_condition,
+                     estimate_rate, growth_samples, measure_rate, rate_window,
+                     run_inequality_suite, sphere_log_slope)
 from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
                      subsolution_residual)
 from .params import (DomainError, Params, comparison_constants, compute_C0,
@@ -228,6 +228,7 @@ def _handle_verify(o: dict) -> Report:
     lo, hi, num = ex.t0 + 0.1, o["rmax"], o["num"]
     if num < 2:
         raise DomainError(f"grid needs at least 2 points, got {num}")
+    _check_finite_positive("rmax", hi)
     if hi <= lo:
         raise DomainError(f"rmax={hi} must exceed t0 + 0.1 = {lo}")
     radii = np.geomspace(lo, hi, num).tolist()
@@ -258,6 +259,8 @@ def _handle_rate(o: dict) -> Report:
     else:
         if hi is None:
             raise DomainError("--rmin needs --rmax")
+        _check_finite_positive("rmin", lo)
+        _check_finite_positive("rmax", hi)
         if not (ex.t0 < lo < hi):
             raise DomainError(f"need t0 < rmin < rmax, got [{lo}, {hi}]")
         if num < 4:

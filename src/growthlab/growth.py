@@ -82,18 +82,37 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _log_excess(profile: RadialProfile, log_s0: float, s: float) -> float:
-    """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0."""
+def _log_excess(profile: RadialProfile, log_s0: float, s):
+    """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
+
+    s is one radius or a 1-D float ndarray of them, and the result has the
+    same form.
+    """
     lv = profile.log_value(s)
     if log_s0 == -math.inf:
         return lv
     d = lv - log_s0
+    if isinstance(d, np.ndarray):
+        # both branches on every node, each kept where the scalar path takes it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = log_s0 + np.log(np.expm1(d))
+            far = lv + np.log1p(-np.exp(-d))
+        return np.where(d <= 0.0, -math.inf, np.where(d < 0.7, near, far))
     if d <= 0.0:
         return -math.inf
     if d < 0.7:
         # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
         return log_s0 + math.log(math.expm1(d))
     return lv + math.log1p(-math.exp(-d))
+
+
+def _on_support(s: np.ndarray, le: np.ndarray, rest) -> np.ndarray:
+    """rest(s, le) at the nodes where the log excess le is finite, -inf at
+    the others; rest is not evaluated outside the support of (v - s0)+."""
+    out = np.full(s.shape, -math.inf)
+    on = le > -math.inf
+    out[on] = rest(s[on], le[on])
+    return out
 
 
 def _log_level(s0: float) -> float:
@@ -172,11 +191,9 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError("radii must be strictly increasing")
     log_s0 = _log_level(s0)
 
-    def logf(s: float) -> float:
-        le = _log_excess(profile, log_s0, s)
-        if le == -math.inf:
-            return -math.inf
-        return manifold.log_warp(s) + q * le
+    def logf(s: np.ndarray) -> np.ndarray:
+        return _on_support(s, _log_excess(profile, log_s0, s),
+                           lambda s, le: manifold.log_warp(s) + q * le)
 
     results = log_quad_cumulative(logf, _support_start(profile, s0), radii,
                                   rel_tol=rel_tol)
@@ -204,11 +221,11 @@ def _log_energy_table(manifold: ModelManifold, profile: RadialProfile,
     log_s0 = _log_level(s0)
     t0 = _support_start(profile, s0)
 
-    def logf(s: float) -> float:
-        le = _log_excess(profile, log_s0, s)
-        if le == -math.inf:
-            return -math.inf
-        return manifold.log_warp(s) + (q - p) * le + p * profile.log_deriv(s)
+    def logf(s: np.ndarray) -> np.ndarray:
+        return _on_support(
+            s, _log_excess(profile, log_s0, s),
+            lambda s, le: manifold.log_warp(s) + (q - p) * le
+            + p * profile.log_deriv(s))
 
     log_omega = math.log(manifold.omega)
     genuine_edge = s0 > 0.0 and t0 > profile.t_min
@@ -222,16 +239,18 @@ def _log_energy_table(manifold: ModelManifold, profile: RadialProfile,
     # s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau.
     t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
 
-    def logf_sub(tau: float) -> float:
+    def logf_sub(tau: np.ndarray) -> np.ndarray:
         eta = tau ** (1.0 / gamma)
         d = profile.log_value_delta(t0, eta)
-        if d <= 0.0:
-            return -math.inf
-        le = log_s0 + math.log(math.expm1(d))
+        out = np.full(tau.shape, -math.inf)
+        on = d > 0.0
+        tau, eta = tau[on], eta[on]
+        le = log_s0 + np.log(np.expm1(d[on]))
         s = t0 + eta
-        return manifold.log_warp(s) + (q - p) * le \
+        out[on] = manifold.log_warp(s) + (q - p) * le \
             + p * profile.log_deriv(s) \
-            + (1.0 / gamma - 1.0) * math.log(tau) - math.log(gamma)
+            + (1.0 / gamma - 1.0) * np.log(tau) - math.log(gamma)
+        return out
 
     res_a = log_quad(logf_sub, 0.0, (t1 - t0) ** gamma, rel_tol=rel_tol)
     table = []
@@ -303,6 +322,12 @@ def estimate_rate(samples, regime: str = "power",
                         window=(rs[0], rs[-1]), n_samples=len(rs))
 
 
+def _check_finite_positive(name: str, r: float) -> None:
+    """Raise DomainError naming r unless it is finite and positive."""
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"{name} must be finite and positive, got {r}")
+
+
 def rate_window(example: SharpExample, rmax: float | None = None,
                 num: int = 7) -> tuple[list[float], str]:
     """Default sampling radii and regime for measuring an example's rate.
@@ -314,10 +339,12 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     log-growth variable kappa * beta * R**beta is log-spaced up to 1e4 (or
     its value at rmax), where truncation corrections are far below double
     precision; a window whose radii pass the largest double raises
-    DomainError.
+    DomainError, and so does an rmax that is not finite and positive.
     """
     if num < 4:
         raise DomainError(f"need at least 4 samples, got num={num}")
+    if rmax is not None:
+        _check_finite_positive("rmax", rmax)
     if example.is_borderline:
         lo = max(1e4, 100.0 * example.t0)
         hi = rmax if rmax is not None else 1e6
@@ -482,9 +509,13 @@ def _surface_capacity(example: SharpExample, r: float, R: float, H: dict,
     gamma = q - p + 1.0
     man, prof = example.manifold, example.profile
     h_r, h_err = H[r]
+    log_s0 = _log_level(example.s0)
 
-    def logf(s: float) -> float:
-        return -log_sphere_integral(man, prof, q, example.s0, s) / (p - 1.0)
+    def logf(s: np.ndarray) -> np.ndarray:
+        # minus log phi / (p - 1), with phi as in log_sphere_integral
+        log_phi = _on_support(s, _log_excess(prof, log_s0, s),
+                              lambda s, le: man.log_sphere_area(s) + q * le)
+        return -log_phi / (p - 1.0)
 
     res_j = log_quad(logf, r, R, rel_tol=rel_tol)
     pref = (p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)

@@ -16,6 +16,11 @@ therefore exposes a logarithmic interface
 and the operator routines work with the scaled quantity
 Delta_p(v) / v**(p-1), which stays bounded.  Raw evaluation helpers exist
 for small radii and tests.
+
+log_value, log_deriv and log_value_delta of the four profiles below take
+either one radius, giving a float, or a 1-D float ndarray of radii, giving
+an ndarray of the same shape: the quadrature evaluates its integrands a
+batch of nodes at a time.  The other methods take one radius.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import DomainError
+
+
+def _ns(x):
+    """The module whose log, log1p and expm1 fit x: numpy for an array of
+    radii, math for one radius, where it is faster and returns a float."""
+    return math if type(x) is float or not isinstance(x, np.ndarray) else np
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +97,25 @@ class RadialProfile:
         if not (t > self.t_min):
             raise DomainError(f"radius must exceed {self.t_min}, got {t}")
 
+    def _check_radii(self, t):
+        """_check_t for one radius or an array of them; returns _ns(t).
+
+        subsolution_residual calls log_value and three per-radius methods at
+        every radius, so the float case is tested first, without a nested
+        call, and the per-radius methods keep the plain _check_t: each added
+        call or isinstance test there costs it a few percent.
+        """
+        if type(t) is float or not isinstance(t, np.ndarray):
+            if not (t > self.t_min):
+                raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+            return math
+        if not t.min(initial=math.inf) > self.t_min:
+            # min is nan if any radius is: name the first bad one
+            first = (~(t > self.t_min)).argmax()
+            raise DomainError(f"radius must exceed {self.t_min}, "
+                              f"got {t[first]}")
+        return np
+
 
 class PowerLaw(RadialProfile):
     """v(t) = t**c.  Any real exponent is allowed; c > 0 gives growth."""
@@ -91,9 +123,9 @@ class PowerLaw(RadialProfile):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def log_value(self, t: float) -> float:
-        self._check_t(t)
-        return self.c * math.log(t)
+    def log_value(self, t):
+        xp = self._check_radii(t)
+        return self.c * xp.log(t)
 
     def dlog(self, t: float) -> float:
         self._check_t(t)
@@ -111,11 +143,11 @@ class PowerLaw(RadialProfile):
         self._check_t(t)
         return self.c * (self.c - 1.0) * t ** (self.c - 2.0)
 
-    def log_deriv(self, t: float) -> float:
-        self._check_t(t)
+    def log_deriv(self, t):
+        xp = self._check_radii(t)
         if self.c <= 0.0:
             raise DomainError(f"power profile with c={self.c} is not increasing")
-        return math.log(self.c) + (self.c - 1.0) * math.log(t)
+        return math.log(self.c) + (self.c - 1.0) * xp.log(t)
 
     def level_radius(self, s: float) -> float:
         if self.c == 0.0:
@@ -124,9 +156,9 @@ class PowerLaw(RadialProfile):
             raise DomainError(f"level must be positive, got {s}")
         return s ** (1.0 / self.c)
 
-    def log_value_delta(self, t: float, eta: float) -> float:
+    def log_value_delta(self, t: float, eta):
         self._check_t(t)
-        return self.c * math.log1p(eta / t)
+        return self.c * _ns(eta).log1p(eta / t)
 
     def __repr__(self):
         return f"PowerLaw(c={self.c})"
@@ -141,8 +173,8 @@ class ExpPower(RadialProfile):
         self.c = float(c)
         self.beta = float(beta)
 
-    def log_value(self, t: float) -> float:
-        self._check_t(t)
+    def log_value(self, t):
+        self._check_radii(t)
         return self.c * t ** self.beta
 
     def dlog(self, t: float) -> float:
@@ -155,12 +187,12 @@ class ExpPower(RadialProfile):
         c, b = self.c, self.beta
         return c * b * t ** (b - 2.0) * ((b - 1.0) + c * b * t ** b)
 
-    def log_deriv(self, t: float) -> float:
-        self._check_t(t)
+    def log_deriv(self, t):
+        xp = self._check_radii(t)
         if self.c <= 0.0:
             raise DomainError(f"exp-power profile with c={self.c} is not increasing")
         return math.log(self.c * self.beta) \
-            + (self.beta - 1.0) * math.log(t) + self.c * t ** self.beta
+            + (self.beta - 1.0) * xp.log(t) + self.c * t ** self.beta
 
     def level_radius(self, s: float) -> float:
         if self.c == 0.0:
@@ -172,11 +204,12 @@ class ExpPower(RadialProfile):
             raise DomainError(f"level {s} is not attained for coefficient {self.c}")
         return x ** (1.0 / self.beta)
 
-    def log_value_delta(self, t: float, eta: float) -> float:
+    def log_value_delta(self, t: float, eta):
         # c * ((t+eta)**b - t**b) = c * t**b * expm1(b * log1p(eta/t))
         self._check_t(t)
+        xp = _ns(eta)
         return self.c * t ** self.beta \
-            * math.expm1(self.beta * math.log1p(eta / t))
+            * xp.expm1(self.beta * xp.log1p(eta / t))
 
     def __repr__(self):
         return f"ExpPower(c={self.c}, beta={self.beta})"
@@ -196,8 +229,9 @@ class Affine(RadialProfile):
         self._check_t(t)
         return self.slope * t + self.offset
 
-    def log_value(self, t: float) -> float:
-        return math.log(self.value(t))
+    def log_value(self, t):
+        xp = self._check_radii(t)
+        return xp.log(self.slope * t + self.offset)
 
     def dlog(self, t: float) -> float:
         return self.slope / self.value(t)
@@ -214,9 +248,11 @@ class Affine(RadialProfile):
         self._check_t(t)
         return 0.0
 
-    def log_deriv(self, t: float) -> float:
-        self._check_t(t)
-        return math.log(self.slope)
+    def log_deriv(self, t):
+        log_slope = math.log(self.slope)
+        if self._check_radii(t) is np:
+            return np.full(t.shape, log_slope)
+        return log_slope
 
     def level_radius(self, s: float) -> float:
         t = (s - self.offset) / self.slope
@@ -224,8 +260,8 @@ class Affine(RadialProfile):
             raise DomainError(f"level {s} is not attained above t_min={self.t_min}")
         return t
 
-    def log_value_delta(self, t: float, eta: float) -> float:
-        return math.log1p(self.slope * eta / self.value(t))
+    def log_value_delta(self, t: float, eta):
+        return _ns(eta).log1p(self.slope * eta / self.value(t))
 
     def __repr__(self):
         return f"Affine(slope={self.slope}, offset={self.offset})"
@@ -250,11 +286,11 @@ class PHarmonicRn(RadialProfile):
         self.p = float(p)
         self.alpha = (p - n) / (p - 1.0)
 
-    def log_value(self, t: float) -> float:
-        self._check_t(t)
+    def log_value(self, t):
+        xp = self._check_radii(t)
         a = self.alpha
         # log(t**a - 1) without forming t**a, stable for large t
-        return a * math.log(t) + math.log1p(-t ** (-a))
+        return a * xp.log(t) + xp.log1p(-t ** (-a))
 
     def dlog(self, t: float) -> float:
         self._check_t(t)
@@ -274,22 +310,23 @@ class PHarmonicRn(RadialProfile):
         self._check_t(t)
         return self.alpha * (self.alpha - 1.0) * t ** (self.alpha - 2.0)
 
-    def log_deriv(self, t: float) -> float:
-        self._check_t(t)
-        return math.log(self.alpha) + (self.alpha - 1.0) * math.log(t)
+    def log_deriv(self, t):
+        xp = self._check_radii(t)
+        return math.log(self.alpha) + (self.alpha - 1.0) * xp.log(t)
 
     def level_radius(self, s: float) -> float:
         if not (s > 0.0):
             raise DomainError(f"level must be positive, got {s}")
         return (1.0 + s) ** (1.0 / self.alpha)
 
-    def log_value_delta(self, t: float, eta: float) -> float:
+    def log_value_delta(self, t: float, eta):
         # ((t+eta)**a - 1) / (t**a - 1) = 1 + t**a * u / (t**a - 1) with
         # u = expm1(a * log1p(eta/t)); the last ratio is u / (1 - t**-a)
         self._check_t(t)
         a = self.alpha
-        u = math.expm1(a * math.log1p(eta / t))
-        return math.log1p(u / (1.0 - t ** (-a)))
+        xp = _ns(eta)
+        u = xp.expm1(a * xp.log1p(eta / t))
+        return xp.log1p(u / (1.0 - t ** (-a)))
 
     def __repr__(self):
         return f"PHarmonicRn(n={self.n}, p={self.p})"
@@ -315,13 +352,13 @@ class ModelManifold:
         if not (self.omega > 0.0):
             raise DomainError(f"omega must be positive, got {self.omega}")
 
-    def log_warp(self, s: float) -> float:
+    def log_warp(self, s):
         return self.warp.log_value(s)
 
     def dlog_warp(self, s: float) -> float:
         return self.warp.dlog(s)
 
-    def log_sphere_area(self, s: float) -> float:
+    def log_sphere_area(self, s):
         return math.log(self.omega) + self.warp.log_value(s)
 
     @classmethod

@@ -8,6 +8,11 @@ node contributions, and panels are combined with log-sum-exp, so the result
 is the logarithm of the integral with full relative accuracy regardless of
 scale.
 
+The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
+returns an ndarray of the same shape holding the log-integrand at each
+node, with -inf marking zeros.  A nan or +inf among them raises
+DomainError naming the first such node in panel order.
+
 Each panel uses the nested 7/15 Gauss-Kronrod pair of QUADPACK's QK15
 (Piessens et al., 1983): the 15-point Kronrod rule K15 integrates
 polynomials of degree up to 22 exactly, and its odd-indexed nodes together
@@ -15,10 +20,15 @@ with the midpoint are the nodes of the 7-point Gauss rule G7, so one panel
 costs 15 integrand evaluations.  The panel value is K15 and its error
 estimate is |K15 - G7| (both in log form).
 
-Refinement is globally adaptive: the panel with the largest estimate is
-bisected until the total estimated error drops below rel_tol times the
-total value.  Panels are scanned in a fixed order, so results are
-deterministic and independent of dict or heap internals.
+Refinement is globally adaptive and runs in rounds (vectorised adaptive
+quadrature in the manner of Shampine, 2008).  A round that finds the total
+estimated error above rel_tol times the total value bisects the fewest
+worst panels whose removal would bring the remaining error under that
+bound, ties going to the lower index, and evaluates all of their children
+with one call of logf.  An integral up to several radii refines all of its
+segments together, so a round costs one call however many segments are
+still open.  Panels are kept in position order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -61,6 +71,12 @@ _NODES = tuple(
     for i, (x, wk) in enumerate(zip(_XGK, _WGK))
     for sign in ((1.0, -1.0) if x > 0.0 else (1.0,)))
 
+# the same rule as arrays over the node axis of a batch of panels
+_X = np.array([x for x, _, _ in _NODES])
+_LOG_WK = np.array([lwk for _, lwk, _ in _NODES])
+_G7 = [i for i, (_, _, lwg) in enumerate(_NODES) if lwg is not None]
+_LOG_WG = np.array([_NODES[i][2] for i in _G7])
+
 
 def log_sum(values) -> float:
     """log(sum(exp(v))) over an iterable of log values; -inf for empty input."""
@@ -87,7 +103,7 @@ def log_diff(a: float, b: float) -> float:
 class LogQuadResult:
     """Logarithm of an integral, its relative error estimate and its cost.
 
-    evals counts the integrand calls made, 15 per panel ever evaluated.
+    evals counts the integrand values computed, 15 per panel ever evaluated.
     """
 
     log_value: float
@@ -112,25 +128,36 @@ class QuadratureError(RuntimeError):
         self.evals = evals
 
 
-def _panel(logf, a: float, b: float) -> tuple[float, float]:
-    """(log K15, log |K15 - G7|) for one panel [a, b]."""
+def _row_log_sum(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) along each row; -inf for a row of -inf, which takes
+    log(0), so the caller ignores divide-by-zero."""
+    m = v.max(axis=1)
+    m[m == -np.inf] = 0.0
+    return m + np.log(np.exp(v - m[:, None]).sum(axis=1))
+
+
+def _panels(logf, a: np.ndarray, b: np.ndarray):
+    """(log K15, log |K15 - G7|) of the panels [a[i], b[i]], one logf call."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals15 = []
-    vals7 = []
-    for x, lwk, lwg in _NODES:
-        v = logf(mid + half * x)
-        if math.isnan(v) or v == math.inf:
-            raise DomainError(f"integrand log-value at {mid + half * x} is {v}")
-        vals15.append(v + lwk)
-        if lwg is not None:
-            vals7.append(v + lwg)
-    # log(b - a) rather than log(half): half rounds to 0 on a panel one
-    # subnormal wide, and bisection can leave a panel of zero width
-    log_half = math.log(b - a) - _LOG2 if b > a else -math.inf
-    k15 = log_sum(vals15) + log_half
-    g7 = log_sum(vals7) + log_half
-    return k15, log_diff(k15, g7)
+    x = (mid[:, None] + half[:, None] * _X).ravel()
+    v = logf(x)
+    if not v.max() < np.inf:
+        # a nan or +inf: name the first, in panel order
+        i = int((~(v < np.inf)).argmax())
+        raise DomainError(f"integrand log-value at {x[i]} is {v[i]}")
+    v = v.reshape(len(a), len(_X))
+    # -inf and log(0) stand for zeros here, and where k15 == g7 the masked
+    # difference takes log1p(-1) or inf - inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(b - a) rather than log(half): half rounds to 0 on a panel one
+        # subnormal wide, and bisection can leave a panel of zero width
+        log_half = np.log(b - a) - _LOG2
+        k15 = _row_log_sum(v + _LOG_WK) + log_half
+        g7 = _row_log_sum(v[:, _G7] + _LOG_WG) + log_half
+        hi, lo = np.maximum(k15, g7), np.minimum(k15, g7)
+        err = np.where(k15 == g7, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
+    return k15, err
 
 
 def _initial_breakpoints(lo: float, hi: float, n: int = 8) -> list[float]:
@@ -139,14 +166,127 @@ def _initial_breakpoints(lo: float, hi: float, n: int = 8) -> list[float]:
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
+def _worst(errors: list[float], target: float, limit: int) -> list[int]:
+    """Ascending indices of the fewest largest errors (at most limit) whose
+    removal brings log(sum(exp(errors))) to target or below.
+
+    Ties go to the lower index.  The remaining sums are accumulated from the
+    smallest error up, so none of them is formed by cancellation.
+    """
+    order = sorted(range(len(errors)), key=errors.__getitem__, reverse=True)
+    top = errors[order[0]]
+    bound = math.exp(target - top)
+    count, rest = len(order), 0.0
+    for j in range(len(order) - 1, 0, -1):
+        rest += math.exp(errors[order[j]] - top)
+        if rest > bound:
+            break
+        count = j
+    return sorted(order[:min(count, limit)])
+
+
+class _Segment:
+    """The panels of one integral over [lo, hi] in position order: their
+    ends, log K15 values and log error estimates, and the number ever
+    evaluated."""
+
+    def __init__(self, lo: float, hi: float, pts: list[float]):
+        self.lo, self.hi = lo, hi
+        self.a, self.b = pts[:-1], pts[1:]
+        self.k: list[float] = []
+        self.e: list[float] = []
+        self.evaluated = 0
+
+    def halves(self, worst: list[int]) -> tuple[list[float], list[float]]:
+        """Ends of the two halves of each panel in worst, in position order."""
+        ca, cb = [], []
+        for i in worst:
+            a, b = self.a[i], self.b[i]
+            m = 0.5 * (a + b)
+            ca += (a, m)
+            cb += (m, b)
+        return ca, cb
+
+    def store(self, worst, ca, cb, k, e) -> None:
+        """Put evaluated panels in place: every panel on the first round
+        (worst is None), else the halves of each panel in worst."""
+        self.evaluated += len(k)
+        if worst is None:
+            self.k, self.e = k, e
+            return
+        for j in reversed(range(len(worst))):
+            i, pair = worst[j], slice(2 * j, 2 * j + 2)
+            self.a[i:i + 1] = ca[pair]
+            self.b[i:i + 1] = cb[pair]
+            self.k[i:i + 1] = k[pair]
+            self.e[i:i + 1] = e[pair]
+
+
+def _refine(logf, segments: list[tuple], rel_tol: float,
+            max_panels: int) -> list[LogQuadResult]:
+    """Integrate over each (lo, hi, breakpoints) of segments, together.
+
+    Each round evaluates the new panels of every open segment with one
+    logf call; a segment closes once it meets rel_tol.  Raises the
+    QuadratureError of the first segment, in list order, that has
+    max_panels panels and still misses rel_tol.
+    """
+    log_rel_tol = math.log(rel_tol)
+    segs = [_Segment(*segment) for segment in segments]
+    results: list = [None] * len(segs)
+    failure = None
+    pending = [(i, None, segs[i].a, segs[i].b) for i in range(len(segs))]
+    while pending:
+        a = np.array([x for _, _, ca, _ in pending for x in ca])
+        b = np.array([x for _, _, _, cb in pending for x in cb])
+        k, e = _panels(logf, a, b)
+        k, e = k.tolist(), e.tolist()
+        pos = 0
+        for i, worst, ca, cb in pending:
+            n = len(ca)
+            segs[i].store(worst, ca, cb, k[pos:pos + n], e[pos:pos + n])
+            pos += n
+        opened = [i for i, _, _, _ in pending]
+        pending = []
+        for i in opened:
+            if failure is not None and i > failure[0]:
+                break
+            seg = segs[i]
+            total, toterr = log_sum(seg.k), log_sum(seg.e)
+            if toterr <= total + log_rel_tol or toterr == -math.inf:
+                rel = math.exp(toterr - total) if total > -math.inf else 0.0
+                results[i] = LogQuadResult(
+                    log_value=total, rel_error=rel, panels=len(seg.k),
+                    evals=15 * seg.evaluated)
+            elif len(seg.k) >= max_panels:
+                rel = math.exp(toterr - total) if total > -math.inf \
+                    else math.inf
+                failure = (i, QuadratureError(
+                    f"needed more than {max_panels} panels on "
+                    f"[{seg.lo}, {seg.hi}] for rel_tol={rel_tol}; "
+                    f"reached {rel:.3e}",
+                    log_value=total, rel_error=rel, panels=len(seg.k),
+                    evals=15 * seg.evaluated))
+            else:
+                worst = _worst(seg.e, total + log_rel_tol,
+                               max_panels - len(seg.k))
+                pending.append((i, worst, *seg.halves(worst)))
+    if failure is not None:
+        raise failure[1]
+    return results
+
+
 def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
              max_panels: int = 4096, breakpoints=None) -> LogQuadResult:
     """Integrate exp(logf) over [lo, hi] in log space.
 
-    logf maps a radius to the log of the (nonnegative) integrand; -inf marks
-    zeros.  Returns log of the integral together with an error estimate
-    relative to the integral.  Raises QuadratureError when max_panels panels
-    cannot reach rel_tol, and DomainError when logf produces nan or +inf.
+    logf maps a 1-D float ndarray of radii to an ndarray of the same shape
+    holding the log of the (nonnegative) integrand; -inf marks zeros.  It
+    is called once per refinement round, with the nodes of every panel
+    that round evaluates.  Returns log of the integral together with an
+    error estimate relative to the integral.  Raises QuadratureError when
+    max_panels panels cannot reach rel_tol, and DomainError when logf
+    produces nan or +inf.
     """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
@@ -155,39 +295,11 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     if lo == hi:
         return LogQuadResult(log_value=-math.inf, rel_error=0.0, panels=0,
                              evals=0)
-
     if breakpoints is None:
         pts = _initial_breakpoints(lo, hi)
     else:
         pts = sorted(set([lo, hi] + [x for x in breakpoints if lo < x < hi]))
-    panels = [(pts[i], pts[i + 1], *_panel(logf, pts[i], pts[i + 1]))
-              for i in range(len(pts) - 1)]
-    evaluated = len(panels)
-
-    log_rel_tol = math.log(rel_tol)
-    while True:
-        total = log_sum(p[2] for p in panels)
-        toterr = log_sum(p[3] for p in panels)
-        if toterr <= total + log_rel_tol or toterr == -math.inf:
-            rel = math.exp(toterr - total) if total > -math.inf else 0.0
-            return LogQuadResult(log_value=total, rel_error=rel,
-                                 panels=len(panels), evals=15 * evaluated)
-        if len(panels) >= max_panels:
-            rel = math.exp(toterr - total) if total > -math.inf else math.inf
-            raise QuadratureError(
-                f"needed more than {max_panels} panels on [{lo}, {hi}] "
-                f"for rel_tol={rel_tol}; reached {rel:.3e}",
-                log_value=total, rel_error=rel, panels=len(panels),
-                evals=15 * evaluated)
-        worst = 0
-        for i in range(1, len(panels)):
-            if panels[i][3] > panels[worst][3]:
-                worst = i
-        a, b, _, _ = panels[worst]
-        m = 0.5 * (a + b)
-        panels[worst:worst + 1] = [(a, m, *_panel(logf, a, m)),
-                                   (m, b, *_panel(logf, m, b))]
-        evaluated += 2
+    return _refine(logf, [(lo, hi, pts)], rel_tol, max_panels)[0]
 
 
 def _log_combine(parts) -> tuple[float, float]:
@@ -207,15 +319,22 @@ def log_quad_cumulative(logf, lo: float, radii,
                         rel_tol: float = 1e-12) -> list[LogQuadResult]:
     """Integrals of exp(logf) over [lo, R] for each R of a nondecreasing list.
 
-    The consecutive segments [lo, R1], [R1, R2], ... are integrated once
-    each by log_quad, and the result at R sums the segments up to R: its
-    panels and evals count those segments, and its relative error is their
-    combined one.  The integrand is nonnegative, so when every segment meets
-    rel_tol, every sum of them does too.  Radii at or below lo give -inf
-    with zero error.
+    logf follows the contract of log_quad.  The consecutive segments
+    [lo, R1], [R1, R2], ... are refined together: each round makes one
+    logf call for the new panels of all open segments, while each segment
+    keeps its own tolerance test and panel budget, so it gets exactly the
+    panels log_quad alone would give it.  The result at R sums the
+    segments up to R: its panels and evals count those segments, and its
+    relative error is their combined one.  The integrand is nonnegative,
+    so when every segment meets rel_tol, every sum of them does too.
+    Radii at or below lo give -inf with zero error.  When a segment runs
+    out of panels, the QuadratureError of the first such segment is
+    raised.
     """
-    out = []
-    parts = []
+    if not (rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    segments = []
+    upto = []
     start = lo
     prev = -math.inf
     for R in radii:
@@ -224,11 +343,15 @@ def log_quad_cumulative(logf, lo: float, radii,
                               f"{prev}")
         prev = R
         if R > start:
-            parts.append(log_quad(logf, start, R, rel_tol=rel_tol))
+            segments.append((start, R, _initial_breakpoints(start, R)))
             start = R
-        total, rel = _log_combine(parts)
+        upto.append(len(segments))
+    parts = _refine(logf, segments, rel_tol, 4096) if segments else []
+    out = []
+    for n in upto:
+        total, rel = _log_combine(parts[:n])
         out.append(LogQuadResult(
             log_value=total, rel_error=rel,
-            panels=sum(r.panels for r in parts),
-            evals=sum(r.evals for r in parts)))
+            panels=sum(r.panels for r in parts[:n]),
+            evals=sum(r.evals for r in parts[:n])))
     return out

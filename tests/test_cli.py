@@ -211,6 +211,23 @@ def test_rate_rmin_needs_rmax(capsys):
     assert json.loads(out)["rate"]["window"][1] == pytest.approx(1e5, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rate", "--rmax", "0"], "rmax"),
+    (["rate", "--rmax", "-5"], "rmax"),
+    (["sharp", "--rate", "--rmax", "-5"], "rmax"),
+    (["rate", "--rmax", "inf"], "rmax"),
+    (["sharp", "--rate", "--rmax", "nan"], "rmax"),
+    (["verify", "--rmax", "inf"], "rmax"),
+    (["rate", "--rmin", "10", "--rmax", "inf"], "rmax"),
+    (["rate", "--rmin", "nan", "--rmax", "100"], "rmin"),
+])
+def test_bad_window_radius_exit_code(capsys, argv, flag):
+    rc, _, err = run(capsys, [*argv, "--p", "2", "--q", "3", "--mu", "1"])
+    assert rc == 2
+    assert f"{flag} must be finite and positive" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("config, env, key, text", [
     ("p = abc\nq = 3\nmu = 1\n", None, "p", "abc"),
     ("p = 2\nq = 3\nmu = 1\nsamples = 2.5\n", None, "samples", "2.5"),

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import growthlab.growth as growth
 from growthlab import (
     DomainError,
     GrowthSample,
@@ -32,6 +33,7 @@ from growthlab import (
     measure_rate,
     rate_window,
     run_inequality_suite,
+    sharp_grid,
     sphere_log_slope,
     ModelManifold,
     PHarmonicRn,
@@ -116,6 +118,29 @@ def test_sphere_integral_off_support():
     assert got == -math.inf
     with pytest.raises(DomainError):
         log_sphere_integral(EX_BORDER.manifold, EX_BORDER.profile, 0.0, EX_BORDER.s0, 5.0)
+
+
+@pytest.mark.parametrize("ex", [EX_DECAY, EX_BORDER, EX_SINGULAR])
+def test_log_excess_array_matches_scalar_loop(ex):
+    """Below, near and far above the level, as one array and one radius at a time.
+
+    log v from numpy is within a few ulps of log v from math, and log(v - s0)
+    amplifies an error in log v by 1 / (1 - exp(-d)) < 1 + 1/d with
+    d = log v - log s0, which sets the bound.
+    """
+    s = np.concatenate([np.linspace(0.5 * ex.t0, ex.t0, 5),
+                        ex.t0 * (1.0 + np.geomspace(1e-12, 1e3, 20))])
+    log_s0 = math.log(ex.s0)
+    got = growth._log_excess(ex.profile, log_s0, s)
+    for x, r in zip(got.tolist(), s.tolist()):
+        ref = growth._log_excess(ex.profile, log_s0, r)
+        assert type(ref) is float
+        if ref == -math.inf:
+            assert x == ref
+        else:
+            lv = ex.profile.log_value(r)
+            bound = 8 * 2.0 ** -52 * max(1.0, abs(lv)) * (1.0 + 1.0 / (lv - log_s0))
+            assert abs(x - ref) <= max(bound, 8 * 2.0 ** -52 * abs(ref))
 
 
 # ---------------------------------------------------------------------
@@ -246,6 +271,13 @@ def test_rate_window_power_matches_loop_formula():
     kb, beta = EX_DECAY.kappa * EX_DECAY.beta, EX_DECAY.beta
     ref = [(1e4 / 30.0 * 30.0 ** (i / 6) / kb) ** (1.0 / beta) for i in range(7)]
     assert radii == pytest.approx(ref, rel=64 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("rmax", [0.0, -5.0, math.inf, math.nan])
+@pytest.mark.parametrize("ex", [EX_DECAY, EX_BORDER])
+def test_rate_window_rejects_bad_rmax(ex, rmax):
+    with pytest.raises(DomainError, match="rmax must be finite and positive"):
+        rate_window(ex, rmax=rmax)
 
 
 def test_measure_rate_window_past_double_range():
@@ -423,3 +455,48 @@ def test_iterated_log_domain():
         iterated_log(1, 0.0)
     with pytest.raises(DomainError):
         iterated_log(-1, 10.0)
+
+
+# ---------------------------------------------------------------------
+# exact work per sweep over the grid
+# ---------------------------------------------------------------------
+
+
+def _count_work(monkeypatch):
+    """Sum integrals, panels and evals over growth's calls to the two integrators."""
+    work = {"integrals": 0, "panels": 0, "evals": 0}
+    quad, cumulative = growth.log_quad, growth.log_quad_cumulative
+
+    def add(integrals, res):
+        work["integrals"] += integrals
+        work["panels"] += res.panels
+        work["evals"] += res.evals
+
+    def counted_quad(*args, **kwargs):
+        res = quad(*args, **kwargs)
+        add(1, res)
+        return res
+
+    def counted_cumulative(logf, lo, radii, **kwargs):
+        results = cumulative(logf, lo, radii, **kwargs)
+        # one segment per distinct radius above lo; the last result sums them
+        add(len({R for R in radii if R > lo}), results[-1])
+        return results
+
+    monkeypatch.setattr(growth, "log_quad", counted_quad)
+    monkeypatch.setattr(growth, "log_quad_cumulative", counted_cumulative)
+    return work
+
+
+def test_suite_sweep_exact_work(monkeypatch):
+    work = _count_work(monkeypatch)
+    for ex in sharp_grid():
+        run_inequality_suite(ex)
+    assert work == {"integrals": 414, "panels": 3697, "evals": 61230}
+
+
+def test_rate_sweep_exact_work(monkeypatch):
+    work = _count_work(monkeypatch)
+    for ex in sharp_grid():
+        measure_rate(ex)
+    assert work == {"integrals": 189, "panels": 2546, "evals": 53700}

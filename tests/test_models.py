@@ -8,6 +8,7 @@ evaluation rather than against itself.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from growthlab import (
@@ -81,6 +82,39 @@ def test_log_value_delta_against_mpmath(profile, eta_rel, t=5.0):
     expected = mpmath.log(v(mpmath.mpf(t) + mpmath.mpf(eta))) - mpmath.log(v(mpmath.mpf(t)))
     got = profile.log_value_delta(t, eta)
     assert got == pytest.approx(float(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))
+def test_array_methods_match_scalar_loop(profile):
+    """The log methods on an array of radii agree with one call per radius.
+
+    One radius gives a float from math's functions; an array gives numpy's,
+    which are within an ulp or two of math's.  At most three such calls feed
+    each result, so the bound, fixed from float64, is 8 units of 2**-52.
+    """
+    t = np.geomspace(1.5, 400.0, 25)
+    eta = 5.0 * np.geomspace(1e-15, 1e-3, 25)
+    for got, loop in [
+        (profile.log_value(t), [profile.log_value(x) for x in t.tolist()]),
+        (profile.log_deriv(t), [profile.log_deriv(x) for x in t.tolist()]),
+        (profile.log_value_delta(5.0, eta),
+         [profile.log_value_delta(5.0, e) for e in eta.tolist()]),
+    ]:
+        assert isinstance(got, np.ndarray) and got.shape == (25,)
+        assert all(type(x) is float for x in loop)
+        for x, ref in zip(got.tolist(), loop):
+            assert abs(x - ref) <= 8 * 2.0 ** -52 * abs(ref)
+
+
+@pytest.mark.parametrize("profile", [PowerLaw(2.0), ExpPower(1.0, 0.5), PHarmonicRn(2, 3.0)])
+def test_array_radius_check_names_first_bad_radius(profile):
+    t = np.array([2.0, profile.t_min, 0.5 * profile.t_min, 3.0])
+    with pytest.raises(DomainError, match=f"got {profile.t_min}$"):
+        profile.log_value(t)
+    with pytest.raises(DomainError, match="got nan$"):
+        profile.log_deriv(np.array([2.0, math.nan]))
+    # an empty batch, as when no node of a round lies on the support
+    assert profile.log_value(np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))

@@ -7,8 +7,9 @@ quadrature is always compared against independent arithmetic.
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthlab import (
@@ -19,12 +20,13 @@ from growthlab import (
     log_quad,
     log_sum,
 )
-from growthlab.quadrature import _NODES, _initial_breakpoints, log_quad_cumulative
+from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
+                                  log_quad_cumulative)
 
 
 def test_polynomial_with_zero_at_endpoint():
     # integral of x^2 over [0, 1] is 1/3; the integrand log is -inf at 0
-    res = log_quad(lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, 0.0, 1.0)
+    res = log_quad(np.vectorize(lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, otypes=[float]), 0.0, 1.0)
     assert res.log_value == pytest.approx(math.log(1.0 / 3.0), abs=1e-12)
     assert res.rel_error <= 1e-12
     assert isinstance(res, LogQuadResult)
@@ -46,12 +48,12 @@ def test_huge_exponential_no_overflow():
 
 def test_integrable_endpoint_singularity():
     # integral of t^(-1/2) over [0, 1] is 2
-    res = log_quad(lambda t: -0.5 * math.log(t), 0.0, 1.0)
+    res = log_quad(np.vectorize(lambda t: -0.5 * math.log(t), otypes=[float]), 0.0, 1.0)
     assert res.log_value == pytest.approx(math.log(2.0), abs=5e-12)
 
 
 def test_breakpoints_resolve_jump():
-    logf = lambda t: 0.0 if t < 0.3 else math.log(2.0)
+    logf = np.vectorize(lambda t: 0.0 if t < 0.3 else math.log(2.0), otypes=[float])
     res = log_quad(logf, 0.0, 1.0, breakpoints=[0.3])
     assert res.log_value == pytest.approx(math.log(1.7), abs=1e-13)
     assert res.panels <= 4
@@ -66,7 +68,7 @@ def test_initial_breakpoints_match_loop_formula(lo, hi):
 
 
 def test_deterministic():
-    logf = lambda t: math.sin(t) - t
+    logf = np.vectorize(lambda t: math.sin(t) - t, otypes=[float])
     a = log_quad(logf, 0.0, 30.0)
     b = log_quad(logf, 0.0, 30.0)
     assert a == b
@@ -77,7 +79,7 @@ def test_zero_length_interval():
 
 
 def test_identically_zero_integrand():
-    res = log_quad(lambda t: -math.inf, 0.0, 2.0)
+    res = log_quad(np.vectorize(lambda t: -math.inf, otypes=[float]), 0.0, 2.0)
     assert res.log_value == -math.inf
 
 
@@ -89,7 +91,7 @@ def test_reversed_interval_rejected():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_integrand_rejected(bad):
     with pytest.raises(DomainError):
-        log_quad(lambda t: bad, 0.0, 1.0)
+        log_quad(np.vectorize(lambda t: bad, otypes=[float]), 0.0, 1.0)
 
 
 def test_budget_exhaustion_reports_partial_result():
@@ -155,7 +157,7 @@ def test_gauss_subset_matches_leggauss():
 
 def test_eval_count_without_refinement():
     # 8 initial panels of 15 nodes each already meet the tolerance
-    res = log_quad(lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, 0.0, 1.0)
+    res = log_quad(np.vectorize(lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, otypes=[float]), 0.0, 1.0)
     assert res.panels == 8
     assert res.evals == 120
 
@@ -168,7 +170,7 @@ def test_eval_count_with_refinement():
         calls.append(t)
         return -(((t - 0.37) / 1e-3) ** 2)
 
-    res = log_quad(logf, 0.0, 1.0)
+    res = log_quad(np.vectorize(logf, otypes=[float]), 0.0, 1.0)
     assert res.panels > 8
     assert res.evals == 15 * (2 * res.panels - 8)
     assert res.evals == len(calls)
@@ -184,7 +186,7 @@ def test_budget_exhaustion_counts_evals():
 @pytest.mark.parametrize("lo,hi", [(1.0, math.nextafter(1.0, 2.0)), (0.0, 5e-324), (0.0, 1e-323)])
 def test_interval_a_few_ulps_wide(lo, hi):
     # integral of 1 is the width, even where half the width rounds to 0
-    res = log_quad(lambda t: 0.0, lo, hi)
+    res = log_quad(np.vectorize(lambda t: 0.0, otypes=[float]), lo, hi)
     assert res.log_value == pytest.approx(math.log(hi - lo), rel=1e-15)
 
 
@@ -252,7 +254,7 @@ def test_cumulative_matches_exponential_closed_form(kappa, lo, below, gaps, rel_
 @given(c=st.floats(-0.5, 3.0), lo=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        below=st.integers(0, 2), gaps=_gaps_off_pole, rel_tol=_rel_tols)
 def test_cumulative_matches_power_closed_form(c, lo, below, gaps, rel_tol):
-    logf = lambda t: c * math.log(t) if t > 0.0 else (-math.inf if c > 0.0 else math.inf)
+    logf = np.vectorize(lambda t: c * math.log(t) if t > 0.0 else (-math.inf if c > 0.0 else math.inf), otypes=[float])
     _check_cumulative(logf, lambda R: _log_power_integral(c, lo, R),
                       lo, _radii(lo, below, gaps), rel_tol)
 
@@ -262,3 +264,175 @@ def test_cumulative_rejects_decreasing_radii():
         log_quad_cumulative(lambda t: 0.0, 0.0, [2.0, 1.0])
     with pytest.raises(DomainError):
         log_quad_cumulative(lambda t: 0.0, 0.0, [1.0, float("nan")])
+
+
+# ---------------------------------------------------------------------
+# references: the QK15 rule one node at a time and the serial driver
+# ---------------------------------------------------------------------
+
+# Bound for the batched rule against the loop, fixed from float64 before the
+# batched rule was written: numpy's exp and log are within an ulp or two of
+# math's, and a pairwise sum of 15 terms is within a few ulps of fsum, so
+# log K15 moves by a few units of 2**-52 relative to max(1, |log K15|).
+_BOUND = 16 * 2.0 ** -52
+
+
+def _close(new, ref):
+    if math.isinf(ref):
+        return new == ref
+    return abs(new - ref) <= _BOUND * max(1.0, abs(ref))
+
+
+def _panel_loop(logf, a, b):
+    """(log K15, log |K15 - G7|) for one panel [a, b], one node at a time."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    vals15 = []
+    vals7 = []
+    for x, lwk, lwg in _NODES:
+        v = logf(mid + half * x)
+        if math.isnan(v) or v == math.inf:
+            raise DomainError(f"integrand log-value at {mid + half * x} is {v}")
+        vals15.append(v + lwk)
+        if lwg is not None:
+            vals7.append(v + lwg)
+    log_half = math.log(b - a) - math.log(2.0) if b > a else -math.inf
+    k15 = log_sum(vals15) + log_half
+    g7 = log_sum(vals7) + log_half
+    return k15, log_diff(k15, g7)
+
+
+def _log_quad_serial(logf, lo, hi, rel_tol=1e-12, max_panels=4096, breakpoints=None):
+    """Worst-first refinement, one bisection and one scan of every panel at a time."""
+    if breakpoints is None:
+        pts = _initial_breakpoints(lo, hi)
+    else:
+        pts = sorted(set([lo, hi] + [x for x in breakpoints if lo < x < hi]))
+    panels = [(pts[i], pts[i + 1], *_panel_loop(logf, pts[i], pts[i + 1]))
+              for i in range(len(pts) - 1)]
+    evaluated = len(panels)
+    log_rel_tol = math.log(rel_tol)
+    while True:
+        total = log_sum(p[2] for p in panels)
+        toterr = log_sum(p[3] for p in panels)
+        if toterr <= total + log_rel_tol or toterr == -math.inf:
+            rel = math.exp(toterr - total) if total > -math.inf else 0.0
+            return LogQuadResult(log_value=total, rel_error=rel,
+                                 panels=len(panels), evals=15 * evaluated)
+        if len(panels) >= max_panels:
+            rel = math.exp(toterr - total) if total > -math.inf else math.inf
+            raise QuadratureError("budget", log_value=total, rel_error=rel,
+                                  panels=len(panels), evals=15 * evaluated)
+        worst = 0
+        for i in range(1, len(panels)):
+            if panels[i][3] > panels[worst][3]:
+                worst = i
+        a, b, _, _ = panels[worst]
+        m = 0.5 * (a + b)
+        panels[worst:worst + 1] = [(a, m, *_panel_loop(logf, a, m)),
+                                   (m, b, *_panel_loop(logf, m, b))]
+        evaluated += 2
+
+
+_SCALAR_INTEGRANDS = [
+    lambda t: -t * t,
+    lambda t: 50.0 * t,
+    lambda t: 2.0 * math.log(t) if t > 0.0 else -math.inf,
+    lambda t: math.sin(t) - t,
+    lambda t: -(((t - 0.37) / 1e-3) ** 2),
+    lambda t: -math.inf,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, len(_SCALAR_INTEGRANDS) - 1),
+       panels=st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                 st.one_of(st.just(0.0), st.floats(1e-300, 10.0))),
+                       min_size=1, max_size=12))
+def test_batched_panels_match_loop(which, panels):
+    f = _SCALAR_INTEGRANDS[which]
+    a = np.array([lo for lo, _ in panels])
+    b = np.array([lo + w for lo, w in panels])
+    k15, err = _panels(np.vectorize(f, otypes=[float]), a, b)
+    for i in range(len(panels)):
+        k_ref, e_ref = _panel_loop(f, a[i], b[i])
+        assert _close(k15[i], k_ref)
+        if k_ref == -math.inf:
+            assert err[i] == e_ref
+        else:
+            # |K15 - G7| cancels, so its change is bounded relative to K15
+            gap = abs(math.exp(err[i] - k_ref) - math.exp(e_ref - k_ref))
+            assert gap <= 2 * _BOUND * max(1.0, abs(k_ref))
+
+
+def test_batched_panels_name_first_bad_node():
+    f = np.vectorize(lambda t: math.inf if t > 0.5 else 0.0, otypes=[float])
+    with pytest.raises(DomainError) as info:
+        _panels(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    first = 0.5 + 0.5 * next(x for x, _, _ in _NODES if 0.5 + 0.5 * x > 0.5)
+    assert str(info.value) == f"integrand log-value at {first} is inf"
+
+
+@pytest.mark.parametrize("f, lo, hi, kwargs", [
+    (lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, 0.0, 1.0, {}),
+    (lambda t: -t * t, -10.0, 10.0, {}),
+    (lambda t: 50.0 * t, 0.0, 200.0, {}),
+    (lambda t: -0.5 * math.log(t), 0.0, 1.0, {}),
+    (lambda t: 0.0 if t < 0.3 else math.log(2.0), 0.0, 1.0, {"breakpoints": [0.3]}),
+    (lambda t: math.sin(t) - t, 0.0, 30.0, {}),
+    (lambda t: -math.inf, 0.0, 2.0, {}),
+    (lambda t: -(((t - 0.37) / 1e-3) ** 2), 0.0, 1.0, {}),
+    (lambda t: -(((t - 0.37) / 1e-8) ** 2), 0.0, 1.0, {}),
+    (lambda t: 0.0, 0.0, 5e-324, {}),
+    (lambda t: -(((t - 0.37) / 1e-8) ** 2), 0.0, 1.0, {"max_panels": 8}),
+    (lambda t: -(((t - 0.37) / 1e-8) ** 2), 0.0, 1.0, {"max_panels": 100}),
+])
+def test_round_driver_matches_serial(f, lo, hi, kwargs):
+    """Bisecting each round's fewest worst panels at once costs what one at a time does."""
+    try:
+        ref = _log_quad_serial(f, lo, hi, **kwargs)
+    except QuadratureError as exc:
+        with pytest.raises(QuadratureError) as info:
+            log_quad(np.vectorize(f, otypes=[float]), lo, hi, **kwargs)
+        assert (info.value.panels, info.value.evals) == (exc.panels, exc.evals)
+        return
+    res = log_quad(np.vectorize(f, otypes=[float]), lo, hi, **kwargs)
+    assert (res.panels, res.evals) == (ref.panels, ref.evals)
+    assert _close(res.log_value, ref.log_value)
+
+
+def _one_log_quad_per_segment(logf, lo, radii, rel_tol):
+    """log_quad_cumulative as one log_quad call per segment, in order."""
+    parts, out, start = [], [], lo
+    for R in radii:
+        if R > start:
+            parts.append(log_quad(logf, start, R, rel_tol=rel_tol))
+            start = R
+        total, rel = _log_combine(parts)
+        out.append(LogQuadResult(total, rel, sum(r.panels for r in parts),
+                                 sum(r.evals for r in parts)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@example(freq=1e3, lo=0.0, below=0, gaps=[1.0, 6.0, 6.0], rel_tol=1e-12)
+@given(freq=st.sampled_from([1.0, 30.0, 1e3, 3e3]), lo=st.floats(0.0, 10.0),
+       below=st.integers(0, 2), gaps=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6),
+       rel_tol=_rel_tols)
+def test_joint_segments_match_one_log_quad_per_segment(freq, lo, below, gaps, rel_tol):
+    """Refining all segments together changes no segment's panels, and a
+    segment that runs out of its 4096 panels fails as it does alone."""
+    logf = lambda t: np.sin(freq * t)
+    radii = _radii(lo, below, gaps)
+    try:
+        ref = _one_log_quad_per_segment(logf, lo, radii, rel_tol)
+    except QuadratureError as exc:
+        with pytest.raises(QuadratureError) as info:
+            log_quad_cumulative(logf, lo, radii, rel_tol=rel_tol)
+        got = info.value
+        assert (str(got), got.panels, got.evals) == (str(exc), exc.panels, exc.evals)
+        assert _close(got.log_value, exc.log_value)
+        return
+    res = log_quad_cumulative(logf, lo, radii, rel_tol=rel_tol)
+    assert [(r.panels, r.evals) for r in res] == [(r.panels, r.evals) for r in ref]
+    assert all(_close(r.log_value, s.log_value) for r, s in zip(res, ref))
