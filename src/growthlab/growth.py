@@ -7,14 +7,21 @@ w = (v - s0)+ and t0 = v^{-1}(s0).  The three functionals measured here are
     G(R)   = integral of phi over (t0, R)          (ball integral)
     H(R)   = integral of omega * g * w**(q-p) * (v')**p over (t0, R),
 
-all carried as logarithms.  On the extremal examples G grows at exactly the
-threshold rate, and the comparison constants from :mod:`growthlab.params`
-turn G and H into verifiable inequalities: a lower bound for the composite
-functional G + const * R**mu * H, an annulus estimate bounding H by G on a
-slightly larger ball, and a capacity-type upper bound for H in terms of the
-sphere integrals alone.  Each check reports both sides, the margin in the
-direction that must be nonnegative, and a tolerance built from the
+all carried as logarithms, and the capacity integral J(r, R) of
+phi**(1/(1-p)) over (r, R).  On the extremal examples G grows at exactly
+the threshold rate, and the comparison constants from
+:mod:`growthlab.params` turn G, H and J into verifiable inequalities: a
+lower bound for the composite functional G + const * R**mu * H, an annulus
+estimate bounding H by G on a slightly larger ball, and a capacity-type
+upper bound for H in terms of J.  Each check reports both sides, the margin
+in the direction that must be nonnegative, and a tolerance built from the
 quadrature error estimates.
+
+Every G, H and J an example needs is computed in one refinement,
+_integrals: one log_quad_tables pass whose integrand evaluates the excess
+v - s0 and the warp once per node and forms each functional's integrand
+from them, so each round costs one integrand call for all of them.  Only
+the singular edge of H for q < p is a separate quadrature.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from .models import ModelManifold, RadialProfile
 from .params import DomainError, _annulus_constant, comparison_constants
-from .quadrature import (_log_combine, log_quad, log_quad_cumulative,
-                         log_sum)
+from .quadrature import (LogQuadResult, QuadratureError, _log_combine,
+                         log_quad, log_quad_tables, log_sum)
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -106,15 +113,6 @@ def _log_excess(profile: RadialProfile, log_s0: float, s):
     return lv + math.log1p(-math.exp(-d))
 
 
-def _on_support(s: np.ndarray, le: np.ndarray, rest) -> np.ndarray:
-    """rest(s, le) at the nodes where the log excess le is finite, -inf at
-    the others; rest is not evaluated outside the support of (v - s0)+."""
-    out = np.full(s.shape, -math.inf)
-    on = le > -math.inf
-    out[on] = rest(s[on], le[on])
-    return out
-
-
 def _log_level(s0: float) -> float:
     if s0 < 0.0:
         raise DomainError(f"s0 must be nonnegative, got {s0}")
@@ -168,8 +166,7 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
     location at relative order ulp**gamma; the margins built from it are
     insensitive to that.)
     """
-    return _log_energy_table(manifold, profile, p, q, s0, [R],
-                             rel_tol=rel_tol)[0]
+    return _integrals(manifold, profile, p, q, s0, [], [R], [], rel_tol)[1][0]
 
 
 def growth_samples(manifold: ModelManifold, profile: RadialProfile,
@@ -189,57 +186,97 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError("radius grid is empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
-    log_s0 = _log_level(s0)
-
-    def logf(s: np.ndarray) -> np.ndarray:
-        return _on_support(s, _log_excess(profile, log_s0, s),
-                           lambda s, le: manifold.log_warp(s) + q * le)
-
-    results = log_quad_cumulative(logf, _support_start(profile, s0), radii,
-                                  rel_tol=rel_tol)
-    log_omega = math.log(manifold.omega)
-    return [GrowthSample(R=R, logG=log_omega + res.log_value,
-                         quad_error=res.rel_error)
-            for R, res in zip(radii, results)]
+    G, _, _ = _integrals(manifold, profile, None, q, s0, radii, [], [],
+                         rel_tol)
+    return [GrowthSample(R=R, logG=log_g, quad_error=err)
+            for R, (log_g, err) in zip(radii, G)]
 
 
-def _log_energy_table(manifold: ModelManifold, profile: RadialProfile,
-                      p: float, q: float, s0: float, radii,
-                      rel_tol: float = 1e-12) -> list[tuple[float, float]]:
-    """(log H(R), relative error) for every R of a nondecreasing list.
+# in _integrals, table 0 is G's; these are H's and the first J interval's
+_H, _J = 1, 2
 
-    Like growth_samples, one cumulative pass through the radii.  With a
-    singular edge (see log_energy_integral) the substituted leading piece
-    over (t0, t1) is integrated once, with t1 = t0 + min(1, (R_min - t0)/2)
-    from the smallest radius R_min above t0, and shared by every radius.
+
+def _integrals(manifold: ModelManifold, profile: RadialProfile,
+               p: float | None, q: float, s0: float, g_radii, h_radii,
+               j_pairs, rel_tol: float):
+    """G at each of g_radii, H at each of h_radii, J over each (r, R) of
+    j_pairs, as three lists of (log value, relative error).
+
+    g_radii and h_radii are nondecreasing; radii at or below the support
+    start t0 give -inf with zero error.  All of them are refined in one
+    log_quad_tables pass, G and H cumulatively through their radii, with
+    one integrand that evaluates the excess and the warp once per node.
+    With a singular edge (q < p, see log_energy_integral) the leading piece
+    of H over (t0, t1) is _log_edge, integrated once with t1 = t0 + min(1,
+    (R_min - t0)/2) from the smallest radius R_min above t0 and shared by
+    every radius, and the table of H starts at t1.  p may be None when
+    only G is asked for.  When several integrals fail, the error raised is
+    the first in the order G, edge, H, J.
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
-    gamma = q - p + 1.0
-    if not (gamma > 0.0):
-        raise DomainError(f"q - p + 1 must be positive, got {gamma}")
+    if h_radii:
+        if not (p > 1.0):
+            raise DomainError(f"p must exceed 1, got {p}")
+        gamma = q - p + 1.0
+        if not (gamma > 0.0):
+            raise DomainError(f"q - p + 1 must be positive, got {gamma}")
     log_s0 = _log_level(s0)
+    log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
 
-    def logf(s: np.ndarray) -> np.ndarray:
-        return _on_support(
-            s, _log_excess(profile, log_s0, s),
-            lambda s, le: manifold.log_warp(s) + (q - p) * le
-            + p * profile.log_deriv(s))
+    def logf(s: np.ndarray, starts: list[int]) -> np.ndarray:
+        h, j = starts[_H], starts[_J]
+        le = _log_excess(profile, log_s0, s)
+        lw = manifold.log_warp(s)
+        # G: log(g * w**q), -inf where w = 0
+        out = lw + q * le
+        if h < j:
+            # H vanishes where w = 0, and there (q - p) * le is nan for q = p
+            with np.errstate(invalid="ignore"):
+                out[h:j] = np.where(
+                    le[h:j] > -math.inf,
+                    lw[h:j] + (q - p) * le[h:j]
+                    + p * profile.log_deriv(s[h:j]), -math.inf)
+        if j < len(s):
+            # J: phi**(1/(1-p)), +inf where phi = 0
+            out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
+        return out
 
-    log_omega = math.log(manifold.omega)
-    genuine_edge = s0 > 0.0 and t0 > profile.t_min
-    above = [R for R in radii if R > t0]
-    if q >= p or not genuine_edge or not above:
-        return [(log_omega + res.log_value, res.rel_error)
-                for res in log_quad_cumulative(logf, t0, radii,
-                                               rel_tol=rel_tol)]
+    tables = [(t0, g_radii), (t0, h_radii)] + [(r, [R]) for r, R in j_pairs]
+    edge = None
+    above = [R for R in h_radii if R > t0]
+    if above and q < p and s0 > 0.0 and t0 > profile.t_min:
+        t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
+        tables[_H] = (t1, h_radii)
+        try:
+            edge = _log_edge(manifold, profile, p, q, log_s0, t0, t1,
+                             rel_tol)
+        except (DomainError, QuadratureError):
+            # G comes first, so its own failure is the one raised
+            _integrals(manifold, profile, p, q, s0, g_radii, [], [], rel_tol)
+            raise
+    g, h, *j = log_quad_tables(logf, tables, rel_tol=rel_tol)
+    lead = [edge] if edge is not None else []
+    h = [_log_combine(lead + [res]) if R > t0 else (-math.inf, 0.0)
+         for R, res in zip(h_radii, h)]
+    return ([(log_omega + res.log_value, res.rel_error) for res in g],
+            [(log_omega + log_h, rel) for log_h, rel in h],
+            [(res.log_value, res.rel_error) for (res,) in j])
 
-    # Singular edge: integrate over tau in (0, (t1-t0)**gamma] with
-    # s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau.
-    t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
 
-    def logf_sub(tau: np.ndarray) -> np.ndarray:
+def _log_edge(manifold: ModelManifold, profile: RadialProfile, p: float,
+              q: float, log_s0: float, t0: float, t1: float,
+              rel_tol: float) -> LogQuadResult:
+    """The integral of g * w**(q-p) * (v')**p over (t0, t1) for q < p.
+
+    The integrand blows up like (s - t0)**(q - p) at t0; in tau with
+    s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau and
+    gamma = q - p + 1 it is bounded, and it is integrated over
+    (0, (t1 - t0)**gamma].  The excess v - s0 is expanded around t0 through
+    the profile's log_value_delta, treating v(t0) = s0 as exact.
+    """
+    gamma = q - p + 1.0
+
+    def logf(tau: np.ndarray) -> np.ndarray:
         eta = tau ** (1.0 / gamma)
         d = profile.log_value_delta(t0, eta)
         out = np.full(tau.shape, -math.inf)
@@ -252,16 +289,7 @@ def _log_energy_table(manifold: ModelManifold, profile: RadialProfile,
             + (1.0 / gamma - 1.0) * np.log(tau) - math.log(gamma)
         return out
 
-    res_a = log_quad(logf_sub, 0.0, (t1 - t0) ** gamma, rel_tol=rel_tol)
-    table = []
-    for R, res_b in zip(radii, log_quad_cumulative(logf, t1, radii,
-                                                    rel_tol=rel_tol)):
-        if R <= t0:
-            table.append((-math.inf, 0.0))
-        else:
-            log_value, rel = _log_combine([res_a, res_b])
-            table.append((log_omega + log_value, rel))
-    return table
+    return log_quad(logf, 0.0, (t1 - t0) ** gamma, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +391,9 @@ def rate_window(example: SharpExample, rmax: float | None = None,
             f"rate window of the example at p={example.p}, q={example.q}, "
             f"mu={example.mu} reaches past the largest double") from None
     if radii[0] <= example.t0:
-        raise DomainError(f"rmax={rmax} puts the window at the support edge")
+        raise DomainError(
+            f"rate window starts at R={radii[0]:.6g}, not past the support "
+            f"radius t0={example.t0:.6g}")
     return radii, "power"
 
 
@@ -388,20 +418,17 @@ def _check_tol(base_tol: float, *rel_errors: float) -> float:
     return base_tol + 10.0 * sum(rel_errors)
 
 
-def _g_table(example: SharpExample, radii, rel_tol: float) -> dict:
-    """radius -> GrowthSample of G, from one pass over the distinct radii."""
-    radii = sorted(set(radii))
-    return dict(zip(radii, growth_samples(
-        example.manifold, example.profile, example.q, example.s0, radii,
-        rel_tol=rel_tol)))
-
-
-def _h_table(example: SharpExample, radii, rel_tol: float) -> dict:
-    """radius -> (log H, relative error), from one pass over the radii."""
-    radii = sorted(set(radii))
-    return dict(zip(radii, _log_energy_table(
-        example.manifold, example.profile, example.p, example.q, example.s0,
-        radii, rel_tol=rel_tol)))
+def _tables(example: SharpExample, g_radii, h_radii, j_pairs,
+            rel_tol: float) -> tuple[dict, dict, list]:
+    """G as radius -> GrowthSample and H as radius -> (log H, relative
+    error) over the distinct radii given, and J over each pair of j_pairs,
+    from one _integrals call."""
+    g_radii, h_radii = sorted(set(g_radii)), sorted(set(h_radii))
+    G, H, J = _integrals(example.manifold, example.profile, example.p,
+                         example.q, example.s0, g_radii, h_radii, j_pairs,
+                         rel_tol)
+    return ({R: GrowthSample(R, *g) for R, g in zip(g_radii, G)},
+            dict(zip(h_radii, H)), J)
 
 
 def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
@@ -429,9 +456,8 @@ def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
     if not (R > R1):
         raise DomainError(f"need R > R1, got R={R}, R1={R1}")
     cc = comparison_constants(example.params, eps)
-    return _growth_lower_bound(example, cc, R1, R,
-                               _g_table(example, [R1, R], rel_tol),
-                               _h_table(example, [R], rel_tol), base_tol)
+    G, H, _ = _tables(example, [R1, R], [R], [], rel_tol)
+    return _growth_lower_bound(example, cc, R1, R, G, H, base_tol)
 
 
 def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
@@ -469,8 +495,8 @@ def check_caccioppoli(example: SharpExample, R: float,
         h = R ** (example.mu / example.p)
     if not (h > 0.0):
         raise DomainError(f"h must be positive, got {h}")
-    return _caccioppoli(example, R, h, _g_table(example, [R + h], rel_tol),
-                        _h_table(example, [R], rel_tol), base_tol)
+    G, H, _ = _tables(example, [R + h], [R], [], rel_tol)
+    return _caccioppoli(example, R, h, G, H, base_tol)
 
 
 def _caccioppoli(example: SharpExample, R: float, h: float, G: dict,
@@ -499,28 +525,19 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
     if not (example.t0 < r < R):
         raise DomainError(
             f"need t0 < r < R, got t0={example.t0}, r={r}, R={R}")
-    return _surface_capacity(example, r, R, _h_table(example, [r], rel_tol),
-                             base_tol, rel_tol)
+    _, H, (J,) = _tables(example, [], [r], [(r, R)], rel_tol)
+    return _surface_capacity(example, r, H, J, base_tol)
 
 
-def _surface_capacity(example: SharpExample, r: float, R: float, H: dict,
-                      base_tol: float, rel_tol: float) -> CheckReport:
+def _surface_capacity(example: SharpExample, r: float, H: dict,
+                      J: tuple[float, float], base_tol: float) -> CheckReport:
     p, q = example.p, example.q
     gamma = q - p + 1.0
-    man, prof = example.manifold, example.profile
     h_r, h_err = H[r]
-    log_s0 = _log_level(example.s0)
-
-    def logf(s: np.ndarray) -> np.ndarray:
-        # minus log phi / (p - 1), with phi as in log_sphere_integral
-        log_phi = _on_support(s, _log_excess(prof, log_s0, s),
-                              lambda s, le: man.log_sphere_area(s) + q * le)
-        return -log_phi / (p - 1.0)
-
-    res_j = log_quad(logf, r, R, rel_tol=rel_tol)
+    log_j, j_err = J
     pref = (p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)
-    rhs = math.log(pref) + (1.0 - p) * res_j.log_value
-    tol = _check_tol(base_tol, h_err, (p - 1.0) * res_j.rel_error)
+    rhs = math.log(pref) + (1.0 - p) * log_j
+    tol = _check_tol(base_tol, h_err, (p - 1.0) * j_err)
     margin = rhs - h_r
     return CheckReport(name="surface-capacity", lhs=h_r, rhs=rhs,
                        margin=margin, passed=margin >= -tol, tolerance=tol)
@@ -547,20 +564,25 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
                          rel_tol: float = 1e-12) -> list[CheckReport]:
     """All three inequality checks at three radius pairs each.
 
-    G and H are tabulated once over the union of the radii the nine checks
-    need; each report equals its public check_* call up to the rounding of
-    the shared integration segments.
+    G, H and J are computed in one refinement over the union of the radii
+    the nine checks need; each report equals its public check_* call up to
+    the rounding of the shared integration segments.
     """
     pairs = default_check_pairs(example)
     growth = pairs["growth-lower-bound"]
     annulus = [(r, r ** (example.mu / example.p))
                for r in pairs["annulus-caccioppoli"]]
     capacity = pairs["surface-capacity"]
-    G = _g_table(example, [x for pair in growth for x in pair]
-                 + [r + h for r, h in annulus], rel_tol)
-    H = _h_table(example, [r for _, r in growth] + [r for r, _ in annulus]
-                 + [r for r, _ in capacity], rel_tol)
-    cc = comparison_constants(example.params, eps)
+    g_radii = [x for pair in growth for x in pair] + [r + h for r, h in annulus]
+    h_radii = [r for _, r in growth] + [r for r, _ in annulus] \
+        + [r for r, _ in capacity]
+    try:
+        cc = comparison_constants(example.params, eps)
+    except DomainError:
+        # G and H come before the constants, so their failures are raised
+        _tables(example, g_radii, h_radii, [], rel_tol)
+        raise
+    G, H, J = _tables(example, g_radii, h_radii, capacity, rel_tol)
     reports = []
     for r1, r in growth:
         rep = _growth_lower_bound(example, cc, r1, r, G, H, base_tol)
@@ -568,8 +590,8 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
     for r, h in annulus:
         rep = _caccioppoli(example, r, h, G, H, base_tol)
         reports.append(_tag(rep, f"(R={r:.4g})"))
-    for r1, r in capacity:
-        rep = _surface_capacity(example, r1, r, H, base_tol, rel_tol)
+    for (r1, r), j in zip(capacity, J):
+        rep = _surface_capacity(example, r1, H, j, base_tol)
         reports.append(_tag(rep, f"(r={r1:.4g};R={r:.4g})"))
     return reports
 

@@ -25,9 +25,12 @@ quadrature in the manner of Shampine, 2008).  A round that finds the total
 estimated error above rel_tol times the total value bisects the fewest
 worst panels whose removal would bring the remaining error under that
 bound, ties going to the lower index, and evaluates all of their children
-with one call of logf.  An integral up to several radii refines all of its
-segments together, so a round costs one call however many segments are
-still open.  Panels are kept in position order, so results are
+with one call of logf.  Several integrals can be refined together, each
+keeping its own panels, tolerance test and panel budget, so a round costs
+one call however many of them are still open.  log_quad_tables does this
+for several integrands at once, each integrated up to several radii:
+growthlab.growth refines all the G, H and J integrals of one example in a
+single pass.  Panels are kept in position order, so results are
 deterministic.
 """
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -187,15 +191,16 @@ def _worst(errors: list[float], target: float, limit: int) -> list[int]:
 
 class _Segment:
     """The panels of one integral over [lo, hi] in position order: their
-    ends, log K15 values and log error estimates, and the number ever
-    evaluated."""
+    ends, log K15 values and log error estimates, the number ever
+    evaluated, and the table the integral belongs to."""
 
-    def __init__(self, lo: float, hi: float, pts: list[float]):
+    def __init__(self, lo: float, hi: float, pts: list[float], table: int):
         self.lo, self.hi = lo, hi
         self.a, self.b = pts[:-1], pts[1:]
         self.k: list[float] = []
         self.e: list[float] = []
         self.evaluated = 0
+        self.table = table
 
     def halves(self, worst: list[int]) -> tuple[list[float], list[float]]:
         """Ends of the two halves of each panel in worst, in position order."""
@@ -222,25 +227,62 @@ class _Segment:
             self.e[i:i + 1] = e[pair]
 
 
-def _refine(logf, segments: list[tuple], rel_tol: float,
-            max_panels: int) -> list[LogQuadResult]:
-    """Integrate over each (lo, hi, breakpoints) of segments, together.
+def _batch(logf, pending, segs, ntables: int):
+    """(log K15, log error) lists of the new panels of pending, with one
+    call logf(x, starts): the nodes of table t are x[starts[t]:starts[t+1]]."""
+    a = np.array([x for _, _, ca, _ in pending for x in ca])
+    b = np.array([x for _, _, _, cb in pending for x in cb])
+    sizes = [0] * (ntables + 1)
+    for i, _, ca, _ in pending:
+        sizes[segs[i].table + 1] += len(_X) * len(ca)
+    starts = list(accumulate(sizes))
+    k, e = _panels(lambda x: logf(x, starts), a, b)
+    return k.tolist(), e.tolist()
 
-    Each round evaluates the new panels of every open segment with one
-    logf call; a segment closes once it meets rel_tol.  Raises the
-    QuadratureError of the first segment, in list order, that has
-    max_panels panels and still misses rel_tol.
+
+def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
+            max_panels: int) -> list[LogQuadResult]:
+    """Integrate over each (lo, hi, breakpoints, table) of segments, together.
+
+    Tables are numbered from 0 to ntables - 1 and the segments of each are
+    consecutive, in table order.  Each round evaluates the new panels of
+    every open segment with one logf call (see _batch); a segment closes
+    once it meets rel_tol.  Raises the error of the first segment, in list
+    order, that fails: the QuadratureError of a segment that has max_panels
+    panels and still misses rel_tol, or the DomainError of an integrand
+    value, which fails its table from the table's first segment on, as it
+    would if that table were refined alone.
     """
     log_rel_tol = math.log(rel_tol)
     segs = [_Segment(*segment) for segment in segments]
+    first: dict[int, int] = {}
+    for i, seg in enumerate(segs):
+        first.setdefault(seg.table, i)
     results: list = [None] * len(segs)
     failure = None
-    pending = [(i, None, segs[i].a, segs[i].b) for i in range(len(segs))]
+    pending = [(i, None, seg.a, seg.b) for i, seg in enumerate(segs)]
     while pending:
-        a = np.array([x for _, _, ca, _ in pending for x in ca])
-        b = np.array([x for _, _, _, cb in pending for x in cb])
-        k, e = _panels(logf, a, b)
-        k, e = k.tolist(), e.tolist()
+        try:
+            k, e = _batch(logf, pending, segs, ntables)
+        except DomainError:
+            tables = sorted({segs[job[0]].table for job in pending})
+            if len(tables) == 1:
+                raise
+            # the first table whose panels fail alone fails; the tables
+            # before it go on
+            for t in tables:
+                try:
+                    _batch(logf, [job for job in pending
+                                  if segs[job[0]].table == t], segs, ntables)
+                except DomainError as exc:
+                    failure = (first[t], exc)
+                    break
+            else:
+                raise
+            pending = [job for job in pending if segs[job[0]].table < t]
+            if not pending:
+                break
+            k, e = _batch(logf, pending, segs, ntables)
         pos = 0
         for i, worst, ca, cb in pending:
             n = len(ca)
@@ -299,7 +341,8 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
         pts = _initial_breakpoints(lo, hi)
     else:
         pts = sorted(set([lo, hi] + [x for x in breakpoints if lo < x < hi]))
-    return _refine(logf, [(lo, hi, pts)], rel_tol, max_panels)[0]
+    return _refine(lambda x, starts: logf(x), [(lo, hi, pts, 0)], 1,
+                   rel_tol, max_panels)[0]
 
 
 def _log_combine(parts) -> tuple[float, float]:
@@ -331,27 +374,54 @@ def log_quad_cumulative(logf, lo: float, radii,
     out of panels, the QuadratureError of the first such segment is
     raised.
     """
+    return log_quad_tables(lambda x, starts: logf(x), [(lo, radii)],
+                           rel_tol=rel_tol)[0]
+
+
+def log_quad_tables(logf, tables, rel_tol: float = 1e-12
+                    ) -> list[list[LogQuadResult]]:
+    """log_quad_cumulative for several integrands, refined in one pass.
+
+    tables lists (lo, radii) pairs, each the integral of one integrand from
+    lo up to every radius of a nondecreasing list, as log_quad_cumulative
+    computes it; one list of results is returned per table.  The segments
+    of all tables are refined together.  Each round makes one call
+    logf(x, starts) for the new panels of every open segment: x holds the
+    nodes table by table, in table order, and the nodes of table t are
+    x[starts[t]:starts[t + 1]], so logf can give each table its own
+    integrand.  Each segment keeps its own breakpoints, tolerance test and
+    4096-panel budget.  When integrals fail, the error raised is the one
+    that refining the tables one after another, in order, would raise.
+    """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
     segments = []
-    upto = []
-    start = lo
-    prev = -math.inf
-    for R in radii:
-        if not R >= prev:
-            raise DomainError(f"radii must be nondecreasing, got {R} after "
-                              f"{prev}")
-        prev = R
-        if R > start:
-            segments.append((start, R, _initial_breakpoints(start, R)))
-            start = R
-        upto.append(len(segments))
-    parts = _refine(logf, segments, rel_tol, 4096) if segments else []
+    spans = []
+    for t, (lo, radii) in enumerate(tables):
+        begin, upto = len(segments), []
+        start = lo
+        prev = -math.inf
+        for R in radii:
+            if not R >= prev:
+                raise DomainError(f"radii must be nondecreasing, got {R} "
+                                  f"after {prev}")
+            prev = R
+            if R > start:
+                segments.append((start, R, _initial_breakpoints(start, R), t))
+                start = R
+            upto.append(len(segments))
+        spans.append((begin, upto))
+    parts = _refine(logf, segments, len(tables), rel_tol, 4096) \
+        if segments else []
     out = []
-    for n in upto:
-        total, rel = _log_combine(parts[:n])
-        out.append(LogQuadResult(
-            log_value=total, rel_error=rel,
-            panels=sum(r.panels for r in parts[:n]),
-            evals=sum(r.evals for r in parts[:n])))
+    for begin, upto in spans:
+        row = []
+        for n in upto:
+            own = parts[begin:n]
+            total, rel = _log_combine(own)
+            row.append(LogQuadResult(
+                log_value=total, rel_error=rel,
+                panels=sum(r.panels for r in own),
+                evals=sum(r.evals for r in own)))
+        out.append(row)
     return out

@@ -20,10 +20,13 @@ pins the rate to the threshold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .models import ExpPower, ModelManifold, PowerLaw, RadialProfile, SharpPotential
 from .params import DomainError, Params, compute_C0
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def choose_ac(p: float, q: float) -> tuple[float, float]:
@@ -105,6 +108,7 @@ def build_sharp_example(p: float, q: float, mu: float) -> SharpExample:
     r+ is the radius below which the critical potential goes nonpositive;
     this keeps t0 > r+ so the potential is positive on the whole region the
     checks integrate over.  For most triples r+ < 1 and s0 = 2 * v(1).
+    Raises DomainError when s0 passes the largest double.
     """
     a, c = choose_ac(p, q)
     if not (0.0 <= mu <= p):
@@ -120,7 +124,14 @@ def build_sharp_example(p: float, q: float, mu: float) -> SharpExample:
         warp = PowerLaw(a + p - 1.0)
         expected_rate = (a + q * c) + p
     r_ref = max(1.0, potential.r_min_positive)
-    s0 = 2.0 * profile.value(r_ref)
+    # v(r_ref) passes the largest double as q -> p - 1, where r+ grows
+    log_s0 = math.log(2.0) + profile.log_value(r_ref)
+    s0 = 2.0 * profile.value(r_ref) if log_s0 < _LOG_MAX else math.inf
+    if s0 == math.inf:
+        raise DomainError(
+            f"truncation level s0 = 2*v(r_ref) = exp({log_s0:.6g}) at the "
+            f"positivity radius r_ref = {r_ref:.6g} exceeds double range at "
+            f"p={p}, q={q}, mu={mu}")
     t0 = profile.level_radius(s0)
     params = Params(p=p, q=q, mu=mu, lam=potential.lam, k=1.0)
     manifold = ModelManifold(warp=warp, omega=2.0 * math.pi)

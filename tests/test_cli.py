@@ -246,6 +246,21 @@ def test_malformed_value_exit_code(capsys, tmp_path, monkeypatch, config, env, k
     assert f"{text!r} for {key}" in err
 
 
+def test_sharp_truncation_level_overflow_exit_code(capsys):
+    # as q -> p - 1 the positivity radius grows until 2*v(r+) passes the largest double
+    rc, _, err = run(capsys, ["sharp", "--p", "1.5", "--q", "0.5000001", "--mu", "0.75"])
+    assert rc == 2
+    assert "positivity radius r_ref = 1.5625e+12 exceeds double range" in err
+    assert "Traceback" not in err
+
+
+def test_sharp_rate_window_names_support_radius(capsys):
+    rc, _, err = run(capsys, ["sharp", "--p", "50", "--q", "3000", "--mu", "25", "--rate"])
+    assert rc == 2
+    assert "rate window starts at R=6.17539, not past the support radius t0=286.04" in err
+    assert "rmax" not in err
+
+
 def test_sharp_rate_window_overflow_exit_code(capsys):
     rc, _, err = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "1.986", "--rate"])
     assert rc == 2

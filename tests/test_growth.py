@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import growthlab.growth as growth
+import growthlab.quadrature as quadrature
 from growthlab import (
     DomainError,
+    QuadratureError,
     GrowthSample,
     build_sharp_example,
     check_caccioppoli,
@@ -169,6 +171,29 @@ def test_energy_integral_singular_edge_frozen(R, expected):
     )
     assert logH == pytest.approx(expected, rel=1e-11)
     assert err <= 1e-9
+
+
+# log of the integral of g * (v - s0)**(q - p) * (v')**p over (t0, t0 + 1), the
+# singular-edge piece of H, from a separate 60-digit mpmath session (checked at
+# 90 digits).  It integrates in tau = (s - t0)**gamma over the same double
+# interval (0, ((t0 + 1) - t0)**gamma] as the code, with s = t0 + tau**(1/gamma)
+# and the excess s0 * expm1(c t0**beta expm1(beta log1p(eta/t0))), so that
+# v(t0) = s0 exactly as in the code; the raw difference (t0 + eta)**beta -
+# t0**beta cancels to 0 even at 40 digits.
+EDGE_ORACLES = [
+    ((2.0, 1.5, 0.0), "5.529689316137453575933135441253198585809"),  # gamma = 0.5
+    ((1.5, 0.625, 0.75), "4.294068706752794165456490923037133318204"),  # 0.125
+    ((1.5, 0.52, 0.75), "3.811001678838035684837216783239765493253"),  # 0.02
+]
+
+
+@pytest.mark.parametrize("pq_mu, expected", EDGE_ORACLES)
+def test_singular_edge_piece_frozen_mpmath(pq_mu, expected):
+    ex = build_sharp_example(*pq_mu)
+    res = growth._log_edge(ex.manifold, ex.profile, ex.p, ex.q, math.log(ex.s0),
+                           ex.t0, ex.t0 + 1.0, 1e-12)
+    assert abs(res.log_value - float(expected)) <= 1e-14
+    assert res.rel_error <= 1e-12
 
 
 def test_energy_integral_neutral_power_closed_form():
@@ -465,7 +490,7 @@ def test_iterated_log_domain():
 def _count_work(monkeypatch):
     """Sum integrals, panels and evals over growth's calls to the two integrators."""
     work = {"integrals": 0, "panels": 0, "evals": 0}
-    quad, cumulative = growth.log_quad, growth.log_quad_cumulative
+    quad, tables = growth.log_quad, growth.log_quad_tables
 
     def add(integrals, res):
         work["integrals"] += integrals
@@ -477,14 +502,16 @@ def _count_work(monkeypatch):
         add(1, res)
         return res
 
-    def counted_cumulative(logf, lo, radii, **kwargs):
-        results = cumulative(logf, lo, radii, **kwargs)
-        # one segment per distinct radius above lo; the last result sums them
-        add(len({R for R in radii if R > lo}), results[-1])
+    def counted_tables(logf, specs, **kwargs):
+        results = tables(logf, specs, **kwargs)
+        for (lo, radii), table in zip(specs, results):
+            # one segment per distinct radius above lo; the last result sums them
+            if table:
+                add(len({R for R in radii if R > lo}), table[-1])
         return results
 
     monkeypatch.setattr(growth, "log_quad", counted_quad)
-    monkeypatch.setattr(growth, "log_quad_cumulative", counted_cumulative)
+    monkeypatch.setattr(growth, "log_quad_tables", counted_tables)
     return work
 
 
@@ -500,3 +527,53 @@ def test_rate_sweep_exact_work(monkeypatch):
     for ex in sharp_grid():
         measure_rate(ex)
     assert work == {"integrals": 189, "panels": 2546, "evals": 53700}
+
+
+def test_sweep_integrand_batches(monkeypatch):
+    """One refinement per example: every G, H and J integral of a suite call
+    shares each round's integrand call, and only the singular edge adds its
+    own rounds."""
+    batches = [0]
+    panels = quadrature._panels
+
+    def counted(*args):
+        batches[0] += 1
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    for ex in sharp_grid():
+        run_inequality_suite(ex)
+    assert batches[0] == 230
+    batches[0] = 0
+    for ex in sharp_grid():
+        measure_rate(ex)
+    assert batches[0] == 179
+
+
+# ---------------------------------------------------------------------
+# which failure is raised when several integrals fail
+# ---------------------------------------------------------------------
+
+
+def test_g_failure_raised_before_the_edge():
+    """At gamma = 0.01 the singular edge runs out of panels, and at
+    rel_tol=1e-100 so does G: G's failure is the one raised, as G alone."""
+    ex = build_sharp_example(2.0, 1.01, 0.0)
+    b = default_check_pairs(ex)["annulus-caccioppoli"][0]
+    with pytest.raises(QuadratureError) as alone:
+        growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [b + 1.0], rel_tol=1e-100)
+    with pytest.raises(QuadratureError) as info:
+        check_caccioppoli(ex, b, h=1.0, rel_tol=1e-100)
+    assert (str(info.value), info.value.panels) == (str(alone.value), alone.value.panels)
+    assert str(info.value).startswith(f"needed more than 4096 panels on [{ex.t0}, ")
+    with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
+        check_caccioppoli(ex, b)
+
+
+def test_integral_failure_raised_before_bad_eps():
+    """The suite integrates G and H before it forms the comparison constants."""
+    ex = build_sharp_example(2.0, 1.01, 0.0)  # gamma = 0.01: the edge runs out of panels
+    with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
+        run_inequality_suite(ex, eps=1e9)
+    with pytest.raises(DomainError, match="eps must lie in"):
+        run_inequality_suite(EX_SINGULAR, eps=1e9)

@@ -21,7 +21,7 @@ from growthlab import (
     log_sum,
 )
 from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
-                                  log_quad_cumulative)
+                                  log_quad_cumulative, log_quad_tables)
 
 
 def test_polynomial_with_zero_at_endpoint():
@@ -436,3 +436,71 @@ def test_joint_segments_match_one_log_quad_per_segment(freq, lo, below, gaps, re
     res = log_quad_cumulative(logf, lo, radii, rel_tol=rel_tol)
     assert [(r.panels, r.evals) for r in res] == [(r.panels, r.evals) for r in ref]
     assert all(_close(r.log_value, s.log_value) for r, s in zip(res, ref))
+
+
+# ---------------------------------------------------------------------
+# several integrands refined together
+# ---------------------------------------------------------------------
+
+
+def _per_table(*fs):
+    """One logf(x, starts) giving table t's nodes the integrand fs[t]."""
+    def logf(x, starts):
+        return np.concatenate([f(x[starts[t]:starts[t + 1]]) for t, f in enumerate(fs)])
+    return logf
+
+
+@settings(max_examples=30, deadline=None)
+@given(freqs=st.lists(st.sampled_from([1.0, 30.0, 1e3]), min_size=1, max_size=4),
+       los=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=4),
+       gaps=st.lists(st.lists(st.floats(0.0, 6.0), max_size=4), min_size=4, max_size=4),
+       rel_tol=_rel_tols)
+def test_tables_match_one_cumulative_per_table(freqs, los, gaps, rel_tol):
+    """Each table gets the panels, evals and values it gets refined alone."""
+    fs = [lambda t, w=w: np.sin(w * t) for w in freqs]
+    tables = [(lo, _radii(lo, 1, gap)) for lo, gap in zip(los, gaps)][:len(fs)]
+    try:
+        refs = [log_quad_cumulative(f, lo, radii, rel_tol=rel_tol)
+                for f, (lo, radii) in zip(fs, tables)]
+    except QuadratureError as exc:
+        with pytest.raises(QuadratureError) as info:
+            log_quad_tables(_per_table(*fs), tables, rel_tol=rel_tol)
+        assert (str(info.value), info.value.panels) == (str(exc), exc.panels)
+        return
+    got = log_quad_tables(_per_table(*fs), tables, rel_tol=rel_tol)
+    assert len(got) == len(refs)
+    for res, ref in zip(got, refs):
+        assert [(r.panels, r.evals) for r in res] == [(r.panels, r.evals) for r in ref]
+        assert all(_close(r.log_value, s.log_value) for r, s in zip(res, ref))
+
+
+def _nan_above(cut):
+    return lambda t: np.where(t > cut, np.nan, -t * t)
+
+
+def test_tables_raise_the_first_table_error():
+    """The error raised is the one refining the tables in order would raise:
+    a budget failure of table 0 comes before the nan, or the DomainError
+    raised by the integrand, that table 1 meets on its first round."""
+    wavy = lambda t: np.sin(3e3 * t)
+
+    def refuse(t):
+        if t.size:
+            raise DomainError("table 1 refuses")
+        return t
+
+    tables = [(0.0, [2.0]), (0.0, [2.0])]
+    with pytest.raises(QuadratureError) as alone:
+        log_quad_cumulative(wavy, 0.0, [2.0])
+    for second in (_nan_above(0.5), refuse):
+        with pytest.raises(QuadratureError) as info:
+            log_quad_tables(_per_table(wavy, second), tables)
+        assert (str(info.value), info.value.panels, info.value.evals) == (
+            str(alone.value), alone.value.panels, alone.value.evals)
+
+    # with table 0 converged, table 1 fails as it does alone
+    with pytest.raises(DomainError) as alone:
+        log_quad_cumulative(_nan_above(0.1), 0.0, [2.0])
+    with pytest.raises(DomainError) as info:
+        log_quad_tables(_per_table(lambda t: -t * t, _nan_above(0.1)), tables)
+    assert str(info.value) == str(alone.value)

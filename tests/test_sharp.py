@@ -138,6 +138,12 @@ def test_rate_identity_on_grid():
         assert ex.expected_rate == pytest.approx(target, rel=1e-10)
 
 
+def test_build_truncation_level_past_double_range():
+    """At q = p - 1 + 1e-7, v at the positivity radius 1.5625e12 is exp(2.5e6)."""
+    with pytest.raises(DomainError, match=r"exp\(2\.5e\+06\) at the positivity radius r_ref = 1\.5625e\+12"):
+        build_sharp_example(1.5, 0.5000001, 0.75)
+
+
 def test_build_validation():
     with pytest.raises(DomainError):
         build_sharp_example(2.0, 3.0, -0.5)
