@@ -16,7 +16,8 @@ printed.  A config file holds "key = value" lines, where key is a long flag
 without "--" (lambda, quad-tol, rate-tol, eps-auto, ...).  Each option takes
 the first value found of: its flag, the config file, the GROWTHLAB_TOL
 environment variable (--tol only), its default.  One table, _COMMANDS,
-declares every subcommand with its options, handler and provenance.
+declares every subcommand with its options, handler and provenance.  Only
+the handlers that integrate import growthlab.growth, and with it numpy.
 
 Exit status: 0 on success with all checks passed, 1 when a requested check
 failed, 2 for usage or domain errors, including a config or environment
@@ -33,18 +34,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .growth import (CheckReport, _check_finite_positive,
-                     check_caccioppoli, check_growth_lower_bound,
-                     check_surface_capacity, classify_l1_condition,
-                     estimate_rate, growth_samples, measure_rate, rate_window,
-                     run_inequality_suite, sphere_log_slope)
 from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
-                     subsolution_residual)
-from .params import (DomainError, Params, comparison_constants, compute_C0,
-                     derived_exponents, liouville_check, solve_C1)
-from .quadrature import QuadratureError
+                     geometric_grid, sphere_log_slope, subsolution_residual)
+from .params import (CheckReport, DomainError, Params, QuadratureError,
+                     _check_finite_positive, classify_l1_condition,
+                     comparison_constants, compute_C0, derived_exponents,
+                     liouville_check, solve_C1)
 from .sharp import build_sharp_example
 
 
@@ -210,6 +205,7 @@ def _handle_sharp(o: dict) -> Report:
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     report = Report(example=_example_dict(ex))
     if o["rate"]:
+        from .growth import measure_rate
         est = measure_rate(ex, rmax=o["rmax"], num=o["samples"],
                            rel_tol=o["quad_tol"])
         rate_tol = o["rate_tol"]
@@ -231,7 +227,7 @@ def _handle_verify(o: dict) -> Report:
     _check_finite_positive("rmax", hi)
     if hi <= lo:
         raise DomainError(f"rmax={hi} must exceed t0 + 0.1 = {lo}")
-    radii = np.geomspace(lo, hi, num).tolist()
+    radii = geometric_grid(lo, hi, num)
     residual = subsolution_residual(ex.manifold, ex.profile, ex.potential,
                                     ex.p, ex.s0, radii)
     fd_radii = [radii[0], radii[num // 4], radii[num // 2],
@@ -251,6 +247,7 @@ def _handle_verify(o: dict) -> Report:
 
 
 def _handle_rate(o: dict) -> Report:
+    from .growth import estimate_rate, growth_samples, rate_window
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = o["rmin"], o["rmax"], o["samples"]
@@ -265,7 +262,7 @@ def _handle_rate(o: dict) -> Report:
             raise DomainError(f"need t0 < rmin < rmax, got [{lo}, {hi}]")
         if num < 4:
             raise DomainError(f"need at least 4 samples, got num={num}")
-        radii = np.geomspace(lo, hi, num).tolist()
+        radii = geometric_grid(lo, hi, num)
         regime = "log" if ex.is_borderline else "power"
     samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii,
                              rel_tol=o["quad_tol"])
@@ -276,6 +273,7 @@ def _handle_rate(o: dict) -> Report:
 
 
 def _handle_inequalities(o: dict) -> Report:
+    from .growth import run_inequality_suite
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     if o["eps_auto"]:
@@ -329,18 +327,21 @@ def _handle_liouville(o: dict) -> Report:
                   classification=verdict)
 
 
-# command -> (help, handler, the package functions its provenance names,
-#             its own options); --config and _SHARED follow the own options
+# command -> (help, handler, the "module:name" of each package function its
+#             provenance names, its own options); --config and _SHARED
+#             follow the own options
 _COMMANDS = {
     "constants": (
         "sharp and comparison constants", _handle_constants,
-        (compute_C0, solve_C1, comparison_constants),
+        ("growthlab.params:compute_C0", "growthlab.params:solve_C1",
+         "growthlab.params:comparison_constants"),
         (_P, _Q, _MU, _LAM, _K,
          ("--eps", "eps", float, 0.0,
           "amplitude reduction for the comparison chain"))),
     "sharp": (
         "build an extremal example", _handle_sharp,
-        (build_sharp_example, measure_rate),
+        ("growthlab.sharp:build_sharp_example",
+         "growthlab.growth:measure_rate"),
         (_P, _Q, _MU,
          ("--rate", "rate", bool, False,
           "measure the growth rate and compare"),
@@ -350,7 +351,8 @@ _COMMANDS = {
           "relative tolerance on the measured rate"))),
     "verify": (
         "pointwise check of the example", _handle_verify,
-        (subsolution_residual, fd_cross_check),
+        ("growthlab.models:subsolution_residual",
+         "growthlab.models:fd_cross_check"),
         (_P, _Q, _MU,
          ("--num", "num", int, 200, "grid size"),
          ("--rmax", "rmax", float, 1e3, "grid end"),
@@ -360,14 +362,17 @@ _COMMANDS = {
           "tolerance on the finite-difference cross check"))),
     "rate": (
         "sample ball integrals and fit a rate", _handle_rate,
-        (growth_samples, estimate_rate),
+        ("growthlab.growth:growth_samples",
+         "growthlab.growth:estimate_rate"),
         (_P, _Q, _MU,
          ("--rmin", "rmin", float, None, "smallest sampling radius"),
          ("--rmax", "rmax", float, None, "largest sampling radius"),
          ("--samples", "samples", int, 7, "number of sampling radii"))),
     "inequalities": (
         "integral inequality suite", _handle_inequalities,
-        (check_growth_lower_bound, check_caccioppoli, check_surface_capacity),
+        ("growthlab.growth:check_growth_lower_bound",
+         "growthlab.growth:check_caccioppoli",
+         "growthlab.growth:check_surface_capacity"),
         (_P, _Q, _MU,
          ("--eps", "eps", float, 0.0,
           "amplitude reduction for the comparison constants"),
@@ -375,7 +380,8 @@ _COMMANDS = {
           "derive eps from the example's amplitude deficit"))),
     "l1": (
         "reciprocal integrability classification", _handle_l1,
-        (sphere_log_slope, classify_l1_condition),
+        ("growthlab.models:sphere_log_slope",
+         "growthlab.params:classify_l1_condition"),
         (("--slope", "slope", float, None,
           "log-log slope of the sphere integral (skips measurement)"),
          ("--initial-infinite", "initial_infinite", bool, False,
@@ -384,7 +390,8 @@ _COMMANDS = {
           "measure the slope on Euclidean space of this dimension"),
          _P, _Q, _MU)),
     "liouville": (
-        "threshold classification", _handle_liouville, (liouville_check,),
+        "threshold classification", _handle_liouville,
+        ("growthlab.params:liouville_check",),
         (_P, _Q, _LAM, _K,
          ("--growth", "growth", float, None, "growth constant to classify"))),
 }
@@ -517,8 +524,7 @@ def main(argv=None) -> int:
         resolved = _resolve(args, options + _SHARED)
         report = handler(resolved)
         report.command, report.config = args.command, resolved
-        report.provenance = [f"{fn.__module__}:{fn.__name__}"
-                             for fn in calls]
+        report.provenance = list(calls)
         _emit(report, resolved)
     except (DomainError, QuadratureError, OSError) as exc:
         print(f"growthlab: error: {exc}", file=sys.stderr)

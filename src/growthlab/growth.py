@@ -27,14 +27,19 @@ the singular edge of H for q < p is a separate quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import ModelManifold, RadialProfile
-from .params import DomainError, _annulus_constant, comparison_constants
-from .quadrature import (LogQuadResult, QuadratureError, _log_combine,
-                         log_quad, log_quad_tables, log_sum)
+# growth re-exports the sphere integrand, CheckReport and the l1 verdict
+from .models import (ModelManifold, RadialProfile, _log_excess,  # noqa: F401
+                     _log_level, _support_start, geometric_grid,
+                     log_sphere_integral, sphere_log_slope)
+from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
+                     _annulus_constant, _check_finite_positive,
+                     classify_l1_condition, comparison_constants)
+from .quadrature import (LogQuadResult, _log_combine, log_quad,
+                         log_quad_tables, log_sum)
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -68,73 +73,9 @@ class RateEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one inequality check; margin >= -tolerance means passed.
-
-    lhs and rhs are the two sides in log scale; margin is oriented so that
-    the claimed inequality corresponds to margin >= 0.
-    """
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-    tolerance: float
-
-
 # ---------------------------------------------------------------------------
 # the three functionals
 # ---------------------------------------------------------------------------
-
-
-def _log_excess(profile: RadialProfile, log_s0: float, s):
-    """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
-
-    s is one radius or a 1-D float ndarray of them, and the result has the
-    same form.
-    """
-    lv = profile.log_value(s)
-    if log_s0 == -math.inf:
-        return lv
-    d = lv - log_s0
-    if isinstance(d, np.ndarray):
-        # both branches on every node, each kept where the scalar path takes it
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            near = log_s0 + np.log(np.expm1(d))
-            far = lv + np.log1p(-np.exp(-d))
-        return np.where(d <= 0.0, -math.inf, np.where(d < 0.7, near, far))
-    if d <= 0.0:
-        return -math.inf
-    if d < 0.7:
-        # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
-        return log_s0 + math.log(math.expm1(d))
-    return lv + math.log1p(-math.exp(-d))
-
-
-def _log_level(s0: float) -> float:
-    if s0 < 0.0:
-        raise DomainError(f"s0 must be nonnegative, got {s0}")
-    return math.log(s0) if s0 > 0.0 else -math.inf
-
-
-def _support_start(profile: RadialProfile, s0: float) -> float:
-    """Radius where v first exceeds s0 (clamped to the profile domain)."""
-    if s0 <= 0.0:
-        return profile.t_min
-    return max(profile.level_radius(s0), profile.t_min)
-
-
-def log_sphere_integral(manifold: ModelManifold, profile: RadialProfile,
-                        q: float, s0: float, s: float) -> float:
-    """log of omega * g(s) * (v(s) - s0)**q; -inf where v <= s0."""
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
-    le = _log_excess(profile, _log_level(s0), s)
-    if le == -math.inf:
-        return -math.inf
-    return manifold.log_sphere_area(s) + q * le
 
 
 def log_ball_integral(manifold: ModelManifold, profile: RadialProfile,
@@ -350,12 +291,6 @@ def estimate_rate(samples, regime: str = "power",
                         window=(rs[0], rs[-1]), n_samples=len(rs))
 
 
-def _check_finite_positive(name: str, r: float) -> None:
-    """Raise DomainError naming r unless it is finite and positive."""
-    if not (0.0 < r < math.inf):
-        raise DomainError(f"{name} must be finite and positive, got {r}")
-
-
 def rate_window(example: SharpExample, rmax: float | None = None,
                 num: int = 7) -> tuple[list[float], str]:
     """Default sampling radii and regime for measuring an example's rate.
@@ -378,14 +313,14 @@ def rate_window(example: SharpExample, rmax: float | None = None,
         hi = rmax if rmax is not None else 1e6
         if hi <= lo:
             raise DomainError(f"rmax={hi} must exceed the window start {lo}")
-        return np.geomspace(lo, hi, num).tolist(), "log"
+        return geometric_grid(lo, hi, num), "log"
     beta, kappa = example.beta, example.kappa
     x_max = kappa * beta * rmax ** beta if rmax is not None else 1e4
     # R = (x / (kappa * beta))**(1/beta), formed in log space
     log_kb = math.log(kappa * beta)
     try:
         radii = [math.exp((math.log(x) - log_kb) / beta)
-                 for x in np.geomspace(x_max / 30.0, x_max, num).tolist()]
+                 for x in geometric_grid(x_max / 30.0, x_max, num)]
     except OverflowError:
         raise DomainError(
             f"rate window of the example at p={example.p}, q={example.q}, "
@@ -586,75 +521,19 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
     reports = []
     for r1, r in growth:
         rep = _growth_lower_bound(example, cc, r1, r, G, H, base_tol)
-        reports.append(_tag(rep, f"(R1={r1:.4g};R={r:.4g})"))
+        reports.append(replace(rep, name=f"{rep.name}(R1={r1:.4g};R={r:.4g})"))
     for r, h in annulus:
         rep = _caccioppoli(example, r, h, G, H, base_tol)
-        reports.append(_tag(rep, f"(R={r:.4g})"))
+        reports.append(replace(rep, name=f"{rep.name}(R={r:.4g})"))
     for (r1, r), j in zip(capacity, J):
         rep = _surface_capacity(example, r1, H, j, base_tol)
-        reports.append(_tag(rep, f"(r={r1:.4g};R={r:.4g})"))
+        reports.append(replace(rep, name=f"{rep.name}(r={r1:.4g};R={r:.4g})"))
     return reports
 
 
-def _tag(report: CheckReport, suffix: str) -> CheckReport:
-    return CheckReport(name=report.name + suffix, lhs=report.lhs,
-                       rhs=report.rhs, margin=report.margin,
-                       passed=report.passed, tolerance=report.tolerance)
-
-
 # ---------------------------------------------------------------------------
-# integrability classification and slow growth helpers
+# slow growth helpers
 # ---------------------------------------------------------------------------
-
-
-def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
-                     q: float, s0: float, rmin: float, rmax: float,
-                     num: int = 9) -> float:
-    """Log-log slope of the sphere integral phi over [rmin, rmax].
-
-    Returns -inf when phi vanishes on the whole window.  Mixed windows
-    (partly inside, partly outside the support of (v - s0)+) are rejected;
-    move the window past the support radius instead.
-    """
-    if not (0.0 < rmin < rmax):
-        raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
-    if num < 2:
-        raise DomainError(f"need at least 2 points, got {num}")
-    radii = np.geomspace(rmin, rmax, num).tolist()
-    vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
-    if all(v == -math.inf for v in vals):
-        return -math.inf
-    if any(v == -math.inf for v in vals):
-        raise DomainError("window straddles the support radius; move rmin up")
-    X = np.array([[math.log(r), 1.0] for r in radii])
-    coef, *_ = np.linalg.lstsq(X, np.array(vals), rcond=None)
-    return float(coef[0])
-
-
-def classify_l1_condition(sphere_log_slope: float, p: float,
-                          finite_radius_infinite: bool = False) -> str:
-    """Classify the reciprocal integrability of the sphere integral.
-
-    The dichotomy depends on alpha = sphere_log_slope: the integral of
-    phi**(1/(1-p)) over (r, inf) diverges for every r exactly when
-    alpha / (p-1) <= 1 ("condition_holds"; alpha = -inf, a vanishing
-    integrand, counts as holding).  When alpha / (p-1) > 1 the tail
-    integral converges, and the condition can only be rescued near the
-    origin: pass finite_radius_infinite=True when phi vanishes on some ball
-    (so the integral is infinite for small r) to obtain
-    "holds_only_for_small_r"; otherwise the verdict is "condition_fails".
-    The distinction matters because the vanishing conclusions require the
-    divergence for every radius, not just for some.
-    """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
-    if math.isnan(sphere_log_slope):
-        raise DomainError("sphere_log_slope is nan")
-    if sphere_log_slope / (p - 1.0) <= 1.0:
-        return "condition_holds"
-    if finite_radius_infinite:
-        return "holds_only_for_small_r"
-    return "condition_fails"
 
 
 def iterated_log(n: int, t: float) -> float:

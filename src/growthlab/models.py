@@ -21,22 +21,42 @@ log_value, log_deriv and log_value_delta of the four profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
 an ndarray of the same shape: the quadrature evaluates its integrands a
 batch of nodes at a time.  The other methods take one radius.
+
+numpy is used only on such an array and never imported here, so code that
+evaluates one radius at a time, as verify and l1 do, runs without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import DomainError
 
 
 def _ns(x):
     """The module whose log, log1p and expm1 fit x: numpy for an array of
-    radii, math for one radius, where it is faster and returns a float."""
-    return math if type(x) is float or not isinstance(x, np.ndarray) else np
+    radii, math for one radius, where it is faster and returns a float.
+
+    An array exists only once numpy is loaded, so this never imports it.
+    """
+    if type(x) is float:
+        return math
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else math
+
+
+def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
+    """num >= 2 points from lo > 0 to hi, equally spaced in log scale.
+
+    The steps are numpy's geomspace's: log10 of the two ends, a linear step
+    between those, 10**y at each point, and the two ends exact.  Python's
+    10**y may differ from numpy's by an ulp, and is more often the closer.
+    """
+    y0 = math.log10(lo)
+    step = (math.log10(hi) - y0) / (num - 1)
+    return [lo, *(10.0 ** (i * step + y0) for i in range(1, num - 1)), hi]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +125,7 @@ class RadialProfile:
         call, and the per-radius methods keep the plain _check_t: each added
         call or isinstance test there costs it a few percent.
         """
-        if type(t) is float or not isinstance(t, np.ndarray):
+        if type(t) is float or (xp := _ns(t)) is math:
             if not (t > self.t_min):
                 raise DomainError(f"radius must exceed {self.t_min}, got {t}")
             return math
@@ -114,7 +134,7 @@ class RadialProfile:
             first = (~(t > self.t_min)).argmax()
             raise DomainError(f"radius must exceed {self.t_min}, "
                               f"got {t[first]}")
-        return np
+        return xp
 
 
 class PowerLaw(RadialProfile):
@@ -250,9 +270,8 @@ class Affine(RadialProfile):
 
     def log_deriv(self, t):
         log_slope = math.log(self.slope)
-        if self._check_radii(t) is np:
-            return np.full(t.shape, log_slope)
-        return log_slope
+        xp = self._check_radii(t)
+        return log_slope if xp is math else xp.full(t.shape, log_slope)
 
     def level_radius(self, s: float) -> float:
         t = (s - self.offset) / self.slope
@@ -367,6 +386,83 @@ class ModelManifold:
             raise DomainError(f"dimension must be at least 2, got {n}")
         omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         return cls(warp=PowerLaw(n - 1.0), omega=omega)
+
+
+def _log_excess(profile: RadialProfile, log_s0: float, s):
+    """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
+
+    s is one radius or a 1-D float ndarray of them, and the result has the
+    same form.
+    """
+    lv = profile.log_value(s)
+    if log_s0 == -math.inf:
+        return lv
+    d = lv - log_s0
+    xp = _ns(d)
+    if xp is not math:
+        # both branches on every node, each kept where the scalar path takes it
+        with xp.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            near = log_s0 + xp.log(xp.expm1(d))
+            far = lv + xp.log1p(-xp.exp(-d))
+        return xp.where(d <= 0.0, -math.inf, xp.where(d < 0.7, near, far))
+    if d <= 0.0:
+        return -math.inf
+    if d < 0.7:
+        # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
+        return log_s0 + math.log(math.expm1(d))
+    return lv + math.log1p(-math.exp(-d))
+
+
+def _log_level(s0: float) -> float:
+    if s0 < 0.0:
+        raise DomainError(f"s0 must be nonnegative, got {s0}")
+    return math.log(s0) if s0 > 0.0 else -math.inf
+
+
+def _support_start(profile: RadialProfile, s0: float) -> float:
+    """Radius where v first exceeds s0 (clamped to the profile domain)."""
+    if s0 <= 0.0:
+        return profile.t_min
+    return max(profile.level_radius(s0), profile.t_min)
+
+
+def log_sphere_integral(manifold: ModelManifold, profile: RadialProfile,
+                        q: float, s0: float, s: float) -> float:
+    """log of omega * g(s) * (v(s) - s0)**q; -inf where v <= s0."""
+    if not (q > 0.0):
+        raise DomainError(f"q must be positive, got {q}")
+    le = _log_excess(profile, _log_level(s0), s)
+    if le == -math.inf:
+        return -math.inf
+    return manifold.log_sphere_area(s) + q * le
+
+
+def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
+                     q: float, s0: float, rmin: float, rmax: float,
+                     num: int = 9) -> float:
+    """Log-log slope of the sphere integral phi over [rmin, rmax].
+
+    The slope is the least-squares fit of log phi against log r at num
+    geometrically spaced radii.  Returns -inf when phi vanishes on the
+    whole window.  Mixed windows (partly inside, partly outside the support
+    of (v - s0)+) are rejected; move the window past the support radius
+    instead.
+    """
+    if not (0.0 < rmin < rmax):
+        raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
+    if num < 2:
+        raise DomainError(f"need at least 2 points, got {num}")
+    radii = geometric_grid(rmin, rmax, num)
+    vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
+    if all(v == -math.inf for v in vals):
+        return -math.inf
+    if any(v == -math.inf for v in vals):
+        raise DomainError("window straddles the support radius; move rmin up")
+    xs = [math.log(r) for r in radii]
+    x_mean, y_mean = math.fsum(xs) / num, math.fsum(vals) / num
+    dx = [x - x_mean for x in xs]
+    return math.fsum(d * (y - y_mean) for d, y in zip(dx, vals)) \
+        / math.fsum(d * d for d in dx)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ constant ``k``.  From these the module computes the two growth thresholds
   unique root above ``p`` of  C**(1/p) * (C - p)**(1/p') = C0,
 
 together with the chain of comparison constants used by the integral
-inequalities in :mod:`growthlab.growth`.
+inequalities in :mod:`growthlab.growth`.  The two error types, the report
+of one check and the two threshold classifications live here too: none of
+them needs numpy, so the subcommands that use only them never load it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,42 @@ from dataclasses import dataclass
 
 class DomainError(ValueError):
     """Raised when an argument leaves the validity region of a formula."""
+
+
+class QuadratureError(RuntimeError):
+    """Panel budget or double precision exhausted before the tolerance.
+
+    Carries the best available estimate so callers can inspect how far the
+    refinement got.
+    """
+
+    def __init__(self, message: str, log_value: float, rel_error: float,
+                 panels: int, evals: int):
+        super().__init__(message)
+        self.log_value, self.rel_error = log_value, rel_error
+        self.panels, self.evals = panels, evals
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one inequality check; margin >= -tolerance means passed.
+
+    lhs and rhs are the two sides in log scale; margin is oriented so that
+    the claimed inequality corresponds to margin >= 0.
+    """
+
+    name: str
+    lhs: float
+    rhs: float
+    margin: float
+    passed: bool
+    tolerance: float
+
+
+def _check_finite_positive(name: str, r: float) -> None:
+    """Raise DomainError naming r unless it is finite and positive."""
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"{name} must be finite and positive, got {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,3 +272,29 @@ def liouville_check(params: Params, growth_constant: float) -> str:
     if growth_constant < C0:
         return "forced_zero"
     return "inconclusive"
+
+
+def classify_l1_condition(sphere_log_slope: float, p: float,
+                          finite_radius_infinite: bool = False) -> str:
+    """Classify the reciprocal integrability of the sphere integral.
+
+    The dichotomy depends on alpha = sphere_log_slope: the integral of
+    phi**(1/(1-p)) over (r, inf) diverges for every r exactly when
+    alpha / (p-1) <= 1 ("condition_holds"; alpha = -inf, a vanishing
+    integrand, counts as holding).  When alpha / (p-1) > 1 the tail
+    integral converges, and the condition can only be rescued near the
+    origin: pass finite_radius_infinite=True when phi vanishes on some ball
+    (so the integral is infinite for small r) to obtain
+    "holds_only_for_small_r"; otherwise the verdict is "condition_fails".
+    The distinction matters because the vanishing conclusions require the
+    divergence for every radius, not just for some.
+    """
+    if not (p > 1.0):
+        raise DomainError(f"p must exceed 1, got {p}")
+    if math.isnan(sphere_log_slope):
+        raise DomainError("sphere_log_slope is nan")
+    if sphere_log_slope / (p - 1.0) <= 1.0:
+        return "condition_holds"
+    if finite_radius_infinite:
+        return "holds_only_for_small_r"
+    return "condition_fails"

@@ -25,13 +25,15 @@ quadrature in the manner of Shampine, 2008).  A round that finds the total
 estimated error above rel_tol times the total value bisects the fewest
 worst panels whose removal would bring the remaining error under that
 bound, ties going to the lower index, and evaluates all of their children
-with one call of logf.  Several integrals can be refined together, each
-keeping its own panels, tolerance test and panel budget, so a round costs
-one call however many of them are still open.  log_quad_tables does this
-for several integrands at once, each integrated up to several radii:
-growthlab.growth refines all the G, H and J integrals of one example in a
-single pass.  Panels are kept in position order, so results are
-deterministic.
+with one call of logf.  Bisection stops at the floor of double precision:
+a panel whose halves' nodes would round onto their ends fails its integral
+with QuadratureError rather than sample the integrand there.  Several
+integrals can be refined together, each keeping its own panels, tolerance
+test and panel budget, so a round costs one call however many of them are
+still open.  log_quad_tables does this for several integrands at once, each
+integrated up to several radii: growthlab.growth refines all the G, H and J
+integrals of one example in a single pass.  Panels are kept in position
+order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .params import DomainError
+from .models import geometric_grid
+from .params import DomainError, QuadratureError
 
 # QK15 on [-1, 1], from QUADPACK: the nonnegative Kronrod nodes (xgk), their
 # K15 weights (wgk), and the G7 weights (wg) of xgk[1], xgk[3], xgk[5] and 0
@@ -116,22 +119,6 @@ class LogQuadResult:
     evals: int
 
 
-class QuadratureError(RuntimeError):
-    """Panel budget exhausted before reaching the tolerance.
-
-    Carries the best available estimate so callers can inspect how far the
-    refinement got.
-    """
-
-    def __init__(self, message: str, log_value: float, rel_error: float,
-                 panels: int, evals: int):
-        super().__init__(message)
-        self.log_value = log_value
-        self.rel_error = rel_error
-        self.panels = panels
-        self.evals = evals
-
-
 def _row_log_sum(v: np.ndarray) -> np.ndarray:
     """log(sum(exp(v))) along each row; -inf for a row of -inf, which takes
     log(0), so the caller ignores divide-by-zero."""
@@ -166,8 +153,16 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
 
 def _initial_breakpoints(lo: float, hi: float, n: int = 8) -> list[float]:
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
-        return np.geomspace(lo, hi, n + 1).tolist()
+        return geometric_grid(lo, hi, n + 1)
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
+def _inside(a: float, b: float) -> bool:
+    """Whether every node of the panel [a, b], as _panels computes it, lies
+    strictly inside it.  Below this floor of double precision the nodes
+    round onto the ends, where the integrand may be infinite."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return a < mid - half * _XGK[0] and mid + half * _XGK[0] < b
 
 
 def _worst(errors: list[float], target: float, limit: int) -> list[int]:
@@ -247,11 +242,13 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     Tables are numbered from 0 to ntables - 1 and the segments of each are
     consecutive, in table order.  Each round evaluates the new panels of
     every open segment with one logf call (see _batch); a segment closes
-    once it meets rel_tol.  Raises the error of the first segment, in list
-    order, that fails: the QuadratureError of a segment that has max_panels
-    panels and still misses rel_tol, or the DomainError of an integrand
-    value, which fails its table from the table's first segment on, as it
-    would if that table were refined alone.
+    once it meets rel_tol.  A panel is halved only when every node of both
+    halves lies strictly inside them (_inside).  Raises the error of the
+    first segment, in list order, that fails: the QuadratureError of a
+    segment that misses rel_tol with max_panels panels, or with a panel to
+    halve below that floor, or the DomainError of an integrand value, which
+    fails its table from the table's first segment on, as it would if that
+    table were refined alone.
     """
     log_rel_tol = math.log(rel_tol)
     segs = [_Segment(*segment) for segment in segments]
@@ -300,19 +297,25 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
                 results[i] = LogQuadResult(
                     log_value=total, rel_error=rel, panels=len(seg.k),
                     evals=15 * seg.evaluated)
-            elif len(seg.k) >= max_panels:
-                rel = math.exp(toterr - total) if total > -math.inf \
-                    else math.inf
-                failure = (i, QuadratureError(
-                    f"needed more than {max_panels} panels on "
-                    f"[{seg.lo}, {seg.hi}] for rel_tol={rel_tol}; "
-                    f"reached {rel:.3e}",
-                    log_value=total, rel_error=rel, panels=len(seg.k),
-                    evals=15 * seg.evaluated))
+                continue
+            if len(seg.k) >= max_panels:
+                reason = f"needed more than {max_panels} panels"
             else:
                 worst = _worst(seg.e, total + log_rel_tol,
                                max_panels - len(seg.k))
-                pending.append((i, worst, *seg.halves(worst)))
+                ca, cb = seg.halves(worst)
+                floor = [(a, b) for a, b in zip(ca, cb) if not _inside(a, b)]
+                if not floor:
+                    pending.append((i, worst, ca, cb))
+                    continue
+                reason = (f"panel [{floor[0][0]}, {floor[0][1]}] is below "
+                          "the double-precision floor")
+            rel = math.exp(toterr - total) if total > -math.inf else math.inf
+            failure = (i, QuadratureError(
+                f"{reason} on [{seg.lo}, {seg.hi}] for rel_tol={rel_tol}; "
+                f"reached {rel:.3e}",
+                log_value=total, rel_error=rel, panels=len(seg.k),
+                evals=15 * seg.evaluated))
     if failure is not None:
         raise failure[1]
     return results
@@ -327,8 +330,9 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     is called once per refinement round, with the nodes of every panel
     that round evaluates.  Returns log of the integral together with an
     error estimate relative to the integral.  Raises QuadratureError when
-    max_panels panels cannot reach rel_tol, and DomainError when logf
-    produces nan or +inf.
+    max_panels panels cannot reach rel_tol, or when a panel to halve is so
+    narrow that the nodes of its halves would round onto their ends, and
+    DomainError when logf produces nan or +inf.
     """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")

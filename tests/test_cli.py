@@ -5,14 +5,16 @@ with the emitted report, so the full argument, config, and output stack is
 exercised without spawning subprocesses.
 """
 
+import importlib
 import json
 import math
 import re
 
 import pytest
 
+import growthlab
 from growthlab import compute_C0, solve_C1
-from growthlab.cli import main
+from growthlab.cli import _COMMANDS, main
 
 
 def run(capsys, argv):
@@ -268,8 +270,17 @@ def test_sharp_rate_window_overflow_exit_code(capsys):
     assert "Traceback" not in err
 
 
+def test_quadrature_error_exit_code(capsys):
+    # at gamma = q - p + 1 = 0.01 the singular edge of H runs out of panels
+    rc, _, err = run(capsys, ["inequalities", "--p", "1.5", "--q", "0.51", "--mu", "0.75"])
+    assert rc == 2
+    assert err.startswith("growthlab: error: needed more than 4096 panels")
+    assert "Traceback" not in err
+
+
 # Each command's config keys in report order, and its provenance, frozen from
-# the JSON reports of growthlab 0.1.0.
+# the JSON reports of growthlab 0.1.0; l1's names the modules that
+# sphere_log_slope and classify_l1_condition moved to.
 COMMAND_TABLE = {
     "constants": (
         ["p", "q", "mu", "lam", "k", "eps", "output", "fmt", "tol", "quad_tol"],
@@ -290,7 +301,7 @@ COMMAND_TABLE = {
          "growthlab.growth:check_surface_capacity"]),
     "l1": (
         ["slope", "initial_infinite", "euclidean", "p", "q", "mu", "output", "fmt", "tol", "quad_tol"],
-        ["growthlab.growth:sphere_log_slope", "growthlab.growth:classify_l1_condition"]),
+        ["growthlab.models:sphere_log_slope", "growthlab.params:classify_l1_condition"]),
     "liouville": (
         ["p", "q", "lam", "k", "growth", "output", "fmt", "tol", "quad_tol"],
         ["growthlab.params:liouville_check"]),
@@ -320,6 +331,17 @@ def test_config_keys_and_provenance(capsys, command):
     keys, provenance = COMMAND_TABLE[command]
     assert list(doc["config"]) == keys
     assert doc["provenance"] == provenance
+
+
+@pytest.mark.parametrize("command", COMMAND_TABLE)
+def test_provenance_names_the_functions(command):
+    """Each "module:name" of the table imports as the exported function of
+    that name, defined in that module."""
+    for entry in _COMMANDS[command][2]:
+        module, name = entry.split(":")
+        fn = getattr(importlib.import_module(module), name)
+        assert f"{fn.__module__}:{fn.__name__}" == entry
+        assert fn is getattr(growthlab, name)
 
 
 @pytest.mark.parametrize("command", COMMAND_TABLE)

@@ -4,6 +4,7 @@ Expected values marked as frozen were computed independently with exact
 arithmetic or a 50-digit mpmath session before being written down here.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -166,6 +167,63 @@ def test_import_does_not_load_scipy():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+# the subcommands that compute closed forms or check one radius at a time
+NUMPY_FREE = [
+    ["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"],
+    ["liouville", "--p", "2", "--q", "2", "--lambda", "1", "--growth", "1.5"],
+    ["verify", "--p", "2", "--q", "3", "--mu", "1"],
+    ["l1", "--p", "2", "--q", "3", "--mu", "1"],
+    ["l1", "--euclidean", "2", "--p", "3", "--q", "3"],
+    ["l1", "--slope", "0.5", "--p", "2"],
+]
+# the subcommands that integrate
+WITH_NUMPY = [
+    ["sharp", "--p", "2", "--q", "3", "--mu", "1", "--rate"],
+    ["rate", "--p", "2", "--q", "3", "--mu", "1", "--samples", "4"],
+    ["inequalities", "--p", "2", "--q", "3", "--mu", "1"],
+]
+
+_RUN_COMMANDS = """
+import json, sys
+import growthlab
+print("import", 0, "numpy" in sys.modules, file=sys.stderr)
+from growthlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    rc = main(argv)
+    print(argv[0], rc, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_only_the_integrating_subcommands_load_numpy():
+    # none of NUMPY_FREE loads numpy, so one process can run them in turn
+    env = dict(os.environ)
+    src = str(Path(growthlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    err = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(NUMPY_FREE + WITH_NUMPY)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stderr
+    expected = [f"{name} 0 False" for name in ["import"] + [a[0] for a in NUMPY_FREE]]
+    expected += [f"{argv[0]} 0 True" for argv in WITH_NUMPY]
+    assert err.splitlines() == expected
+
+
+def test_lazy_namespace():
+    for name in growthlab.__all__:
+        getattr(growthlab, name)
+    namespace = {}
+    exec("from growthlab import *", namespace)
+    assert set(growthlab.__all__) <= set(namespace)
+    assert set(growthlab.__all__) <= set(dir(growthlab))
+    assert growthlab.QuadratureError is growthlab.quadrature.QuadratureError
+    # the names that moved out of growth are still reachable there
+    for name in ("CheckReport", "QuadratureError", "classify_l1_condition",
+                 "log_sphere_integral", "sphere_log_slope"):
+        assert getattr(growthlab.growth, name) is getattr(growthlab, name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        growthlab.no_such_name
 
 
 def test_derived_exponents():

@@ -250,13 +250,34 @@ def test_cumulative_matches_exponential_closed_form(kappa, lo, below, gaps, rel_
                       lo, _radii(lo, below, gaps), rel_tol)
 
 
+def _log_power(c):
+    return np.vectorize(lambda t: c * math.log(t) if t > 0.0 else (-math.inf if c > 0.0 else math.inf), otypes=[float])
+
+
 @settings(max_examples=60, deadline=None)
 @given(c=st.floats(-0.5, 3.0), lo=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
        below=st.integers(0, 2), gaps=_gaps_off_pole, rel_tol=_rel_tols)
+@example(c=-0.5, lo=0.0, below=0, gaps=[1e-300], rel_tol=1e-12)
 def test_cumulative_matches_power_closed_form(c, lo, below, gaps, rel_tol):
-    logf = np.vectorize(lambda t: c * math.log(t) if t > 0.0 else (-math.inf if c > 0.0 else math.inf), otypes=[float])
-    _check_cumulative(logf, lambda R: _log_power_integral(c, lo, R),
-                      lo, _radii(lo, below, gaps), rel_tol)
+    # a pole at 0 inside a very short first segment may need panels below the
+    # double-precision floor: that failure is the only one allowed
+    try:
+        _check_cumulative(_log_power(c), lambda R: _log_power_integral(c, lo, R),
+                          lo, _radii(lo, below, gaps), rel_tol)
+    except QuadratureError as exc:
+        assert "below the double-precision floor" in str(exc)
+
+
+def test_bisection_stops_at_the_double_precision_floor():
+    # t^-0.5 over [0, 1e-300] needs a first panel narrower than about 1e-320
+    # for rel_tol=1e-12; the nodes of a panel that narrow round onto t = 0
+    with pytest.raises(QuadratureError, match=r"panel \[0\.0, .*\] is below the double-precision "
+                       r"floor on \[0\.0, 1e-300\] for rel_tol=1e-12") as info:
+        log_quad_cumulative(_log_power(-0.5), 0.0, [1e-300], rel_tol=1e-12)
+    assert info.value.panels < 4096
+    # over [0, 1e-200] the panels it needs stay above the floor
+    res = log_quad_cumulative(_log_power(-0.5), 0.0, [1e-200], rel_tol=1e-12)[0]
+    assert abs(math.expm1(res.log_value - _log_power_integral(-0.5, 0.0, 1e-200))) <= 1e-12
 
 
 def test_cumulative_rejects_decreasing_radii():
