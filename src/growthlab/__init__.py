@@ -22,13 +22,13 @@ _HOMES = {
         "GrowthSample", "RateEstimate", "check_caccioppoli",
         "check_growth_lower_bound", "check_surface_capacity",
         "default_check_pairs", "estimate_rate", "growth_samples",
-        "iterated_log", "log_ball_integral", "log_energy_integral",
-        "measure_rate", "rate_window", "run_inequality_suite"),
+        "log_ball_integral", "log_energy_integral", "measure_rate",
+        "rate_window", "run_inequality_suite"),
     "models": (
         "Affine", "ExpPower", "ModelManifold", "PHarmonicRn", "PowerLaw",
         "RadialProfile", "SharpPotential", "fd_cross_check",
-        "log_sphere_integral", "p_laplacian_radial", "p_laplacian_scaled",
-        "potential_sharp", "sphere_log_slope", "subsolution_residual"),
+        "log_sphere_integral", "p_laplacian_scaled", "sphere_log_slope",
+        "subsolution_residual"),
     "params": (
         "CheckReport", "ComparisonConstants", "DerivedExponents",
         "DomainError", "Params", "QuadratureError", "classify_l1_condition",
@@ -37,7 +37,7 @@ _HOMES = {
     "quadrature": ("LogQuadResult", "log_diff", "log_quad", "log_sum"),
     "sharp": (
         "SharpExample", "build_sharp_example", "choose_ac", "default_qs",
-        "sharp_grid", "verify_rate_identity"),
+        "sharp_grid"),
 }
 __all__ = sorted(name for names in _HOMES.values() for name in names)
 

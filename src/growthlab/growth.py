@@ -212,8 +212,7 @@ def _log_edge(manifold: ModelManifold, profile: RadialProfile, p: float,
     The integrand blows up like (s - t0)**(q - p) at t0; in tau with
     s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau and
     gamma = q - p + 1 it is bounded, and it is integrated over
-    (0, (t1 - t0)**gamma].  The excess v - s0 is expanded around t0 through
-    the profile's log_value_delta, treating v(t0) = s0 as exact.
+    (0, (t1 - t0)**gamma], with v - s0 expanded as log_energy_integral says.
     """
     gamma = q - p + 1.0
 
@@ -300,9 +299,12 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     grid that window keeps the truncation bias of the fitted rate under
     0.25 percent.  Sub-borderline examples place radii so that the
     log-growth variable kappa * beta * R**beta is log-spaced up to 1e4 (or
-    its value at rmax), where truncation corrections are far below double
-    precision; a window whose radii pass the largest double raises
-    DomainError, and so does an rmax that is not finite and positive.
+    its value at rmax), from 1/30 of that.  The start does not bound the
+    truncation term q * log(1 - s0 * exp(-c * R**beta)), which the "power"
+    model cannot absorb: at (10, 100, 0) it is R = 3.66 and the fit gives
+    90.778 against 91.0, residual 6.9 (ROADMAP item 3).  Radii past the
+    largest double, or an rmax that is not finite and positive, raise
+    DomainError.
     """
     if num < 4:
         raise DomainError(f"need at least 4 samples, got num={num}")
@@ -529,33 +531,3 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
         rep = _surface_capacity(example, r1, H, j, base_tol)
         reports.append(replace(rep, name=f"{rep.name}(r={r1:.4g};R={r:.4g})"))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# slow growth helpers
-# ---------------------------------------------------------------------------
-
-
-def iterated_log(n: int, t: float) -> float:
-    """Product of the first n iterated logarithms of t; 1 for n = 0.
-
-    iterated_log(n, t) = log(t) * loglog(t) * ... * log^(n)(t).  Every
-    iterate must be strictly positive; the first depth at which the iterate
-    drops to or below zero is reported in the error.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"depth must be a nonnegative integer, got {n}")
-    prod = 1.0
-    cur = float(t)
-    for depth in range(1, n + 1):
-        if not (cur > 0.0):
-            raise DomainError(
-                f"iterated log of depth {depth} needs a positive argument, "
-                f"got {cur} after {depth - 1} logs of {t}")
-        cur = math.log(cur)
-        if not (cur > 0.0):
-            raise DomainError(
-                f"iterated log of depth {depth} of {t} is {cur}, "
-                "below the positive domain")
-        prod *= cur
-    return prod

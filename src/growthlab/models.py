@@ -14,8 +14,7 @@ therefore exposes a logarithmic interface
     d2_over_v(t) = v''(t) / v(t),   log_deriv(t) = log v'(t),
 
 and the operator routines work with the scaled quantity
-Delta_p(v) / v**(p-1), which stays bounded.  Raw evaluation helpers exist
-for small radii and tests.
+Delta_p(v) / v**(p-1), which stays bounded.
 
 log_value, log_deriv and log_value_delta of the four profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
@@ -67,10 +66,9 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
 class RadialProfile:
     """Base class for positive radial functions on (t_min, inf).
 
-    Subclasses implement log_value, dlog and d2_over_v; derived quantities
-    have generic fallbacks here and are overridden where a direct closed
-    form is cheaper or more accurate.  Monotonicity is not assumed by the
-    class itself (warps may decrease); routines that need v' > 0 check it.
+    Subclasses give the methods below in closed form; value exponentiates
+    log_value unless overridden.  Monotonicity is not assumed by the class
+    itself (warps may decrease); routines that need v' > 0 check it.
     """
 
     t_min: float = 0.0
@@ -87,17 +85,8 @@ class RadialProfile:
     def value(self, t: float) -> float:
         return math.exp(self.log_value(t))
 
-    def deriv(self, t: float) -> float:
-        return self.value(t) * self.dlog(t)
-
-    def deriv2(self, t: float) -> float:
-        return self.value(t) * self.d2_over_v(t)
-
     def log_deriv(self, t: float) -> float:
-        d = self.dlog(t)
-        if d <= 0.0:
-            raise DomainError(f"profile is not increasing at t={t}: v'/v={d}")
-        return self.log_value(t) + math.log(d)
+        raise NotImplementedError
 
     def level_radius(self, s: float) -> float:
         """Radius t with v(t) = s; inverse of value on the increasing range."""
@@ -108,10 +97,9 @@ class RadialProfile:
 
         Near-edge integrands need this difference for eta many orders of
         magnitude below t, where direct subtraction of the two log values
-        loses everything to cancellation.  Subclasses provide closed forms;
-        this fallback subtracts and is only adequate for moderate eta.
+        loses everything to cancellation.
         """
-        return self.log_value(t + eta) - self.log_value(t)
+        raise NotImplementedError
 
     def _check_t(self, t: float) -> None:
         if not (t > self.t_min):
@@ -154,14 +142,6 @@ class PowerLaw(RadialProfile):
     def d2_over_v(self, t: float) -> float:
         self._check_t(t)
         return self.c * (self.c - 1.0) / (t * t)
-
-    def deriv(self, t: float) -> float:
-        self._check_t(t)
-        return self.c * t ** (self.c - 1.0)
-
-    def deriv2(self, t: float) -> float:
-        self._check_t(t)
-        return self.c * (self.c - 1.0) * t ** (self.c - 2.0)
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -260,14 +240,6 @@ class Affine(RadialProfile):
         self._check_t(t)
         return 0.0
 
-    def deriv(self, t: float) -> float:
-        self._check_t(t)
-        return self.slope
-
-    def deriv2(self, t: float) -> float:
-        self._check_t(t)
-        return 0.0
-
     def log_deriv(self, t):
         log_slope = math.log(self.slope)
         xp = self._check_radii(t)
@@ -320,14 +292,6 @@ class PHarmonicRn(RadialProfile):
         self._check_t(t)
         a = self.alpha
         return a * (a - 1.0) / (t * t * (1.0 - t ** (-a)))
-
-    def deriv(self, t: float) -> float:
-        self._check_t(t)
-        return self.alpha * t ** (self.alpha - 1.0)
-
-    def deriv2(self, t: float) -> float:
-        self._check_t(t)
-        return self.alpha * (self.alpha - 1.0) * t ** (self.alpha - 2.0)
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -470,22 +434,6 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
 # ---------------------------------------------------------------------------
 
 
-def p_laplacian_radial(manifold: ModelManifold, profile: RadialProfile,
-                       p: float, r: float) -> float:
-    """Raw radial p-Laplacian (p-1)*v'**(p-2)*v'' + (g'/g)*v'**(p-1).
-
-    Overflows for strongly growing profiles at large r; prefer
-    :func:`p_laplacian_scaled` there.  Requires v'(r) > 0.
-    """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
-    v1 = profile.deriv(r)
-    if not (v1 > 0.0):
-        raise DomainError(f"profile must be increasing at r={r}: v'={v1}")
-    v2 = profile.deriv2(r)
-    return (p - 1.0) * v1 ** (p - 2.0) * v2 + manifold.dlog_warp(r) * v1 ** (p - 1.0)
-
-
 def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
                        p: float, r: float) -> float:
     """Scaled radial p-Laplacian Delta_p(v) / v**(p-1) at radius r.
@@ -614,11 +562,6 @@ class SharpPotential:
                 f"a={self.a}, c={self.c})")
 
 
-def potential_sharp(p: float, mu: float, a: float, c: float, r: float) -> float:
-    """Evaluate the critical potential at radius r >= 1."""
-    return SharpPotential(p, mu, a, c)(r)
-
-
 # ---------------------------------------------------------------------------
 # subsolution verification
 # ---------------------------------------------------------------------------
@@ -642,9 +585,7 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     radii = list(radii)
     if not radii:
         raise DomainError("radius grid is empty")
-    if s0 < 0.0:
-        raise DomainError(f"s0 must be nonnegative, got {s0}")
-    log_s0 = math.log(s0) if s0 > 0.0 else -math.inf
+    log_s0 = _log_level(s0)
     worst = -math.inf
     for r in radii:
         if profile.log_value(r) <= log_s0:

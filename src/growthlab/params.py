@@ -105,11 +105,6 @@ class DerivedExponents:
     gamma: float       # q - p + 1 > 0
     beta: float        # 1 - mu / p, in [0, 1]
 
-    @property
-    def is_borderline(self) -> bool:
-        """True when mu == p, the regime where growth is polynomial."""
-        return self.beta == 0.0
-
 
 def derived_exponents(params: Params) -> DerivedExponents:
     p = params.p
@@ -201,11 +196,6 @@ class ComparisonConstants:
     c4: float | None   # borderline weight normalisation
     c5: float | None   # borderline growth exponent, root of the C1 equation
     c6: float | None   # borderline composite coefficient
-
-    @property
-    def caccioppoli_prefactor(self) -> float:
-        """C2 - 1, i.e. c2 times the annulus constant of check_caccioppoli."""
-        return self.C2 - 1.0
 
 
 def _annulus_constant(p: float, gamma: float, k: float) -> float:

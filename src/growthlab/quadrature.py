@@ -25,15 +25,15 @@ quadrature in the manner of Shampine, 2008).  A round that finds the total
 estimated error above rel_tol times the total value bisects the fewest
 worst panels whose removal would bring the remaining error under that
 bound, ties going to the lower index, and evaluates all of their children
-with one call of logf.  Bisection stops at the floor of double precision:
-a panel whose halves' nodes would round onto their ends fails its integral
-with QuadratureError rather than sample the integrand there.  Several
-integrals can be refined together, each keeping its own panels, tolerance
-test and panel budget, so a round costs one call however many of them are
-still open.  log_quad_tables does this for several integrands at once, each
-integrated up to several radii: growthlab.growth refines all the G, H and J
-integrals of one example in a single pass.  Panels are kept in position
-order, so results are deterministic.
+with one call of logf.  Refinement stops at the floor of double precision
+with QuadratureError: a panel whose halves' nodes would round onto their
+ends is not halved, and an initial panel with a node rounded onto an end
+where the integrand is not finite fails too.  log_quad_tables refines
+integrals of several integrands up to several radii together, each with
+its own panels, tolerance test and panel budget, so a round costs one
+call however many are open: growthlab.growth refines all the G, H and J
+integrals of an example in one pass.  Panels are kept in position order,
+so results are deterministic.
 """
 
 from __future__ import annotations
@@ -127,6 +127,14 @@ def _row_log_sum(v: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(v - m[:, None]).sum(axis=1))
 
 
+class _BelowFloor(Exception):
+    """args[0]: the row of an initial panel with a bad node at an end."""
+
+
+def _floor(a: float, b: float) -> str:
+    return f"panel [{a}, {b}] is below the double-precision floor"
+
+
 def _panels(logf, a: np.ndarray, b: np.ndarray):
     """(log K15, log |K15 - G7|) of the panels [a[i], b[i]], one logf call."""
     half = 0.5 * (b - a)
@@ -136,6 +144,9 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
     if not v.max() < np.inf:
         # a nan or +inf: name the first, in panel order
         i = int((~(v < np.inf)).argmax())
+        row = i // len(_X)
+        if x[i] == a[row] or x[i] == b[row]:
+            raise _BelowFloor(row)
         raise DomainError(f"integrand log-value at {x[i]} is {v[i]}")
     v = v.reshape(len(a), len(_X))
     # -inf and log(0) stand for zeros here, and where k15 == g7 the masked
@@ -221,8 +232,18 @@ class _Segment:
             self.k[i:i + 1] = k[pair]
             self.e[i:i + 1] = e[pair]
 
+    def failure(self, reason: str, rel_tol: float) -> QuadratureError:
+        """This integral's QuadratureError, with its panels' estimate."""
+        total, toterr = log_sum(self.k), log_sum(self.e)
+        rel = math.exp(toterr - total) if total > -math.inf else math.inf
+        return QuadratureError(
+            f"{reason} on [{self.lo}, {self.hi}] for rel_tol={rel_tol}; "
+            f"reached {rel:.3e}",
+            log_value=total, rel_error=rel, panels=len(self.k),
+            evals=15 * self.evaluated)
 
-def _batch(logf, pending, segs, ntables: int):
+
+def _batch(logf, pending, segs, ntables: int, rel_tol: float):
     """(log K15, log error) lists of the new panels of pending, with one
     call logf(x, starts): the nodes of table t are x[starts[t]:starts[t+1]]."""
     a = np.array([x for _, _, ca, _ in pending for x in ca])
@@ -231,7 +252,12 @@ def _batch(logf, pending, segs, ntables: int):
     for i, _, ca, _ in pending:
         sizes[segs[i].table + 1] += len(_X) * len(ca)
     starts = list(accumulate(sizes))
-    k, e = _panels(lambda x: logf(x, starts), a, b)
+    try:
+        k, e = _panels(lambda x: logf(x, starts), a, b)
+    except _BelowFloor as exc:
+        row = exc.args[0]
+        seg = segs[[i for i, _, ca, _ in pending for _ in ca][row]]
+        raise seg.failure(_floor(a[row], b[row]), rel_tol) from None
     return k.tolist(), e.tolist()
 
 
@@ -248,7 +274,7 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     segment that misses rel_tol with max_panels panels, or with a panel to
     halve below that floor, or the DomainError of an integrand value, which
     fails its table from the table's first segment on, as it would if that
-    table were refined alone.
+    table were refined alone; so does an initial panel's floor error (_batch).
     """
     log_rel_tol = math.log(rel_tol)
     segs = [_Segment(*segment) for segment in segments]
@@ -260,18 +286,18 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     pending = [(i, None, seg.a, seg.b) for i, seg in enumerate(segs)]
     while pending:
         try:
-            k, e = _batch(logf, pending, segs, ntables)
-        except DomainError:
+            k, e = _batch(logf, pending, segs, ntables, rel_tol)
+        except (DomainError, QuadratureError):
             tables = sorted({segs[job[0]].table for job in pending})
             if len(tables) == 1:
                 raise
             # the first table whose panels fail alone fails; the tables
             # before it go on
             for t in tables:
+                own = [job for job in pending if segs[job[0]].table == t]
                 try:
-                    _batch(logf, [job for job in pending
-                                  if segs[job[0]].table == t], segs, ntables)
-                except DomainError as exc:
+                    _batch(logf, own, segs, ntables, rel_tol)
+                except (DomainError, QuadratureError) as exc:
                     failure = (first[t], exc)
                     break
             else:
@@ -279,7 +305,7 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
             pending = [job for job in pending if segs[job[0]].table < t]
             if not pending:
                 break
-            k, e = _batch(logf, pending, segs, ntables)
+            k, e = _batch(logf, pending, segs, ntables, rel_tol)
         pos = 0
         for i, worst, ca, cb in pending:
             n = len(ca)
@@ -308,21 +334,15 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
                 if not floor:
                     pending.append((i, worst, ca, cb))
                     continue
-                reason = (f"panel [{floor[0][0]}, {floor[0][1]}] is below "
-                          "the double-precision floor")
-            rel = math.exp(toterr - total) if total > -math.inf else math.inf
-            failure = (i, QuadratureError(
-                f"{reason} on [{seg.lo}, {seg.hi}] for rel_tol={rel_tol}; "
-                f"reached {rel:.3e}",
-                log_value=total, rel_error=rel, panels=len(seg.k),
-                evals=15 * seg.evaluated))
+                reason = _floor(*floor[0])
+            failure = (i, seg.failure(reason, rel_tol))
     if failure is not None:
         raise failure[1]
     return results
 
 
 def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
-             max_panels: int = 4096, breakpoints=None) -> LogQuadResult:
+             max_panels: int = 4096) -> LogQuadResult:
     """Integrate exp(logf) over [lo, hi] in log space.
 
     logf maps a 1-D float ndarray of radii to an ndarray of the same shape
@@ -330,9 +350,8 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     is called once per refinement round, with the nodes of every panel
     that round evaluates.  Returns log of the integral together with an
     error estimate relative to the integral.  Raises QuadratureError when
-    max_panels panels cannot reach rel_tol, or when a panel to halve is so
-    narrow that the nodes of its halves would round onto their ends, and
-    DomainError when logf produces nan or +inf.
+    max_panels panels cannot reach rel_tol or refinement meets the floor of
+    double precision, and DomainError when logf produces nan or +inf.
     """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")
@@ -341,12 +360,9 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     if lo == hi:
         return LogQuadResult(log_value=-math.inf, rel_error=0.0, panels=0,
                              evals=0)
-    if breakpoints is None:
-        pts = _initial_breakpoints(lo, hi)
-    else:
-        pts = sorted(set([lo, hi] + [x for x in breakpoints if lo < x < hi]))
-    return _refine(lambda x, starts: logf(x), [(lo, hi, pts, 0)], 1,
-                   rel_tol, max_panels)[0]
+    return _refine(lambda x, starts: logf(x),
+                   [(lo, hi, _initial_breakpoints(lo, hi), 0)], 1, rel_tol,
+                   max_panels)[0]
 
 
 def _log_combine(parts) -> tuple[float, float]:
@@ -362,40 +378,23 @@ def _log_combine(parts) -> tuple[float, float]:
                             for r in parts if r.rel_error > 0.0)
 
 
-def log_quad_cumulative(logf, lo: float, radii,
-                        rel_tol: float = 1e-12) -> list[LogQuadResult]:
-    """Integrals of exp(logf) over [lo, R] for each R of a nondecreasing list.
-
-    logf follows the contract of log_quad.  The consecutive segments
-    [lo, R1], [R1, R2], ... are refined together: each round makes one
-    logf call for the new panels of all open segments, while each segment
-    keeps its own tolerance test and panel budget, so it gets exactly the
-    panels log_quad alone would give it.  The result at R sums the
-    segments up to R: its panels and evals count those segments, and its
-    relative error is their combined one.  The integrand is nonnegative,
-    so when every segment meets rel_tol, every sum of them does too.
-    Radii at or below lo give -inf with zero error.  When a segment runs
-    out of panels, the QuadratureError of the first such segment is
-    raised.
-    """
-    return log_quad_tables(lambda x, starts: logf(x), [(lo, radii)],
-                           rel_tol=rel_tol)[0]
-
-
 def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                     ) -> list[list[LogQuadResult]]:
-    """log_quad_cumulative for several integrands, refined in one pass.
+    """Integrals of several integrands, each up to several radii, in one pass.
 
-    tables lists (lo, radii) pairs, each the integral of one integrand from
-    lo up to every radius of a nondecreasing list, as log_quad_cumulative
-    computes it; one list of results is returned per table.  The segments
-    of all tables are refined together.  Each round makes one call
+    tables lists (lo, radii) pairs, one per integrand, and one list of
+    results is returned per table: the integrals of exp(logf) from lo up to
+    each radius of a nondecreasing list.  The segments [lo, R1], [R1, R2],
+    ... of all tables are refined together, each with its own breakpoints,
+    tolerance test and 4096-panel budget, so it gets the panels log_quad
+    alone would give it.  The result at R sums the segments up to R, their
+    panels and their evals, with their combined relative error; at or below
+    lo it is -inf with zero error.  Each round makes one call
     logf(x, starts) for the new panels of every open segment: x holds the
-    nodes table by table, in table order, and the nodes of table t are
+    nodes table by table, in table order, and those of table t are
     x[starts[t]:starts[t + 1]], so logf can give each table its own
-    integrand.  Each segment keeps its own breakpoints, tolerance test and
-    4096-panel budget.  When integrals fail, the error raised is the one
-    that refining the tables one after another, in order, would raise.
+    integrand.  When integrals fail, the error raised is the one that
+    refining the tables one after another, in order, would raise.
     """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .models import ExpPower, ModelManifold, PowerLaw, RadialProfile, SharpPotential
-from .params import DomainError, Params, compute_C0
+from .params import DomainError, Params
 
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -161,15 +161,3 @@ def sharp_grid(ps=(1.5, 2.0, 3.0)) -> list[SharpExample]:
             for mu in (0.0, p / 2.0, p):
                 out.append(build_sharp_example(p, q, mu))
     return out
-
-
-def verify_rate_identity(example: SharpExample) -> float:
-    """Absolute gap between the example's rate and its threshold value.
-
-    mu < p: expected_rate must equal compute_C0(p, q, lam); the integrated
-    log-growth exponent is then C0/beta * R**beta.  mu = p: expected_rate
-    must equal C0 + p.
-    """
-    c0 = compute_C0(example.p, example.q, example.lam, example.params.k)
-    target = c0 if example.mu < example.p else c0 + example.p
-    return abs(example.expected_rate - target)

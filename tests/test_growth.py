@@ -27,7 +27,6 @@ from growthlab import (
     default_check_pairs,
     estimate_rate,
     growth_samples,
-    iterated_log,
     log_ball_integral,
     log_diff,
     log_energy_integral,
@@ -464,22 +463,6 @@ def test_classify_l1_condition():
     assert classify_l1_condition(2.5, 3.0, finite_radius_infinite=True) == "holds_only_for_small_r"
     # at the exact threshold the reciprocal power is 1, which integrates
     assert classify_l1_condition(2.0, 3.0) == "condition_holds"
-
-
-def test_iterated_log_values():
-    assert iterated_log(0, 5.0) == 1.0
-    assert iterated_log(1, math.e ** 2) == pytest.approx(2.0, rel=1e-14)
-    assert iterated_log(2, math.e ** math.e) == pytest.approx(math.e, rel=1e-13)
-
-
-def test_iterated_log_domain():
-    with pytest.raises(DomainError) as info:
-        iterated_log(2, math.e)
-    assert "depth 2" in str(info.value)
-    with pytest.raises(DomainError):
-        iterated_log(1, 0.0)
-    with pytest.raises(DomainError):
-        iterated_log(-1, 10.0)
 
 
 # ---------------------------------------------------------------------

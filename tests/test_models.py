@@ -21,9 +21,7 @@ from growthlab import (
     SharpPotential,
     build_sharp_example,
     fd_cross_check,
-    p_laplacian_radial,
     p_laplacian_scaled,
-    potential_sharp,
     sharp_grid,
     subsolution_residual,
 )
@@ -122,8 +120,7 @@ def test_derivatives_against_mpmath(profile, t=3.0):
     v = mp_profile(profile)
     d1 = mpmath.diff(v, mpmath.mpf(t))
     d2 = mpmath.diff(v, mpmath.mpf(t), 2)
-    assert profile.deriv(t) == pytest.approx(float(d1), rel=1e-11, abs=1e-14)
-    assert profile.deriv2(t) == pytest.approx(float(d2), rel=1e-11, abs=1e-14)
+    assert profile.d2_over_v(t) == pytest.approx(float(d2 / v(mpmath.mpf(t))), rel=1e-11, abs=1e-14)
     assert profile.dlog(t) == pytest.approx(float(d1 / v(mpmath.mpf(t))), rel=1e-12)
 
 
@@ -165,7 +162,6 @@ def test_p_laplacian_cylinder_frozen():
     # scaled form divides by v^(p-1) = t
     m = ModelManifold(PowerLaw(1.0))
     v = PowerLaw(1.0)
-    assert p_laplacian_radial(m, v, 2.0, 5.0) == pytest.approx(0.2, rel=1e-12)
     assert p_laplacian_scaled(m, v, 2.0, 5.0) == pytest.approx(0.04, rel=1e-12)
 
 
@@ -190,12 +186,12 @@ def test_euclidean_sphere_constants():
 def test_potential_constant_case():
     # a = 0, c = 1, mu = 0, p = 2 gives the constant potential 1
     for r in (1.0, 3.0, 50.0):
-        assert potential_sharp(2.0, 0.0, 0.0, 1.0, r) == pytest.approx(1.0, rel=1e-14)
+        assert SharpPotential(2.0, 0.0, 0.0, 1.0)(r) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_potential_borderline_decay():
     # mu = p makes the potential exactly lam / r^p with lam = 1 here
-    assert potential_sharp(2.0, 2.0, 0.0, 1.0, 10.0) == pytest.approx(0.01, rel=1e-13)
+    assert SharpPotential(2.0, 2.0, 0.0, 1.0)(10.0) == pytest.approx(0.01, rel=1e-13)
 
 
 def test_potential_adjusted_branch_frozen():

