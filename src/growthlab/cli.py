@@ -37,9 +37,9 @@ from dataclasses import asdict, dataclass, field
 from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
                      geometric_grid, sphere_log_slope, subsolution_residual)
 from .params import (CheckReport, DomainError, Params, QuadratureError,
-                     _check_finite_positive, classify_l1_condition,
-                     comparison_constants, compute_C0, derived_exponents,
-                     liouville_check, solve_C1)
+                     _check_finite_positive, _check_nonnegative,
+                     classify_l1_condition, comparison_constants, compute_C0,
+                     derived_exponents, liouville_check, solve_C1)
 from .sharp import build_sharp_example
 
 
@@ -202,6 +202,8 @@ def _handle_constants(o: dict) -> Report:
 
 def _handle_sharp(o: dict) -> Report:
     _require(o, "p", "q", "mu")
+    if o["rate_tol"] is not None:
+        _check_nonnegative("rate_tol", o["rate_tol"])
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     report = Report(example=_example_dict(ex))
     if o["rate"]:
@@ -220,6 +222,8 @@ def _handle_sharp(o: dict) -> Report:
 
 def _handle_verify(o: dict) -> Report:
     _require(o, "p", "q", "mu")
+    _check_nonnegative("residual_tol", o["residual_tol"])
+    _check_nonnegative("fd_tol", o["fd_tol"])
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = ex.t0 + 0.1, o["rmax"], o["num"]
     if num < 2:
@@ -273,12 +277,14 @@ def _handle_rate(o: dict) -> Report:
 
 
 def _handle_inequalities(o: dict) -> Report:
-    from .growth import run_inequality_suite
+    from .growth import default_check_pairs, run_inequality_suite
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     if o["eps_auto"]:
-        # the derived eps is what the report's config shows
-        o["eps"] = ex.eps_for_radius(ex.t0 + max(1.0, 0.2 * ex.t0))
+        # the deficit at the suite's smallest radius; the derived eps is
+        # what the report's config shows
+        o["eps"] = ex.eps_for_radius(
+            default_check_pairs(ex)["annulus-caccioppoli"][0])
     checks = run_inequality_suite(ex, eps=o["eps"], base_tol=o["tol"],
                                   rel_tol=o["quad_tol"])
     return Report(example=_example_dict(ex), checks=checks,

@@ -20,8 +20,10 @@ quadrature error estimates.
 Every G, H and J an example needs is computed in one refinement,
 _integrals: one log_quad_tables pass whose integrand evaluates the excess
 v - s0 and the warp once per node and forms each functional's integrand
-from them, so each round costs one integrand call for all of them.  Only
-the singular edge of H for q < p is a separate quadrature.
+from them, so each round costs one integrand call for all of them.  The
+singular edge of H for q < p is a table of that pass too, not a separate
+quadrature.  Integrals fail in the order G, edge, H, J, and the comparison
+constants come after them.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .models import (ModelManifold, RadialProfile, _log_excess,  # noqa: F401
                      log_sphere_integral, sphere_log_slope)
 from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
-                     classify_l1_condition, comparison_constants)
-from .quadrature import (LogQuadResult, _log_combine, log_quad,
-                         log_quad_tables, log_sum)
+                     _check_nonnegative, classify_l1_condition,
+                     comparison_constants)
+from .quadrature import _log_combine, log_quad_tables, log_sum
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -98,14 +100,16 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
     blows up like (s - t0)**(q - p) at the support edge; the leading piece
     over (t0, t1) is integrated after the substitution s = t0 + tau**(1/gamma)
     with gamma = q - p + 1, which removes the singularity exactly, and the
-    rest over (t1, R) directly.  The split point is t1 = t0 + min(1,
-    (R - t0)/2).  On the leading piece the excess v - s0 is expanded around
-    the computed edge through the profile's log_value_delta, treating
-    v(t0) = s0 as exact: the difference log v(s) - log s0 is needed at
-    separations far below the cancellation floor of direct subtraction.
-    (The value of a q < p integral is inherently sensitive to the edge
-    location at relative order ulp**gamma; the margins built from it are
-    insensitive to that.)
+    rest over (t1, R) directly.  The edge is a table of the one pass of
+    _integrals, not a separate quadrature, and comes before the rest, so
+    its failure is the one raised when both fail.  The split point is
+    t1 = t0 + min(1, (R - t0)/2).  On the leading piece the excess v - s0
+    is expanded around the computed edge through the profile's
+    log_value_delta, treating v(t0) = s0 as exact: the difference
+    log v(s) - log s0 is needed at separations far below the cancellation
+    floor of direct subtraction.  (The value of a q < p integral is
+    inherently sensitive to the edge location at relative order ulp**gamma;
+    the margins built from it are insensitive to that.)
     """
     return _integrals(manifold, profile, p, q, s0, [], [R], [], rel_tol)[1][0]
 
@@ -133,8 +137,9 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
             for R, (log_g, err) in zip(radii, G)]
 
 
-# in _integrals, table 0 is G's; these are H's and the first J interval's
-_H, _J = 1, 2
+# in _integrals, table 0 is G's; these are the singular edge's, H's and the
+# first J interval's
+_EDGE, _H, _J = 1, 2, 3
 
 
 def _integrals(manifold: ModelManifold, profile: RadialProfile,
@@ -148,11 +153,12 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
     With a singular edge (q < p, see log_energy_integral) the leading piece
-    of H over (t0, t1) is _log_edge, integrated once with t1 = t0 + min(1,
-    (R_min - t0)/2) from the smallest radius R_min above t0 and shared by
-    every radius, and the table of H starts at t1.  p may be None when
-    only G is asked for.  When several integrals fail, the error raised is
-    the first in the order G, edge, H, J.
+    of H over (t0, t1) is the edge table, integrated in tau once with
+    t1 = t0 + min(1, (R_min - t0)/2) from the smallest radius R_min above
+    t0 and shared by every radius, and the table of H starts at t1; else
+    the edge table is empty.  p may be None when only G is asked for.  The
+    tables are G, edge, H, then J, so when several integrals fail, the
+    error raised is the first in that order.
     """
     if h_radii:
         if not (p > 1.0):
@@ -164,72 +170,57 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
 
-    def logf(s: np.ndarray, starts: list[int]) -> np.ndarray:
-        h, j = starts[_H], starts[_J]
-        le = _log_excess(profile, log_s0, s)
+    def logf(x: np.ndarray, starts: list[int]) -> np.ndarray:
+        e, h, j = starts[_EDGE], starts[_H], starts[_J]
+        if e < h:
+            # the edge nodes are tau, at the radii s = t0 + tau**(1/gamma),
+            # where v - s0 is expanded as log_energy_integral says
+            eta = x[e:h] ** (1.0 / gamma)
+            d = profile.log_value_delta(t0, eta)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                le_edge = np.where(d > 0.0, log_s0 + np.log(np.expm1(d)),
+                                   -math.inf)
+            s = np.concatenate((x[:e], t0 + eta, x[h:]))
+            # the excess of the other nodes, in one call, and none if empty
+            rest = np.concatenate((x[:e], x[h:]))
+            le = _log_excess(profile, log_s0, rest) if rest.size else rest
+            le = np.concatenate((le[:e], le_edge, le[e:]))
+        else:
+            s, le = x, _log_excess(profile, log_s0, x)
         lw = manifold.log_warp(s)
         # G: log(g * w**q), -inf where w = 0
         out = lw + q * le
-        if h < j:
+        if e < j:
             # H vanishes where w = 0, and there (q - p) * le is nan for q = p
             with np.errstate(invalid="ignore"):
-                out[h:j] = np.where(
-                    le[h:j] > -math.inf,
-                    lw[h:j] + (q - p) * le[h:j]
-                    + p * profile.log_deriv(s[h:j]), -math.inf)
+                out[e:j] = np.where(
+                    le[e:j] > -math.inf,
+                    lw[e:j] + (q - p) * le[e:j]
+                    + p * profile.log_deriv(s[e:j]), -math.inf)
+        if e < h:
+            # ds = (1/gamma) * tau**(1/gamma - 1) dtau; as 1/gamma > 1, a
+            # node at tau = 0 gives -inf, not nan
+            with np.errstate(divide="ignore"):
+                out[e:h] = out[e:h] + (1.0 / gamma - 1.0) * np.log(x[e:h]) \
+                    - math.log(gamma)
         if j < len(s):
             # J: phi**(1/(1-p)), +inf where phi = 0
             out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
         return out
 
-    tables = [(t0, g_radii), (t0, h_radii)] + [(r, [R]) for r, R in j_pairs]
-    edge = None
+    tables = [(t0, g_radii), (0.0, []), (t0, h_radii)] \
+        + [(r, [R]) for r, R in j_pairs]
     above = [R for R in h_radii if R > t0]
     if above and q < p and s0 > 0.0 and t0 > profile.t_min:
         t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
+        tables[_EDGE] = (0.0, [(t1 - t0) ** gamma])
         tables[_H] = (t1, h_radii)
-        try:
-            edge = _log_edge(manifold, profile, p, q, log_s0, t0, t1,
-                             rel_tol)
-        except (DomainError, QuadratureError):
-            # G comes first, so its own failure is the one raised
-            _integrals(manifold, profile, p, q, s0, g_radii, [], [], rel_tol)
-            raise
-    g, h, *j = log_quad_tables(logf, tables, rel_tol=rel_tol)
-    lead = [edge] if edge is not None else []
-    h = [_log_combine(lead + [res]) if R > t0 else (-math.inf, 0.0)
+    g, edge, h, *j = log_quad_tables(logf, tables, rel_tol=rel_tol)
+    h = [_log_combine(edge + [res]) if R > t0 else (-math.inf, 0.0)
          for R, res in zip(h_radii, h)]
     return ([(log_omega + res.log_value, res.rel_error) for res in g],
             [(log_omega + log_h, rel) for log_h, rel in h],
             [(res.log_value, res.rel_error) for (res,) in j])
-
-
-def _log_edge(manifold: ModelManifold, profile: RadialProfile, p: float,
-              q: float, log_s0: float, t0: float, t1: float,
-              rel_tol: float) -> LogQuadResult:
-    """The integral of g * w**(q-p) * (v')**p over (t0, t1) for q < p.
-
-    The integrand blows up like (s - t0)**(q - p) at t0; in tau with
-    s = t0 + tau**(1/gamma), ds = (1/gamma) * tau**(1/gamma - 1) dtau and
-    gamma = q - p + 1 it is bounded, and it is integrated over
-    (0, (t1 - t0)**gamma], with v - s0 expanded as log_energy_integral says.
-    """
-    gamma = q - p + 1.0
-
-    def logf(tau: np.ndarray) -> np.ndarray:
-        eta = tau ** (1.0 / gamma)
-        d = profile.log_value_delta(t0, eta)
-        out = np.full(tau.shape, -math.inf)
-        on = d > 0.0
-        tau, eta = tau[on], eta[on]
-        le = log_s0 + np.log(np.expm1(d[on]))
-        s = t0 + eta
-        out[on] = manifold.log_warp(s) + (q - p) * le \
-            + p * profile.log_deriv(s) \
-            + (1.0 / gamma - 1.0) * np.log(tau) - math.log(gamma)
-        return out
-
-    return log_quad(logf, 0.0, (t1 - t0) ** gamma, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +228,9 @@ def _log_edge(manifold: ModelManifold, profile: RadialProfile, p: float,
 # ---------------------------------------------------------------------------
 
 
-def _extract_pairs(samples) -> tuple[list[float], list[float]]:
-    rs, ys = [], []
-    for s in samples:
-        if isinstance(s, GrowthSample):
-            rs.append(s.R)
-            ys.append(s.logG)
-        else:
-            r, y = s
-            rs.append(float(r))
-            ys.append(float(y))
-    return rs, ys
-
-
 def estimate_rate(samples, regime: str = "power",
                   beta: float | None = None) -> RateEstimate:
-    """Fit the leading growth exponent from (R, logG) samples.
+    """Fit the leading growth exponent from a list of GrowthSample.
 
     regime "power" (sub-borderline decay, beta = 1 - mu/p > 0) fits
     logG = A * R**beta + B * log R + C and reports rate = A * beta, which on
@@ -261,7 +239,7 @@ def estimate_rate(samples, regime: str = "power",
     and reports the slope A.  Requires at least 4 samples with strictly
     increasing radii and finite logG.
     """
-    rs, ys = _extract_pairs(samples)
+    rs, ys = [s.R for s in samples], [s.logG for s in samples]
     if len(rs) < 4:
         raise DomainError(f"need at least 4 samples, got {len(rs)}")
     if any(b <= a for a, b in zip(rs, rs[1:])):
@@ -350,8 +328,7 @@ def measure_rate(example: SharpExample, rmax: float | None = None,
 
 
 def _check_tol(base_tol: float, *rel_errors: float) -> float:
-    if not (base_tol >= 0.0):
-        raise DomainError(f"base_tol must be nonnegative, got {base_tol}")
+    _check_nonnegative("base_tol", base_tol)
     return base_tol + 10.0 * sum(rel_errors)
 
 
@@ -503,7 +480,9 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
 
     G, H and J are computed in one refinement over the union of the radii
     the nine checks need; each report equals its public check_* call up to
-    the rounding of the shared integration segments.
+    the rounding of the shared integration segments.  The integrals come
+    before the comparison constants, so they fail first, in the order G,
+    edge, H, J (see _integrals); then a bad eps raises its DomainError.
     """
     pairs = default_check_pairs(example)
     growth = pairs["growth-lower-bound"]
@@ -513,13 +492,8 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
     g_radii = [x for pair in growth for x in pair] + [r + h for r, h in annulus]
     h_radii = [r for _, r in growth] + [r for r, _ in annulus] \
         + [r for r, _ in capacity]
-    try:
-        cc = comparison_constants(example.params, eps)
-    except DomainError:
-        # G and H come before the constants, so their failures are raised
-        _tables(example, g_radii, h_radii, [], rel_tol)
-        raise
     G, H, J = _tables(example, g_radii, h_radii, capacity, rel_tol)
+    cc = comparison_constants(example.params, eps)
     reports = []
     for r1, r in growth:
         rep = _growth_lower_bound(example, cc, r1, r, G, H, base_tol)

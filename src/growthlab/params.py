@@ -61,6 +61,12 @@ def _check_finite_positive(name: str, r: float) -> None:
         raise DomainError(f"{name} must be finite and positive, got {r}")
 
 
+def _check_nonnegative(name: str, x: float) -> None:
+    """Raise DomainError naming x if it is nan or negative."""
+    if not (x >= 0.0):
+        raise DomainError(f"{name} must be nonnegative, got {x}")
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------

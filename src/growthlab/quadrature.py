@@ -31,9 +31,11 @@ ends is not halved, and an initial panel with a node rounded onto an end
 where the integrand is not finite fails too.  log_quad_tables refines
 integrals of several integrands up to several radii together, each with
 its own panels, tolerance test and panel budget, so a round costs one
-call however many are open: growthlab.growth refines all the G, H and J
-integrals of an example in one pass.  Panels are kept in position order,
-so results are deterministic.
+call however many are open: growthlab.growth refines every integral of an
+example (G, the singular edge of H, H and J) in one pass.  When integrals
+fail, the error raised is the one refining the tables alone, in order,
+would raise.  Panels are kept in position order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -269,18 +271,18 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     consecutive, in table order.  Each round evaluates the new panels of
     every open segment with one logf call (see _batch); a segment closes
     once it meets rel_tol.  A panel is halved only when every node of both
-    halves lies strictly inside them (_inside).  Raises the error of the
-    first segment, in list order, that fails: the QuadratureError of a
-    segment that misses rel_tol with max_panels panels, or with a panel to
-    halve below that floor, or the DomainError of an integrand value, which
-    fails its table from the table's first segment on, as it would if that
-    table were refined alone; so does an initial panel's floor error (_batch).
+    halves lies strictly inside them (_inside).  The error raised is the
+    one refining the tables alone, in order, would raise.  A segment fails
+    the tolerance test when it misses rel_tol with max_panels panels or with
+    a panel to halve below that floor; later segments then stop and earlier
+    ones go on, so the first such failure in list order is raised.  A logf
+    batch that raises (a DomainError of an integrand value, or an initial
+    panel's floor error, see _batch) and spans several tables is redone one
+    table at a time, from scratch and in order, and the first table's error
+    is raised; only that error path pays for the redo.
     """
     log_rel_tol = math.log(rel_tol)
     segs = [_Segment(*segment) for segment in segments]
-    first: dict[int, int] = {}
-    for i, seg in enumerate(segs):
-        first.setdefault(seg.table, i)
     results: list = [None] * len(segs)
     failure = None
     pending = [(i, None, seg.a, seg.b) for i, seg in enumerate(segs)]
@@ -288,24 +290,12 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
         try:
             k, e = _batch(logf, pending, segs, ntables, rel_tol)
         except (DomainError, QuadratureError):
-            tables = sorted({segs[job[0]].table for job in pending})
-            if len(tables) == 1:
-                raise
-            # the first table whose panels fail alone fails; the tables
-            # before it go on
-            for t in tables:
-                own = [job for job in pending if segs[job[0]].table == t]
-                try:
-                    _batch(logf, own, segs, ntables, rel_tol)
-                except (DomainError, QuadratureError) as exc:
-                    failure = (first[t], exc)
-                    break
-            else:
-                raise
-            pending = [job for job in pending if segs[job[0]].table < t]
-            if not pending:
-                break
-            k, e = _batch(logf, pending, segs, ntables, rel_tol)
+            tables = sorted({segs[i].table for i, _, _, _ in pending})
+            if len(tables) > 1:
+                for t in tables:
+                    _refine(logf, [seg for seg in segments if seg[3] == t],
+                            ntables, rel_tol, max_panels)
+            raise
         pos = 0
         for i, worst, ca, cb in pending:
             n = len(ca)
@@ -394,7 +384,8 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     nodes table by table, in table order, and those of table t are
     x[starts[t]:starts[t + 1]], so logf can give each table its own
     integrand.  When integrals fail, the error raised is the one that
-    refining the tables one after another, in order, would raise.
+    refining the tables one after another, in order, would raise (see
+    _refine).
     """
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol}")

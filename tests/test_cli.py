@@ -230,6 +230,19 @@ def test_bad_window_radius_exit_code(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["verify", "--residual-tol", "nan"], "residual_tol", "nan"),
+    (["verify", "--fd-tol=-1e-6"], "fd_tol", "-1e-06"),
+    (["sharp", "--rate", "--rate-tol", "-0.5"], "rate_tol", "-0.5"),
+    (["sharp", "--rate", "--rate-tol", "nan"], "rate_tol", "nan"),
+    (["inequalities", "--tol", "nan"], "base_tol", "nan"),
+])
+def test_bad_tolerance_exit_code(capsys, argv, flag, text):
+    rc, out, err = run(capsys, [*argv, "--p", "2", "--q", "3", "--mu", "1"])
+    assert (rc, out) == (2, "")
+    assert err == f"growthlab: error: {flag} must be nonnegative, got {text}\n"
+
+
 @pytest.mark.parametrize("config, env, key, text", [
     ("p = abc\nq = 3\nmu = 1\n", None, "p", "abc"),
     ("p = 2\nq = 3\nmu = 1\nsamples = 2.5\n", None, "samples", "2.5"),

@@ -187,10 +187,20 @@ EDGE_ORACLES = [
 
 
 @pytest.mark.parametrize("pq_mu, expected", EDGE_ORACLES)
-def test_singular_edge_piece_frozen_mpmath(pq_mu, expected):
+def test_singular_edge_piece_frozen_mpmath(pq_mu, expected, monkeypatch):
+    """H at R = t0 + 2 splits at t1 = t0 + 1; its edge table is the piece."""
     ex = build_sharp_example(*pq_mu)
-    res = growth._log_edge(ex.manifold, ex.profile, ex.p, ex.q, math.log(ex.s0),
-                           ex.t0, ex.t0 + 1.0, 1e-12)
+    tables, seen = growth.log_quad_tables, []
+
+    def spy(logf, specs, **kwargs):
+        results = tables(logf, specs, **kwargs)
+        seen.append((specs[growth._EDGE], results[growth._EDGE]))
+        return results
+
+    monkeypatch.setattr(growth, "log_quad_tables", spy)
+    log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, ex.t0 + 2.0)
+    [(spec, [res])] = seen
+    assert spec == (0.0, [((ex.t0 + 1.0) - ex.t0) ** (ex.q - ex.p + 1.0)])
     assert abs(res.log_value - float(expected)) <= 1e-14
     assert res.rel_error <= 1e-12
 
@@ -471,29 +481,20 @@ def test_classify_l1_condition():
 
 
 def _count_work(monkeypatch):
-    """Sum integrals, panels and evals over growth's calls to the two integrators."""
+    """Sum integrals, panels and evals over growth's calls to its integrator."""
     work = {"integrals": 0, "panels": 0, "evals": 0}
-    quad, tables = growth.log_quad, growth.log_quad_tables
-
-    def add(integrals, res):
-        work["integrals"] += integrals
-        work["panels"] += res.panels
-        work["evals"] += res.evals
-
-    def counted_quad(*args, **kwargs):
-        res = quad(*args, **kwargs)
-        add(1, res)
-        return res
+    tables = growth.log_quad_tables
 
     def counted_tables(logf, specs, **kwargs):
         results = tables(logf, specs, **kwargs)
         for (lo, radii), table in zip(specs, results):
             # one segment per distinct radius above lo; the last result sums them
             if table:
-                add(len({R for R in radii if R > lo}), table[-1])
+                work["integrals"] += len({R for R in radii if R > lo})
+                work["panels"] += table[-1].panels
+                work["evals"] += table[-1].evals
         return results
 
-    monkeypatch.setattr(growth, "log_quad", counted_quad)
     monkeypatch.setattr(growth, "log_quad_tables", counted_tables)
     return work
 
@@ -513,9 +514,8 @@ def test_rate_sweep_exact_work(monkeypatch):
 
 
 def test_sweep_integrand_batches(monkeypatch):
-    """One refinement per example: every G, H and J integral of a suite call
-    shares each round's integrand call, and only the singular edge adds its
-    own rounds."""
+    """One refinement per example: every G, edge, H and J integral of a
+    suite call shares each round's integrand call."""
     batches = [0]
     panels = quadrature._panels
 
@@ -526,7 +526,7 @@ def test_sweep_integrand_batches(monkeypatch):
     monkeypatch.setattr(quadrature, "_panels", counted)
     for ex in sharp_grid():
         run_inequality_suite(ex)
-    assert batches[0] == 230
+    assert batches[0] == 221
     batches[0] = 0
     for ex in sharp_grid():
         measure_rate(ex)

@@ -531,3 +531,26 @@ def test_tables_raise_the_first_table_error():
     with pytest.raises(DomainError) as info:
         log_quad_tables(_per_table(lambda t: -t * t, _nan_above(0.1)), tables)
     assert str(info.value) == str(alone.value)
+
+
+def test_budget_failure_is_not_refined_again():
+    """A table that runs out of panels fails at the tolerance test, first in
+    list order, so the pass makes no logf call past its joint rounds."""
+    wavy = lambda t: np.sin(3e3 * t)
+    calls = [0]
+
+    def counted(logf):
+        def f(x, starts):
+            calls[0] += 1
+            return logf(x, starts)
+        return f
+
+    with pytest.raises(QuadratureError) as alone:
+        log_quad_tables(counted(_per_table(wavy)), [(0.0, [2.0])])
+    rounds, calls[0] = calls[0], 0
+    for fs in ((wavy, lambda t: -t * t), (lambda t: -t * t, wavy)):
+        with pytest.raises(QuadratureError) as info:
+            log_quad_tables(counted(_per_table(*fs)), [(0.0, [2.0])] * 2)
+        assert (str(info.value), info.value.panels) == (str(alone.value), alone.value.panels)
+        assert calls[0] == rounds
+        calls[0] = 0
