@@ -73,7 +73,9 @@ _Q = ("--q", "q", float, None, "zero-order exponent")
 _MU = ("--mu", "mu", float, None, "potential decay exponent")
 _LAM = ("--lambda", "lam", float, None, "potential amplitude")
 _K = ("--k", "k", float, 1.0, "coercivity constant")
-# every command takes these after its own options and --config
+# every command takes these after its own options and --config; main checks
+# --tol and --quad-tol for every command, under the names of the library
+# arguments they set (base_tol, rel_tol), also where the command reads neither
 _SHARED = (
     ("--output", "output", str, None, "write the report to this path"),
     ("--format", "fmt", str, None, "report format: json or csv"),
@@ -528,6 +530,8 @@ def main(argv=None) -> int:
     _, handler, calls, options = _COMMANDS[args.command]
     try:
         resolved = _resolve(args, options + _SHARED)
+        _check_nonnegative("base_tol", resolved["tol"])
+        _check_finite_positive("rel_tol", resolved["quad_tol"])
         report = handler(resolved)
         report.command, report.config = args.command, resolved
         report.provenance = list(calls)

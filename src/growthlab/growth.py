@@ -20,10 +20,15 @@ quadrature error estimates.
 Every G, H and J an example needs is computed in one refinement,
 _integrals: one log_quad_tables pass whose integrand evaluates the excess
 v - s0 and the warp once per node and forms each functional's integrand
-from them, so each round costs one integrand call for all of them.  The
-singular edge of H for q < p is a table of that pass too, not a separate
-quadrature.  Integrals fail in the order G, edge, H, J, and the comparison
-constants come after them.
+from them, so each round costs one integrand call for all of them.  Near
+the support edge t0 the integrand of G behaves like (s - t0)**q and that of
+H like (s - t0)**(q - p), singular for q < p.  One rule serves both: when
+s0 > 0 and t0 lies inside the profile's domain, the piece of G, and of H,
+over (t0, t1] is a table of the same pass, integrated in a variable tau
+that makes its integrand smooth enough for the first round (see
+_integrals), with t1 = t0 + min(1, (R_min - t0)/2).  The tables are G's
+edge, G, H's edge, H, then J; integrals fail in that order, and the
+comparison constants come after them.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ import numpy as np
 
 # growth re-exports the sphere integrand, CheckReport and the l1 verdict
 from .models import (ModelManifold, RadialProfile, _log_excess,  # noqa: F401
-                     _log_level, _support_start, geometric_grid,
-                     log_sphere_integral, sphere_log_slope)
+                     _log_excess_of, _log_level, _support_start,
+                     geometric_grid, log_sphere_integral, sphere_log_slope)
 from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
                      _check_nonnegative, classify_l1_condition,
@@ -96,20 +101,21 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
                         rel_tol: float = 1e-12) -> tuple[float, float]:
     """H(R): log of the integral of omega * g * w**(q-p) * (v')**p.
 
-    Returns (log value, relative error estimate).  For q < p the integrand
-    blows up like (s - t0)**(q - p) at the support edge; the leading piece
-    over (t0, t1) is integrated after the substitution s = t0 + tau**(1/gamma)
-    with gamma = q - p + 1, which removes the singularity exactly, and the
-    rest over (t1, R) directly.  The edge is a table of the one pass of
-    _integrals, not a separate quadrature, and comes before the rest, so
-    its failure is the one raised when both fail.  The split point is
-    t1 = t0 + min(1, (R - t0)/2).  On the leading piece the excess v - s0
-    is expanded around the computed edge through the profile's
-    log_value_delta, treating v(t0) = s0 as exact: the difference
-    log v(s) - log s0 is needed at separations far below the cancellation
-    floor of direct subtraction.  (The value of a q < p integral is
-    inherently sensitive to the edge location at relative order ulp**gamma;
-    the margins built from it are insensitive to that.)
+    Returns (log value, relative error estimate).  The integrand behaves
+    like (s - t0)**(gamma - 1) at the support edge, gamma = q - p + 1, and
+    blows up there for q < p.  With s0 > 0, the leading piece over
+    (t0, t1], t1 = t0 + min(1, (R - t0)/2), is integrated after the
+    substitution s = t0 + tau**m with m = ceil(2*gamma)/gamma; for
+    gamma <= 1/2 that is m = 1/gamma, which removes the singularity
+    exactly.  The rest over (t1, R) is integrated directly.  The edge is a
+    table of the one pass of _integrals and comes before the rest, so its
+    failure is the one raised when both fail.  On the leading piece the
+    excess v - s0 is expanded around the computed edge through the
+    profile's log_value_delta, treating v(t0) = s0 as exact: the
+    difference log v(s) - log s0 is needed at separations far below the
+    cancellation floor of direct subtraction.  (The value of a q < p
+    integral is inherently sensitive to the edge location at relative
+    order ulp**gamma; the margins built from it are insensitive to that.)
     """
     return _integrals(manifold, profile, p, q, s0, [], [R], [], rel_tol)[1][0]
 
@@ -121,7 +127,11 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
 
     The integral runs once from the support start t0 through the grid:
     G at each radius is G at the previous one plus the integral over the
-    gap between them.  Radii at or below t0 give logG = -inf with zero
+    gap between them.  With s0 > 0 the integrand behaves like (s - t0)**q
+    at t0, and the first piece, over (t0, t1] with
+    t1 = t0 + min(1, (R_min - t0)/2) from the smallest radius R_min above
+    t0, is integrated at s = t0 + tau**m with m = ceil(2*(q + 1))/(q + 1)
+    (see _integrals).  Radii at or below t0 give logG = -inf with zero
     error.
     """
     if not (q > 0.0):
@@ -137,9 +147,26 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
             for R, (log_g, err) in zip(radii, G)]
 
 
-# in _integrals, table 0 is G's; these are the singular edge's, H's and the
-# first J interval's
-_EDGE, _H, _J = 1, 2, 3
+# the tables of _integrals, in order: the support edge of G, the rest of G,
+# the edge of H, the rest of H, then one per J interval
+_G_EDGE, _G, _H_EDGE, _H, _J = range(5)
+
+
+def _edge_split(t0: float, alpha: float, radii, edge: bool):
+    """(edge table, rest table, m) of a functional whose integrand behaves
+    like (s - t0)**(alpha - 1) at the support edge t0, up to radii.
+
+    With edge set and a radius above t0, the edge piece over (t0, t1] with
+    t1 = t0 + min(1, (R_min - t0)/2), R_min the smallest such radius, is
+    integrated in tau at the radii s = t0 + tau**m, m = ceil(2*alpha)/alpha,
+    and the rest table starts at t1; else the edge table is empty.
+    """
+    above = [R for R in radii if R > t0]
+    if not (edge and above):
+        return (0.0, []), (t0, radii), 1.0
+    n = math.ceil(2.0 * alpha)
+    t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
+    return (0.0, [(t1 - t0) ** (alpha / n)]), (t1, radii), n / alpha
 
 
 def _integrals(manifold: ModelManifold, profile: RadialProfile,
@@ -152,14 +179,20 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     start t0 give -inf with zero error.  All of them are refined in one
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
-    With a singular edge (q < p, see log_energy_integral) the leading piece
-    of H over (t0, t1) is the edge table, integrated in tau once with
-    t1 = t0 + min(1, (R_min - t0)/2) from the smallest radius R_min above
-    t0 and shared by every radius, and the table of H starts at t1; else
-    the edge table is empty.  p may be None when only G is asked for.  The
-    tables are G, edge, H, then J, so when several integrals fail, the
+    When s0 > 0 and t0 > t_min, the integrands of G and H behave like
+    (s - t0)**(alpha - 1) at t0, with alpha = q + 1 for G and
+    alpha = gamma = q - p + 1 for H, and each has an edge table over
+    (t0, t1] in tau (see _edge_split), shared by all of its radii.  In tau
+    the integrand is tau**(ceil(2*alpha) - 1) times a function of tau**m
+    with m >= 2, so QK15 need not bisect toward t0 to resolve it; for
+    gamma <= 1/2, m = 1/gamma removes the singularity of H for q < p.  On
+    edge nodes the excess v - s0 is expanded around t0 through the
+    profile's log_value_delta, treating v(t0) = s0 as exact, and log_value
+    is not called.  p may be None when only G is asked for.  The tables are
+    G's edge, G, H's edge, H, then J, so when several integrals fail, the
     error raised is the first in that order.
     """
+    gamma = None
     if h_radii:
         if not (p > 1.0):
             raise DomainError(f"p must exceed 1, got {p}")
@@ -169,58 +202,65 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_s0 = _log_level(s0)
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
+    edge = s0 > 0.0 and t0 > profile.t_min
+    g_edge, g_rest, m_g = _edge_split(t0, q + 1.0, g_radii, edge)
+    h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
     def logf(x: np.ndarray, starts: list[int]) -> np.ndarray:
-        e, h, j = starts[_EDGE], starts[_H], starts[_J]
-        if e < h:
-            # the edge nodes are tau, at the radii s = t0 + tau**(1/gamma),
-            # where v - s0 is expanded as log_energy_integral says
-            eta = x[e:h] ** (1.0 / gamma)
-            d = profile.log_value_delta(t0, eta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                le_edge = np.where(d > 0.0, log_s0 + np.log(np.expm1(d)),
-                                   -math.inf)
-            s = np.concatenate((x[:e], t0 + eta, x[h:]))
-            # the excess of the other nodes, in one call, and none if empty
-            rest = np.concatenate((x[:e], x[h:]))
-            le = _log_excess(profile, log_s0, rest) if rest.size else rest
-            le = np.concatenate((le[:e], le_edge, le[e:]))
+        ge, g, he, h, j = starts[:_J + 1]
+        edges = [(lo, hi, m) for lo, hi, m in ((ge, g, m_g), (he, h, m_h))
+                 if lo < hi]
+        if edges:
+            # the radii s, log v and d = log v - log s0 at every node; the
+            # edge nodes are tau, at s = t0 + tau**m
+            s, lv, d = x.copy(), np.empty_like(x), np.empty_like(x)
+            for lo, hi, m in edges:
+                eta = x[lo:hi] ** m
+                s[lo:hi] = t0 + eta
+                d[lo:hi] = profile.log_value_delta(t0, eta)
+                lv[lo:hi] = log_s0 + d[lo:hi]
+            # log v of the other nodes, in one call, and none if there are
+            # none; s0 > 0 where there is an edge, so d is finite
+            rest = np.concatenate((x[g:he], x[h:]))
+            if rest.size:
+                lv_rest = profile.log_value(rest)
+                lv[g:he], lv[h:] = lv_rest[:he - g], lv_rest[he - g:]
+                d[g:he], d[h:] = lv[g:he] - log_s0, lv[h:] - log_s0
+            le = _log_excess_of(log_s0, lv, d)
         else:
             s, le = x, _log_excess(profile, log_s0, x)
         lw = manifold.log_warp(s)
         # G: log(g * w**q), -inf where w = 0
         out = lw + q * le
-        if e < j:
+        if he < j:
             # H vanishes where w = 0, and there (q - p) * le is nan for q = p
             with np.errstate(invalid="ignore"):
-                out[e:j] = np.where(
-                    le[e:j] > -math.inf,
-                    lw[e:j] + (q - p) * le[e:j]
-                    + p * profile.log_deriv(s[e:j]), -math.inf)
-        if e < h:
-            # ds = (1/gamma) * tau**(1/gamma - 1) dtau; as 1/gamma > 1, a
-            # node at tau = 0 gives -inf, not nan
+                out[he:j] = np.where(
+                    le[he:j] > -math.inf,
+                    lw[he:j] + (q - p) * le[he:j]
+                    + p * profile.log_deriv(s[he:j]), -math.inf)
+        for lo, hi, m in edges:
+            # ds = m * tau**(m - 1) dtau; as m > 1, a node at tau = 0 gives
+            # -inf, not nan
             with np.errstate(divide="ignore"):
-                out[e:h] = out[e:h] + (1.0 / gamma - 1.0) * np.log(x[e:h]) \
-                    - math.log(gamma)
+                out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
         if j < len(s):
             # J: phi**(1/(1-p)), +inf where phi = 0
             out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
         return out
 
-    tables = [(t0, g_radii), (0.0, []), (t0, h_radii)] \
-        + [(r, [R]) for r, R in j_pairs]
-    above = [R for R in h_radii if R > t0]
-    if above and q < p and s0 > 0.0 and t0 > profile.t_min:
-        t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
-        tables[_EDGE] = (0.0, [(t1 - t0) ** gamma])
-        tables[_H] = (t1, h_radii)
-    g, edge, h, *j = log_quad_tables(logf, tables, rel_tol=rel_tol)
-    h = [_log_combine(edge + [res]) if R > t0 else (-math.inf, 0.0)
-         for R, res in zip(h_radii, h)]
-    return ([(log_omega + res.log_value, res.rel_error) for res in g],
-            [(log_omega + log_h, rel) for log_h, rel in h],
-            [(res.log_value, res.rel_error) for (res,) in j])
+    tables = [g_edge, g_rest, h_edge, h_rest] + [(r, [R]) for r, R in j_pairs]
+    g_piece, g_res, h_piece, h_res, *j_res = log_quad_tables(
+        logf, tables, rel_tol=rel_tol)
+
+    def whole(radii, piece, results):
+        # the edge piece, empty without an edge, plus the rest up to R
+        return [(log_omega + v, rel) for v, rel in (
+            _log_combine(piece + [res]) if R > t0 else (-math.inf, 0.0)
+            for R, res in zip(radii, results))]
+
+    return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
+            [(res.log_value, res.rel_error) for (res,) in j_res])
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +521,9 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
     G, H and J are computed in one refinement over the union of the radii
     the nine checks need; each report equals its public check_* call up to
     the rounding of the shared integration segments.  The integrals come
-    before the comparison constants, so they fail first, in the order G,
-    edge, H, J (see _integrals); then a bad eps raises its DomainError.
+    before the comparison constants, so they fail first, in the order G's
+    edge, G, H's edge, H, J (see _integrals); then a bad eps raises its
+    DomainError.
     """
     pairs = default_check_pairs(example)
     growth = pairs["growth-lower-bound"]

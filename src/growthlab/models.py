@@ -362,19 +362,26 @@ def _log_excess(profile: RadialProfile, log_s0: float, s):
     if log_s0 == -math.inf:
         return lv
     d = lv - log_s0
-    xp = _ns(d)
-    if xp is not math:
-        # both branches on every node, each kept where the scalar path takes it
-        with xp.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            near = log_s0 + xp.log(xp.expm1(d))
-            far = lv + xp.log1p(-xp.exp(-d))
-        return xp.where(d <= 0.0, -math.inf, xp.where(d < 0.7, near, far))
+    if _ns(d) is not math:
+        return _log_excess_of(log_s0, lv, d)
     if d <= 0.0:
         return -math.inf
     if d < 0.7:
         # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
         return log_s0 + math.log(math.expm1(d))
     return lv + math.log1p(-math.exp(-d))
+
+
+def _log_excess_of(log_s0: float, lv, d):
+    """The array form of _log_excess for s0 > 0, from ndarrays lv = log v
+    and d = log v - log s0, which a caller may know more accurately than
+    the difference of the two logs."""
+    np = sys.modules["numpy"]
+    # both branches on every node, each kept where the scalar path takes it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        near = log_s0 + np.log(np.expm1(d))
+        far = lv + np.log1p(-np.exp(-d))
+    return np.where(d <= 0.0, -math.inf, np.where(d < 0.7, near, far))
 
 
 def _log_level(s0: float) -> float:

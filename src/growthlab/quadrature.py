@@ -32,9 +32,9 @@ where the integrand is not finite fails too.  log_quad_tables refines
 integrals of several integrands up to several radii together, each with
 its own panels, tolerance test and panel budget, so a round costs one
 call however many are open: growthlab.growth refines every integral of an
-example (G, the singular edge of H, H and J) in one pass.  When integrals
-fail, the error raised is the one refining the tables alone, in order,
-would raise.  Panels are kept in position order, so results are
+example (G and H, each with its support edge, and J) in one pass.  When
+integrals fail, the error raised is the one refining the tables alone, in
+order, would raise.  Panels are kept in position order, so results are
 deterministic.
 """
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -89,13 +90,14 @@ _LOG_WG = np.array([_NODES[i][2] for i in _G7])
 
 def log_sum(values) -> float:
     """log(sum(exp(v))) over an iterable of log values; -inf for empty input."""
-    vals = [v for v in values if v != -math.inf]
+    vals = values if isinstance(values, list) else list(values)
     if not vals:
         return -math.inf
     m = max(vals)
-    if m == math.inf:
-        return math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    if m == -math.inf or m == math.inf:
+        return m
+    # exp(-inf - m) is 0.0, which leaves the exactly rounded sum as it is
+    return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
 
 
 def log_diff(a: float, b: float) -> float:
@@ -227,12 +229,20 @@ class _Segment:
         if worst is None:
             self.k, self.e = k, e
             return
-        for j in reversed(range(len(worst))):
-            i, pair = worst[j], slice(2 * j, 2 * j + 2)
-            self.a[i:i + 1] = ca[pair]
-            self.b[i:i + 1] = cb[pair]
-            self.k[i:i + 1] = k[pair]
-            self.e[i:i + 1] = e[pair]
+        # one merge pass: take from each list the panels before each panel
+        # in worst, then its halves, which follow the n old ones; with at
+        # least one panel halved, take returns a tuple
+        n, order, prev = len(self.a), [], 0
+        for j, i in enumerate(worst):
+            order += range(prev, i)
+            order += (n + 2 * j, n + 2 * j + 1)
+            prev = i + 1
+        order += range(prev, n)
+        take = itemgetter(*order)
+        self.a = list(take(self.a + ca))
+        self.b = list(take(self.b + cb))
+        self.k = list(take(self.k + k))
+        self.e = list(take(self.e + e))
 
     def failure(self, reason: str, rel_tol: float) -> QuadratureError:
         """This integral's QuadratureError, with its panels' estimate."""

@@ -243,6 +243,40 @@ def test_bad_tolerance_exit_code(capsys, argv, flag, text):
     assert err == f"growthlab: error: {flag} must be nonnegative, got {text}\n"
 
 
+@pytest.mark.parametrize("argv, config, env, message", [
+    (["verify", "--p", "2", "--q", "3", "--mu", "1", "--tol", "nan"], None, None,
+     "base_tol must be nonnegative, got nan"),
+    (["verify", "--p", "2", "--q", "3", "--mu", "1", "--quad-tol", "nan"], None, None,
+     "rel_tol must be finite and positive, got nan"),
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--tol", "nan"], None, None,
+     "base_tol must be nonnegative, got nan"),
+    (["l1", "--p", "2", "--q", "3", "--mu", "2", "--quad-tol", "-1"], None, None,
+     "rel_tol must be finite and positive, got -1.0"),
+    (["liouville", "--p", "2", "--q", "3", "--lambda", "1", "--growth", "1", "--tol", "nan"], None, None,
+     "base_tol must be nonnegative, got nan"),
+    (["sharp", "--p", "2", "--q", "3", "--mu", "1", "--tol", "nan"], None, None,
+     "base_tol must be nonnegative, got nan"),
+    (["rate", "--p", "2", "--q", "3", "--mu", "1", "--quad-tol", "0"], None, None,
+     "rel_tol must be finite and positive, got 0.0"),
+    (["verify"], "p = 2\nq = 3\nmu = 1\nquad-tol = -1e-12\n", None,
+     "rel_tol must be finite and positive, got -1e-12"),
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"], None, "nan",
+     "base_tol must be nonnegative, got nan"),
+], ids=["verify-tol", "verify-quad-tol", "constants-tol", "l1-quad-tol", "liouville-tol",
+        "sharp-tol", "rate-quad-tol-zero", "config-quad-tol", "env-tol"])
+def test_bad_shared_tolerance_exit_code(capsys, tmp_path, monkeypatch, argv, config, env, message):
+    """--tol and --quad-tol are checked for every command, from any source."""
+    if config is not None:
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    if env is not None:
+        monkeypatch.setenv("GROWTHLAB_TOL", env)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"growthlab: error: {message}\n"
+
+
 @pytest.mark.parametrize("config, env, key, text", [
     ("p = abc\nq = 3\nmu = 1\n", None, "p", "abc"),
     ("p = 2\nq = 3\nmu = 1\nsamples = 2.5\n", None, "samples", "2.5"),

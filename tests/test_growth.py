@@ -194,7 +194,7 @@ def test_singular_edge_piece_frozen_mpmath(pq_mu, expected, monkeypatch):
 
     def spy(logf, specs, **kwargs):
         results = tables(logf, specs, **kwargs)
-        seen.append((specs[growth._EDGE], results[growth._EDGE]))
+        seen.append((specs[growth._H_EDGE], results[growth._H_EDGE]))
         return results
 
     monkeypatch.setattr(growth, "log_quad_tables", spy)
@@ -203,6 +203,32 @@ def test_singular_edge_piece_frozen_mpmath(pq_mu, expected, monkeypatch):
     assert spec == (0.0, [((ex.t0 + 1.0) - ex.t0) ** (ex.q - ex.p + 1.0)])
     assert abs(res.log_value - float(expected)) <= 1e-14
     assert res.rel_error <= 1e-12
+
+
+# log G and log H at R = t0 + 1 across a support edge that is not singular:
+# G's (alpha = q + 1) and H's for q > p (alpha = gamma > 1), from a separate
+# 40-digit mpmath session: tanh-sinh in eta = s - t0, which agreed to 1e-40
+# with a 60-digit run and with Gauss-Legendre in eta = u**k.  As for
+# EDGE_ORACLES, the excess is s0 * expm1(c t0**beta expm1(beta log1p(eta/t0)))
+# with the double t0 and s0, so that v(t0) = s0 exactly as in the code.
+SUPPORT_EDGE_ORACLES = [
+    ((1.5, 0.625, 0.0), "G", "4.321660665606050680783146387701441309656"),
+    ((1.5, 0.75, 0.75), "G", "1.662857361529392093161710576393368034596"),
+    ((1.5, 1.75, 0.75), "G", "1.513996404856073033281614632082064540889"),
+    ((1.5, 1.75, 0.0), "H", "6.00269654203608832304161505577780668598"),
+    ((1.5, 1.75, 0.75), "H", "2.2731054332376221322274923677101158739"),
+]
+
+
+@pytest.mark.parametrize("pq_mu, functional, expected", SUPPORT_EDGE_ORACLES)
+def test_support_edge_frozen_mpmath(pq_mu, functional, expected):
+    ex = build_sharp_example(*pq_mu)
+    R = ex.t0 + 1.0
+    if functional == "G":
+        log_value = log_ball_integral(ex.manifold, ex.profile, ex.q, ex.s0, R).logG
+    else:
+        log_value, _ = log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
+    assert abs(log_value - float(expected)) <= 2e-15
 
 
 def test_energy_integral_neutral_power_closed_form():
@@ -503,19 +529,20 @@ def test_suite_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         run_inequality_suite(ex)
-    assert work == {"integrals": 414, "panels": 3697, "evals": 61230}
+    assert work == {"integrals": 459, "panels": 3880, "evals": 61320}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         measure_rate(ex)
-    assert work == {"integrals": 189, "panels": 2546, "evals": 53700}
+    assert work == {"integrals": 216, "panels": 2759, "evals": 56850}
 
 
 def test_sweep_integrand_batches(monkeypatch):
     """One refinement per example: every G, edge, H and J integral of a
-    suite call shares each round's integrand call."""
+    suite call shares each round's integrand call, and the support edges,
+    integrated in tau, need no bisection toward t0."""
     batches = [0]
     panels = quadrature._panels
 
@@ -524,13 +551,17 @@ def test_sweep_integrand_batches(monkeypatch):
         return panels(*args)
 
     monkeypatch.setattr(quadrature, "_panels", counted)
+    per_example = []
     for ex in sharp_grid():
+        batches[0] = 0
         run_inequality_suite(ex)
-    assert batches[0] == 221
+        per_example.append(batches[0])
+    assert sum(per_example) == 80
+    assert max(per_example) <= 5
     batches[0] = 0
     for ex in sharp_grid():
         measure_rate(ex)
-    assert batches[0] == 179
+    assert batches[0] == 178
 
 
 # ---------------------------------------------------------------------
@@ -539,16 +570,17 @@ def test_sweep_integrand_batches(monkeypatch):
 
 
 def test_g_failure_raised_before_the_edge():
-    """At gamma = 0.01 the singular edge runs out of panels, and at
-    rel_tol=1e-100 so does G: G's failure is the one raised, as G alone."""
-    ex = build_sharp_example(2.0, 1.01, 0.0)
+    """At gamma = 0.01 the singular edge of H runs out of panels, and at
+    rel_tol=1e-100 so does G past its own edge, over (t0 + 1, b + 1): G's
+    failure is the one raised, as G alone."""
+    ex = build_sharp_example(1.5, 0.51, 0.75)
     b = default_check_pairs(ex)["annulus-caccioppoli"][0]
     with pytest.raises(QuadratureError) as alone:
         growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [b + 1.0], rel_tol=1e-100)
     with pytest.raises(QuadratureError) as info:
         check_caccioppoli(ex, b, h=1.0, rel_tol=1e-100)
     assert (str(info.value), info.value.panels) == (str(alone.value), alone.value.panels)
-    assert str(info.value).startswith(f"needed more than 4096 panels on [{ex.t0}, ")
+    assert str(info.value).startswith(f"needed more than 4096 panels on [{ex.t0 + 1.0}, ")
     with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
         check_caccioppoli(ex, b)
 
