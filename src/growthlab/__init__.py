@@ -25,7 +25,7 @@ _HOMES = {
         "log_ball_integral", "log_energy_integral", "measure_rate",
         "rate_window", "run_inequality_suite"),
     "models": (
-        "Affine", "ExpPower", "ModelManifold", "PHarmonicRn", "PowerLaw",
+        "ExpPower", "ModelManifold", "PHarmonicRn", "PowerLaw",
         "RadialProfile", "SharpPotential", "fd_cross_check",
         "log_sphere_integral", "p_laplacian_scaled", "sphere_log_slope",
         "subsolution_residual"),
@@ -34,7 +34,7 @@ _HOMES = {
         "DomainError", "Params", "QuadratureError", "classify_l1_condition",
         "comparison_constants", "compute_C0", "derived_exponents",
         "liouville_check", "solve_C1"),
-    "quadrature": ("LogQuadResult", "log_diff", "log_quad", "log_sum"),
+    "quadrature": ("LogQuadResult", "log_quad", "log_sum"),
     "sharp": (
         "SharpExample", "build_sharp_example", "choose_ac", "default_qs",
         "sharp_grid"),

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -514,8 +515,11 @@ def _emit(report: Report, options: dict) -> None:
         raise DomainError(f"unknown format {fmt!r}; use json or csv")
     if output:
         chosen = fmt or ("csv" if output.endswith(".csv") else "json")
+        # render first: a report with no csv table leaves the file as it was
+        text = io.StringIO()
+        (emit_csv if chosen == "csv" else emit_json)(report, text)
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            (emit_csv if chosen == "csv" else emit_json)(report, fh)
+            fh.write(text.getvalue())
         print(f"wrote {chosen} report to {output}")
     elif fmt == "json":
         emit_json(report, sys.stdout)

@@ -24,11 +24,10 @@ from them, so each round costs one integrand call for all of them.  Near
 the support edge t0 the integrand of G behaves like (s - t0)**q and that of
 H like (s - t0)**(q - p), singular for q < p.  One rule serves both: when
 s0 > 0 and t0 lies inside the profile's domain, the piece of G, and of H,
-over (t0, t1] is a table of the same pass, integrated in a variable tau
-that makes its integrand smooth enough for the first round (see
-_integrals), with t1 = t0 + min(1, (R_min - t0)/2).  The tables are G's
-edge, G, H's edge, H, then J; integrals fail in that order, and the
-comparison constants come after them.
+next to t0 is a table of the same pass, integrated in a variable tau that
+makes its integrand smooth enough for the first round (see _edge_split).
+The tables are G's edge, G, H's edge, H, then J; integrals fail in that
+order, and the comparison constants come after them.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # growth re-exports the sphere integrand, CheckReport and the l1 verdict
-from .models import (ModelManifold, RadialProfile, _log_excess,  # noqa: F401
+from .models import (ModelManifold, RadialProfile,  # noqa: F401
                      _log_excess_of, _log_level, _support_start,
                      geometric_grid, log_sphere_integral, sphere_log_slope)
 from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
@@ -103,13 +102,11 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
 
     Returns (log value, relative error estimate).  The integrand behaves
     like (s - t0)**(gamma - 1) at the support edge, gamma = q - p + 1, and
-    blows up there for q < p.  With s0 > 0, the leading piece over
-    (t0, t1], t1 = t0 + min(1, (R - t0)/2), is integrated after the
-    substitution s = t0 + tau**m with m = ceil(2*gamma)/gamma; for
-    gamma <= 1/2 that is m = 1/gamma, which removes the singularity
-    exactly.  The rest over (t1, R) is integrated directly.  The edge is a
-    table of the one pass of _integrals and comes before the rest, so its
-    failure is the one raised when both fail.  On the leading piece the
+    blows up there for q < p.  With s0 > 0, the leading piece next to t0
+    is integrated in a variable that removes the singularity (see
+    _edge_split), and the rest up to R directly.  The edge is a table of
+    the one pass of _integrals and comes before the rest, so its failure
+    is the one raised when both fail.  On the leading piece the
     excess v - s0 is expanded around the computed edge through the
     profile's log_value_delta, treating v(t0) = s0 as exact: the
     difference log v(s) - log s0 is needed at separations far below the
@@ -128,11 +125,9 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
     The integral runs once from the support start t0 through the grid:
     G at each radius is G at the previous one plus the integral over the
     gap between them.  With s0 > 0 the integrand behaves like (s - t0)**q
-    at t0, and the first piece, over (t0, t1] with
-    t1 = t0 + min(1, (R_min - t0)/2) from the smallest radius R_min above
-    t0, is integrated at s = t0 + tau**m with m = ceil(2*(q + 1))/(q + 1)
-    (see _integrals).  Radii at or below t0 give logG = -inf with zero
-    error.
+    at t0, and the first piece, next to t0, is integrated in a variable
+    that makes it smooth (see _edge_split).  Radii at or below t0 give
+    logG = -inf with zero error.
     """
     if not (q > 0.0):
         raise DomainError(f"q must be positive, got {q}")
@@ -159,7 +154,10 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool):
     With edge set and a radius above t0, the edge piece over (t0, t1] with
     t1 = t0 + min(1, (R_min - t0)/2), R_min the smallest such radius, is
     integrated in tau at the radii s = t0 + tau**m, m = ceil(2*alpha)/alpha,
-    and the rest table starts at t1; else the edge table is empty.
+    and the rest table starts at t1; else the edge table is empty.  In tau
+    the integrand is tau**(ceil(2*alpha) - 1) times a function of tau**m
+    with m >= 2, so QK15 need not bisect toward t0 to resolve it, and for
+    alpha < 1 (H at q < p) no singularity is left.
     """
     above = [R for R in radii if R > t0]
     if not (edge and above):
@@ -181,14 +179,13 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     one integrand that evaluates the excess and the warp once per node.
     When s0 > 0 and t0 > t_min, the integrands of G and H behave like
     (s - t0)**(alpha - 1) at t0, with alpha = q + 1 for G and
-    alpha = gamma = q - p + 1 for H, and each has an edge table over
-    (t0, t1] in tau (see _edge_split), shared by all of its radii.  In tau
-    the integrand is tau**(ceil(2*alpha) - 1) times a function of tau**m
-    with m >= 2, so QK15 need not bisect toward t0 to resolve it; for
-    gamma <= 1/2, m = 1/gamma removes the singularity of H for q < p.  On
-    edge nodes the excess v - s0 is expanded around t0 through the
-    profile's log_value_delta, treating v(t0) = s0 as exact, and log_value
-    is not called.  p may be None when only G is asked for.  The tables are
+    alpha = gamma = q - p + 1 for H, and each has an edge table next to t0
+    (see _edge_split), shared by all of its radii.  On edge nodes the
+    excess v - s0 is expanded around t0 through the profile's
+    log_value_delta, treating v(t0) = s0 as exact, and log_value is not
+    called.  s0 = 0 or t0 <= t_min gives empty edge tables, and the same
+    integrand then calls log_value on every node.  p may be None when only
+    G is asked for.  The tables are
     G's edge, G, H's edge, H, then J, so when several integrals fail, the
     error raised is the first in that order.
     """
@@ -210,25 +207,22 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         ge, g, he, h, j = starts[:_J + 1]
         edges = [(lo, hi, m) for lo, hi, m in ((ge, g, m_g), (he, h, m_h))
                  if lo < hi]
-        if edges:
-            # the radii s, log v and d = log v - log s0 at every node; the
-            # edge nodes are tau, at s = t0 + tau**m
-            s, lv, d = x.copy(), np.empty_like(x), np.empty_like(x)
-            for lo, hi, m in edges:
-                eta = x[lo:hi] ** m
-                s[lo:hi] = t0 + eta
-                d[lo:hi] = profile.log_value_delta(t0, eta)
-                lv[lo:hi] = log_s0 + d[lo:hi]
-            # log v of the other nodes, in one call, and none if there are
-            # none; s0 > 0 where there is an edge, so d is finite
-            rest = np.concatenate((x[g:he], x[h:]))
-            if rest.size:
-                lv_rest = profile.log_value(rest)
-                lv[g:he], lv[h:] = lv_rest[:he - g], lv_rest[he - g:]
-                d[g:he], d[h:] = lv[g:he] - log_s0, lv[h:] - log_s0
-            le = _log_excess_of(log_s0, lv, d)
-        else:
-            s, le = x, _log_excess(profile, log_s0, x)
+        # the radii s, log v and d = log v - log s0 at every node; the edge
+        # nodes are tau, at s = t0 + tau**m, and s0 > 0 where there is an
+        # edge, so d is finite there
+        s, lv, d = x.copy(), np.empty_like(x), np.empty_like(x)
+        for lo, hi, m in edges:
+            eta = x[lo:hi] ** m
+            s[lo:hi] = t0 + eta
+            d[lo:hi] = profile.log_value_delta(t0, eta)
+            lv[lo:hi] = log_s0 + d[lo:hi]
+        # log v of the other nodes, in one call, and none if there are none
+        rest = np.concatenate((x[g:he], x[h:]))
+        if rest.size:
+            lv_rest = profile.log_value(rest)
+            lv[g:he], lv[h:] = lv_rest[:he - g], lv_rest[he - g:]
+            d[g:he], d[h:] = lv[g:he] - log_s0, lv[h:] - log_s0
+        le = _log_excess_of(log_s0, lv, d)
         lw = manifold.log_warp(s)
         # G: log(g * w**q), -inf where w = 0
         out = lw + q * le
@@ -320,7 +314,7 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     its value at rmax), from 1/30 of that.  The start does not bound the
     truncation term q * log(1 - s0 * exp(-c * R**beta)), which the "power"
     model cannot absorb: at (10, 100, 0) it is R = 3.66 and the fit gives
-    90.778 against 91.0, residual 6.9 (ROADMAP item 3).  Radii past the
+    90.778 against 91.0, residual 6.9 (see ROADMAP).  Radii past the
     largest double, or an rmax that is not finite and positive, raise
     DomainError.
     """

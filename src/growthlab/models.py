@@ -16,7 +16,7 @@ therefore exposes a logarithmic interface
 and the operator routines work with the scaled quantity
 Delta_p(v) / v**(p-1), which stays bounded.
 
-log_value, log_deriv and log_value_delta of the four profiles below take
+log_value, log_deriv and log_value_delta of the three profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
 an ndarray of the same shape: the quadrature evaluates its integrands a
 batch of nodes at a time.  The other methods take one radius.
@@ -215,49 +215,6 @@ class ExpPower(RadialProfile):
         return f"ExpPower(c={self.c}, beta={self.beta})"
 
 
-class Affine(RadialProfile):
-    """v(t) = slope * t + offset with slope > 0."""
-
-    def __init__(self, slope: float, offset: float = 0.0):
-        if not (slope > 0.0):
-            raise DomainError(f"slope must be positive, got {slope}")
-        self.slope = float(slope)
-        self.offset = float(offset)
-        self.t_min = max(0.0, -offset / slope)
-
-    def value(self, t: float) -> float:
-        self._check_t(t)
-        return self.slope * t + self.offset
-
-    def log_value(self, t):
-        xp = self._check_radii(t)
-        return xp.log(self.slope * t + self.offset)
-
-    def dlog(self, t: float) -> float:
-        return self.slope / self.value(t)
-
-    def d2_over_v(self, t: float) -> float:
-        self._check_t(t)
-        return 0.0
-
-    def log_deriv(self, t):
-        log_slope = math.log(self.slope)
-        xp = self._check_radii(t)
-        return log_slope if xp is math else xp.full(t.shape, log_slope)
-
-    def level_radius(self, s: float) -> float:
-        t = (s - self.offset) / self.slope
-        if not (t > self.t_min):
-            raise DomainError(f"level {s} is not attained above t_min={self.t_min}")
-        return t
-
-    def log_value_delta(self, t: float, eta):
-        return _ns(eta).log1p(self.slope * eta / self.value(t))
-
-    def __repr__(self):
-        return f"Affine(slope={self.slope}, offset={self.offset})"
-
-
 class PHarmonicRn(RadialProfile):
     """v(t) = t**alpha - 1 with alpha = (p - n) / (p - 1), for p > n >= 2.
 
@@ -352,36 +309,39 @@ class ModelManifold:
         return cls(warp=PowerLaw(n - 1.0), omega=omega)
 
 
-def _log_excess(profile: RadialProfile, log_s0: float, s):
+# the d = log v - log s0 below which log(v - s0) is formed from expm1(d)
+_NEAR = 0.7
+
+
+def _log_excess(profile: RadialProfile, log_s0: float, s: float) -> float:
     """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
 
-    s is one radius or a 1-D float ndarray of them, and the result has the
-    same form.
+    One radius; _log_excess_of is the array form.
     """
     lv = profile.log_value(s)
     if log_s0 == -math.inf:
         return lv
     d = lv - log_s0
-    if _ns(d) is not math:
-        return _log_excess_of(log_s0, lv, d)
     if d <= 0.0:
         return -math.inf
-    if d < 0.7:
+    if d < _NEAR:
         # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
         return log_s0 + math.log(math.expm1(d))
     return lv + math.log1p(-math.exp(-d))
 
 
 def _log_excess_of(log_s0: float, lv, d):
-    """The array form of _log_excess for s0 > 0, from ndarrays lv = log v
-    and d = log v - log s0, which a caller may know more accurately than
-    the difference of the two logs."""
+    """The array form of _log_excess, from ndarrays lv = log v and
+    d = log v - log s0, which a caller may know more accurately than the
+    difference of the two logs; lv itself when s0 = 0."""
+    if log_s0 == -math.inf:
+        return lv
     np = sys.modules["numpy"]
     # both branches on every node, each kept where the scalar path takes it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         near = log_s0 + np.log(np.expm1(d))
         far = lv + np.log1p(-np.exp(-d))
-    return np.where(d <= 0.0, -math.inf, np.where(d < 0.7, near, far))
+    return np.where(d <= 0.0, -math.inf, np.where(d < _NEAR, near, far))
 
 
 def _log_level(s0: float) -> float:

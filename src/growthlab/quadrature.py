@@ -100,16 +100,6 @@ def log_sum(values) -> float:
     return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
 
 
-def log_diff(a: float, b: float) -> float:
-    """log(|exp(a) - exp(b)|); -inf when the two values agree."""
-    if a == b:
-        return -math.inf
-    hi, lo = (a, b) if a > b else (b, a)
-    if lo == -math.inf:
-        return hi
-    return hi + math.log1p(-math.exp(lo - hi))
-
-
 @dataclass(frozen=True)
 class LogQuadResult:
     """Logarithm of an integral, its relative error estimate and its cost.
@@ -201,12 +191,13 @@ def _worst(errors: list[float], target: float, limit: int) -> list[int]:
 
 class _Segment:
     """The panels of one integral over [lo, hi] in position order: their
-    ends, log K15 values and log error estimates, the number ever
-    evaluated, and the table the integral belongs to."""
+    ends x, panel i being [x[i], x[i + 1]], their log K15 values and log
+    error estimates, the number ever evaluated, and the table the integral
+    belongs to."""
 
     def __init__(self, lo: float, hi: float, pts: list[float], table: int):
         self.lo, self.hi = lo, hi
-        self.a, self.b = pts[:-1], pts[1:]
+        self.x = pts
         self.k: list[float] = []
         self.e: list[float] = []
         self.evaluated = 0
@@ -216,31 +207,32 @@ class _Segment:
         """Ends of the two halves of each panel in worst, in position order."""
         ca, cb = [], []
         for i in worst:
-            a, b = self.a[i], self.b[i]
+            a, b = self.x[i], self.x[i + 1]
             m = 0.5 * (a + b)
             ca += (a, m)
             cb += (m, b)
         return ca, cb
 
-    def store(self, worst, ca, cb, k, e) -> None:
+    def store(self, worst, ca, k, e) -> None:
         """Put evaluated panels in place: every panel on the first round
-        (worst is None), else the halves of each panel in worst."""
+        (worst is None), else the halves of each panel in worst, with left
+        ends ca."""
         self.evaluated += len(k)
         if worst is None:
             self.k, self.e = k, e
             return
         # one merge pass: take from each list the panels before each panel
-        # in worst, then its halves, which follow the n old ones; with at
+        # in worst, then its halves, which follow the n old ones; in x a
+        # panel stands for its left end, and the last end stays; with at
         # least one panel halved, take returns a tuple
-        n, order, prev = len(self.a), [], 0
+        n, order, prev = len(self.k), [], 0
         for j, i in enumerate(worst):
             order += range(prev, i)
             order += (n + 2 * j, n + 2 * j + 1)
             prev = i + 1
         order += range(prev, n)
         take = itemgetter(*order)
-        self.a = list(take(self.a + ca))
-        self.b = list(take(self.b + cb))
+        self.x = [*take(self.x[:-1] + ca), self.x[-1]]
         self.k = list(take(self.k + k))
         self.e = list(take(self.e + e))
 
@@ -295,7 +287,7 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     segs = [_Segment(*segment) for segment in segments]
     results: list = [None] * len(segs)
     failure = None
-    pending = [(i, None, seg.a, seg.b) for i, seg in enumerate(segs)]
+    pending = [(i, None, s.x[:-1], s.x[1:]) for i, s in enumerate(segs)]
     while pending:
         try:
             k, e = _batch(logf, pending, segs, ntables, rel_tol)
@@ -307,9 +299,9 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
                             ntables, rel_tol, max_panels)
             raise
         pos = 0
-        for i, worst, ca, cb in pending:
+        for i, worst, ca, _ in pending:
             n = len(ca)
-            segs[i].store(worst, ca, cb, k[pos:pos + n], e[pos:pos + n])
+            segs[i].store(worst, ca, k[pos:pos + n], e[pos:pos + n])
             pos += n
         opened = [i for i, _, _, _ in pending]
         pending = []

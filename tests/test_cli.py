@@ -163,6 +163,22 @@ def test_output_file_format_by_extension(capsys, tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--p", "2", "--q", "3", "--mu", "0", "--lambda", "1"],
+    ["sharp", "--p", "2", "--q", "3", "--mu", "0", "--format", "csv"],
+    ["l1", "--slope", "3", "--p", "2"],
+    ["liouville", "--p", "2", "--q", "2", "--lambda", "1", "--growth", "1.5"],
+])
+def test_output_without_table_keeps_file(capsys, tmp_path, argv):
+    # csv by extension or by --format, for a report with no table
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"keep\n")
+    rc, _, err = run(capsys, argv + ["--output", str(target)])
+    assert rc == 2
+    assert "no tabular section" in err
+    assert target.read_bytes() == b"keep\n"
+
+
 def test_l1_slope_sentinel_json(capsys):
     rc, out, _ = run(capsys, ["l1", "--slope=-inf", "--p", "2", "--format", "json"])
     assert rc == 0

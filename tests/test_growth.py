@@ -28,7 +28,6 @@ from growthlab import (
     estimate_rate,
     growth_samples,
     log_ball_integral,
-    log_diff,
     log_energy_integral,
     log_sphere_integral,
     measure_rate,
@@ -38,7 +37,10 @@ from growthlab import (
     sphere_log_slope,
     ModelManifold,
     PHarmonicRn,
+    PowerLaw,
 )
+from growthlab.models import _log_excess, _log_excess_of
+from logspace import log_diff
 
 EX_DECAY = build_sharp_example(2.0, 3.0, 1.0)
 EX_CONST = build_sharp_example(2.0, 2.0, 0.0)
@@ -125,16 +127,17 @@ def test_sphere_integral_off_support():
 def test_log_excess_array_matches_scalar_loop(ex):
     """Below, near and far above the level, as one array and one radius at a time.
 
-    log v from numpy is within a few ulps of log v from math, and log(v - s0)
-    amplifies an error in log v by 1 / (1 - exp(-d)) < 1 + 1/d with
-    d = log v - log s0, which sets the bound.
+    The array form takes log v from numpy, within a few ulps of log v from
+    math, and log(v - s0) amplifies an error in log v by
+    1 / (1 - exp(-d)) < 1 + 1/d with d = log v - log s0, which sets the bound.
     """
     s = np.concatenate([np.linspace(0.5 * ex.t0, ex.t0, 5),
                         ex.t0 * (1.0 + np.geomspace(1e-12, 1e3, 20))])
     log_s0 = math.log(ex.s0)
-    got = growth._log_excess(ex.profile, log_s0, s)
+    lvs = ex.profile.log_value(s)
+    got = _log_excess_of(log_s0, lvs, lvs - log_s0)
     for x, r in zip(got.tolist(), s.tolist()):
-        ref = growth._log_excess(ex.profile, log_s0, r)
+        ref = _log_excess(ex.profile, log_s0, r)
         assert type(ref) is float
         if ref == -math.inf:
             assert x == ref
@@ -229,6 +232,23 @@ def test_support_edge_frozen_mpmath(pq_mu, functional, expected):
     else:
         log_value, _ = log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
     assert abs(log_value - float(expected)) <= 2e-15
+
+
+def test_integrals_without_truncation_closed_form():
+    """s0 = 0 leaves G and H no edge table, so every node takes log_value.
+
+    With g(s) = s, v(s) = s and p = q = 2 on omega = 2 pi: G(R) = 2 pi R^4/4,
+    H(R) = 2 pi R^2/2 and J(r, R) = (1/(2 r^2) - 1/(2 R^2)) / (2 pi).
+    """
+    manifold, profile = ModelManifold(PowerLaw(1.0)), PowerLaw(1.0)
+    G, H, J = growth._integrals(manifold, profile, 2.0, 2.0, 0.0, [3.0],
+                                [2.0], [(1.0, 3.0)], 1e-12)
+    for (got, _), expected in [
+        (G[0], math.log(2.0 * math.pi * 3.0 ** 4 / 4.0)),
+        (H[0], math.log(2.0 * math.pi * 2.0 ** 2 / 2.0)),
+        (J[0], math.log((0.5 - 1.0 / 18.0) / (2.0 * math.pi))),
+    ]:
+        assert abs(got - expected) <= 4 * math.ulp(expected)
 
 
 def test_energy_integral_neutral_power_closed_form():

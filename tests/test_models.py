@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from growthlab import (
-    Affine,
     DomainError,
     ExpPower,
     ModelManifold,
@@ -36,9 +35,6 @@ def mp_profile(profile):
     if isinstance(profile, ExpPower):
         c, b = mpmath.mpf(profile.c), mpmath.mpf(profile.beta)
         return lambda t: mpmath.exp(c * t ** b)
-    if isinstance(profile, Affine):
-        s, o = mpmath.mpf(profile.slope), mpmath.mpf(profile.offset)
-        return lambda t: s * t + o
     if isinstance(profile, PHarmonicRn):
         a = (mpmath.mpf(profile.p) - profile.n) / (mpmath.mpf(profile.p) - 1)
         return lambda t: t ** a - 1
@@ -52,13 +48,12 @@ PROFILES = [
     ExpPower(1.0, 1.0),
     ExpPower(2.0, 0.25),
     ExpPower(0.5, 0.5),
-    Affine(2.0, 1.0),
     PHarmonicRn(2, 3.0),
     PHarmonicRn(3, 4.0),
 ]
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
 @pytest.mark.parametrize("t", [1.5, 7.0, 400.0])
 def test_log_value_against_mpmath(profile, t):
     v = mp_profile(profile)
@@ -66,7 +61,7 @@ def test_log_value_against_mpmath(profile, t):
     assert profile.log_value(t) == pytest.approx(float(expected), rel=1e-13)
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
 @pytest.mark.parametrize("eta_rel", [1e-3, 1e-9, 1e-15])
 def test_log_value_delta_against_mpmath(profile, eta_rel, t=5.0):
     """log v(t + eta) - log v(t) stays fully accurate at tiny separations.
@@ -82,7 +77,7 @@ def test_log_value_delta_against_mpmath(profile, eta_rel, t=5.0):
     assert got == pytest.approx(float(expected), rel=1e-12)
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
 def test_array_methods_match_scalar_loop(profile):
     """The log methods on an array of radii agree with one call per radius.
 
@@ -115,7 +110,7 @@ def test_array_radius_check_names_first_bad_radius(profile):
     assert profile.log_value(np.array([])).shape == (0,)
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "slope", getattr(pr, "n", "")))))
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
 def test_derivatives_against_mpmath(profile, t=3.0):
     v = mp_profile(profile)
     d1 = mpmath.diff(v, mpmath.mpf(t))
@@ -129,7 +124,7 @@ def test_derivatives_against_mpmath(profile, t=3.0):
     [
         (PowerLaw(2.0), 9.0),
         (ExpPower(1.0, 0.5), 20.0),
-        (Affine(3.0, 1.0), 10.0),
+        (PHarmonicRn(2, 3.0), 10.0),
         (PHarmonicRn(3, 4.0), 3.0),
     ],
 )
@@ -151,8 +146,6 @@ def test_profile_domain_guards():
         PowerLaw(1.0).log_value(0.0)
     with pytest.raises(DomainError):
         ExpPower(1.0, 1.5)
-    with pytest.raises(DomainError):
-        Affine(0.0, 1.0)
     with pytest.raises(DomainError):
         PHarmonicRn(3, 2.5)
 
@@ -265,7 +258,6 @@ def test_fd_cross_check_families():
         (ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, 9.0),
         (ModelManifold(ExpPower(2.0, 1.0)), ExpPower(4.0, 1.0), 3.0, 1000.0),
         (ModelManifold(ExpPower(-1.0, 0.5)), ExpPower(1.0, 0.5), 1.5, 500.0),
-        (ModelManifold(PowerLaw(2.0)), Affine(1.0, 3.0), 2.5, 40.0),
     ]
     for manifold, profile, p, r in cases:
         dev = fd_cross_check(manifold, profile, p, r)

@@ -4,6 +4,7 @@ Expected values marked as frozen were computed independently with exact
 arithmetic or a 50-digit mpmath session before being written down here.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -229,7 +230,7 @@ def test_lazy_namespace():
 def test_public_names():
     """The public API: a name leaves or joins it only by a reviewed change."""
     assert growthlab.__all__ == [
-        "Affine", "CheckReport", "ComparisonConstants", "DerivedExponents",
+        "CheckReport", "ComparisonConstants", "DerivedExponents",
         "DomainError", "ExpPower", "GrowthSample", "LogQuadResult",
         "ModelManifold", "PHarmonicRn", "Params", "PowerLaw",
         "QuadratureError", "RadialProfile", "RateEstimate", "SharpExample",
@@ -238,12 +239,27 @@ def test_public_names():
         "classify_l1_condition", "comparison_constants", "compute_C0",
         "default_check_pairs", "default_qs", "derived_exponents",
         "estimate_rate", "fd_cross_check", "growth_samples",
-        "liouville_check", "log_ball_integral", "log_diff",
+        "liouville_check", "log_ball_integral",
         "log_energy_integral", "log_quad", "log_sphere_integral", "log_sum",
         "measure_rate", "p_laplacian_scaled", "rate_window",
         "run_inequality_suite", "sharp_grid", "solve_C1", "sphere_log_slope",
         "subsolution_residual",
     ]
+
+
+def test_trace_targets_resolve():
+    """Every function the benchmark's tracer rebinds still exists.
+
+    perfbench/tracing.py looks each (module, name) of TARGETS up with no
+    default, so a deleted or renamed one breaks every traced benchmark run.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, name, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_derived_exponents():

@@ -16,12 +16,12 @@ from growthlab import (
     DomainError,
     LogQuadResult,
     QuadratureError,
-    log_diff,
     log_quad,
     log_sum,
 )
 from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
                                   log_quad_tables)
+from logspace import log_diff
 
 
 def test_polynomial_with_zero_at_endpoint():
