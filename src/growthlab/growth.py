@@ -28,11 +28,17 @@ next to t0 is a table of the same pass, integrated in a variable tau that
 makes its integrand smooth enough for the first round (see _edge_split).
 The tables are G's edge, G, H's edge, H, then J; integrals fail in that
 order, and the comparison constants come after them.
+
+A segment of G spanning more than 96 e-fold widths w of its integrand at
+its top R starts with panel ends at R - w * (48, 24, 12, 6, 3, 1.5), where
+nearly all of its mass lies, so a rate window takes one or two rounds; G
+has no edge table where its first segment does (see _top_width).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,8 +131,8 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
     The integral runs once from the support start t0 through the grid:
     G at each radius is G at the previous one plus the integral over the
     gap between them.  With s0 > 0 the integrand behaves like (s - t0)**q
-    at t0, and the first piece, next to t0, is integrated in a variable
-    that makes it smooth (see _edge_split).  Radii at or below t0 give
+    at t0, and the piece next to t0, unless the first radius lies far past
+    it, is integrated in a variable that makes it smooth (see _integrals).  Radii at or below t0 give
     logG = -inf with zero error.
     """
     if not (q > 0.0):
@@ -147,24 +153,44 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
 _G_EDGE, _G, _H_EDGE, _H, _J = range(5)
 
 
-def _edge_split(t0: float, alpha: float, radii, edge: bool):
+def _edge_split(t0: float, alpha: float, radii, edge: bool,
+                near=lambda R_min: True):
     """(edge table, rest table, m) of a functional whose integrand behaves
     like (s - t0)**(alpha - 1) at the support edge t0, up to radii.
 
-    With edge set and a radius above t0, the edge piece over (t0, t1] with
-    t1 = t0 + min(1, (R_min - t0)/2), R_min the smallest such radius, is
-    integrated in tau at the radii s = t0 + tau**m, m = ceil(2*alpha)/alpha,
-    and the rest table starts at t1; else the edge table is empty.  In tau
-    the integrand is tau**(ceil(2*alpha) - 1) times a function of tau**m
-    with m >= 2, so QK15 need not bisect toward t0 to resolve it, and for
-    alpha < 1 (H at q < p) no singularity is left.
+    With edge set, a radius above t0, R_min the smallest such radius, and
+    near(R_min) true, the edge piece over (t0, t1] with
+    t1 = t0 + min(1, (R_min - t0)/2) is integrated in tau at the radii
+    s = t0 + tau**m, m = ceil(2*alpha)/alpha, and the rest table starts at
+    t1; else the edge table is empty.  In tau the integrand is
+    tau**(ceil(2*alpha) - 1) times a function of tau**m with m >= 2, so
+    QK15 need not bisect toward t0 to resolve it, and for alpha < 1 (H at
+    q < p) no singularity is left.
     """
     above = [R for R in radii if R > t0]
-    if not (edge and above):
+    if not (edge and above and near(min(above))):
         return (0.0, []), (t0, radii), 1.0
     n = math.ceil(2.0 * alpha)
     t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
     return (0.0, [(t1 - t0) ** (alpha / n)]), (t1, radii), n / alpha
+
+
+# the top-end panel ends of a long segment of G, in e-fold widths below R
+_TOP = (48.0, 24.0, 12.0, 6.0, 3.0, 1.5)
+
+
+def _top_width(manifold: ModelManifold, profile: RadialProfile, q: float,
+               lo: float, hi: float) -> float | None:
+    """The e-fold width w = 1 / (d log(g * v**q) / ds) of G's integrand at
+    hi when [lo, hi] spans more than 2 * _TOP[0] widths; else None, as for
+    a slope not known, finite and positive.  Where log(g * v**q) is concave
+    the integrand then grows by over e**96 across [lo, hi], so its lower
+    part carries no weight and G needs no edge below such a first segment."""
+    try:
+        w = 1.0 / (manifold.dlog_warp(hi) + q * profile.dlog(hi))
+    except (OverflowError, ZeroDivisionError, NotImplementedError):
+        return None
+    return w if w > 0.0 and hi - 2.0 * _TOP[0] * w > lo else None
 
 
 def _integrals(manifold: ModelManifold, profile: RadialProfile,
@@ -180,14 +206,15 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     When s0 > 0 and t0 > t_min, the integrands of G and H behave like
     (s - t0)**(alpha - 1) at t0, with alpha = q + 1 for G and
     alpha = gamma = q - p + 1 for H, and each has an edge table next to t0
-    (see _edge_split), shared by all of its radii.  On edge nodes the
+    (see _edge_split), shared by all of its radii; G has none where its
+    first segment gets top-end panels (see _top_width).  On edge nodes the
     excess v - s0 is expanded around t0 through the profile's
     log_value_delta, treating v(t0) = s0 as exact, and log_value is not
     called.  s0 = 0 or t0 <= t_min gives empty edge tables, and the same
     integrand then calls log_value on every node.  p may be None when only
-    G is asked for.  The tables are
-    G's edge, G, H's edge, H, then J, so when several integrals fail, the
-    error raised is the first in that order.
+    G is asked for.  The tables are G's edge, G, H's edge, H, then J, so
+    when several integrals fail, the error raised is the first in that
+    order.
     """
     gamma = None
     if h_radii:
@@ -200,8 +227,14 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
     edge = s0 > 0.0 and t0 > profile.t_min
-    g_edge, g_rest, m_g = _edge_split(t0, q + 1.0, g_radii, edge)
+    g_edge, g_rest, m_g = _edge_split(
+        t0, q + 1.0, g_radii, edge,
+        lambda R_min: _top_width(manifold, profile, q, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
+
+    def top_ends(lo: float, hi: float) -> list[float]:
+        w = _top_width(manifold, profile, q, lo, hi)
+        return [hi] if w is None else [hi - f * w for f in _TOP] + [hi]
 
     def logf(x: np.ndarray, starts: list[int]) -> np.ndarray:
         ge, g, he, h, j = starts[:_J + 1]
@@ -243,7 +276,8 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
         return out
 
-    tables = [g_edge, g_rest, h_edge, h_rest] + [(r, [R]) for r, R in j_pairs]
+    tables = [g_edge, (*g_rest, top_ends), h_edge, h_rest] \
+        + [(r, [R]) for r, R in j_pairs]
     g_piece, g_res, h_piece, h_res, *j_res = log_quad_tables(
         logf, tables, rel_tol=rel_tol)
 
@@ -271,7 +305,8 @@ def estimate_rate(samples, regime: str = "power",
     the extremal examples equals the threshold constant.  regime "log"
     (borderline decay or Euclidean sphere slopes) fits logG = A * log R + C
     and reports the slope A.  Requires at least 4 samples with strictly
-    increasing radii and finite logG.
+    increasing finite positive radii and finite logG, and in the power
+    regime a finite beta > 0 with R**beta in double range.
     """
     rs, ys = [s.R for s in samples], [s.logG for s in samples]
     if len(rs) < 4:
@@ -284,19 +319,28 @@ def estimate_rate(samples, regime: str = "power",
     if regime == "power":
         if beta is None:
             raise DomainError("regime 'power' needs beta")
-        if not (beta > 0.0):
+        if not (0.0 < beta < math.inf):
             raise DomainError(
-                f"beta must be positive in the power regime, got {beta}; "
-                "use regime='log' when beta is 0")
-        X = np.array([[r ** beta, math.log(r), 1.0] for r in rs])
-        coef, *_ = np.linalg.lstsq(X, np.array(ys), rcond=None)
-        rate = float(coef[0]) * beta
+                f"beta must be finite and positive in the power regime, got "
+                f"{beta}; use regime='log' when beta is 0")
     elif regime == "log":
-        X = np.array([[math.log(r), 1.0] for r in rs])
-        coef, *_ = np.linalg.lstsq(X, np.array(ys), rcond=None)
-        rate = float(coef[0])
+        beta = None
     else:
         raise DomainError(f"unknown regime {regime!r}; use 'power' or 'log'")
+    # lstsq does not return on a design matrix holding inf or nan
+    try:
+        X = np.array([([] if beta is None else [r ** beta])
+                      + [math.log(r), 1.0] for r in rs])
+        finite = np.isfinite(X).all()
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        terms = "log R" if beta is None else \
+            f"R**beta (beta={beta}) and log R"
+        raise DomainError(f"the {regime} fit needs {terms} finite at every "
+                          f"sample radius in [{rs[0]}, {rs[-1]}]")
+    coef, *_ = np.linalg.lstsq(X, np.array(ys), rcond=None)
+    rate = float(coef[0]) * (1.0 if beta is None else beta)
     resid = float(np.max(np.abs(X @ coef - np.array(ys))))
     return RateEstimate(rate=rate, fit_residual=resid, regime=regime,
                         window=(rs[0], rs[-1]), n_samples=len(rs))
@@ -313,11 +357,16 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     log-growth variable kappa * beta * R**beta is log-spaced up to 1e4 (or
     its value at rmax), from 1/30 of that.  The start does not bound the
     truncation term q * log(1 - s0 * exp(-c * R**beta)), which the "power"
-    model cannot absorb: at (10, 100, 0) it is R = 3.66 and the fit gives
-    90.778 against 91.0, residual 6.9 (see ROADMAP).  Radii past the
-    largest double, or an rmax that is not finite and positive, raise
+    model cannot absorb: at (10, 100, 0) the window starts at R = 3.66,
+    where that term is about -20, and the fit gives 90.778 against 91.0
+    with residual 6.9.  Radii past the largest double, a num that is not
+    an integer, or an rmax that is not finite and positive, raise
     DomainError.
     """
+    try:
+        num = operator.index(num)
+    except TypeError:
+        raise DomainError(f"num must be an integer, got {num!r}") from None
     if num < 4:
         raise DomainError(f"need at least 4 samples, got num={num}")
     if rmax is not None:

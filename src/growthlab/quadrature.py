@@ -11,7 +11,9 @@ scale.
 The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
 returns an ndarray of the same shape holding the log-integrand at each
 node, with -inf marking zeros.  A nan or +inf among them raises
-DomainError naming the first such node in panel order.
+DomainError naming the first such node in panel order.  Interval ends and
+radii that are not finite, and a rel_tol that is not finite and positive,
+raise DomainError before any node is formed.
 
 Each panel uses the nested 7/15 Gauss-Kronrod pair of QUADPACK's QK15
 (Piessens et al., 1983): the 15-point Kronrod rule K15 integrates
@@ -19,6 +21,10 @@ polynomials of degree up to 22 exactly, and its odd-indexed nodes together
 with the midpoint are the nodes of the 7-point Gauss rule G7, so one panel
 costs 15 integrand evaluations.  The panel value is K15 and its error
 estimate is |K15 - G7| (both in log form).
+
+A segment starts from eight even or geometric panels.  log_quad_tables lets
+a table add panel ends at the top of its segments: growthlab.growth puts
+them where nearly all of the mass of a long segment of G lies.
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive
 quadrature in the manner of Shampine, 2008).  A round that finds the total
@@ -48,7 +54,7 @@ from operator import itemgetter
 import numpy as np
 
 from .models import geometric_grid
-from .params import DomainError, QuadratureError
+from .params import DomainError, QuadratureError, _check_finite_positive
 
 # QK15 on [-1, 1], from QUADPACK: the nonnegative Kronrod nodes (xgk), their
 # K15 weights (wgk), and the G7 weights (wg) of xgk[1], xgk[3], xgk[5] and 0
@@ -345,10 +351,10 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     max_panels panels cannot reach rel_tol or refinement meets the floor of
     double precision, and DomainError when logf produces nan or +inf.
     """
-    if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
-    if math.isnan(lo) or math.isnan(hi) or lo > hi:
-        raise DomainError(f"bad integration interval [{lo}, {hi}]")
+    _check_finite_positive("rel_tol", rel_tol)
+    if not (-math.inf < lo <= hi < math.inf):
+        raise DomainError(f"bad integration interval [{lo}, {hi}]: its ends "
+                          "must be finite and in order")
     if lo == hi:
         return LogQuadResult(log_value=-math.inf, rel_error=0.0, panels=0,
                              evals=0)
@@ -376,12 +382,15 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
 
     tables lists (lo, radii) pairs, one per integrand, and one list of
     results is returned per table: the integrals of exp(logf) from lo up to
-    each radius of a nondecreasing list.  The segments [lo, R1], [R1, R2],
-    ... of all tables are refined together, each with its own breakpoints,
-    tolerance test and 4096-panel budget, so it gets the panels log_quad
-    alone would give it.  The result at R sums the segments up to R, their
-    panels and their evals, with their combined relative error; at or below
-    lo it is -inf with zero error.  Each round makes one call
+    each radius of a nondecreasing list of finite radii.  The segments
+    [lo, R1], [R1, R2], ... of all tables are refined together, each with
+    its own initial panels, tolerance test and 4096-panel budget, so it
+    gets the panels log_quad alone would give it.  A table may carry a
+    third element top(lo, hi): the initial panel ends at the top of each of
+    its segments, ending at hi; log_quad's eight even or geometric panels
+    run from lo to the first of them.  The result at R sums the segments up
+    to R, their panels and their evals, with their combined relative error;
+    at or below lo it is -inf with zero error.  Each round makes one call
     logf(x, starts) for the new panels of every open segment: x holds the
     nodes table by table, in table order, and those of table t are
     x[starts[t]:starts[t + 1]], so logf can give each table its own
@@ -389,21 +398,26 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     refining the tables one after another, in order, would raise (see
     _refine).
     """
-    if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+    _check_finite_positive("rel_tol", rel_tol)
     segments = []
     spans = []
-    for t, (lo, radii) in enumerate(tables):
+    for t, (lo, radii, *ends) in enumerate(tables):
+        top = ends[0] if ends else lambda a, b: [b]
         begin, upto = len(segments), []
         start = lo
         prev = -math.inf
+        for R in [lo, *radii]:
+            if not math.isfinite(R):
+                raise DomainError(f"integration radius {R} is not finite")
         for R in radii:
             if not R >= prev:
                 raise DomainError(f"radii must be nondecreasing, got {R} "
                                   f"after {prev}")
             prev = R
             if R > start:
-                segments.append((start, R, _initial_breakpoints(start, R), t))
+                pts = top(start, R)
+                pts[:1] = _initial_breakpoints(start, pts[0])
+                segments.append((start, R, pts, t))
                 start = R
             upto.append(len(segments))
         spans.append((begin, upto))

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import growthlab.growth as growth
 import growthlab.quadrature as quadrature
@@ -29,6 +31,7 @@ from growthlab import (
     growth_samples,
     log_ball_integral,
     log_energy_integral,
+    log_quad,
     log_sphere_integral,
     measure_rate,
     rate_window,
@@ -38,8 +41,9 @@ from growthlab import (
     ModelManifold,
     PHarmonicRn,
     PowerLaw,
+    RadialProfile,
 )
-from growthlab.models import _log_excess, _log_excess_of
+from growthlab.models import _log_excess, _log_excess_of, log_sphere_integral
 from logspace import log_diff
 
 EX_DECAY = build_sharp_example(2.0, 3.0, 1.0)
@@ -329,6 +333,26 @@ def test_estimate_rate_validation():
         estimate_rate(samples[:3] + [GrowthSample(160.0, -math.inf, 0.0)], regime="log")
 
 
+@pytest.mark.parametrize("beta", [math.inf, 1e308])
+def test_estimate_rate_rejects_a_design_matrix_past_double_range(beta):
+    """LAPACK does not return on an inf design matrix; R**1e308 overflows."""
+    samples = [GrowthSample(r, math.log(r), 0.0) for r in [10.0, 20.0, 40.0, 80.0]]
+    with pytest.raises(DomainError, match="beta"):
+        estimate_rate(samples, regime="power", beta=beta)
+
+
+def test_estimate_rate_rejects_an_infinite_radius():
+    samples = [GrowthSample(r, 1.0, 0.0) for r in [10.0, 20.0, 40.0, math.inf]]
+    with pytest.raises(DomainError, match=r"log R finite at every sample radius in \[10.0, inf\]"):
+        estimate_rate(samples, regime="log")
+
+
+@pytest.mark.parametrize("num", [5.5, 7.0, "7"])
+def test_rate_window_rejects_a_num_that_is_not_an_integer(num):
+    with pytest.raises(DomainError, match="num must be an integer"):
+        measure_rate(EX_DECAY, num=num)
+
+
 def test_rate_window_power():
     radii, regime = rate_window(build_sharp_example(2.0, 3.0, 0.0))
     assert regime == "power"
@@ -364,6 +388,68 @@ def test_measure_rate_window_past_double_range():
     # beta = 0.007 puts the window's radii past the largest double
     with pytest.raises(DomainError, match="largest double"):
         measure_rate(build_sharp_example(2.0, 3.0, 1.986))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.5, 4.0), log_gamma=st.floats(-0.5, 0.5),
+       mu_frac=st.floats(0.0, 0.5), log_x=st.floats(2.5, 3.5),
+       k=st.integers(2, 5))
+def test_top_end_panels_match_default_panels(p, log_gamma, mu_frac, log_x, k):
+    """G over a rate-window segment that gets top-end initial panels agrees
+    with a rel_tol=1e-14 log_quad on the default panels, from t0, within the
+    claimed errors and the rounding of the log value itself."""
+    try:
+        ex = build_sharp_example(p, p - 1.0 + 10.0 ** log_gamma, p * mu_frac)
+        # kappa * beta * rmax**beta = 10**log_x, the window's log-growth
+        rmax = (10.0 ** log_x / (ex.kappa * ex.beta)) ** (1.0 / ex.beta)
+        radii, _ = rate_window(ex, rmax=rmax)
+    except DomainError:
+        assume(False)
+    lo, hi = radii[k], radii[k + 1]
+    assume(growth._top_width(ex.manifold, ex.profile, ex.q, lo, hi) is not None)
+    got = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [lo, hi])[1]
+    ref = log_quad(np.vectorize(lambda s: log_sphere_integral(
+        ex.manifold, ex.profile, ex.q, ex.s0, s), otypes=[float]),
+        ex.t0, hi, rel_tol=1e-14)
+    assert abs(math.expm1(got.logG - ref.log_value)) \
+        <= got.quad_error + ref.rel_error + 4 * math.ulp(ref.log_value)
+
+
+class _LinearNoSlope(RadialProfile):
+    """v(t) = t, with no dlog."""
+
+    def log_value(self, t):
+        return np.log(t)
+
+
+@pytest.mark.parametrize("warp, profile, log_g", [
+    # a warp that shrinks as fast as v**2 grows: g * v**2 = 1, G = 2 pi R
+    (PowerLaw(-2.0), PowerLaw(1.0), math.log(2.0 * math.pi * 1e6)),
+    # a profile that does not give its slope: G = 2 pi R**4 / 4
+    (PowerLaw(1.0), _LinearNoSlope(), math.log(0.5 * math.pi) + 24.0 * math.log(10.0)),
+])
+def test_top_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_g):
+    manifold = ModelManifold(warp)
+    assert growth._top_width(manifold, profile, 2.0, 1.0, 1e6) is None
+    [sample] = growth_samples(manifold, profile, 2.0, 0.0, [1e6])
+    assert abs(sample.logG - log_g) <= 1e-12
+
+
+def test_measure_rate_rejects_infinite_rel_tol():
+    with pytest.raises(DomainError, match="rel_tol must be finite and positive, got inf"):
+        measure_rate(EX_DECAY, rel_tol=math.inf)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda ex: growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [10.0, math.inf]),
+    lambda ex: check_caccioppoli(ex, 10.0, h=math.inf),
+    lambda ex: check_surface_capacity(ex, 10.0, math.inf),
+    lambda ex: check_growth_lower_bound(ex, 10.0, math.inf),
+])
+def test_infinite_radius_named(integrate):
+    # RuntimeWarnings are errors here, so none may be raised on the way
+    with pytest.raises(DomainError, match="integration radius inf is not finite"):
+        integrate(EX_DECAY)
 
 
 def test_measure_rate_power():
@@ -533,7 +619,7 @@ def _count_work(monkeypatch):
 
     def counted_tables(logf, specs, **kwargs):
         results = tables(logf, specs, **kwargs)
-        for (lo, radii), table in zip(specs, results):
+        for (lo, radii, *_), table in zip(specs, results):
             # one segment per distinct radius above lo; the last result sums them
             if table:
                 work["integrals"] += len({R for R in radii if R > lo})
@@ -549,20 +635,20 @@ def test_suite_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         run_inequality_suite(ex)
-    assert work == {"integrals": 459, "panels": 3880, "evals": 61320}
+    # three G segments of (3, 6, 0) and (3, 7, 0) span the top-end cluster
+    assert work == {"integrals": 459, "panels": 3888, "evals": 61290}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         measure_rate(ex)
-    assert work == {"integrals": 216, "panels": 2759, "evals": 56850}
+    # no G edge in the 18 power-regime examples: 18 integrals fewer
+    assert work == {"integrals": 198, "panels": 2598, "evals": 42840}
 
 
-def test_sweep_integrand_batches(monkeypatch):
-    """One refinement per example: every G, edge, H and J integral of a
-    suite call shares each round's integrand call, and the support edges,
-    integrated in tau, need no bisection toward t0."""
+def _batches_per_example(monkeypatch, run):
+    """Integrand batches of run(example) for each example of the grid."""
     batches = [0]
     panels = quadrature._panels
 
@@ -574,14 +660,34 @@ def test_sweep_integrand_batches(monkeypatch):
     per_example = []
     for ex in sharp_grid():
         batches[0] = 0
-        run_inequality_suite(ex)
+        run(ex)
         per_example.append(batches[0])
+    return per_example
+
+
+def test_sweep_integrand_batches(monkeypatch):
+    """One refinement per example: every G, edge, H and J integral of a
+    suite call shares each round's integrand call, the support edges,
+    integrated in tau, need no bisection toward t0, and a rate window's
+    segments start with their ends clustered where their mass lies."""
+    per_example = _batches_per_example(monkeypatch, run_inequality_suite)
     assert sum(per_example) == 80
     assert max(per_example) <= 5
-    batches[0] = 0
-    for ex in sharp_grid():
-        measure_rate(ex)
-    assert batches[0] == 178
+    per_example = _batches_per_example(monkeypatch, measure_rate)
+    assert sum(per_example) == 48
+    assert all(n <= 2 for ex, n in zip(sharp_grid(), per_example)
+               if not ex.is_borderline)
+
+
+def test_top_end_panels_never_cost_a_batch(monkeypatch):
+    """With no segment given top-end panels, and so G's edge table wherever
+    there is an edge, each grid example needs at least as many rate
+    batches: 178 per sweep, 9 to 11 per power-regime example."""
+    clustered = _batches_per_example(monkeypatch, measure_rate)
+    monkeypatch.setattr(growth, "_top_width", lambda *args: None)
+    default = _batches_per_example(monkeypatch, measure_rate)
+    assert sum(default) == 178
+    assert all(n <= m for n, m in zip(clustered, default))
 
 
 # ---------------------------------------------------------------------

@@ -81,6 +81,28 @@ def test_reversed_interval_rejected():
         log_quad(lambda t: 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_non_finite_ends_rejected(lo, hi):
+    with pytest.raises(DomainError, match=r"\[{}, {}\]: its ends must be finite".format(lo, hi)):
+        log_quad(lambda t: 0.0 * t, lo, hi)
+
+
+@pytest.mark.parametrize("lo, radii, bad", [
+    (0.0, [1.0, math.inf], math.inf), (math.nan, [1.0], math.nan), (0.0, [-math.inf], -math.inf)])
+def test_tables_reject_non_finite_radii(lo, radii, bad):
+    with pytest.raises(DomainError, match=f"integration radius {bad} is not finite"):
+        log_quad_tables(lambda x, starts: 0.0 * x, [(lo, radii)])
+
+
+@pytest.mark.parametrize("rel_tol", [math.inf, math.nan, 0.0])
+def test_rel_tol_must_be_finite_and_positive(rel_tol):
+    message = f"rel_tol must be finite and positive, got {rel_tol}"
+    with pytest.raises(DomainError, match=message):
+        log_quad(lambda t: 0.0 * t, 0.0, 1.0, rel_tol=rel_tol)
+    with pytest.raises(DomainError, match=message):
+        log_quad_tables(lambda x, starts: 0.0 * x, [(0.0, [1.0])], rel_tol=rel_tol)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_integrand_rejected(bad):
     with pytest.raises(DomainError):
