@@ -30,10 +30,9 @@ _HOMES = {
         "log_sphere_integral", "p_laplacian_scaled", "sphere_log_slope",
         "subsolution_residual"),
     "params": (
-        "CheckReport", "ComparisonConstants", "DerivedExponents",
-        "DomainError", "Params", "QuadratureError", "classify_l1_condition",
-        "comparison_constants", "compute_C0", "derived_exponents",
-        "liouville_check", "solve_C1"),
+        "CheckReport", "ComparisonConstants", "DomainError", "Params",
+        "QuadratureError", "classify_l1_condition", "comparison_constants",
+        "compute_C0", "liouville_check", "solve_C1"),
     "quadrature": ("LogQuadResult", "log_quad", "log_sum"),
     "sharp": (
         "SharpExample", "build_sharp_example", "choose_ac", "default_qs",

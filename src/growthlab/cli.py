@@ -40,7 +40,7 @@ from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
 from .params import (CheckReport, DomainError, Params, QuadratureError,
                      _check_finite_positive, _check_nonnegative,
                      classify_l1_condition, comparison_constants, compute_C0,
-                     derived_exponents, liouville_check, solve_C1)
+                     liouville_check, solve_C1)
 from .sharp import build_sharp_example
 
 
@@ -88,19 +88,23 @@ _SHARED = (
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise DomainError(f"{path}:{lineno}: empty key")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(
+                f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise DomainError(f"{path}:{lineno}: empty key")
+        values[key] = value
     return values
 
 
@@ -193,11 +197,10 @@ def _handle_constants(o: dict) -> Report:
     _require(o, "p", "q", "mu", "lam")
     p, q, mu, lam, k = o["p"], o["q"], o["mu"], o["lam"], o["k"]
     params = Params(p=p, q=q, mu=mu, lam=lam, k=k)
-    ex = derived_exponents(params)
     cc = comparison_constants(params, o["eps"])
     return Report(constants={
         "p": p, "q": q, "mu": mu, "lam": lam, "k": k, "eps": o["eps"],
-        "gamma": ex.gamma, "p_conj": ex.p_conj, "beta": ex.beta,
+        "gamma": params.gamma, "p_conj": params.p_conj, "beta": params.beta,
         "C0": compute_C0(p, q, lam, k), "C1": solve_C1(p, q, lam, k),
         "c1": cc.c1, "c2": cc.c2, "c3": cc.c3, "C2": cc.C2,
         "c4": cc.c4, "c5": cc.c5, "c6": cc.c6})
@@ -243,11 +246,9 @@ def _handle_verify(o: dict) -> Report:
                    for r in fd_radii)
     checks = [
         CheckReport(name="equation-residual", lhs=residual, rhs=0.0,
-                    margin=-abs(residual), passed=abs(residual) <= o["residual_tol"],
-                    tolerance=o["residual_tol"]),
+                    margin=-abs(residual), tolerance=o["residual_tol"]),
         CheckReport(name="fd-cross-check", lhs=fd_worst, rhs=0.0,
-                    margin=-fd_worst, passed=fd_worst <= o["fd_tol"],
-                    tolerance=o["fd_tol"]),
+                    margin=-fd_worst, tolerance=o["fd_tol"]),
     ]
     return Report(example=_example_dict(ex), checks=checks,
                   passed=all(c.passed for c in checks))
@@ -259,7 +260,7 @@ def _handle_rate(o: dict) -> Report:
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = o["rmin"], o["rmax"], o["samples"]
     if lo is None:
-        radii, regime = rate_window(ex, rmax=hi, num=num)
+        radii = rate_window(ex, rmax=hi, num=num)
     else:
         if hi is None:
             raise DomainError("--rmin needs --rmax")
@@ -270,11 +271,9 @@ def _handle_rate(o: dict) -> Report:
         if num < 4:
             raise DomainError(f"need at least 4 samples, got num={num}")
         radii = geometric_grid(lo, hi, num)
-        regime = "log" if ex.is_borderline else "power"
     samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii,
                              rel_tol=o["quad_tol"])
-    beta = ex.beta if regime == "power" else None
-    est = estimate_rate(samples, regime=regime, beta=beta)
+    est = estimate_rate(samples, ex.beta)
     return Report(example=_example_dict(ex), samples=samples,
                   rate=dict(asdict(est), expected=ex.expected_rate))
 
@@ -429,23 +428,12 @@ def _json_safe(obj):
 
 
 def report_to_dict(report: Report) -> dict:
-    out = {"command": report.command, "config": report.config,
-           "provenance": report.provenance}
-    if report.constants is not None:
-        out["constants"] = report.constants
-    if report.example is not None:
-        out["example"] = report.example
-    if report.samples:
-        out["samples"] = [asdict(s) for s in report.samples]
-    if report.rate is not None:
-        out["rate"] = report.rate
-    if report.checks:
-        out["checks"] = [asdict(c) for c in report.checks]
-    if report.classification is not None:
-        out["classification"] = report.classification
-    if report.passed is not None:
-        out["passed"] = report.passed
-    return _json_safe(out)
+    """The fields of report in order: command, config and provenance
+    always, every other one unless it is None or an empty list."""
+    return _json_safe({
+        key: value for key, value in asdict(report).items()
+        if key in ("command", "config", "provenance")
+        or (value is not None and value != [])})
 
 
 def emit_json(report: Report, fh) -> None:

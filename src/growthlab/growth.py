@@ -20,14 +20,11 @@ quadrature error estimates.
 Every G, H and J an example needs is computed in one refinement,
 _integrals: one log_quad_tables pass whose integrand evaluates the excess
 v - s0 and the warp once per node and forms each functional's integrand
-from them, so each round costs one integrand call for all of them.  Near
-the support edge t0 the integrand of G behaves like (s - t0)**q and that of
-H like (s - t0)**(q - p), singular for q < p.  One rule serves both: when
-s0 > 0 and t0 lies inside the profile's domain, the piece of G, and of H,
-next to t0 is a table of the same pass, integrated in a variable tau that
-makes its integrand smooth enough for the first round (see _edge_split).
-The tables are G's edge, G, H's edge, H, then J; integrals fail in that
-order, and the comparison constants come after them.
+from them, so each round costs one integrand call for all of them.  The
+pieces of G and H next to the support edge t0 are tables of the same pass
+(_edge_split states when and how).  The tables are G's edge, G, H's edge,
+H, then J; integrals fail in that order, and the comparison constants come
+after them.
 
 A segment of G spanning more than 96 e-fold widths w of its integrand at
 its top R starts with panel ends at R - w * (48, 24, 12, 6, 3, 1.5), where
@@ -72,10 +69,11 @@ class GrowthSample:
 class RateEstimate:
     """Leading growth exponent fitted from samples of a log functional.
 
-    regime "power": logG was modelled as A * R**beta + B * log R + C and
-    rate = A * beta, the exponent in log G ~ (rate/beta) * R**beta.
-    regime "log":   logG was modelled as A * log R + C and rate = A.
-    fit_residual is the worst absolute misfit of the model on the samples.
+    regime "power" (beta > 0): logG was modelled as
+    A * R**beta + B * log R + C and rate = A * beta, the exponent in
+    log G ~ (rate/beta) * R**beta.  regime "log" (beta = 0): logG was
+    modelled as A * log R + C and rate = A.  fit_residual is the worst
+    absolute misfit of the model on the samples.
     """
 
     rate: float
@@ -108,11 +106,10 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
 
     Returns (log value, relative error estimate).  The integrand behaves
     like (s - t0)**(gamma - 1) at the support edge, gamma = q - p + 1, and
-    blows up there for q < p.  With s0 > 0, the leading piece next to t0
-    is integrated in a variable that removes the singularity (see
-    _edge_split), and the rest up to R directly.  The edge is a table of
-    the one pass of _integrals and comes before the rest, so its failure
-    is the one raised when both fail.  On the leading piece the
+    blows up there for q < p; _edge_split says when the piece next to t0
+    is a table of its own, in a variable that removes the singularity.
+    That table comes before the rest in the one pass of _integrals, so its
+    failure is the one raised when both fail.  On the leading piece the
     excess v - s0 is expanded around the computed edge through the
     profile's log_value_delta, treating v(t0) = s0 as exact: the
     difference log v(s) - log s0 is needed at separations far below the
@@ -130,10 +127,8 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
 
     The integral runs once from the support start t0 through the grid:
     G at each radius is G at the previous one plus the integral over the
-    gap between them.  With s0 > 0 the integrand behaves like (s - t0)**q
-    at t0, and the piece next to t0, unless the first radius lies far past
-    it, is integrated in a variable that makes it smooth (see _integrals).  Radii at or below t0 give
-    logG = -inf with zero error.
+    gap between them; _edge_split says how the piece next to t0 is
+    integrated.  Radii at or below t0 give logG = -inf with zero error.
     """
     if not (q > 0.0):
         raise DomainError(f"q must be positive, got {q}")
@@ -158,8 +153,12 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
     """(edge table, rest table, m) of a functional whose integrand behaves
     like (s - t0)**(alpha - 1) at the support edge t0, up to radii.
 
-    With edge set, a radius above t0, R_min the smallest such radius, and
-    near(R_min) true, the edge piece over (t0, t1] with
+    This is the support-edge rule of G (alpha = q + 1) and H
+    (alpha = gamma = q - p + 1, singular at t0 for q < p).  _integrals sets
+    edge when s0 > 0 and t0 > t_min, and gives G a near that is false where
+    its first segment gets top-end panels (see _top_width).  With edge set,
+    a radius above t0, R_min the smallest such radius, and near(R_min)
+    true, the edge piece over (t0, t1] with
     t1 = t0 + min(1, (R_min - t0)/2) is integrated in tau at the radii
     s = t0 + tau**m, m = ceil(2*alpha)/alpha, and the rest table starts at
     t1; else the edge table is empty.  In tau the integrand is
@@ -203,15 +202,11 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     start t0 give -inf with zero error.  All of them are refined in one
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
-    When s0 > 0 and t0 > t_min, the integrands of G and H behave like
-    (s - t0)**(alpha - 1) at t0, with alpha = q + 1 for G and
-    alpha = gamma = q - p + 1 for H, and each has an edge table next to t0
-    (see _edge_split), shared by all of its radii; G has none where its
-    first segment gets top-end panels (see _top_width).  On edge nodes the
-    excess v - s0 is expanded around t0 through the profile's
-    log_value_delta, treating v(t0) = s0 as exact, and log_value is not
-    called.  s0 = 0 or t0 <= t_min gives empty edge tables, and the same
-    integrand then calls log_value on every node.  p may be None when only
+    G and H may each have an edge table next to t0, shared by all of its
+    radii (see _edge_split).  On edge nodes the excess v - s0 is expanded
+    around t0 through the profile's log_value_delta, treating v(t0) = s0 as
+    exact, and log_value is not called.  Without edge tables the same
+    integrand calls log_value on every node.  p may be None when only
     G is asked for.  The tables are G's edge, G, H's edge, H, then J, so
     when several integrals fail, the error raised is the first in that
     order.
@@ -296,17 +291,16 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
 # ---------------------------------------------------------------------------
 
 
-def estimate_rate(samples, regime: str = "power",
-                  beta: float | None = None) -> RateEstimate:
+def estimate_rate(samples, beta: float) -> RateEstimate:
     """Fit the leading growth exponent from a list of GrowthSample.
 
-    regime "power" (sub-borderline decay, beta = 1 - mu/p > 0) fits
-    logG = A * R**beta + B * log R + C and reports rate = A * beta, which on
-    the extremal examples equals the threshold constant.  regime "log"
-    (borderline decay or Euclidean sphere slopes) fits logG = A * log R + C
-    and reports the slope A.  Requires at least 4 samples with strictly
-    increasing finite positive radii and finite logG, and in the power
-    regime a finite beta > 0 with R**beta in double range.
+    beta = 1 - mu/p alone decides the model.  beta > 0 (sub-borderline
+    decay, regime "power") fits logG = A * R**beta + B * log R + C and
+    reports rate = A * beta, which on the extremal examples equals the
+    threshold constant.  beta = 0 (borderline decay, regime "log") fits
+    logG = A * log R + C and reports the slope A.  Requires at least 4
+    samples with strictly increasing finite positive radii and finite logG,
+    a finite beta >= 0, and R**beta in double range.
     """
     rs, ys = [s.R for s in samples], [s.logG for s in samples]
     if len(rs) < 4:
@@ -316,52 +310,44 @@ def estimate_rate(samples, regime: str = "power",
     if not all(map(math.isfinite, ys)):
         raise DomainError("all samples must have finite logG; "
                           "move the window above the support radius")
-    if regime == "power":
-        if beta is None:
-            raise DomainError("regime 'power' needs beta")
-        if not (0.0 < beta < math.inf):
-            raise DomainError(
-                f"beta must be finite and positive in the power regime, got "
-                f"{beta}; use regime='log' when beta is 0")
-    elif regime == "log":
-        beta = None
-    else:
-        raise DomainError(f"unknown regime {regime!r}; use 'power' or 'log'")
+    if not (0.0 <= beta < math.inf):
+        raise DomainError(f"beta must be finite and nonnegative, got {beta}")
+    power = beta > 0.0
+    regime = "power" if power else "log"
     # lstsq does not return on a design matrix holding inf or nan
     try:
-        X = np.array([([] if beta is None else [r ** beta])
+        X = np.array([([r ** beta] if power else [])
                       + [math.log(r), 1.0] for r in rs])
         finite = np.isfinite(X).all()
     except (OverflowError, ValueError):
         finite = False
     if not finite:
-        terms = "log R" if beta is None else \
-            f"R**beta (beta={beta}) and log R"
+        terms = f"R**beta (beta={beta}) and log R" if power else "log R"
         raise DomainError(f"the {regime} fit needs {terms} finite at every "
                           f"sample radius in [{rs[0]}, {rs[-1]}]")
     coef, *_ = np.linalg.lstsq(X, np.array(ys), rcond=None)
-    rate = float(coef[0]) * (1.0 if beta is None else beta)
+    rate = float(coef[0]) * (beta if power else 1.0)
     resid = float(np.max(np.abs(X @ coef - np.array(ys))))
     return RateEstimate(rate=rate, fit_residual=resid, regime=regime,
                         window=(rs[0], rs[-1]), n_samples=len(rs))
 
 
 def rate_window(example: SharpExample, rmax: float | None = None,
-                num: int = 7) -> tuple[list[float], str]:
-    """Default sampling radii and regime for measuring an example's rate.
+                num: int = 7) -> list[float]:
+    """Default sampling radii for measuring an example's rate.
 
     Borderline examples (mu = p) use num log-spaced radii on
-    [max(1e4, 100*t0), rmax or 1e6] with the "log" regime; on the built-in
-    grid that window keeps the truncation bias of the fitted rate under
-    0.25 percent.  Sub-borderline examples place radii so that the
-    log-growth variable kappa * beta * R**beta is log-spaced up to 1e4 (or
-    its value at rmax), from 1/30 of that.  The start does not bound the
-    truncation term q * log(1 - s0 * exp(-c * R**beta)), which the "power"
-    model cannot absorb: at (10, 100, 0) the window starts at R = 3.66,
-    where that term is about -20, and the fit gives 90.778 against 91.0
-    with residual 6.9.  Radii past the largest double, a num that is not
-    an integer, or an rmax that is not finite and positive, raise
-    DomainError.
+    [max(1e4, 100*t0), rmax or 1e6]; on the built-in grid that window keeps
+    the truncation bias of the fitted rate under 0.25 percent.
+    Sub-borderline examples place radii so that the log-growth variable
+    kappa * beta * R**beta is log-spaced up to 1e4 (or its value at rmax),
+    from 1/30 of that.  The start does not bound the truncation term
+    q * log(1 - s0 * exp(-c * R**beta)), which the "power" model cannot
+    absorb: at (10, 100, 0) the window starts at R = 3.66, where that term
+    is about -20, and the fit gives 90.778 against 91.0 with residual 6.9.
+    Radii past the largest double, a num that is not an integer, or an
+    rmax that is not finite and positive, raise DomainError.  The model
+    fitted to the samples follows from example.beta (see estimate_rate).
     """
     try:
         num = operator.index(num)
@@ -376,7 +362,7 @@ def rate_window(example: SharpExample, rmax: float | None = None,
         hi = rmax if rmax is not None else 1e6
         if hi <= lo:
             raise DomainError(f"rmax={hi} must exceed the window start {lo}")
-        return geometric_grid(lo, hi, num), "log"
+        return geometric_grid(lo, hi, num)
     beta, kappa = example.beta, example.kappa
     x_max = kappa * beta * rmax ** beta if rmax is not None else 1e4
     # R = (x / (kappa * beta))**(1/beta), formed in log space
@@ -392,17 +378,16 @@ def rate_window(example: SharpExample, rmax: float | None = None,
         raise DomainError(
             f"rate window starts at R={radii[0]:.6g}, not past the support "
             f"radius t0={example.t0:.6g}")
-    return radii, "power"
+    return radii
 
 
 def measure_rate(example: SharpExample, rmax: float | None = None,
                  num: int = 7, rel_tol: float = 1e-12) -> RateEstimate:
     """Sample the ball integral of an example and fit its growth rate."""
-    radii, regime = rate_window(example, rmax=rmax, num=num)
     samples = growth_samples(example.manifold, example.profile, example.q,
-                             example.s0, radii, rel_tol=rel_tol)
-    beta = example.beta if regime == "power" else None
-    return estimate_rate(samples, regime=regime, beta=beta)
+                             example.s0, rate_window(example, rmax, num),
+                             rel_tol=rel_tol)
+    return estimate_rate(samples, example.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +457,8 @@ def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
                            math.log(cc.c2) + example.mu * math.log(R) + h_r])
         rhs = (cc.c3 / beta) * (R ** beta - R1 ** beta) + g_r1.logG
     tol = _check_tol(base_tol, g_r1.quad_error, g_r.quad_error, h_err)
-    margin = log_phi - rhs
     return CheckReport(name="growth-lower-bound", lhs=log_phi, rhs=rhs,
-                       margin=margin, passed=margin >= -tol, tolerance=tol)
+                       margin=log_phi - rhs, tolerance=tol)
 
 
 def check_caccioppoli(example: SharpExample, R: float,
@@ -498,16 +482,13 @@ def check_caccioppoli(example: SharpExample, R: float,
 
 def _caccioppoli(example: SharpExample, R: float, h: float, G: dict,
                  H: dict, base_tol: float) -> CheckReport:
-    p, q = example.p, example.q
-    pref = _annulus_constant(p, q - p + 1.0, example.params.k)
     g_rh = G[R + h]
     h_r, h_err = H[R]
-    lhs = math.log(pref) + g_rh.logG
-    rhs = p * math.log(h) + h_r
+    lhs = math.log(_annulus_constant(example.params)) + g_rh.logG
+    rhs = example.p * math.log(h) + h_r
     tol = _check_tol(base_tol, g_rh.quad_error, h_err)
-    margin = lhs - rhs
     return CheckReport(name="annulus-caccioppoli", lhs=lhs, rhs=rhs,
-                       margin=margin, passed=margin >= -tol, tolerance=tol)
+                       margin=lhs - rhs, tolerance=tol)
 
 
 def check_surface_capacity(example: SharpExample, r: float, R: float,
@@ -528,16 +509,14 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
 
 def _surface_capacity(example: SharpExample, r: float, H: dict,
                       J: tuple[float, float], base_tol: float) -> CheckReport:
-    p, q = example.p, example.q
-    gamma = q - p + 1.0
+    p, gamma = example.p, example.params.gamma
     h_r, h_err = H[r]
     log_j, j_err = J
     pref = (p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)
     rhs = math.log(pref) + (1.0 - p) * log_j
     tol = _check_tol(base_tol, h_err, (p - 1.0) * j_err)
-    margin = rhs - h_r
     return CheckReport(name="surface-capacity", lhs=h_r, rhs=rhs,
-                       margin=margin, passed=margin >= -tol, tolerance=tol)
+                       margin=rhs - h_r, tolerance=tol)
 
 
 def default_check_pairs(example: SharpExample) -> dict[str, list]:

@@ -18,7 +18,7 @@ them needs numpy, so the subcommands that use only them never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DomainError(ValueError):
@@ -41,18 +41,22 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one inequality check; margin >= -tolerance means passed.
+    """Outcome of one inequality check.
 
     lhs and rhs are the two sides in log scale; margin is oriented so that
-    the claimed inequality corresponds to margin >= 0.
+    the claimed inequality corresponds to margin >= 0.  passed is not an
+    argument: it is derived as margin >= -tolerance.
     """
 
     name: str
     lhs: float
     rhs: float
     margin: float
-    passed: bool
+    passed: bool = field(init=False)
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.margin >= -self.tolerance)
 
 
 def _check_finite_positive(name: str, r: float) -> None:
@@ -77,7 +81,9 @@ class Params:
     """Validated parameter tuple (p, q, mu, lam, k).
 
     Constraints: p, q, lam and k finite; p > 1, q > p - 1, 0 <= mu <= p,
-    lam > 0, k > 0.
+    lam > 0, k > 0.  The exponents every constant is built from are
+    read-only properties: gamma = q - p + 1 > 0, beta = 1 - mu/p in [0, 1]
+    (0 exactly at the borderline mu = p) and p_conj = p' = p/(p - 1).
     """
 
     p: float
@@ -102,23 +108,17 @@ class Params:
         if not (self.k > 0.0):
             raise DomainError(f"k must be positive, got {self.k}")
 
+    @property
+    def gamma(self) -> float:
+        return self.q - self.p + 1.0
 
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Exponents derived from (p, q, mu): conjugate, shift and scale factors."""
+    @property
+    def beta(self) -> float:
+        return 1.0 - self.mu / self.p
 
-    p_conj: float      # p' = p / (p - 1)
-    gamma: float       # q - p + 1 > 0
-    beta: float        # 1 - mu / p, in [0, 1]
-
-
-def derived_exponents(params: Params) -> DerivedExponents:
-    p = params.p
-    return DerivedExponents(
-        p_conj=p / (p - 1.0),
-        gamma=params.q - p + 1.0,
-        beta=1.0 - params.mu / p,
-    )
+    @property
+    def p_conj(self) -> float:
+        return self.p / (self.p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,7 @@ def compute_C0(p: float, q: float, lam: float, k: float = 1.0) -> float:
 
     For p = 2 this collapses to 2*sqrt(q-1)*sqrt(lam)/k.
     """
-    Params(p, q, mu=0.0, lam=lam, k=k)
-    return _c0(p, q - p + 1.0, lam, k)
+    return _c0(p, Params(p, q, mu=0.0, lam=lam, k=k).gamma, lam, k)
 
 
 def solve_C1(p: float, q: float, lam: float, k: float = 1.0) -> float:
@@ -204,11 +203,11 @@ class ComparisonConstants:
     c6: float | None   # borderline composite coefficient
 
 
-def _annulus_constant(p: float, gamma: float, k: float) -> float:
+def _annulus_constant(params: Params) -> float:
     """k**(p*p') * (p-1)**(p-1) * 4**p / (gamma * min(1, gamma**(p-1)))."""
-    p_conj = p / (p - 1.0)
-    return k ** (p * p_conj) * (p - 1.0) ** (p - 1.0) * 4.0 ** p \
-        / (gamma * min(1.0, gamma ** (p - 1.0)))
+    p, gamma = params.p, params.gamma
+    return params.k ** (p * params.p_conj) * (p - 1.0) ** (p - 1.0) \
+        * 4.0 ** p / (gamma * min(1.0, gamma ** (p - 1.0)))
 
 
 def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstants:
@@ -221,9 +220,8 @@ def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstant
     """
     if not (0.0 <= eps < params.lam):
         raise DomainError(f"eps must lie in [0, lam) = [0, {params.lam}), got {eps}")
-    p, q, k = params.p, params.q, params.k
-    ex = derived_exponents(params)
-    gamma, p_conj = ex.gamma, ex.p_conj
+    p, k = params.p, params.k
+    gamma, p_conj = params.gamma, params.p_conj
     amp = params.lam - eps
 
     c4 = c5 = c6 = None
@@ -232,7 +230,7 @@ def comparison_constants(params: Params, eps: float = 0.0) -> ComparisonConstant
             * k ** (1.0 / p)
         c2 = gamma / (amp * k ** p_conj)
         c3 = _c0(p, gamma, amp, k)
-        C2 = 1.0 + c2 * _annulus_constant(p, gamma, k)
+        C2 = 1.0 + c2 * _annulus_constant(params)
         in_range = all(0.0 < c < math.inf for c in (c1, c2, c3, C2))
         if in_range and params.mu == p:
             c5 = _c1_from_c0(p, c3)

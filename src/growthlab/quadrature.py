@@ -81,6 +81,9 @@ _WG = (0.129484966168869693270611432679082,
 
 _LOG2 = math.log(2.0)
 
+# the most panels one segment may be refined into
+_MAX_PANELS = 4096
+
 # (node, log K15 weight, log G7 weight or None) for all 15 nodes
 _NODES = tuple(
     (sign * x, math.log(wk), math.log(_WG[i // 2]) if i % 2 else None)
@@ -271,8 +274,8 @@ def _batch(logf, pending, segs, ntables: int, rel_tol: float):
     return k.tolist(), e.tolist()
 
 
-def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
-            max_panels: int) -> list[LogQuadResult]:
+def _refine(logf, segments: list[tuple], ntables: int,
+            rel_tol: float) -> list[LogQuadResult]:
     """Integrate over each (lo, hi, breakpoints, table) of segments, together.
 
     Tables are numbered from 0 to ntables - 1 and the segments of each are
@@ -281,7 +284,7 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     once it meets rel_tol.  A panel is halved only when every node of both
     halves lies strictly inside them (_inside).  The error raised is the
     one refining the tables alone, in order, would raise.  A segment fails
-    the tolerance test when it misses rel_tol with max_panels panels or with
+    the tolerance test when it misses rel_tol with _MAX_PANELS panels or with
     a panel to halve below that floor; later segments then stop and earlier
     ones go on, so the first such failure in list order is raised.  A logf
     batch that raises (a DomainError of an integrand value, or an initial
@@ -302,7 +305,7 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
             if len(tables) > 1:
                 for t in tables:
                     _refine(logf, [seg for seg in segments if seg[3] == t],
-                            ntables, rel_tol, max_panels)
+                            ntables, rel_tol)
             raise
         pos = 0
         for i, worst, ca, _ in pending:
@@ -322,11 +325,11 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
                     log_value=total, rel_error=rel, panels=len(seg.k),
                     evals=15 * seg.evaluated)
                 continue
-            if len(seg.k) >= max_panels:
-                reason = f"needed more than {max_panels} panels"
+            if len(seg.k) >= _MAX_PANELS:
+                reason = f"needed more than {_MAX_PANELS} panels"
             else:
                 worst = _worst(seg.e, total + log_rel_tol,
-                               max_panels - len(seg.k))
+                               _MAX_PANELS - len(seg.k))
                 ca, cb = seg.halves(worst)
                 floor = [(a, b) for a, b in zip(ca, cb) if not _inside(a, b)]
                 if not floor:
@@ -339,8 +342,8 @@ def _refine(logf, segments: list[tuple], ntables: int, rel_tol: float,
     return results
 
 
-def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
-             max_panels: int = 4096) -> LogQuadResult:
+def log_quad(logf, lo: float, hi: float,
+             rel_tol: float = 1e-12) -> LogQuadResult:
     """Integrate exp(logf) over [lo, hi] in log space.
 
     logf maps a 1-D float ndarray of radii to an ndarray of the same shape
@@ -348,19 +351,16 @@ def log_quad(logf, lo: float, hi: float, rel_tol: float = 1e-12,
     is called once per refinement round, with the nodes of every panel
     that round evaluates.  Returns log of the integral together with an
     error estimate relative to the integral.  Raises QuadratureError when
-    max_panels panels cannot reach rel_tol or refinement meets the floor of
-    double precision, and DomainError when logf produces nan or +inf.
+    _MAX_PANELS panels cannot reach rel_tol or refinement meets the floor
+    of double precision, and DomainError when logf produces nan or +inf.
+    It is log_quad_tables with one table and one radius.
     """
     _check_finite_positive("rel_tol", rel_tol)
     if not (-math.inf < lo <= hi < math.inf):
         raise DomainError(f"bad integration interval [{lo}, {hi}]: its ends "
                           "must be finite and in order")
-    if lo == hi:
-        return LogQuadResult(log_value=-math.inf, rel_error=0.0, panels=0,
-                             evals=0)
-    return _refine(lambda x, starts: logf(x),
-                   [(lo, hi, _initial_breakpoints(lo, hi), 0)], 1, rel_tol,
-                   max_panels)[0]
+    return log_quad_tables(lambda x, starts: logf(x), [(lo, [hi])],
+                           rel_tol)[0][0]
 
 
 def _log_combine(parts) -> tuple[float, float]:
@@ -384,10 +384,10 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     results is returned per table: the integrals of exp(logf) from lo up to
     each radius of a nondecreasing list of finite radii.  The segments
     [lo, R1], [R1, R2], ... of all tables are refined together, each with
-    its own initial panels, tolerance test and 4096-panel budget, so it
-    gets the panels log_quad alone would give it.  A table may carry a
+    its own initial panels, tolerance test and _MAX_PANELS budget, so it
+    gets the panels it would get refined alone.  A table may carry a
     third element top(lo, hi): the initial panel ends at the top of each of
-    its segments, ending at hi; log_quad's eight even or geometric panels
+    its segments, ending at hi; the default eight even or geometric panels
     run from lo to the first of them.  The result at R sums the segments up
     to R, their panels and their evals, with their combined relative error;
     at or below lo it is -inf with zero error.  Each round makes one call
@@ -421,8 +421,7 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                 start = R
             upto.append(len(segments))
         spans.append((begin, upto))
-    parts = _refine(logf, segments, len(tables), rel_tol, 4096) \
-        if segments else []
+    parts = _refine(logf, segments, len(tables), rel_tol) if segments else []
     out = []
     for begin, upto in spans:
         row = []

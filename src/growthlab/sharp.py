@@ -74,7 +74,7 @@ class SharpExample:
 
     @property
     def beta(self) -> float:
-        return 1.0 - self.mu / self.p
+        return self.params.beta
 
     @property
     def kappa(self) -> float:

@@ -13,7 +13,7 @@ import re
 import pytest
 
 import growthlab
-from growthlab import compute_C0, solve_C1
+from growthlab import build_sharp_example, compute_C0, default_check_pairs, solve_C1
 from growthlab.cli import _COMMANDS, main
 
 
@@ -138,6 +138,36 @@ def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     assert json.loads(out)["config"]["tol"] == 1e-3
 
 
+def test_config_file_not_utf8_exit_code(capsys, tmp_path):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"tol = 1e-8 # \xff\n")
+    rc, out, err = run(capsys, ["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"growthlab: error: {cfg}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, auto", [("yes", True), ("off", False)])
+def test_config_eps_auto(capsys, tmp_path, value, auto):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"eps-auto = {value}\n")
+    rc, out, _ = run(capsys, ["inequalities", "--p", "2", "--q", "3", "--mu", "1", "--config", str(cfg), "--format", "json"])
+    assert rc == 0
+    config = json.loads(out)["config"]
+    assert config["eps_auto"] is auto
+    ex = build_sharp_example(2.0, 3.0, 1.0)
+    b = default_check_pairs(ex)["annulus-caccioppoli"][0]
+    assert config["eps"] == (ex.eps_for_radius(b) if auto else 0.0)
+
+
+def test_config_bad_bool_exit_code(capsys, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("eps-auto = maybe\n")
+    rc, out, err = run(capsys, ["inequalities", "--p", "2", "--q", "3", "--mu", "1", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert "bad bool 'maybe' for eps-auto" in err
+
+
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p = 2\nwibble = 7\n")
@@ -183,8 +213,13 @@ def test_l1_slope_sentinel_json(capsys):
     rc, out, _ = run(capsys, ["l1", "--slope=-inf", "--p", "2", "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
-    assert doc["constants"]["slope"] == "-inf"
+    assert doc["constants"]["slope"] == doc["constants"]["slope_ratio"] == "-inf"
     assert doc["classification"] == "condition_holds"
+    rc, out, _ = run(capsys, ["l1", "--slope=inf", "--p", "2", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["constants"]["slope"] == doc["constants"]["slope_ratio"] == "inf"
+    assert doc["classification"] == "condition_fails"
 
 
 def test_l1_euclidean_counterexample(capsys):
@@ -227,6 +262,21 @@ def test_rate_rmin_needs_rmax(capsys):
     rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmax", "1e5", "--format", "json"])
     assert rc == 0
     assert json.loads(out)["rate"]["window"][1] == pytest.approx(1e5, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu, rmin, rmax, regime, rate", [
+    ("1", 50.0, 1e4, "power", 2.0),
+    ("2", 1e4, 1e6, "log", None),
+])
+def test_rate_explicit_window(capsys, mu, rmin, rmax, regime, rate):
+    rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", mu, "--rmin", repr(rmin), "--rmax", repr(rmax), "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["rate"]["window"] == [rmin, pytest.approx(rmax, rel=1e-12)]
+    assert doc["rate"]["n_samples"] == len(doc["samples"]) == 7
+    assert doc["rate"]["regime"] == regime
+    if rate is not None:
+        assert abs(doc["rate"]["rate"] - rate) <= 0.01
 
 
 @pytest.mark.parametrize("argv, flag", [

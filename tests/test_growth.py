@@ -303,7 +303,7 @@ def test_estimate_rate_power_exact():
     A, beta, B, C = 2.5, 0.5, 1.2, -3.0
     radii = np.logspace(1.0, 3.0, 8)
     samples = [GrowthSample(r, A * r ** beta + B * math.log(r) + C, 0.0) for r in radii]
-    est = estimate_rate(samples, regime="power", beta=beta)
+    est = estimate_rate(samples, beta)
     assert est.rate == pytest.approx(A * beta, rel=1e-10)
     assert est.fit_residual <= 1e-9
     assert est.regime == "power"
@@ -313,8 +313,9 @@ def test_estimate_rate_power_exact():
 def test_estimate_rate_log_exact():
     radii = np.logspace(2.0, 5.0, 6)
     samples = [GrowthSample(r, 4.5 * math.log(r) - 2.0, 0.0) for r in radii]
-    est = estimate_rate(samples, regime="log")
+    est = estimate_rate(samples, 0.0)
     assert est.rate == pytest.approx(4.5, rel=1e-12)
+    assert est.regime == "log"
     assert est.window == (pytest.approx(100.0), pytest.approx(1e5))
 
 
@@ -322,15 +323,15 @@ def test_estimate_rate_validation():
     radii = [10.0, 20.0, 40.0, 80.0]
     samples = [GrowthSample(r, math.log(r), 0.0) for r in radii]
     with pytest.raises(DomainError):
-        estimate_rate(samples[:3], regime="log")
+        estimate_rate(samples[:3], 0.0)
+    with pytest.raises(DomainError, match="beta must be finite and nonnegative"):
+        estimate_rate(samples, -0.5)
+    with pytest.raises(DomainError, match="beta must be finite and nonnegative"):
+        estimate_rate(samples, math.nan)
     with pytest.raises(DomainError):
-        estimate_rate(samples, regime="power")
+        estimate_rate(list(reversed(samples)), 0.0)
     with pytest.raises(DomainError):
-        estimate_rate(samples, regime="power", beta=0.0)
-    with pytest.raises(DomainError):
-        estimate_rate(list(reversed(samples)), regime="log")
-    with pytest.raises(DomainError):
-        estimate_rate(samples[:3] + [GrowthSample(160.0, -math.inf, 0.0)], regime="log")
+        estimate_rate(samples[:3] + [GrowthSample(160.0, -math.inf, 0.0)], 0.0)
 
 
 @pytest.mark.parametrize("beta", [math.inf, 1e308])
@@ -338,13 +339,13 @@ def test_estimate_rate_rejects_a_design_matrix_past_double_range(beta):
     """LAPACK does not return on an inf design matrix; R**1e308 overflows."""
     samples = [GrowthSample(r, math.log(r), 0.0) for r in [10.0, 20.0, 40.0, 80.0]]
     with pytest.raises(DomainError, match="beta"):
-        estimate_rate(samples, regime="power", beta=beta)
+        estimate_rate(samples, beta)
 
 
 def test_estimate_rate_rejects_an_infinite_radius():
     samples = [GrowthSample(r, 1.0, 0.0) for r in [10.0, 20.0, 40.0, math.inf]]
     with pytest.raises(DomainError, match=r"log R finite at every sample radius in \[10.0, inf\]"):
-        estimate_rate(samples, regime="log")
+        estimate_rate(samples, 0.0)
 
 
 @pytest.mark.parametrize("num", [5.5, 7.0, "7"])
@@ -354,8 +355,7 @@ def test_rate_window_rejects_a_num_that_is_not_an_integer(num):
 
 
 def test_rate_window_power():
-    radii, regime = rate_window(build_sharp_example(2.0, 3.0, 0.0))
-    assert regime == "power"
+    radii = rate_window(build_sharp_example(2.0, 3.0, 0.0))
     # kappa = 4, beta = 1: the last radius solves 4 R = 1e4
     assert radii[-1] == pytest.approx(2500.0, rel=1e-12)
     assert radii[0] == pytest.approx(2500.0 / 30.0, rel=1e-12)
@@ -363,15 +363,14 @@ def test_rate_window_power():
 
 
 def test_rate_window_borderline_default():
-    radii, regime = rate_window(EX_BORDER)
-    assert regime == "log"
+    radii = rate_window(EX_BORDER)
     assert radii[0] == pytest.approx(1e4, rel=1e-12)
     assert radii[-1] == pytest.approx(1e6, rel=1e-12)
 
 
 def test_rate_window_power_matches_loop_formula():
     # radii solve kappa * beta * R**beta = x on a geometric grid 1e4/30 .. 1e4
-    radii, _ = rate_window(EX_DECAY)
+    radii = rate_window(EX_DECAY)
     kb, beta = EX_DECAY.kappa * EX_DECAY.beta, EX_DECAY.beta
     ref = [(1e4 / 30.0 * 30.0 ** (i / 6) / kb) ** (1.0 / beta) for i in range(7)]
     assert radii == pytest.approx(ref, rel=64 * sys.float_info.epsilon)
@@ -402,7 +401,7 @@ def test_top_end_panels_match_default_panels(p, log_gamma, mu_frac, log_x, k):
         ex = build_sharp_example(p, p - 1.0 + 10.0 ** log_gamma, p * mu_frac)
         # kappa * beta * rmax**beta = 10**log_x, the window's log-growth
         rmax = (10.0 ** log_x / (ex.kappa * ex.beta)) ** (1.0 / ex.beta)
-        radii, _ = rate_window(ex, rmax=rmax)
+        radii = rate_window(ex, rmax=rmax)
     except DomainError:
         assume(False)
     lo, hi = radii[k], radii[k + 1]

@@ -25,6 +25,8 @@ from growthlab import (
     subsolution_residual,
 )
 
+from growthlab.models import geometric_grid
+
 mpmath.mp.dps = 60
 
 
@@ -250,6 +252,20 @@ def test_subsolution_residual_guards():
     with pytest.raises(DomainError):
         # below the level radius the comparison function is not positive
         subsolution_residual(ex.manifold, ex.profile, ex.potential, ex.p, ex.s0, [ex.t0 * 0.5])
+
+
+@pytest.mark.parametrize("manifold, profile, p, want", [
+    # p-harmonic: the two operator terms cancel to rounding
+    (ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, 0.0),
+    # v = t**2 on R**3 has Delta_2 v = 6 > 0: strictly above the floor
+    (ModelManifold.euclidean(3), PowerLaw(2.0), 2.0, -math.inf),
+    # v = t with warp 1/t has Delta_2 v = -1/t**2 < 0: a violation
+    (ModelManifold(PowerLaw(-1.0)), PowerLaw(1.0), 2.0, math.inf),
+])
+def test_subsolution_residual_zero_potential(manifold, profile, p, want):
+    """V = 0 leaves no scale: the defect maps to 0, -inf or +inf."""
+    radii = geometric_grid(1.5, 100.0, 12)
+    assert subsolution_residual(manifold, profile, lambda r: 0.0, p, 0.0, radii) == want
 
 
 def test_fd_cross_check_families():

@@ -24,7 +24,6 @@ from growthlab import (
     Params,
     comparison_constants,
     compute_C0,
-    derived_exponents,
     liouville_check,
     solve_C1,
 )
@@ -230,15 +229,13 @@ def test_lazy_namespace():
 def test_public_names():
     """The public API: a name leaves or joins it only by a reviewed change."""
     assert growthlab.__all__ == [
-        "CheckReport", "ComparisonConstants", "DerivedExponents",
-        "DomainError", "ExpPower", "GrowthSample", "LogQuadResult",
+        "CheckReport", "ComparisonConstants", "DomainError", "ExpPower", "GrowthSample", "LogQuadResult",
         "ModelManifold", "PHarmonicRn", "Params", "PowerLaw",
         "QuadratureError", "RadialProfile", "RateEstimate", "SharpExample",
         "SharpPotential", "build_sharp_example", "check_caccioppoli",
         "check_growth_lower_bound", "check_surface_capacity", "choose_ac",
         "classify_l1_condition", "comparison_constants", "compute_C0",
-        "default_check_pairs", "default_qs", "derived_exponents",
-        "estimate_rate", "fd_cross_check", "growth_samples",
+        "default_check_pairs", "default_qs", "estimate_rate", "fd_cross_check", "growth_samples",
         "liouville_check", "log_ball_integral",
         "log_energy_integral", "log_quad", "log_sphere_integral", "log_sum",
         "measure_rate", "p_laplacian_scaled", "rate_window",
@@ -263,11 +260,11 @@ def test_trace_targets_resolve():
 
 
 def test_derived_exponents():
-    d = derived_exponents(Params(3.0, 4.0, 1.5, 1.0))
+    d = Params(3.0, 4.0, 1.5, 1.0)
     assert d.p_conj == pytest.approx(1.5, rel=1e-15)
     assert d.gamma == pytest.approx(2.0, rel=1e-15)
     assert d.beta == pytest.approx(0.5, rel=1e-15)
-    assert derived_exponents(Params(3.0, 4.0, 3.0, 1.0)).beta == 0.0
+    assert Params(3.0, 4.0, 3.0, 1.0).beta == 0.0
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from growthlab import (
     log_quad,
     log_sum,
 )
+from growthlab import quadrature
 from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
                                   log_quad_tables)
 from logspace import log_diff
@@ -109,11 +110,12 @@ def test_non_finite_integrand_rejected(bad):
         log_quad(np.vectorize(lambda t: bad, otypes=[float]), 0.0, 1.0)
 
 
-def test_budget_exhaustion_reports_partial_result():
+def test_budget_exhaustion_reports_partial_result(monkeypatch):
     """A needle the initial panels cannot see raises with diagnostics."""
     logf = lambda t: -(((t - 0.37) / 1e-8) ** 2)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        log_quad(logf, 0.0, 1.0, max_panels=8)
+        log_quad(logf, 0.0, 1.0)
     err = info.value
     assert err.panels == 8
     assert math.isfinite(err.log_value)
@@ -191,10 +193,11 @@ def test_eval_count_with_refinement():
     assert res.evals == len(calls)
 
 
-def test_budget_exhaustion_counts_evals():
+def test_budget_exhaustion_counts_evals(monkeypatch):
     logf = lambda t: -(((t - 0.37) / 1e-8) ** 2)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(QuadratureError) as info:
-        log_quad(logf, 0.0, 1.0, max_panels=8)
+        log_quad(logf, 0.0, 1.0)
     assert info.value.evals == 120
 
 
@@ -436,16 +439,18 @@ def test_batched_panels_name_first_bad_node():
     (lambda t: -(((t - 0.37) / 1e-8) ** 2), 0.0, 1.0, {"max_panels": 8}),
     (lambda t: -(((t - 0.37) / 1e-8) ** 2), 0.0, 1.0, {"max_panels": 100}),
 ])
-def test_round_driver_matches_serial(f, lo, hi, kwargs):
+def test_round_driver_matches_serial(f, lo, hi, kwargs, monkeypatch):
     """Bisecting each round's fewest worst panels at once costs what one at a time does."""
+    if "max_panels" in kwargs:
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", kwargs["max_panels"])
     try:
         ref = _log_quad_serial(f, lo, hi, **kwargs)
     except QuadratureError as exc:
         with pytest.raises(QuadratureError) as info:
-            log_quad(np.vectorize(f, otypes=[float]), lo, hi, **kwargs)
+            log_quad(np.vectorize(f, otypes=[float]), lo, hi)
         assert (info.value.panels, info.value.evals) == (exc.panels, exc.evals)
         return
-    res = log_quad(np.vectorize(f, otypes=[float]), lo, hi, **kwargs)
+    res = log_quad(np.vectorize(f, otypes=[float]), lo, hi)
     assert (res.panels, res.evals) == (ref.panels, ref.evals)
     assert _close(res.log_value, ref.log_value)
 
