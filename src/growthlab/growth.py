@@ -26,17 +26,23 @@ pieces of G and H next to the support edge t0 are tables of the same pass
 H, then J; integrals fail in that order, and the comparison constants come
 after them.
 
-A segment of G spanning more than 96 e-fold widths w of its integrand at
-its top R starts with panel ends at R - w * (48, 24, 12, 6, 3, 1.5), where
-nearly all of its mass lies, so a rate window takes one or two rounds; G
-has no edge table where its first segment does (see _top_width).
+G and J share one cluster of initial panel ends, put where nearly all of
+their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32 and
+48 of the e-fold width w of the integrand (see _CLUSTER).  A segment of G
+spanning more than 96 widths at its top R starts with ends at R - w * f,
+and G has no edge table where its first segment does (see _top_width).
+J's integrand phi**(1/(1-p)) decays from the bottom r of its interval, so
+J starts with the ends r + w * f inside the interval, w its width at r
+(see _bottom_width).  On the grid every J then closes in its first round,
+and a rate window in one or two: a sweep of the suite over sharp_grid()
+makes 41 integrand batches, and one of measure_rate 33.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,22 +180,40 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
     return (0.0, [(t1 - t0) ** (alpha / n)]), (t1, radii), n / alpha
 
 
-# the top-end panel ends of a long segment of G, in e-fold widths below R
-_TOP = (48.0, 24.0, 12.0, 6.0, 3.0, 1.5)
+# the panel ends of the cluster where G's integrand peaks, in e-fold widths
+# below the top of a long segment, and where J's peaks, above the bottom
+_CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
 
 
 def _top_width(manifold: ModelManifold, profile: RadialProfile, q: float,
                lo: float, hi: float) -> float | None:
     """The e-fold width w = 1 / (d log(g * v**q) / ds) of G's integrand at
-    hi when [lo, hi] spans more than 2 * _TOP[0] widths; else None, as for
-    a slope not known, finite and positive.  Where log(g * v**q) is concave
-    the integrand then grows by over e**96 across [lo, hi], so its lower
-    part carries no weight and G needs no edge below such a first segment."""
+    hi when [lo, hi] spans more than 2 * _CLUSTER[-1] widths; else None, as
+    for a slope not known, finite and positive.  Where log(g * v**q) is
+    concave the integrand then grows by over e**96 across [lo, hi], so its
+    lower part carries no weight and G needs no edge below such a first
+    segment."""
     try:
         w = 1.0 / (manifold.dlog_warp(hi) + q * profile.dlog(hi))
     except (OverflowError, ZeroDivisionError, NotImplementedError):
         return None
-    return w if w > 0.0 and hi - 2.0 * _TOP[0] * w > lo else None
+    return w if w > 0.0 and hi - 2.0 * _CLUSTER[-1] * w > lo else None
+
+
+def _bottom_width(manifold: ModelManifold, profile: RadialProfile, p: float,
+                  q: float, s0: float, lo: float) -> float | None:
+    """The e-fold width w = (p - 1) / slope of J's integrand phi**(1/(1-p))
+    at the bottom lo of its interval, with slope = d log phi / ds
+    = g'/g + q * (v'/v) * v / (v - s0); None for a slope not known, finite
+    and positive."""
+    try:
+        # v / (v - s0), 1 where s0 = 0
+        ratio = -1.0 / math.expm1(_log_level(s0) - profile.log_value(lo))
+        slope = manifold.dlog_warp(lo) + q * profile.dlog(lo) * ratio
+        w = (p - 1.0) / slope
+    except (OverflowError, ZeroDivisionError, NotImplementedError):
+        return None
+    return w if 0.0 < w < math.inf else None
 
 
 def _integrals(manifold: ModelManifold, profile: RadialProfile,
@@ -229,7 +253,13 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
 
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(manifold, profile, q, lo, hi)
-        return [hi] if w is None else [hi - f * w for f in _TOP] + [hi]
+        return [hi] if w is None \
+            else [hi - f * w for f in reversed(_CLUSTER)] + [hi]
+
+    def bottom_ends(lo: float, hi: float) -> list[float]:
+        w = _bottom_width(manifold, profile, p, q, s0, lo)
+        return [lo] if w is None \
+            else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
 
     def logf(x: np.ndarray, starts: list[int]) -> np.ndarray:
         ge, g, he, h, j = starts[:_J + 1]
@@ -272,7 +302,7 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         return out
 
     tables = [g_edge, (*g_rest, top_ends), h_edge, h_rest] \
-        + [(r, [R]) for r, R in j_pairs]
+        + [(r, [R], bottom_ends) for r, R in j_pairs]
     g_piece, g_res, h_piece, h_res, *j_res = log_quad_tables(
         logf, tables, rel_tol=rel_tol)
 
@@ -443,7 +473,8 @@ def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
 
 
 def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
-                        G: dict, H: dict, base_tol: float) -> CheckReport:
+                        G: dict, H: dict, base_tol: float,
+                        suffix: str = "") -> CheckReport:
     p = example.p
     g_r1, g_r = G[R1], G[R]
     h_r, h_err = H[R]
@@ -457,8 +488,8 @@ def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
                            math.log(cc.c2) + example.mu * math.log(R) + h_r])
         rhs = (cc.c3 / beta) * (R ** beta - R1 ** beta) + g_r1.logG
     tol = _check_tol(base_tol, g_r1.quad_error, g_r.quad_error, h_err)
-    return CheckReport(name="growth-lower-bound", lhs=log_phi, rhs=rhs,
-                       margin=log_phi - rhs, tolerance=tol)
+    return CheckReport(name="growth-lower-bound" + suffix, lhs=log_phi,
+                       rhs=rhs, margin=log_phi - rhs, tolerance=tol)
 
 
 def check_caccioppoli(example: SharpExample, R: float,
@@ -481,13 +512,13 @@ def check_caccioppoli(example: SharpExample, R: float,
 
 
 def _caccioppoli(example: SharpExample, R: float, h: float, G: dict,
-                 H: dict, base_tol: float) -> CheckReport:
+                 H: dict, base_tol: float, suffix: str = "") -> CheckReport:
     g_rh = G[R + h]
     h_r, h_err = H[R]
     lhs = math.log(_annulus_constant(example.params)) + g_rh.logG
     rhs = example.p * math.log(h) + h_r
     tol = _check_tol(base_tol, g_rh.quad_error, h_err)
-    return CheckReport(name="annulus-caccioppoli", lhs=lhs, rhs=rhs,
+    return CheckReport(name="annulus-caccioppoli" + suffix, lhs=lhs, rhs=rhs,
                        margin=lhs - rhs, tolerance=tol)
 
 
@@ -508,14 +539,15 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
 
 
 def _surface_capacity(example: SharpExample, r: float, H: dict,
-                      J: tuple[float, float], base_tol: float) -> CheckReport:
+                      J: tuple[float, float], base_tol: float,
+                      suffix: str = "") -> CheckReport:
     p, gamma = example.p, example.params.gamma
     h_r, h_err = H[r]
     log_j, j_err = J
     pref = (p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)
     rhs = math.log(pref) + (1.0 - p) * log_j
     tol = _check_tol(base_tol, h_err, (p - 1.0) * j_err)
-    return CheckReport(name="surface-capacity", lhs=h_r, rhs=rhs,
+    return CheckReport(name="surface-capacity" + suffix, lhs=h_r, rhs=rhs,
                        margin=rhs - h_r, tolerance=tol)
 
 
@@ -557,14 +589,11 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
         + [r for r, _ in capacity]
     G, H, J = _tables(example, g_radii, h_radii, capacity, rel_tol)
     cc = comparison_constants(example.params, eps)
-    reports = []
-    for r1, r in growth:
-        rep = _growth_lower_bound(example, cc, r1, r, G, H, base_tol)
-        reports.append(replace(rep, name=f"{rep.name}(R1={r1:.4g};R={r:.4g})"))
-    for r, h in annulus:
-        rep = _caccioppoli(example, r, h, G, H, base_tol)
-        reports.append(replace(rep, name=f"{rep.name}(R={r:.4g})"))
-    for (r1, r), j in zip(capacity, J):
-        rep = _surface_capacity(example, r1, H, j, base_tol)
-        reports.append(replace(rep, name=f"{rep.name}(r={r1:.4g};R={r:.4g})"))
-    return reports
+    return [_growth_lower_bound(example, cc, r1, r, G, H, base_tol,
+                                f"(R1={r1:.4g};R={r:.4g})")
+            for r1, r in growth] \
+        + [_caccioppoli(example, r, h, G, H, base_tol, f"(R={r:.4g})")
+           for r, h in annulus] \
+        + [_surface_capacity(example, r1, H, j, base_tol,
+                             f"(r={r1:.4g};R={r:.4g})")
+           for (r1, r), j in zip(capacity, J)]

@@ -23,8 +23,10 @@ costs 15 integrand evaluations.  The panel value is K15 and its error
 estimate is |K15 - G7| (both in log form).
 
 A segment starts from eight even or geometric panels.  log_quad_tables lets
-a table add panel ends at the top of its segments: growthlab.growth puts
-them where nearly all of the mass of a long segment of G lies.
+a table start each of its segments from a cluster of panel ends at its top
+or its bottom, the eight default panels filling the rest: growthlab.growth
+puts the cluster where nearly all of the mass of G or of J lies, so each
+of them is resolved in its first round or soon after.
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive
 quadrature in the manner of Shampine, 2008).  A round that finds the total
@@ -386,23 +388,26 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     [lo, R1], [R1, R2], ... of all tables are refined together, each with
     its own initial panels, tolerance test and _MAX_PANELS budget, so it
     gets the panels it would get refined alone.  A table may carry a
-    third element top(lo, hi): the initial panel ends at the top of each of
-    its segments, ending at hi; the default eight even or geometric panels
-    run from lo to the first of them.  The result at R sums the segments up
-    to R, their panels and their evals, with their combined relative error;
-    at or below lo it is -inf with zero error.  Each round makes one call
-    logf(x, starts) for the new panels of every open segment: x holds the
-    nodes table by table, in table order, and those of table t are
-    x[starts[t]:starts[t + 1]], so logf can give each table its own
-    integrand.  When integrals fail, the error raised is the one that
-    refining the tables one after another, in order, would raise (see
+    third element cluster(lo, hi): the initial panel ends of a cluster at
+    one end of each of its segments [lo, hi], a list that either ends with
+    hi, for a cluster at the top, or starts with lo, for one at the bottom;
+    the default eight even or geometric panels fill the rest of the
+    segment, from lo up to the cluster or from the cluster up to hi.
+    Without it they fill the whole segment.  The result at R sums the
+    segments up to R, their panels and their evals, with their combined
+    relative error; at or below lo it is -inf with zero error.  Each round
+    makes one call logf(x, starts) for the new panels of every open
+    segment: x holds the nodes table by table, in table order, and those
+    of table t are x[starts[t]:starts[t + 1]], so logf can give each table
+    its own integrand.  When integrals fail, the error raised is the one
+    that refining the tables one after another, in order, would raise (see
     _refine).
     """
     _check_finite_positive("rel_tol", rel_tol)
     segments = []
     spans = []
-    for t, (lo, radii, *ends) in enumerate(tables):
-        top = ends[0] if ends else lambda a, b: [b]
+    for t, (lo, radii, *hook) in enumerate(tables):
+        cluster = hook[0] if hook else lambda a, b: [b]
         begin, upto = len(segments), []
         start = lo
         prev = -math.inf
@@ -415,8 +420,11 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                                   f"after {prev}")
             prev = R
             if R > start:
-                pts = top(start, R)
-                pts[:1] = _initial_breakpoints(start, pts[0])
+                pts = cluster(start, R)
+                if pts[-1] == R:
+                    pts[:1] = _initial_breakpoints(start, pts[0])
+                else:
+                    pts[-1:] = _initial_breakpoints(pts[-1], R)
                 segments.append((start, R, pts, t))
                 start = R
             upto.append(len(segments))

@@ -434,6 +434,49 @@ def test_top_end_panels_fall_back_without_a_known_positive_slope(warp, profile, 
     assert abs(sample.logG - log_g) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.5, 4.0), log_gamma=st.floats(-0.5, 0.5),
+       mu_frac=st.floats(0.0, 1.0), log_u=st.floats(-3.0, 0.0))
+def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
+    """J over (r, 4r), r in (t0, 10 t0 + 10], which gets bottom-end initial
+    panels, agrees with a rel_tol=1e-14 log_quad on the default panels of
+    the log of phi**(1/(1-p)), within the claimed errors and the rounding of
+    the log value itself.  r - t0 is at least 1e-3 of that range: closer to
+    t0 the rounding of v - s0, amplified by 1/(p - 1), keeps the reference
+    from 1e-14, and then J from 1e-12 on either set of initial panels."""
+    try:
+        ex = build_sharp_example(p, p - 1.0 + 10.0 ** log_gamma, p * mu_frac)
+    except DomainError:
+        assume(False)
+    r = ex.t0 + 10.0 ** log_u * (9.0 * ex.t0 + 10.0)
+    assume(growth._bottom_width(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, r) is not None)
+    try:
+        ref = log_quad(np.vectorize(lambda s: -log_sphere_integral(
+            ex.manifold, ex.profile, ex.q, ex.s0, s) / (ex.p - 1.0), otypes=[float]),
+            r, 4.0 * r, rel_tol=1e-14)
+    except QuadratureError:
+        assume(False)
+    _, _, [(log_j, j_err)] = growth._integrals(
+        ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [], [(r, 4.0 * r)], 1e-12)
+    assert abs(math.expm1(log_j - ref.log_value)) \
+        <= j_err + ref.rel_error + 4 * math.ulp(ref.log_value)
+
+
+@pytest.mark.parametrize("warp, profile, log_j", [
+    # a warp that shrinks as fast as v**2 grows: phi = 2 pi, J = 3 / (2 pi)
+    (PowerLaw(-2.0), PowerLaw(1.0), math.log(3.0 / (2.0 * math.pi))),
+    # a profile that does not give its slope: phi = 2 pi s**3,
+    # J = (1 - 4**-2) / (4 pi)
+    (PowerLaw(1.0), _LinearNoSlope(), math.log((1.0 - 1.0 / 16.0) / (4.0 * math.pi))),
+])
+def test_bottom_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_j):
+    manifold = ModelManifold(warp)
+    assert growth._bottom_width(manifold, profile, 2.0, 2.0, 0.0, 1.0) is None
+    _, _, [(got, _)] = growth._integrals(manifold, profile, 2.0, 2.0, 0.0, [], [],
+                                         [(1.0, 4.0)], 1e-12)
+    assert abs(got - log_j) <= 1e-12
+
+
 def test_measure_rate_rejects_infinite_rel_tol():
     with pytest.raises(DomainError, match="rel_tol must be finite and positive, got inf"):
         measure_rate(EX_DECAY, rel_tol=math.inf)
@@ -560,6 +603,42 @@ def test_inequality_suite_matches_public_checks(pq_mu):
         assert rep.passed and single.passed
 
 
+# the suite's reports at (2, 3, 1) as frozen before the suite named them
+# directly: name, lhs, rhs, margin and tolerance; a surface-capacity
+# tolerance (None) carries J's claimed error, which depends on its panels
+SUITE_2_3_1 = [
+    ("growth-lower-bound(R1=3.867;R=15.47)", 18.66361984425921, 11.803045678346994,
+     6.860574165912215, 1.0000014814291297e-08),
+    ("growth-lower-bound(R1=7.733;R=30.93)", 25.749190631202502, 22.715272127771357,
+     3.0339185034311456, 1.0000007873606777e-08),
+    ("growth-lower-bound(R1=3.867;R=61.87)", 35.35852650843954, 27.5342831376964,
+     7.82424337074314, 1.0000010074564815e-08),
+    ("annulus-caccioppoli(R=3.867)", 11.05843154783703, 6.010556000577308,
+     5.047875547259721, 1.0000003509073072e-08),
+    ("annulus-caccioppoli(R=7.733)", 16.35726742897049, 11.393407134635515,
+     4.963860294334976, 1.00000060629982e-08),
+    ("annulus-caccioppoli(R=15.47)", 21.99658338637813, 16.77241764613959,
+     5.22416574023854, 1.0000018933418685e-08),
+    ("surface-capacity(r=3.867;R=15.47)", 4.658142318496255, 6.383568255843011,
+     1.7254259373467562, None),
+    ("surface-capacity(r=7.733;R=30.93)", 9.347846271994516, 11.588450742906119,
+     2.2406044709116024, None),
+    ("surface-capacity(r=15.47;R=61.87)", 14.033709602938647, 16.565233520006977,
+     2.5315239170683306, None),
+]
+
+
+def test_inequality_suite_frozen_reports():
+    """Each suite report is built with its final name; names and values are
+    bit for bit those frozen at (2, 3, 1)."""
+    reports = run_inequality_suite(build_sharp_example(2.0, 3.0, 1.0))
+    assert [(r.name, r.lhs, r.rhs, r.margin) for r in reports] \
+        == [row[:4] for row in SUITE_2_3_1]
+    for rep, (*_, tol) in zip(reports, SUITE_2_3_1):
+        assert rep.passed
+        assert rep.tolerance == tol or (tol is None and 1e-8 < rep.tolerance < 1.001e-8)
+
+
 def test_growth_samples_match_single_radius_integrals():
     """One cumulative pass agrees with separate integrals from t0."""
     ex = EX_SINGULAR
@@ -634,16 +713,36 @@ def test_suite_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         run_inequality_suite(ex)
-    # three G segments of (3, 6, 0) and (3, 7, 0) span the top-end cluster
-    assert work == {"integrals": 459, "panels": 3888, "evals": 61290}
+    # three G segments of (3, 6, 0) and (3, 7, 0) span the top-end cluster,
+    # and every J starts from the bottom-end cluster: more panels, no rounds
+    assert work == {"integrals": 459, "panels": 4463, "evals": 67845}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         measure_rate(ex)
-    # no G edge in the 18 power-regime examples: 18 integrals fewer
-    assert work == {"integrals": 198, "panels": 2598, "evals": 42840}
+    # no G edge in the 18 power-regime examples: 18 integrals fewer; the
+    # 11-end cluster costs more first-round panels and saves later rounds
+    assert work == {"integrals": 198, "panels": 2976, "evals": 44730}
+
+
+def test_capacity_tables_close_in_their_first_round(monkeypatch):
+    """Every J of a grid suite call starts from the bottom-end cluster and
+    meets rel_tol there: no panel is halved, so each of its evals belongs
+    to a panel it ends with."""
+    closed = []
+    tables = growth.log_quad_tables
+
+    def checked_tables(logf, specs, **kwargs):
+        results = tables(logf, specs, **kwargs)
+        closed.extend(r.evals == 15 * r.panels for (r,) in results[growth._J:])
+        return results
+
+    monkeypatch.setattr(growth, "log_quad_tables", checked_tables)
+    for ex in sharp_grid():
+        run_inequality_suite(ex)
+    assert len(closed) == 81 and all(closed)
 
 
 def _batches_per_example(monkeypatch, run):
@@ -668,12 +767,15 @@ def test_sweep_integrand_batches(monkeypatch):
     """One refinement per example: every G, edge, H and J integral of a
     suite call shares each round's integrand call, the support edges,
     integrated in tau, need no bisection toward t0, and a rate window's
-    segments start with their ends clustered where their mass lies."""
+    segments, like J's, start with their ends clustered where their mass
+    lies."""
     per_example = _batches_per_example(monkeypatch, run_inequality_suite)
-    assert sum(per_example) == 80
+    # J no longer bisects toward its bottom end: 20 examples take one round
+    assert sum(per_example) == 41
     assert max(per_example) <= 5
     per_example = _batches_per_example(monkeypatch, measure_rate)
-    assert sum(per_example) == 48
+    # with the finer shared cluster 22 examples take one round, not 8
+    assert sum(per_example) == 33
     assert all(n <= 2 for ex, n in zip(sharp_grid(), per_example)
                if not ex.is_borderline)
 

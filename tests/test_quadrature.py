@@ -20,6 +20,7 @@ from growthlab import (
     log_sum,
 )
 from growthlab import quadrature
+from growthlab.growth import _CLUSTER
 from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
                                   log_quad_tables)
 from logspace import log_diff
@@ -191,6 +192,35 @@ def test_eval_count_with_refinement():
     assert res.panels > 8
     assert res.evals == 15 * (2 * res.panels - 8)
     assert res.evals == len(calls)
+
+
+@pytest.mark.parametrize("kL", [200.0, 1e4])
+@pytest.mark.parametrize("at_top", [False, True])
+def test_end_cluster_resolves_an_exponential_in_one_round(kL, at_top, monkeypatch):
+    """exp(-k x) over [0, L] with the shared cluster of panel ends at the
+    bottom, and exp(k x) with it at the top, the default panels filling the
+    rest, meet (1 - exp(-kL))/k and its mirror exp(kL) (1 - exp(-kL))/k
+    within the claimed error, and no panel is halved."""
+    k = 3.0
+    L = kL / k
+    batches = []
+
+    def logf(x, starts):
+        batches.append(x)
+        return (k if at_top else -k) * x
+
+    if at_top:
+        table = (0.0, [L], lambda lo, hi: [hi - f / k for f in reversed(_CLUSTER)] + [hi])
+    else:
+        table = (0.0, [L], lambda lo, hi: [lo] + [lo + f / k for f in _CLUSTER])
+    [[res]] = log_quad_tables(logf, [table])
+    expected = math.log(-math.expm1(-kL)) - math.log(k) + (kL if at_top else 0.0)
+    assert abs(math.expm1(res.log_value - expected)) <= res.rel_error
+    # one round of 11 cluster panels and the 8 default ones, which together
+    # cover [0, L] with no panel of zero width
+    [x] = batches
+    assert res.panels == 19 and res.evals == 15 * res.panels == len(set(x.tolist()))
+    assert 0.0 < x.min() < L / 8 and L - L / 8 < x.max() < L
 
 
 def test_budget_exhaustion_counts_evals(monkeypatch):
