@@ -54,7 +54,7 @@ from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
                      _check_nonnegative, classify_l1_condition,
                      comparison_constants)
-from .quadrature import _log_combine, log_quad_tables, log_sum
+from .quadrature import _running_sum, log_quad_tables, log_sum
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -308,9 +308,9 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
 
     def whole(radii, piece, results):
         # the edge piece, empty without an edge, plus the rest up to R
-        return [(log_omega + v, rel) for v, rel in (
-            _log_combine(piece + [res]) if R > t0 else (-math.inf, 0.0)
-            for R, res in zip(radii, results))]
+        sums = [_running_sum(piece + [res])[-1] for res in results]
+        return [(log_omega + v, rel) if R > t0 else (-math.inf, 0.0)
+                for R, (v, rel, _, _) in zip(radii, sums)]
 
     return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
             [(res.log_value, res.rel_error) for (res,) in j_res])

@@ -63,6 +63,13 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _past_double(log_t: float, s: float) -> DomainError:
+    """The error of a level radius exp(log_t), for the level s, that passes
+    the largest double."""
+    return DomainError(f"level radius t = exp({log_t:.6g}) of the level "
+                       f"s = {s:.6g} exceeds the largest double")
+
+
 class RadialProfile:
     """Base class for positive radial functions on (t_min, inf).
 
@@ -154,7 +161,10 @@ class PowerLaw(RadialProfile):
             raise DomainError("constant profile has no level radii")
         if not (s > 0.0):
             raise DomainError(f"level must be positive, got {s}")
-        return s ** (1.0 / self.c)
+        try:
+            return s ** (1.0 / self.c)
+        except OverflowError:
+            raise _past_double(math.log(s) / self.c, s) from None
 
     def log_value_delta(self, t: float, eta):
         self._check_t(t)
@@ -202,7 +212,10 @@ class ExpPower(RadialProfile):
         x = math.log(s) / self.c
         if x <= 0.0:
             raise DomainError(f"level {s} is not attained for coefficient {self.c}")
-        return x ** (1.0 / self.beta)
+        try:
+            return x ** (1.0 / self.beta)
+        except OverflowError:
+            raise _past_double(math.log(x) / self.beta, s) from None
 
     def log_value_delta(self, t: float, eta):
         # c * ((t+eta)**b - t**b) = c * t**b * expm1(b * log1p(eta/t))
@@ -257,7 +270,10 @@ class PHarmonicRn(RadialProfile):
     def level_radius(self, s: float) -> float:
         if not (s > 0.0):
             raise DomainError(f"level must be positive, got {s}")
-        return (1.0 + s) ** (1.0 / self.alpha)
+        try:
+            return (1.0 + s) ** (1.0 / self.alpha)
+        except OverflowError:
+            raise _past_double(math.log1p(s) / self.alpha, s) from None
 
     def log_value_delta(self, t: float, eta):
         # ((t+eta)**a - 1) / (t**a - 1) = 1 + t**a * u / (t**a - 1) with
@@ -316,32 +332,43 @@ _NEAR = 0.7
 def _log_excess(profile: RadialProfile, log_s0: float, s: float) -> float:
     """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
 
-    One radius; _log_excess_of is the array form.
+    One radius; _log_excess_of is the form that also takes arrays.
     """
     lv = profile.log_value(s)
-    if log_s0 == -math.inf:
-        return lv
-    d = lv - log_s0
-    if d <= 0.0:
-        return -math.inf
-    if d < _NEAR:
-        # v - s0 = s0 * (exp(d) - 1), accurate when v is close to s0
-        return log_s0 + math.log(math.expm1(d))
-    return lv + math.log1p(-math.exp(-d))
+    return _log_excess_of(log_s0, lv, lv - log_s0)
 
 
 def _log_excess_of(log_s0: float, lv, d):
-    """The array form of _log_excess, from ndarrays lv = log v and
-    d = log v - log s0, which a caller may know more accurately than the
-    difference of the two logs; lv itself when s0 = 0."""
+    """log(v - s0) from lv = log v and d = log v - log s0, which a caller
+    may know more accurately than the difference of the two logs: floats,
+    or ndarrays of radii; lv itself when s0 = 0, and -inf where d <= 0.
+
+    Below d = _NEAR, v - s0 = s0 * (exp(d) - 1) is formed from expm1(d),
+    accurate when v is close to s0; above it, v * (1 - exp(-d)).
+    """
     if log_s0 == -math.inf:
         return lv
+    if _ns(d) is math:
+        if d <= 0.0:
+            return -math.inf
+        if d < _NEAR:
+            return log_s0 + math.log(math.expm1(d))
+        return lv + math.log1p(-math.exp(-d))
     np = sys.modules["numpy"]
-    # both branches on every node, each kept where the scalar path takes it
+    # both branches on every node, formed in place, each kept where the
+    # float branches above take it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        near = log_s0 + np.log(np.expm1(d))
-        far = lv + np.log1p(-np.exp(-d))
-    return np.where(d <= 0.0, -math.inf, np.where(d < _NEAR, near, far))
+        near = np.expm1(d)
+        np.log(near, out=near)
+        near += log_s0
+        far = np.negative(d)
+        np.exp(far, out=far)
+        np.negative(far, out=far)
+        np.log1p(far, out=far)
+        far += lv
+    np.copyto(far, near, where=d < _NEAR)
+    np.copyto(far, -math.inf, where=d <= 0.0)
+    return far
 
 
 def _log_level(s0: float) -> float:

@@ -3,10 +3,11 @@
 The integrals this package needs have integrands spanning thousands of
 orders of magnitude: a log-integrand routinely reaches 1e4.  Nothing here
 ever exponentiates an absolute magnitude.  The integrand is supplied as its
-logarithm, each panel factors out its running maximum before summing the
-node contributions, and panels are combined with log-sum-exp, so the result
-is the logarithm of the integral with full relative accuracy regardless of
-scale.
+logarithm, and each panel factors out the largest of its node log-values
+before summing the node contributions.  The panels of an integral are
+combined with log-sum-exp, and the integrals of a table up to successive
+radii with one running log-sum over its segments.  So the result is the
+logarithm of the integral with full relative accuracy regardless of scale.
 
 The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
 returns an ndarray of the same shape holding the log-integrand at each
@@ -20,7 +21,14 @@ Each panel uses the nested 7/15 Gauss-Kronrod pair of QUADPACK's QK15
 polynomials of degree up to 22 exactly, and its odd-indexed nodes together
 with the midpoint are the nodes of the 7-point Gauss rule G7, so one panel
 costs 15 integrand evaluations.  The panel value is K15 and its error
-estimate is |K15 - G7| (both in log form).
+estimate is |K15 - G7|, formed from log K15 and log G7.  Each rule's sum
+factors out its largest term w * exp(v), so every term is at most 1:
+log K15 is that largest log-term, plus the log of the sum, plus the log
+of the panel's half width.  The terms of both rules of a whole batch of
+panels go through one exp, laid out node by node, and each sum is formed
+in a fixed order, the first eight terms as a pairwise tree and the rest
+one by one; the last bits of the two logs, and so which panels are
+bisected, follow that order.
 
 A segment starts from eight even or geometric panels.  log_quad_tables lets
 a table start each of its segments from a cluster of panel ends at its top
@@ -92,11 +100,13 @@ _NODES = tuple(
     for i, (x, wk) in enumerate(zip(_XGK, _WGK))
     for sign in ((1.0, -1.0) if x > 0.0 else (1.0,)))
 
-# the same rule as arrays over the node axis of a batch of panels
+# the same rule as arrays over the node axis of a batch of panels laid out
+# node by node: the nodes, then the rows of the 15 K15 terms and the 7 G7
+# terms of each panel, and the log weight of each row
 _X = np.array([x for x, _, _ in _NODES])
-_LOG_WK = np.array([lwk for _, lwk, _ in _NODES])
 _G7 = [i for i, (_, _, lwg) in enumerate(_NODES) if lwg is not None]
-_LOG_WG = np.array([_NODES[i][2] for i in _G7])
+_TERMS = list(range(len(_NODES))) + _G7
+_LOG_W = np.array([[lwk] for _, lwk, _ in _NODES] + [[_NODES[i][2]] for i in _G7])
 
 
 def log_sum(values) -> float:
@@ -124,14 +134,6 @@ class LogQuadResult:
     evals: int
 
 
-def _row_log_sum(v: np.ndarray) -> np.ndarray:
-    """log(sum(exp(v))) along each row; -inf for a row of -inf, which takes
-    log(0), so the caller ignores divide-by-zero."""
-    m = v.max(axis=1)
-    m[m == -np.inf] = 0.0
-    return m + np.log(np.exp(v - m[:, None]).sum(axis=1))
-
-
 class _BelowFloor(Exception):
     """args[0]: the row of an initial panel with a bad node at an end."""
 
@@ -141,27 +143,54 @@ def _floor(a: float, b: float) -> str:
 
 
 def _panels(logf, a: np.ndarray, b: np.ndarray):
-    """(log K15, log |K15 - G7|) of the panels [a[i], b[i]], one logf call."""
+    """(log K15, log |K15 - G7|) of the panels [a[i], b[i]], one logf call.
+
+    The log-terms v + log w of both rules are laid out node by node, one
+    row per term and one column per panel: 15 K15 rows, then 7 G7 rows.
+    So each rule's largest term, its shift and one exp over all 22 rows
+    are elementwise over whole rows.  Each K15 sum adds its first eight
+    terms as a pairwise tree, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) +
+    (t6 + t7)), then t8, ..., t14 in turn, and each G7 sum adds its seven
+    terms in turn: the order of numpy's pairwise sum along a row, so a
+    panel's sums do not depend on this layout or on the rest of its batch.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = (mid[:, None] + half[:, None] * _X).ravel()
     v = logf(x)
-    if not v.max() < np.inf:
+    t = v.reshape(len(a), len(_X)).T[_TERMS]
+    t += _LOG_W
+    tk, tg = t[:len(_X)], t[len(_X):]
+    m = np.empty((2, len(a)))
+    tk.max(axis=0, out=m[0])
+    tg.max(axis=0, out=m[1])
+    if not m[0].max() < np.inf:
         # a nan or +inf: name the first, in panel order
         i = int((~(v < np.inf)).argmax())
         row = i // len(_X)
         if x[i] == a[row] or x[i] == b[row]:
             raise _BelowFloor(row)
         raise DomainError(f"integrand log-value at {x[i]} is {v[i]}")
-    v = v.reshape(len(a), len(_X))
-    # -inf and log(0) stand for zeros here, and where k15 == g7 the masked
+    # a panel of zeros keeps its -inf terms, which exp takes to 0
+    m[m == -np.inf] = 0.0
+    tk -= m[0]
+    tg -= m[1]
+    np.exp(t, out=t)
+    pairs = tk[0:8:2] + tk[1:8:2]
+    quads = pairs[0::2] + pairs[1::2]
+    np.add(quads[0], quads[1], out=tk[7])
+    logs = np.empty((2, len(a)))
+    np.add.reduce(tk[7:], out=logs[0])
+    np.add.reduce(tg, out=logs[1])
+    # log(0) stands for a zero sum here, and where k15 == g7 the masked
     # difference takes log1p(-1) or inf - inf
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(logs, out=logs)
+        logs += m
         # log(b - a) rather than log(half): half rounds to 0 on a panel one
         # subnormal wide, and bisection can leave a panel of zero width
-        log_half = np.log(b - a) - _LOG2
-        k15 = _row_log_sum(v + _LOG_WK) + log_half
-        g7 = _row_log_sum(v[:, _G7] + _LOG_WG) + log_half
+        logs += np.log(b - a) - _LOG2
+        k15, g7 = logs
         hi, lo = np.maximum(k15, g7), np.minimum(k15, g7)
         err = np.where(k15 == g7, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
     return k15, err
@@ -365,17 +394,32 @@ def log_quad(logf, lo: float, hi: float,
                            rel_tol)[0][0]
 
 
-def _log_combine(parts) -> tuple[float, float]:
-    """(log of the summed values, relative error of the sum) of results.
+def _running_sum(parts) -> list[tuple[float, float, int, int]]:
+    """(log value, relative error, panels, evals) of the sums of the first
+    0, 1, ..., len(parts) results of parts.
 
-    The relative error of a sum of nonnegative parts is the value-weighted
-    mean of the parts' relative errors; one part keeps its own exactly.
+    One running log-sum, O(1) per part: the sum so far is
+    exp(m) * (1 + rest), m the largest log value so far, and rest, formed
+    from the terms below the largest, keeps log1p accurate.  The relative
+    error of a sum of nonnegative parts is the value-weighted mean of the
+    parts' relative errors, exp(m) * err / (exp(m) * (1 + rest)).  A sum of
+    one part is that part's log value and relative error exactly.
     """
-    total = log_sum(r.log_value for r in parts)
-    if total == -math.inf:
-        return total, 0.0
-    return total, math.fsum(r.rel_error * math.exp(r.log_value - total)
-                            for r in parts if r.rel_error > 0.0)
+    m, rest, err, panels, evals = -math.inf, 0.0, 0.0, 0, 0
+    out = [(-math.inf, 0.0, 0, 0)]
+    for r in parts:
+        panels += r.panels
+        evals += r.evals
+        if r.log_value > m:
+            f = math.exp(m - r.log_value)
+            rest, err = (rest + 1.0) * f, err * f + r.rel_error
+            m = r.log_value
+        elif r.log_value > -math.inf:
+            f = math.exp(r.log_value - m)
+            rest, err = rest + f, err + r.rel_error * f
+        out.append((-math.inf, 0.0, panels, evals) if m == -math.inf else
+                   (m + math.log1p(rest), err / (1.0 + rest), panels, evals))
+    return out
 
 
 def log_quad_tables(logf, tables, rel_tol: float = 1e-12
@@ -395,11 +439,12 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     segment, from lo up to the cluster or from the cluster up to hi.
     Without it they fill the whole segment.  The result at R sums the
     segments up to R, their panels and their evals, with their combined
-    relative error; at or below lo it is -inf with zero error.  Each round
-    makes one call logf(x, starts) for the new panels of every open
-    segment: x holds the nodes table by table, in table order, and those
-    of table t are x[starts[t]:starts[t + 1]], so logf can give each table
-    its own integrand.  When integrals fail, the error raised is the one
+    relative error, from one running sum over the table's segments, O(1)
+    per radius (_running_sum); at or below lo it is -inf with zero error.
+    Each round makes one call logf(x, starts) for the new panels of every
+    open segment: x holds the nodes table by table, in table order, and
+    those of table t are x[starts[t]:starts[t + 1]], so logf can give each
+    table its own integrand.  When integrals fail, the error raised is the one
     that refining the tables one after another, in order, would raise (see
     _refine).
     """
@@ -428,17 +473,10 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                 segments.append((start, R, pts, t))
                 start = R
             upto.append(len(segments))
-        spans.append((begin, upto))
+        spans.append((begin, len(segments), upto))
     parts = _refine(logf, segments, len(tables), rel_tol) if segments else []
     out = []
-    for begin, upto in spans:
-        row = []
-        for n in upto:
-            own = parts[begin:n]
-            total, rel = _log_combine(own)
-            row.append(LogQuadResult(
-                log_value=total, rel_error=rel,
-                panels=sum(r.panels for r in own),
-                evals=sum(r.evals for r in own)))
-        out.append(row)
+    for begin, end, upto in spans:
+        sums = _running_sum(parts[begin:end])
+        out.append([LogQuadResult(*sums[n - begin]) for n in upto])
     return out

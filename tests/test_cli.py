@@ -80,6 +80,17 @@ def test_sharp_near_borderline_exit_code(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["l1", "--p", "1.01", "--q", "30", "--mu", "1.01"],
+    ["sharp", "--p", "1.003", "--q", "5", "--mu", "1.003"],
+])
+def test_support_radius_past_double_exit_code(capsys, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert re.search(r"level radius t = exp\([0-9.]+\) of the level s = 2 exceeds the largest double", err)
+    assert "Traceback" not in err
+
+
 def test_rate_csv_schema(capsys):
     rc, out, _ = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "0", "--samples", "4", "--format", "csv"])
     assert rc == 0

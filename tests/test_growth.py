@@ -7,11 +7,13 @@ frozen. Every expectation is independent of the code under test.
 """
 
 import math
+import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import growthlab.growth as growth
@@ -149,6 +151,40 @@ def test_log_excess_array_matches_scalar_loop(ex):
             lv = ex.profile.log_value(r)
             bound = 8 * 2.0 ** -52 * max(1.0, abs(lv)) * (1.0 + 1.0 / (lv - log_s0))
             assert abs(x - ref) <= max(bound, 8 * 2.0 ** -52 * abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@example(log_s0=0.0, d=0.7)
+@example(log_s0=0.0, d=math.nextafter(0.7, 0.0))
+@example(log_s0=-700.0, d=0.7)
+@example(log_s0=700.0, d=1e-300)
+@example(log_s0=-700.0, d=1e4)
+@given(log_s0=st.floats(-700.0, 700.0),
+       d=st.one_of(st.floats(1e-300, 1e4), st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e)))
+def test_log_excess_matches_mpmath(log_s0, d):
+    """log(v - s0) with v = s0 * e**d, against 50-digit mpmath, within a few
+    ulps of the largest of |log s0|, d and |log(v - s0)|, for one radius
+    (floats) and for an array of radii.  The examples include d = 0.7 and
+    the double below it, where the formula switches from expm1(d) to
+    log1p(-exp(-d))."""
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(log_s0) + mpmath.mpf(d) + mpmath.log(-mpmath.expm1(-mpmath.mpf(d)))
+        ref = float(exact)
+    scale = math.ulp(max(abs(log_s0), d, abs(ref)))
+    one = _log_excess_of(log_s0, log_s0 + d, d)
+    many = _log_excess_of(log_s0, np.full(3, log_s0 + d), np.full(3, d))
+    assert type(one) is float
+    for got in [one, *many.tolist()]:
+        assert abs(got - ref) <= 4 * scale
+    profile = PowerLaw(1.0)
+    assert _log_excess(profile, log_s0, 5.0) == _log_excess_of(
+        log_s0, profile.log_value(5.0), profile.log_value(5.0) - log_s0)
+
+
+@pytest.mark.parametrize("d", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+def test_log_excess_vanishes_at_or_below_the_level(d):
+    assert _log_excess_of(1.0, 1.0 + d, d) == -math.inf
+    assert _log_excess_of(1.0, np.full(2, 1.0 + d), np.full(2, d)).tolist() == [-math.inf] * 2
 
 
 # ---------------------------------------------------------------------
@@ -810,6 +846,49 @@ def test_g_failure_raised_before_the_edge():
     assert str(info.value).startswith(f"needed more than 4096 panels on [{ex.t0 + 1.0}, ")
     with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
         check_caccioppoli(ex, b)
+
+
+def _sweep_tuples(n):
+    """The first n (p, q, mu) of the domain sweep: random.Random(1),
+    p = 1 + 10**U(-2, 1), gamma = q - p + 1 = 10**U(-3, 1.5), and mu/p
+    drawn from {0, 1, U, U, U}."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(n):
+        p = 1.0 + 10.0 ** rng.uniform(-2.0, 1.0)
+        q = p - 1.0 + 10.0 ** rng.uniform(-3.0, 1.5)
+        frac = rng.choice([0.0, 1.0, None, None, None])
+        out.append((p, q, p * (rng.uniform(0.0, 1.0) if frac is None else frac)))
+    return out
+
+
+# t0 = 2**(1/c) with c = 5.2e-4 passes the largest double
+_T0_PAST_DOUBLE = (1.0123715803923072, 23.94066143126726, 1.0123715803923072)
+
+
+def test_domain_sweep_raises_only_domain_and_quadrature_errors():
+    """Across the first 40 tuples of the domain sweep, and a tuple whose
+    support radius passes the largest double, building the example, the
+    suite and the rate fit each return or raise DomainError or
+    QuadratureError, never another exception."""
+    outcomes = []
+    for pqmu in _sweep_tuples(40) + [_T0_PAST_DOUBLE]:
+        try:
+            ex = build_sharp_example(*pqmu)
+        except (DomainError, QuadratureError) as exc:
+            outcomes.append(type(exc))
+            continue
+        for run in (run_inequality_suite, measure_rate):
+            try:
+                run(ex)
+                outcomes.append(None)
+            except (DomainError, QuadratureError) as exc:
+                outcomes.append(type(exc))
+    assert outcomes[-1] is DomainError
+    assert outcomes.count(None) > len(outcomes) // 2
+    with pytest.raises(DomainError, match=r"level radius t = exp\(1340\.63\) of the level s = 2 "
+                       r"exceeds the largest double"):
+        build_sharp_example(*_T0_PAST_DOUBLE)
 
 
 def test_integral_failure_raised_before_bad_eps():

@@ -6,6 +6,8 @@ evaluation rather than against itself.
 """
 
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -133,6 +135,19 @@ def test_derivatives_against_mpmath(profile, t=3.0):
 def test_level_radius_inverts_value(profile, s):
     r = profile.level_radius(s)
     assert profile.value(r) == pytest.approx(s, rel=1e-11)
+
+
+@pytest.mark.parametrize("profile, s, log_t", [
+    (PowerLaw(5e-4), 2.0, 2e3 * math.log(2.0)),
+    (ExpPower(0.01, 0.01), 1e100, 100.0 * math.log(100.0 * math.log(1e100))),
+    (PHarmonicRn(2, 2.001), 2.0, math.log(3.0) * 1.001 / 0.001),
+])
+def test_level_radius_past_the_largest_double(profile, s, log_t):
+    """A level radius past the largest double is named by its log."""
+    assert log_t > math.log(sys.float_info.max)
+    with pytest.raises(DomainError, match=re.escape(f"level radius t = exp({log_t:.6g}) of the level "
+                                                    f"s = {s:.6g} exceeds the largest double")):
+        profile.level_radius(s)
 
 
 def test_level_radius_frozen():

@@ -21,9 +21,8 @@ from growthlab import (
 )
 from growthlab import quadrature
 from growthlab.growth import _CLUSTER
-from growthlab.quadrature import (_NODES, _initial_breakpoints, _log_combine, _panels,
-                                  log_quad_tables)
-from logspace import log_diff
+from growthlab.quadrature import _NODES, _initial_breakpoints, _panels, log_quad_tables
+from logspace import log_combine, log_diff
 
 
 def test_polynomial_with_zero_at_endpoint():
@@ -368,23 +367,34 @@ def _close(new, ref):
     return abs(new - ref) <= _BOUND * max(1.0, abs(ref))
 
 
+def _log_fsum(logs):
+    """log of the sum of exp(logs), the sum an exactly rounded math.fsum."""
+    m = max(logs)
+    if m == -math.inf:
+        return m
+    return m + math.log(math.fsum(math.exp(x - m) for x in logs))
+
+
+def _panel_ref(vals, a, b):
+    """(log K15, log |K15 - G7|) of the panel [a, b] from its 15 node
+    log-values, each rule's sum an exactly rounded math.fsum."""
+    log_half = math.log(b - a) - math.log(2.0) if b > a else -math.inf
+    k15, g7 = (_log_fsum([v + lw for v, lw in zip(vals, lws) if lw is not None]) + log_half
+               for lws in ([lwk for _, lwk, _ in _NODES], [lwg for _, _, lwg in _NODES]))
+    return k15, log_diff(k15, g7)
+
+
 def _panel_loop(logf, a, b):
-    """(log K15, log |K15 - G7|) for one panel [a, b], one node at a time."""
+    """_panel_ref of the panel [a, b], its integrand called one node at a time."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals15 = []
-    vals7 = []
-    for x, lwk, lwg in _NODES:
+    vals = []
+    for x, _, _ in _NODES:
         v = logf(mid + half * x)
         if math.isnan(v) or v == math.inf:
             raise DomainError(f"integrand log-value at {mid + half * x} is {v}")
-        vals15.append(v + lwk)
-        if lwg is not None:
-            vals7.append(v + lwg)
-    log_half = math.log(b - a) - math.log(2.0) if b > a else -math.inf
-    k15 = log_sum(vals15) + log_half
-    g7 = log_sum(vals7) + log_half
-    return k15, log_diff(k15, g7)
+        vals.append(v)
+    return _panel_ref(vals, a, b)
 
 
 def _log_quad_serial(logf, lo, hi, rel_tol=1e-12, max_panels=4096):
@@ -455,6 +465,73 @@ def test_batched_panels_name_first_bad_node():
     assert str(info.value) == f"integrand log-value at {first} is inf"
 
 
+def _rows(rows):
+    """A logf giving the nodes of panel i the log-values rows[i]."""
+    return lambda x: np.array(rows, dtype=float).ravel()
+
+
+def test_panel_sums_match_fsum_reference():
+    """Rows whose node log-values span more than 745 e-folds, so that their
+    smallest terms underflow, rows of zeros (K15 and the error are -inf),
+    and constant rows whose K15 and G7 round to the same double, so that
+    the error is -inf."""
+    t = np.array([x for x, _, _ in _NODES])
+    spans = [800.0 * t, 3.0 - 1e3 * t, 2e3 * t * t - 7e3, np.where(t > 0.5, -np.inf, 1e3 * t)]
+    zeros = [np.full(15, -np.inf)] * 2
+    flat = [np.full(15, c) for c in (2.5, -3e2, 7e3)]
+    rows = spans + zeros + flat
+    a = np.arange(len(rows), dtype=float)
+    b = a + np.array([1.0, 1e-3, 30.0, 2.0, 1.0, 0.0, 1.0, 4.0, 1e-9])
+    assert all(r[r > -np.inf].min() < r.max() - 745.0 for r in spans)
+    k15, err = _panels(_rows(rows), a, b)
+    for i, row in enumerate(rows):
+        k_ref, e_ref = _panel_ref(row.tolist(), a[i], b[i])
+        assert _close(k15[i], k_ref)
+        if i < len(spans):
+            gap = abs(math.exp(err[i] - k_ref) - math.exp(e_ref - k_ref))
+            assert gap <= 2 * _BOUND * max(1.0, abs(k_ref))
+        else:
+            # a row of zeros, or K15 == G7, here as in the reference
+            assert err[i] == e_ref == -math.inf
+    assert k15[len(spans):len(spans) + len(zeros)].tolist() == [-math.inf] * len(zeros)
+
+
+def _row_sums(rows, a, b):
+    """(log K15, log |K15 - G7|) of the panels [a[i], b[i]] from their node
+    log-values, each rule's terms summed along a row of an (n, 15) or
+    (n, 7) array by numpy's own sum."""
+    log_half = np.log(b - a) - math.log(2.0)
+    out = []
+    for idx, lw in (([i for i, _ in enumerate(_NODES)], [w for _, w, _ in _NODES]),
+                    ([i for i, n in enumerate(_NODES) if n[2] is not None],
+                     [w for _, _, w in _NODES if w is not None])):
+        terms = rows[:, idx] + np.array(lw)
+        m = terms.max(axis=1)
+        out.append(m + np.log(np.exp(terms - m[:, None]).sum(axis=1)) + log_half)
+    k15, g7 = out
+    hi, lo = np.maximum(k15, g7), np.minimum(k15, g7)
+    with np.errstate(divide="ignore"):
+        return k15, np.where(k15 == g7, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
+
+
+def test_panel_sums_are_deterministic():
+    """The same batch gives bit-identical arrays, and a panel's sums do not
+    depend on the rest of its batch: they are bit for bit those of numpy's
+    row sums, with which the refinement's work counts were recorded."""
+    rng = np.random.default_rng(3)
+    n = 300
+    a = rng.uniform(0.0, 10.0, n)
+    b = a + rng.uniform(0.0, 1.0, n)
+    rows = rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 3.0, (n, 1)), (n, 15)) + rng.uniform(-1e4, 1e4, (n, 1))
+    first = _panels(_rows(rows), a, b)
+    again = _panels(_rows(rows), a, b)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first, again))
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(first, _row_sums(rows, a, b)))
+    for i in range(0, n, 7):
+        alone = _panels(_rows(rows[i:i + 1]), a[i:i + 1], b[i:i + 1])
+        assert all(x[i:i + 1].tobytes() == y.tobytes() for x, y in zip(first, alone))
+
+
 @pytest.mark.parametrize("f, lo, hi, kwargs", [
     (lambda x: 2.0 * math.log(x) if x > 0.0 else -math.inf, 0.0, 1.0, {}),
     (lambda t: -t * t, -10.0, 10.0, {}),
@@ -486,28 +563,35 @@ def test_round_driver_matches_serial(f, lo, hi, kwargs, monkeypatch):
 
 
 def _one_log_quad_per_segment(logf, lo, radii, rel_tol):
-    """_cumulative as one log_quad call per segment, in order."""
+    """_cumulative as one log_quad call per segment, in order, each
+    cumulative result the exactly rounded combination of its segments."""
     parts, out, start = [], [], lo
     for R in radii:
         if R > start:
             parts.append(log_quad(logf, start, R, rel_tol=rel_tol))
             start = R
-        total, rel = _log_combine(parts)
+        total, rel = log_combine(parts)
         out.append(LogQuadResult(total, rel, sum(r.panels for r in parts),
                                  sum(r.evals for r in parts)))
     return out
 
 
 @settings(max_examples=40, deadline=None)
-@example(freq=1e3, lo=0.0, below=0, gaps=[1.0, 6.0, 6.0], rel_tol=1e-12)
+@example(freq=1e3, lo=0.0, below=0, gaps=[1.0, 6.0, 6.0], vanish=0, rel_tol=1e-12)
+@example(freq=30.0, lo=1.0, below=2, gaps=[2.0, 0.0, 3.0, 1.0], vanish=2, rel_tol=1e-12)
 @given(freq=st.sampled_from([1.0, 30.0, 1e3, 3e3]), lo=st.floats(0.0, 10.0),
        below=st.integers(0, 2), gaps=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6),
-       rel_tol=_rel_tols)
-def test_joint_segments_match_one_log_quad_per_segment(freq, lo, below, gaps, rel_tol):
-    """Refining all segments together changes no segment's panels, and a
-    segment that runs out of its 4096 panels fails as it does alone."""
-    logf = lambda t: np.sin(freq * t)
+       vanish=st.integers(0, 3), rel_tol=_rel_tols)
+def test_joint_segments_match_one_log_quad_per_segment(freq, lo, below, gaps, vanish, rel_tol):
+    """Refining all segments together changes no segment's panels, a
+    segment that runs out of its 4096 panels fails as it does alone, and
+    each cumulative result is its segments' exactly rounded sum: within 4
+    ulps in log value and 1e-15 relative in rel_error.  The integrand vanishes below
+    the vanish-th radius above lo, so whole segments may be zero."""
     radii = _radii(lo, below, gaps)
+    ends = [lo] + sorted({R for R in radii if R > lo})
+    cut = ends[min(vanish, len(ends) - 1)]
+    logf = lambda t: np.where(t > cut, np.sin(freq * t), -np.inf)
     try:
         ref = _one_log_quad_per_segment(logf, lo, radii, rel_tol)
     except QuadratureError as exc:
@@ -519,7 +603,12 @@ def test_joint_segments_match_one_log_quad_per_segment(freq, lo, below, gaps, re
         return
     res = _cumulative(logf, lo, radii, rel_tol=rel_tol)
     assert [(r.panels, r.evals) for r in res] == [(r.panels, r.evals) for r in ref]
-    assert all(_close(r.log_value, s.log_value) for r, s in zip(res, ref))
+    for r, s in zip(res, ref):
+        if s.log_value == -math.inf:
+            assert (r.log_value, r.rel_error) == (-math.inf, 0.0)
+        else:
+            assert abs(r.log_value - s.log_value) <= 4 * math.ulp(max(1.0, abs(s.log_value)))
+            assert abs(r.rel_error - s.rel_error) <= 1e-15 * s.rel_error
 
 
 # ---------------------------------------------------------------------
