@@ -378,9 +378,7 @@ _COMMANDS = {
          ("--samples", "samples", int, 7, "number of sampling radii"))),
     "inequalities": (
         "integral inequality suite", _handle_inequalities,
-        ("growthlab.growth:check_growth_lower_bound",
-         "growthlab.growth:check_caccioppoli",
-         "growthlab.growth:check_surface_capacity"),
+        ("growthlab.growth:run_inequality_suite",),
         (_P, _Q, _MU,
          ("--eps", "eps", float, 0.0,
           "amplitude reduction for the comparison constants"),

@@ -10,8 +10,9 @@ The profiles of interest grow like exp(c * t**beta), far beyond the range
 of double precision at the radii the growth checks need.  Every class
 therefore exposes a logarithmic interface
 
-    log_value(t) = log v(t),   dlog(t) = v'(t) / v(t),
-    d2_over_v(t) = v''(t) / v(t),   log_deriv(t) = log v'(t),
+    log_value(t) = log v(t),   log_deriv(t) = log v'(t),
+    log_derivs(t) = (log v(t), v'(t) / v(t), v''(t) / v(t)),
+    dlog(t) = v'(t) / v(t),
 
 and the operator routines work with the scaled quantity
 Delta_p(v) / v**(p-1), which stays bounded.
@@ -23,6 +24,16 @@ batch of nodes at a time.  The other methods take one radius.
 
 numpy is used only on such an array and never imported here, so code that
 evaluates one radius at a time, as verify and l1 do, runs without it.
+
+The pointwise check subsolution_residual visits a grid one radius at a
+time, and at each makes one checked call per model object: log_derivs on
+the profile, dlog on the warp and the potential itself.  Python's call
+overhead is most of that cost, so log_derivs returns all three values of
+one radius and does its own radius check inline, and dlog restates the
+slope of log_derivs, bit for bit, for the callers that need it alone.
+The grid is not handed to numpy: numpy's pow differs from libm's in the
+last bit of some values, so a residual would depend on whether numpy is
+loaded, and verify would have to load it.
 """
 
 from __future__ import annotations
@@ -83,10 +94,13 @@ class RadialProfile:
     def log_value(self, t: float) -> float:
         raise NotImplementedError
 
-    def dlog(self, t: float) -> float:
+    def log_derivs(self, t: float) -> tuple[float, float, float]:
+        """(log v, v'/v, v''/v) at one radius t, with one radius check."""
         raise NotImplementedError
 
-    def d2_over_v(self, t: float) -> float:
+    def dlog(self, t: float) -> float:
+        """v'/v at one radius: the middle value of log_derivs, bit for bit,
+        without forming the other two."""
         raise NotImplementedError
 
     def value(self, t: float) -> float:
@@ -109,16 +123,16 @@ class RadialProfile:
         raise NotImplementedError
 
     def _check_t(self, t: float) -> None:
+        # log_derivs and dlog repeat this check inline, saving a call per
+        # radius of subsolution_residual
         if not (t > self.t_min):
             raise DomainError(f"radius must exceed {self.t_min}, got {t}")
 
     def _check_radii(self, t):
         """_check_t for one radius or an array of them; returns _ns(t).
 
-        subsolution_residual calls log_value and three per-radius methods at
-        every radius, so the float case is tested first, without a nested
-        call, and the per-radius methods keep the plain _check_t: each added
-        call or isinstance test there costs it a few percent.
+        The float case is tested first, without a nested call: fd_cross_check
+        and log_sphere_integral call log_value one radius at a time.
         """
         if type(t) is float or (xp := _ns(t)) is math:
             if not (t > self.t_min):
@@ -142,13 +156,16 @@ class PowerLaw(RadialProfile):
         xp = self._check_radii(t)
         return self.c * xp.log(t)
 
-    def dlog(self, t: float) -> float:
-        self._check_t(t)
-        return self.c / t
+    def log_derivs(self, t: float) -> tuple[float, float, float]:
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+        c = self.c
+        return c * math.log(t), c / t, c * (c - 1.0) / (t * t)
 
-    def d2_over_v(self, t: float) -> float:
-        self._check_t(t)
-        return self.c * (self.c - 1.0) / (t * t)
+    def dlog(self, t: float) -> float:
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+        return self.c / t
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -187,15 +204,19 @@ class ExpPower(RadialProfile):
         self._check_radii(t)
         return self.c * t ** self.beta
 
-    def dlog(self, t: float) -> float:
-        self._check_t(t)
-        return self.c * self.beta * t ** (self.beta - 1.0)
-
-    def d2_over_v(self, t: float) -> float:
-        # v''/v = c*b*t**(b-2) * ((b-1) + c*b*t**b)
-        self._check_t(t)
+    def log_derivs(self, t: float) -> tuple[float, float, float]:
+        # v'/v = c*b*t**(b-1) and v''/v = c*b*t**(b-2) * ((b-1) + c*b*t**b)
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
         c, b = self.c, self.beta
-        return c * b * t ** (b - 2.0) * ((b - 1.0) + c * b * t ** b)
+        tb = t ** b
+        return (c * tb, c * b * t ** (b - 1.0),
+                c * b * t ** (b - 2.0) * ((b - 1.0) + c * b * tb))
+
+    def dlog(self, t: float) -> float:
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+        return self.c * self.beta * t ** (self.beta - 1.0)
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -253,15 +274,19 @@ class PHarmonicRn(RadialProfile):
         # log(t**a - 1) without forming t**a, stable for large t
         return a * xp.log(t) + xp.log1p(-t ** (-a))
 
+    def log_derivs(self, t: float) -> tuple[float, float, float]:
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+        a = self.alpha
+        ta = t ** (-a)
+        return (a * math.log(t) + math.log1p(-ta), a / (t * (1.0 - ta)),
+                a * (a - 1.0) / (t * t * (1.0 - ta)))
+
     def dlog(self, t: float) -> float:
-        self._check_t(t)
+        if not (t > self.t_min):
+            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
         a = self.alpha
         return a / (t * (1.0 - t ** (-a)))
-
-    def d2_over_v(self, t: float) -> float:
-        self._check_t(t)
-        a = self.alpha
-        return a * (a - 1.0) / (t * t * (1.0 - t ** (-a)))
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -434,20 +459,15 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
 
     Equals (p-1)*d1**(p-2)*d2 + (g'/g)*d1**(p-1) with d1 = v'/v and
     d2 = v''/v, which stays in double range even when v itself does not.
+    subsolution_residual forms the same two terms in its loop.
     """
-    t1, t2 = _scaled_terms(manifold, profile, p, r)
-    return t1 + t2
-
-
-def _scaled_terms(manifold: ModelManifold, profile: RadialProfile,
-                  p: float, r: float) -> tuple[float, float]:
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
-    d1 = profile.dlog(r)
+    _, d1, d2 = profile.log_derivs(r)
     if not (d1 > 0.0):
         raise DomainError(f"profile must be increasing at r={r}: v'/v={d1}")
-    d2 = profile.d2_over_v(r)
-    return (p - 1.0) * d1 ** (p - 2.0) * d2, manifold.dlog_warp(r) * d1 ** (p - 1.0)
+    return (p - 1.0) * d1 ** (p - 2.0) * d2 \
+        + manifold.warp.dlog(r) * d1 ** (p - 1.0)
 
 
 def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
@@ -502,6 +522,7 @@ class SharpPotential:
     mu = 1.988 on), and the constructor then raises DomainError.  For
     mu = p the pair (t**(a+p-1), t**c) gives the exact power potential
     V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.
+    V(r) raises DomainError where r**mu passes the largest double.
     """
 
     def __init__(self, p: float, mu: float, a: float, c: float):
@@ -539,9 +560,14 @@ class SharpPotential:
     def __call__(self, r: float) -> float:
         if not (r >= 1.0):
             raise DomainError(f"potential is defined for r >= 1, got {r}")
-        if self.mu == self.p:
-            return self.lam / r ** self.p
-        return self.lam * (1.0 - self.D / r ** self.beta) / r ** self.mu
+        try:
+            if self.mu == self.p:
+                return self.lam / r ** self.p
+            return self.lam * (1.0 - self.D / r ** self.beta) / r ** self.mu
+        except OverflowError:
+            raise DomainError(
+                f"potential at r={r!r} cannot be formed: r**{self.mu!r} "
+                f"exceeds the largest double") from None
 
     def level_deficit(self, r: float) -> float:
         """Exact value of lam - r**mu * V(r)."""
@@ -571,20 +597,35 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     solutions give residuals at rounding level; negative values indicate a
     strict subsolution.
 
-    The grid must lie where the solution region is meaningful: v(r) > s0.
-    When V(r) = 0 the scale is lost; the defect is then compared against a
-    rounding floor of the two operator terms and mapped to 0 (inside the
-    floor), -inf (strictly above) or +inf (violation).
+    The grid must be finite and lie where the solution region is
+    meaningful: v(r) > s0.  When V(r) = 0 the scale is lost; the defect is
+    then compared against a rounding floor of the two operator terms and
+    mapped to 0 (inside the floor), -inf (strictly above) or +inf
+    (violation).  A defect that is nan raises DomainError naming r.
+
+    Each radius makes one log_derivs call on the profile, one dlog call on
+    the warp and one call of the potential; the two operator terms are
+    those of p_laplacian_scaled.
     """
     radii = list(radii)
     if not radii:
         raise DomainError("radius grid is empty")
+    if not (p > 1.0):
+        raise DomainError(f"p must exceed 1, got {p}")
     log_s0 = _log_level(s0)
-    worst = -math.inf
+    derivs, warp_dlog = profile.log_derivs, manifold.warp.dlog
+    pm1, pm2 = p - 1.0, p - 2.0
+    inf = math.inf
+    worst = -inf
     for r in radii:
-        if profile.log_value(r) <= log_s0:
+        if not -inf < r < inf:
+            raise DomainError(f"radius {r} is not finite")
+        lv, d1, d2 = derivs(r)
+        if lv <= log_s0:
             raise DomainError(f"v(r) <= s0 at r={r}: grid leaves the region")
-        t1, t2 = _scaled_terms(manifold, profile, p, r)
+        if not (d1 > 0.0):
+            raise DomainError(f"profile must be increasing at r={r}: v'/v={d1}")
+        t1, t2 = pm1 * d1 ** pm2 * d2, warp_dlog(r) * d1 ** pm1
         s_val = t1 + t2
         v_pot = float(potential(r))
         if v_pot > 0.0:
@@ -594,11 +635,15 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
             if abs(s_val) <= floor:
                 res = 0.0
             elif s_val > 0.0:
-                res = -math.inf
+                res = -inf
+            elif s_val < 0.0:
+                res = inf
             else:
-                res = math.inf
+                res = s_val  # nan, raised below
         else:
             raise DomainError(f"potential must be nonnegative, got {v_pot} at r={r}")
         if res > worst:
             worst = res
+        elif res != res:
+            raise DomainError(f"defect at r={r} is nan")
     return worst

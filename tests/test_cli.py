@@ -394,6 +394,20 @@ def test_sharp_rate_window_overflow_exit_code(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, r", [
+    (["--p", "3", "--q", "4", "--mu", "1.5", "--rmax", "1e300"], "6.347721568852575e+206"),
+    (["--p", "2", "--q", "3", "--mu", "2", "--rmax", "1e300"], "2.7028651795847786e+155"),
+    (["--p", "1.5", "--q", "0.625", "--mu", "1.5", "--rmax", "1e250"], "1.1208674117344376e+206"),
+])
+def test_verify_potential_past_double_range_exit_code(capsys, argv, r):
+    # r**mu overflows at the first grid radius r past about 1e205 (1e154 for
+    # mu = 2); it raised OverflowError with a traceback and exit code 1
+    rc, _, err = run(capsys, ["verify", *argv])
+    assert rc == 2
+    assert err.startswith(f"growthlab: error: potential at r={r} cannot be formed")
+    assert "Traceback" not in err
+
+
 def test_quadrature_error_exit_code(capsys):
     # at gamma = q - p + 1 = 0.01 the singular edge of H runs out of panels
     rc, _, err = run(capsys, ["inequalities", "--p", "1.5", "--q", "0.51", "--mu", "0.75"])
@@ -404,7 +418,8 @@ def test_quadrature_error_exit_code(capsys):
 
 # Each command's config keys in report order, and its provenance, frozen from
 # the JSON reports of growthlab 0.1.0; l1's names the modules that
-# sphere_log_slope and classify_l1_condition moved to.
+# sphere_log_slope and classify_l1_condition moved to, and inequalities'
+# names run_inequality_suite, the function its handler runs.
 COMMAND_TABLE = {
     "constants": (
         ["p", "q", "mu", "lam", "k", "eps", "output", "fmt", "tol", "quad_tol"],
@@ -421,8 +436,7 @@ COMMAND_TABLE = {
         ["growthlab.growth:growth_samples", "growthlab.growth:estimate_rate"]),
     "inequalities": (
         ["p", "q", "mu", "eps", "eps_auto", "output", "fmt", "tol", "quad_tol"],
-        ["growthlab.growth:check_growth_lower_bound", "growthlab.growth:check_caccioppoli",
-         "growthlab.growth:check_surface_capacity"]),
+        ["growthlab.growth:run_inequality_suite"]),
     "l1": (
         ["slope", "initial_infinite", "euclidean", "p", "q", "mu", "output", "fmt", "tol", "quad_tol"],
         ["growthlab.models:sphere_log_slope", "growthlab.params:classify_l1_condition"]),

@@ -7,6 +7,7 @@ evaluation rather than against itself.
 
 import math
 import re
+import struct
 import sys
 
 import mpmath
@@ -28,6 +29,8 @@ from growthlab import (
 )
 
 from growthlab.models import geometric_grid
+
+import pointwise_reference as ref
 
 mpmath.mp.dps = 60
 
@@ -119,8 +122,10 @@ def test_derivatives_against_mpmath(profile, t=3.0):
     v = mp_profile(profile)
     d1 = mpmath.diff(v, mpmath.mpf(t))
     d2 = mpmath.diff(v, mpmath.mpf(t), 2)
-    assert profile.d2_over_v(t) == pytest.approx(float(d2 / v(mpmath.mpf(t))), rel=1e-11, abs=1e-14)
-    assert profile.dlog(t) == pytest.approx(float(d1 / v(mpmath.mpf(t))), rel=1e-12)
+    lv, dlog, d2_over_v = profile.log_derivs(t)
+    assert lv == pytest.approx(float(mpmath.log(v(mpmath.mpf(t)))), rel=1e-13)
+    assert dlog == pytest.approx(float(d1 / v(mpmath.mpf(t))), rel=1e-12)
+    assert d2_over_v == pytest.approx(float(d2 / v(mpmath.mpf(t))), rel=1e-11, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -299,3 +304,105 @@ def test_fd_cross_check_grid():
     for ex in sharp_grid():
         r = ex.t0 + 3.0
         assert fd_cross_check(ex.manifold, ex.profile, ex.p, r) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the one-call pointwise layer against the per-method formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def benchmark_radii(ex, num=200, hi=1e3):
+    """The radii of the benchmark's grid-rate op: t0 + 0.1 to 1e3."""
+    lo = ex.t0 + 0.1
+    return [lo * (hi / lo) ** (i / (num - 1)) for i in range(num)]
+
+
+# the profiles and warps of the grid and of the tests above, each with the
+# radii it is evaluated at
+POINTWISE = [(pr, [1.5, 3.0, 7.0, 400.0, 1e6]) for pr in PROFILES] \
+    + [(pr, benchmark_radii(ex)) for ex in sharp_grid()
+       for pr in (ex.profile, ex.manifold.warp)]
+
+
+@pytest.mark.parametrize("profile, radii", POINTWISE, ids=[f"{i}-{pr!r}" for i, (pr, _) in enumerate(POINTWISE)])
+def test_log_derivs_and_dlog_match_the_reference_bit_for_bit(profile, radii):
+    """log_derivs gives log_value, dlog and d2_over_v as they were, and dlog
+    restates the middle value: growth places its panel clusters from dlog."""
+    for t in radii:
+        lv, d1, d2 = profile.log_derivs(t)
+        assert bits(lv) == bits(ref.log_value(profile, t)) == bits(profile.log_value(t))
+        assert bits(d1) == bits(ref.dlog(profile, t)) == bits(profile.dlog(t))
+        assert bits(d2) == bits(ref.d2_over_v(profile, t))
+
+
+@pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
+def test_residual_and_operator_match_the_reference_on_the_grid(ex):
+    """subsolution_residual and p_laplacian_scaled print the bits they did,
+    at the benchmark's 200 radii and at those of the verify subcommand."""
+    for radii in (benchmark_radii(ex), geometric_grid(ex.t0 + 0.1, 1e3, 200)):
+        got = subsolution_residual(ex.manifold, ex.profile, ex.potential, ex.p, ex.s0, radii)
+        want = ref.subsolution_residual(ex.manifold, ex.profile, ex.potential, ex.p, ex.s0, radii)
+        assert bits(got) == bits(want)
+        for r in radii:
+            assert bits(p_laplacian_scaled(ex.manifold, ex.profile, ex.p, r)) \
+                == bits(ref.p_laplacian_scaled(ex.manifold, ex.profile, ex.p, r))
+            assert bits(ex.potential(r)) == bits(ref.potential(ex.potential, r))
+
+
+@pytest.mark.parametrize("manifold, profile, p, potential", [
+    (ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, lambda r: 0.0),
+    (ModelManifold.euclidean(2), PHarmonicRn(2, 3.0), 3.0, lambda r: 1.0 / r ** 3),
+    (ModelManifold.euclidean(3), PowerLaw(2.0), 2.0, lambda r: 0.0),
+    (ModelManifold(PowerLaw(-1.0)), PowerLaw(1.0), 2.0, lambda r: 0.0),
+    (ModelManifold(PowerLaw(1.0)), PowerLaw(3.0), 2.5, lambda r: 2.0 / r),
+    (ModelManifold(ExpPower(-1.0, 0.5)), ExpPower(2.0, 0.5), 1.5, lambda r: 0.3),
+])
+def test_residual_matches_the_reference_off_the_grid(manifold, profile, p, potential):
+    """PowerLaw, PHarmonicRn and the zero-potential branches."""
+    radii = geometric_grid(1.5, 100.0, 40)
+    got = subsolution_residual(manifold, profile, potential, p, 0.0, radii)
+    assert bits(got) == bits(ref.subsolution_residual(manifold, profile, potential, p, 0.0, radii))
+    for r in radii:
+        assert bits(p_laplacian_scaled(manifold, profile, p, r)) \
+            == bits(ref.p_laplacian_scaled(manifold, profile, p, r))
+
+
+@pytest.mark.parametrize("radii", [[math.inf], ["t0+1", math.inf], [math.nan], ["t0+1", -math.inf]])
+def test_subsolution_residual_rejects_a_radius_that_is_not_finite(radii):
+    """At (2, 3, 0) an infinite radius gave a nan defect, which the maximum
+    dropped: [inf] read -inf and [t0 + 1, inf] read 0.0."""
+    ex = build_sharp_example(2.0, 3.0, 0.0)
+    radii = [ex.t0 + 1.0 if r == "t0+1" else r for r in radii]
+    with pytest.raises(DomainError, match=f"radius {radii[-1]} is not finite"):
+        subsolution_residual(ex.manifold, ex.profile, ex.potential, ex.p, ex.s0, radii)
+
+
+class _NanCurvature(PowerLaw):
+    """v(t) = t whose v''/v reads nan from t = 3 on."""
+
+    def log_derivs(self, t):
+        lv, d1, d2 = super().log_derivs(t)
+        return lv, d1, math.nan if t >= 3.0 else d2
+
+
+@pytest.mark.parametrize("profile, potential", [
+    (PowerLaw(1.0), lambda r: math.inf if r >= 3.0 else 1.0),
+    (_NanCurvature(1.0), lambda r: 1.0),
+    (_NanCurvature(1.0), lambda r: 0.0),
+])
+def test_subsolution_residual_raises_on_a_nan_defect(profile, potential):
+    """A nan defect after a finite one is not dropped by the maximum."""
+    with pytest.raises(DomainError, match=r"defect at r=3\.0 is nan"):
+        subsolution_residual(ModelManifold(PowerLaw(1.0)), profile, potential, 2.0, 0.0, [2.0, 3.0])
+
+
+@pytest.mark.parametrize("p, mu, r", [(3.0, 1.5, 1e300), (2.0, 2.0, 1e300), (1.5, 1.5, 1e250)])
+def test_potential_past_double_range_names_the_radius(p, mu, r):
+    """r**mu past the largest double raised OverflowError."""
+    pot = SharpPotential(p, mu, 1.0, 1.0)
+    with pytest.raises(DomainError, match=re.escape(f"potential at r={r!r} cannot be formed: r**{mu!r} exceeds")):
+        pot(r)
