@@ -26,16 +26,17 @@ pieces of G and H next to the support edge t0 are tables of the same pass
 H, then J; integrals fail in that order, and the comparison constants come
 after them.
 
-G and J share one cluster of initial panel ends, put where nearly all of
-their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32 and
-48 of the e-fold width w of the integrand (see _CLUSTER).  A segment of G
-spanning more than 96 widths at its top R starts with ends at R - w * f,
-and G has no edge table where its first segment does (see _top_width).
-J's integrand phi**(1/(1-p)) decays from the bottom r of its interval, so
-J starts with the ends r + w * f inside the interval, w its width at r
-(see _bottom_width).  On the grid every J then closes in its first round,
-and a rate window in one or two: a sweep of the suite over sharp_grid()
-makes 41 integrand batches, and one of measure_rate 33.
+G, H and J share one cluster of initial panel ends, put where nearly all
+of their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32
+and 48 of the e-fold width w of the integrand (see _CLUSTER).  A segment
+of G or of H spanning more than _TOP_SPAN = 24 widths at its top R starts
+with the ends R - w * f inside it, and G has no edge table where its first
+segment spans more than 96 (see _top_width).  J's integrand
+phi**(1/(1-p)) decays from the bottom r of its interval, so J starts with
+the ends r + w * f inside the interval, w its width at r (see
+_bottom_width).  On the grid every suite example then closes in its first
+round, and a rate window in one or two: a sweep of the suite over
+sharp_grid() makes 27 integrand batches, and one of measure_rate 33.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
     This is the support-edge rule of G (alpha = q + 1) and H
     (alpha = gamma = q - p + 1, singular at t0 for q < p).  _integrals sets
     edge when s0 > 0 and t0 > t_min, and gives G a near that is false where
-    its first segment gets top-end panels (see _top_width).  With edge set,
-    a radius above t0, R_min the smallest such radius, and near(R_min)
-    true, the edge piece over (t0, t1] with
+    its first segment spans more than 96 widths (see _top_width).  With
+    edge set, a radius above t0, R_min the smallest such radius, and
+    near(R_min) true, the edge piece over (t0, t1] with
     t1 = t0 + min(1, (R_min - t0)/2) is integrated in tau at the radii
     s = t0 + tau**m, m = ceil(2*alpha)/alpha, and the rest table starts at
     t1; else the edge table is empty.  In tau the integrand is
@@ -180,24 +181,32 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
     return (0.0, [(t1 - t0) ** (alpha / n)]), (t1, radii), n / alpha
 
 
-# the panel ends of the cluster where G's integrand peaks, in e-fold widths
-# below the top of a long segment, and where J's peaks, above the bottom
+# the panel ends of the cluster where the integrands of G and H peak, in
+# e-fold widths below the top of a segment, and where J's peaks, above the
+# bottom
 _CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
+
+# the e-fold widths a segment must span to start from a top-end cluster: one
+# QK15 panel meets rel_tol = 1e-12 on an exponential across up to about 3.3
+# e-folds (its error estimate is 2.3e-13 across 3 and 1.8e-12 across 3.5),
+# so the eight default panels resolve a segment of up to 8 * 3 widths
+_TOP_SPAN = 24.0
 
 
 def _top_width(manifold: ModelManifold, profile: RadialProfile, q: float,
-               lo: float, hi: float) -> float | None:
+               lo: float, hi: float, spans: float = _TOP_SPAN) -> float | None:
     """The e-fold width w = 1 / (d log(g * v**q) / ds) of G's integrand at
-    hi when [lo, hi] spans more than 2 * _CLUSTER[-1] widths; else None, as
-    for a slope not known, finite and positive.  Where log(g * v**q) is
-    concave the integrand then grows by over e**96 across [lo, hi], so its
-    lower part carries no weight and G needs no edge below such a first
+    hi when [lo, hi] spans more than spans widths; else None, as for a
+    slope not known, finite and positive.  H's integrand has the same
+    leading log-slope.  Where log(g * v**q) is concave the integrand grows
+    by over e**spans across [lo, hi]: with spans = 2 * _CLUSTER[-1] its
+    lower part carries no weight, and G needs no edge below such a first
     segment."""
     try:
         w = 1.0 / (manifold.dlog_warp(hi) + q * profile.dlog(hi))
     except (OverflowError, ZeroDivisionError, NotImplementedError):
         return None
-    return w if w > 0.0 and hi - 2.0 * _CLUSTER[-1] * w > lo else None
+    return w if w > 0.0 and hi - spans * w > lo else None
 
 
 def _bottom_width(manifold: ModelManifold, profile: RadialProfile, p: float,
@@ -248,13 +257,15 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     edge = s0 > 0.0 and t0 > profile.t_min
     g_edge, g_rest, m_g = _edge_split(
         t0, q + 1.0, g_radii, edge,
-        lambda R_min: _top_width(manifold, profile, q, t0, R_min) is None)
+        lambda R_min: _top_width(manifold, profile, q, t0, R_min,
+                                 2.0 * _CLUSTER[-1]) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(manifold, profile, q, lo, hi)
         return [hi] if w is None \
-            else [hi - f * w for f in reversed(_CLUSTER)] + [hi]
+            else [x for f in reversed(_CLUSTER) if (x := hi - f * w) > lo] \
+            + [hi]
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
         w = _bottom_width(manifold, profile, p, q, s0, lo)
@@ -301,7 +312,7 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
         return out
 
-    tables = [g_edge, (*g_rest, top_ends), h_edge, h_rest] \
+    tables = [g_edge, (*g_rest, top_ends), h_edge, (*h_rest, top_ends)] \
         + [(r, [R], bottom_ends) for r, R in j_pairs]
     g_piece, g_res, h_piece, h_res, *j_res = log_quad_tables(
         logf, tables, rel_tol=rel_tol)

@@ -479,15 +479,21 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     arithmetic in range for profiles whose raw values overflow.  The default
     step resolves the shorter of the two local scales, the radius and the
     logarithmic derivative length v/v'; for exponentially growing profiles
-    the latter stays bounded while r does not.  Returns
-    |S_fd - S_analytic| / max(1, |S_analytic|).
+    the latter stays bounded while r does not.  It is rounded up to a power
+    of two, which makes the nodes r + j*h exact unless h is below the
+    spacing of doubles at r or r + 2*h crosses a power of two; a step whose
+    nodes round raises DomainError.
+    Returns |S_fd - S_analytic| / max(1, |S_analytic|).
     """
     if h is None:
         d1 = abs(profile.dlog(r))
         scale = min(r, 1.0 / d1) if d1 > 0.0 else r
-        h = 1e-4 * scale
+        h = math.ldexp(1.0, math.frexp(1e-4 * scale)[1])
     if not (h > 0.0) or r - 2.0 * h <= profile.t_min:
         raise DomainError(f"step h={h} leaves the profile domain at r={r}")
+    if ((r - 2.0 * h) - r, (r - h) - r, (r + h) - r, (r + 2.0 * h) - r) \
+            != (-2.0 * h, -h, h, 2.0 * h):
+        raise DomainError(f"stencil nodes r + j*h round at r={r}, h={h}")
     base = profile.log_value(r)
     y = [math.exp(profile.log_value(r + j * h) - base) for j in (-2, -1, 1, 2)]
     ym2, ym1, yp1, yp2 = y

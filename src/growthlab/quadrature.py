@@ -33,7 +33,7 @@ bisected, follow that order.
 A segment starts from eight even or geometric panels.  log_quad_tables lets
 a table start each of its segments from a cluster of panel ends at its top
 or its bottom, the eight default panels filling the rest: growthlab.growth
-puts the cluster where nearly all of the mass of G or of J lies, so each
+puts the cluster where nearly all of the mass of G, H or J lies, so each
 of them is resolved in its first round or soon after.
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive

@@ -128,6 +128,15 @@ def test_verify_failure_exit_code(capsys):
     assert rc == 1
 
 
+def test_verify_fd_cross_check_far_out(capsys):
+    # the stencil nodes r + j*h rounded at r = 1e10: margin -0.00203843
+    rc, out, _ = run(capsys, ["verify", "--p", "2", "--q", "4", "--mu", "0", "--rmax", "1e10",
+                              "--format", "json"])
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    assert checks[1]["name"] == "fd-cross-check" and checks[1]["passed"]
+
+
 def test_sharp_rate_report(capsys):
     rc, out, _ = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "0", "--rate", "--format", "json"])
     assert rc == 0

@@ -274,6 +274,40 @@ def test_support_edge_frozen_mpmath(pq_mu, functional, expected):
     assert abs(log_value - float(expected)) <= 2e-15
 
 
+# log G and log H of the suite at (3, 7, 0), at the radii whose segments
+# start from a top-end cluster (G over (5.693, 9.386], H over each of
+# (2.347, 4.693], ..., (18.77, 37.55]), from a separate 40-digit mpmath
+# session: tanh-sinh on 64 equal pieces of (t0, R), which agreed to 3e-39
+# with a 60-digit run.  The integrands are omega * g * w**q and
+# omega * g * w**(q-p) * (v')**p with g = e**s, v = e**(2s), the double t0
+# and s0, and w = e**(2s) - s0, as the code forms the excess away from t0.
+TOP_END_ORACLES_3_7_0 = [
+    ("G", 9.38629436111989, "139.9242414425812667192530675973531406493"),
+    ("H", 4.693147180559945, "71.6007521222393381130221777059750849663"),
+    ("H", 9.38629436111989, "142.0036833440571993739607249753248401235"),
+    ("H", 18.77258872223978, "282.7980992405836917676357222541621436585"),
+    ("H", 37.54517744447956, "564.3869300741804189767226064031432641563"),
+]
+
+
+def test_top_end_clusters_frozen_mpmath(monkeypatch):
+    """The suite's G and H at (3, 7, 0), whose segments start from top-end
+    clusters, are within their claimed errors of 40-digit mpmath."""
+    integrals, seen = growth._integrals, {}
+
+    def spy(manifold, profile, p, q, s0, g_radii, h_radii, j_pairs, rel_tol):
+        G, H, J = integrals(manifold, profile, p, q, s0, g_radii, h_radii, j_pairs, rel_tol)
+        seen.update({("G", R): g for R, g in zip(g_radii, G)})
+        seen.update({("H", R): h for R, h in zip(h_radii, H)})
+        return G, H, J
+
+    monkeypatch.setattr(growth, "_integrals", spy)
+    run_inequality_suite(build_sharp_example(3.0, 7.0, 0.0))
+    for functional, R, expected in TOP_END_ORACLES_3_7_0:
+        log_value, rel_error = seen[functional, R]
+        assert abs(log_value - float(expected)) <= rel_error + 4 * math.ulp(log_value)
+
+
 def test_integrals_without_truncation_closed_form():
     """s0 = 0 leaves G and H no edge table, so every node takes log_value.
 
@@ -749,9 +783,10 @@ def test_suite_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         run_inequality_suite(ex)
-    # three G segments of (3, 6, 0) and (3, 7, 0) span the top-end cluster,
-    # and every J starts from the bottom-end cluster: more panels, no rounds
-    assert work == {"integrals": 459, "panels": 4463, "evals": 67845}
+    # every G and H segment spanning more than _TOP_SPAN widths, and every
+    # J, starts from its cluster: more first-round panels, and no example
+    # needs a second round
+    assert work == {"integrals": 459, "panels": 4699, "evals": 70485}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
@@ -806,9 +841,11 @@ def test_sweep_integrand_batches(monkeypatch):
     segments, like J's, start with their ends clustered where their mass
     lies."""
     per_example = _batches_per_example(monkeypatch, run_inequality_suite)
-    # J no longer bisects toward its bottom end: 20 examples take one round
-    assert sum(per_example) == 41
-    assert max(per_example) <= 5
+    # with top-end clusters for H and for G segments of 24 to 96 widths,
+    # every example takes one round, the mu = 0 ones with segments of up
+    # to 282 widths included: 27 batches, not 41
+    assert sum(per_example) == 27
+    assert max(per_example) <= 1
     per_example = _batches_per_example(monkeypatch, measure_rate)
     # with the finer shared cluster 22 examples take one round, not 8
     assert sum(per_example) == 33
@@ -818,13 +855,16 @@ def test_sweep_integrand_batches(monkeypatch):
 
 def test_top_end_panels_never_cost_a_batch(monkeypatch):
     """With no segment given top-end panels, and so G's edge table wherever
-    there is an edge, each grid example needs at least as many rate
-    batches: 178 per sweep, 9 to 11 per power-regime example."""
-    clustered = _batches_per_example(monkeypatch, measure_rate)
-    monkeypatch.setattr(growth, "_top_width", lambda *args: None)
-    default = _batches_per_example(monkeypatch, measure_rate)
-    assert sum(default) == 178
-    assert all(n <= m for n, m in zip(clustered, default))
+    there is an edge, each grid example needs at least as many batches:
+    178 rate batches per sweep, 9 to 11 per power-regime example, and 41
+    suite batches."""
+    for run, total in [(measure_rate, 178), (run_inequality_suite, 41)]:
+        clustered = _batches_per_example(monkeypatch, run)
+        with monkeypatch.context() as patched:
+            patched.setattr(growth, "_top_width", lambda *args: None)
+            default = _batches_per_example(patched, run)
+        assert sum(default) == total
+        assert all(n <= m for n, m in zip(clustered, default))
 
 
 # ---------------------------------------------------------------------

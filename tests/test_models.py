@@ -294,6 +294,10 @@ def test_fd_cross_check_families():
         (ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, 9.0),
         (ModelManifold(ExpPower(2.0, 1.0)), ExpPower(4.0, 1.0), 3.0, 1000.0),
         (ModelManifold(ExpPower(-1.0, 0.5)), ExpPower(1.0, 0.5), 1.5, 500.0),
+        # the (2, 4, 0) example far out, where a step of about 2e-4 that is
+        # not a power of two rounded the nodes r + j*h: 2.5e-5 and 2.0e-3
+        (ModelManifold(ExpPower(1.0, 1.0)), ExpPower(0.5, 1.0), 2.0, 1e8),
+        (ModelManifold(ExpPower(1.0, 1.0)), ExpPower(0.5, 1.0), 2.0, 1e10),
     ]
     for manifold, profile, p, r in cases:
         dev = fd_cross_check(manifold, profile, p, r)
@@ -304,6 +308,15 @@ def test_fd_cross_check_grid():
     for ex in sharp_grid():
         r = ex.t0 + 3.0
         assert fd_cross_check(ex.manifold, ex.profile, ex.p, r) <= 1e-6
+
+
+@pytest.mark.parametrize("r, h", [(1e17, None), (1e3, 0.1)])
+def test_fd_cross_check_rejects_nodes_that_round(r, h):
+    """Past 1e16 the default step is below the spacing of doubles at r, and
+    1e3 + 0.1 is not exact."""
+    ex = build_sharp_example(2.0, 4.0, 0.0)
+    with pytest.raises(DomainError, match=re.escape(f"round at r={r}, h=")):
+        fd_cross_check(ex.manifold, ex.profile, ex.p, r, h)
 
 
 # ---------------------------------------------------------------------------
