@@ -30,8 +30,8 @@ G, H and J share one cluster of initial panel ends, put where nearly all
 of their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32
 and 48 of the e-fold width w of the integrand (see _CLUSTER).  A segment
 of G or of H spanning more than _TOP_SPAN = 24 widths at its top R starts
-with the ends R - w * f inside it, and G has no edge table where its first
-segment spans more than 96 (see _top_width).  J's integrand
+with the ends R - w * f inside it, and G has an edge table only where its
+first segment does not (see _top_width).  J's integrand
 phi**(1/(1-p)) decays from the bottom r of its interval, so J starts with
 the ends r + w * f inside the interval, w its width at r (see
 _bottom_width).  On the grid every suite example then closes in its first
@@ -114,13 +114,14 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
     Returns (log value, relative error estimate).  The integrand behaves
     like (s - t0)**(gamma - 1) at the support edge, gamma = q - p + 1, and
     blows up there for q < p; _edge_split says when the piece next to t0
-    is a table of its own, in a variable that removes the singularity.
-    That table comes before the rest in the one pass of _integrals, so its
-    failure is the one raised when both fail.  On the leading piece the
-    excess v - s0 is expanded around the computed edge through the
-    profile's log_value_delta, treating v(t0) = s0 as exact: the
-    difference log v(s) - log s0 is needed at separations far below the
-    cancellation floor of direct subtraction.  (The value of a q < p
+    is a table of its own, in a variable that removes the singularity,
+    also below a first segment that starts from a top-end cluster, where
+    G has none.  That table comes before the rest in the one pass of
+    _integrals, so its failure is the one raised when both fail.  On the
+    leading piece the excess v - s0 is expanded around the computed edge
+    through the profile's log_value_delta, treating v(t0) = s0 as exact:
+    the difference log v(s) - log s0 is needed at separations far below
+    the cancellation floor of direct subtraction.  (The value of a q < p
     integral is inherently sensitive to the edge location at relative
     order ulp**gamma; the margins built from it are insensitive to that.)
     """
@@ -163,7 +164,7 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
     This is the support-edge rule of G (alpha = q + 1) and H
     (alpha = gamma = q - p + 1, singular at t0 for q < p).  _integrals sets
     edge when s0 > 0 and t0 > t_min, and gives G a near that is false where
-    its first segment spans more than 96 widths (see _top_width).  With
+    its first segment starts from a top-end cluster (see _top_width).  With
     edge set, a radius above t0, R_min the smallest such radius, and
     near(R_min) true, the edge piece over (t0, t1] with
     t1 = t0 + min(1, (R_min - t0)/2) is integrated in tau at the radii
@@ -194,19 +195,18 @@ _TOP_SPAN = 24.0
 
 
 def _top_width(manifold: ModelManifold, profile: RadialProfile, q: float,
-               lo: float, hi: float, spans: float = _TOP_SPAN) -> float | None:
+               lo: float, hi: float) -> float | None:
     """The e-fold width w = 1 / (d log(g * v**q) / ds) of G's integrand at
-    hi when [lo, hi] spans more than spans widths; else None, as for a
+    hi when [lo, hi] spans more than _TOP_SPAN widths; else None, as for a
     slope not known, finite and positive.  H's integrand has the same
-    leading log-slope.  Where log(g * v**q) is concave the integrand grows
-    by over e**spans across [lo, hi]: with spans = 2 * _CLUSTER[-1] its
-    lower part carries no weight, and G needs no edge below such a first
-    segment."""
+    leading log-slope.  G's integrand vanishes like (s - t0)**q at t0, so
+    below a first segment that starts from this cluster the default panels
+    cover G's edge (see _edge_split)."""
     try:
-        w = 1.0 / (manifold.dlog_warp(hi) + q * profile.dlog(hi))
+        w = 1.0 / (manifold.warp.dlog(hi) + q * profile.dlog(hi))
     except (OverflowError, ZeroDivisionError, NotImplementedError):
         return None
-    return w if w > 0.0 and hi - spans * w > lo else None
+    return w if w > 0.0 and hi - _TOP_SPAN * w > lo else None
 
 
 def _bottom_width(manifold: ModelManifold, profile: RadialProfile, p: float,
@@ -218,7 +218,7 @@ def _bottom_width(manifold: ModelManifold, profile: RadialProfile, p: float,
     try:
         # v / (v - s0), 1 where s0 = 0
         ratio = -1.0 / math.expm1(_log_level(s0) - profile.log_value(lo))
-        slope = manifold.dlog_warp(lo) + q * profile.dlog(lo) * ratio
+        slope = manifold.warp.dlog(lo) + q * profile.dlog(lo) * ratio
         w = (p - 1.0) / slope
     except (OverflowError, ZeroDivisionError, NotImplementedError):
         return None
@@ -257,8 +257,7 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     edge = s0 > 0.0 and t0 > profile.t_min
     g_edge, g_rest, m_g = _edge_split(
         t0, q + 1.0, g_radii, edge,
-        lambda R_min: _top_width(manifold, profile, q, t0, R_min,
-                                 2.0 * _CLUSTER[-1]) is None)
+        lambda R_min: _top_width(manifold, profile, q, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
     def top_ends(lo: float, hi: float) -> list[float]:

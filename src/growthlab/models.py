@@ -84,9 +84,9 @@ def _past_double(log_t: float, s: float) -> DomainError:
 class RadialProfile:
     """Base class for positive radial functions on (t_min, inf).
 
-    Subclasses give the methods below in closed form; value exponentiates
-    log_value unless overridden.  Monotonicity is not assumed by the class
-    itself (warps may decrease); routines that need v' > 0 check it.
+    Subclasses give the methods below in closed form.  Monotonicity is not
+    assumed by the class itself (warps may decrease); routines that need
+    v' > 0 check it.
     """
 
     t_min: float = 0.0
@@ -103,14 +103,11 @@ class RadialProfile:
         without forming the other two."""
         raise NotImplementedError
 
-    def value(self, t: float) -> float:
-        return math.exp(self.log_value(t))
-
     def log_deriv(self, t: float) -> float:
         raise NotImplementedError
 
     def level_radius(self, s: float) -> float:
-        """Radius t with v(t) = s; inverse of value on the increasing range."""
+        """Radius t with v(t) = s; inverse of v on the increasing range."""
         raise NotImplementedError
 
     def log_value_delta(self, t: float, eta: float) -> float:
@@ -122,18 +119,11 @@ class RadialProfile:
         """
         raise NotImplementedError
 
-    def _check_t(self, t: float) -> None:
-        # log_derivs and dlog repeat this check inline, saving a call per
-        # radius of subsolution_residual
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-
     def _check_radii(self, t):
-        """_check_t for one radius or an array of them; returns _ns(t).
-
-        The float case is tested first, without a nested call: fd_cross_check
-        and log_sphere_integral call log_value one radius at a time.
-        """
+        """DomainError unless t, one radius or an array, exceeds t_min;
+        returns _ns(t).  The float case is tested first, without a nested
+        call: fd_cross_check and log_sphere_integral pass one radius, and
+        log_derivs and dlog repeat the test inline, saving a call."""
         if type(t) is float or (xp := _ns(t)) is math:
             if not (t > self.t_min):
                 raise DomainError(f"radius must exceed {self.t_min}, got {t}")
@@ -184,7 +174,7 @@ class PowerLaw(RadialProfile):
             raise _past_double(math.log(s) / self.c, s) from None
 
     def log_value_delta(self, t: float, eta):
-        self._check_t(t)
+        self._check_radii(t)
         return self.c * _ns(eta).log1p(eta / t)
 
     def __repr__(self):
@@ -240,7 +230,7 @@ class ExpPower(RadialProfile):
 
     def log_value_delta(self, t: float, eta):
         # c * ((t+eta)**b - t**b) = c * t**b * expm1(b * log1p(eta/t))
-        self._check_t(t)
+        self._check_radii(t)
         xp = _ns(eta)
         return self.c * t ** self.beta \
             * xp.expm1(self.beta * xp.log1p(eta / t))
@@ -303,7 +293,7 @@ class PHarmonicRn(RadialProfile):
     def log_value_delta(self, t: float, eta):
         # ((t+eta)**a - 1) / (t**a - 1) = 1 + t**a * u / (t**a - 1) with
         # u = expm1(a * log1p(eta/t)); the last ratio is u / (1 - t**-a)
-        self._check_t(t)
+        self._check_radii(t)
         a = self.alpha
         xp = _ns(eta)
         u = xp.expm1(a * xp.log1p(eta / t))
@@ -336,31 +326,26 @@ class ModelManifold:
     def log_warp(self, s):
         return self.warp.log_value(s)
 
-    def dlog_warp(self, s: float) -> float:
-        return self.warp.dlog(s)
-
-    def log_sphere_area(self, s):
-        return math.log(self.omega) + self.warp.log_value(s)
-
     @classmethod
     def euclidean(cls, n: int) -> "ModelManifold":
+        """Euclidean n-space: omega = 2 * pi**(n/2) / Gamma(n/2), formed
+        from lgamma where Gamma(n/2) overflows (n >= 344); below the normal
+        doubles (n >= 439) it raises DomainError."""
         if n < 2:
             raise DomainError(f"dimension must be at least 2, got {n}")
-        omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        try:
+            omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        except OverflowError:
+            omega = math.exp(math.log(2.0) + (n / 2.0) * math.log(math.pi)
+                             - math.lgamma(n / 2.0))
+        if not omega >= sys.float_info.min:
+            raise DomainError(f"the unit sphere area of dimension n={n} is "
+                              "below the smallest normal double")
         return cls(warp=PowerLaw(n - 1.0), omega=omega)
 
 
 # the d = log v - log s0 below which log(v - s0) is formed from expm1(d)
 _NEAR = 0.7
-
-
-def _log_excess(profile: RadialProfile, log_s0: float, s: float) -> float:
-    """log(v(s) - s0) computed from log v(s) without overflow; -inf if <= 0.
-
-    One radius; _log_excess_of is the form that also takes arrays.
-    """
-    lv = profile.log_value(s)
-    return _log_excess_of(log_s0, lv, lv - log_s0)
 
 
 def _log_excess_of(log_s0: float, lv, d):
@@ -414,18 +399,19 @@ def log_sphere_integral(manifold: ModelManifold, profile: RadialProfile,
     """log of omega * g(s) * (v(s) - s0)**q; -inf where v <= s0."""
     if not (q > 0.0):
         raise DomainError(f"q must be positive, got {q}")
-    le = _log_excess(profile, _log_level(s0), s)
+    log_s0 = _log_level(s0)
+    lv = profile.log_value(s)
+    le = _log_excess_of(log_s0, lv, lv - log_s0)
     if le == -math.inf:
         return -math.inf
-    return manifold.log_sphere_area(s) + q * le
+    return math.log(manifold.omega) + manifold.warp.log_value(s) + q * le
 
 
 def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
-                     q: float, s0: float, rmin: float, rmax: float,
-                     num: int = 9) -> float:
+                     q: float, s0: float, rmin: float, rmax: float) -> float:
     """Log-log slope of the sphere integral phi over [rmin, rmax].
 
-    The slope is the least-squares fit of log phi against log r at num
+    The slope is the least-squares fit of log phi against log r at nine
     geometrically spaced radii.  Returns -inf when phi vanishes on the
     whole window.  Mixed windows (partly inside, partly outside the support
     of (v - s0)+) are rejected; move the window past the support radius
@@ -433,16 +419,14 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
     """
     if not (0.0 < rmin < rmax):
         raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
-    if num < 2:
-        raise DomainError(f"need at least 2 points, got {num}")
-    radii = geometric_grid(rmin, rmax, num)
+    radii = geometric_grid(rmin, rmax, 9)
     vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
     if all(v == -math.inf for v in vals):
         return -math.inf
     if any(v == -math.inf for v in vals):
         raise DomainError("window straddles the support radius; move rmin up")
     xs = [math.log(r) for r in radii]
-    x_mean, y_mean = math.fsum(xs) / num, math.fsum(vals) / num
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(vals) / len(vals)
     dx = [x - x_mean for x in xs]
     return math.fsum(d * (y - y_mean) for d, y in zip(dx, vals)) \
         / math.fsum(d * d for d in dx)

@@ -154,10 +154,17 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
     terms in turn: the order of numpy's pairwise sum along a row, so a
     panel's sums do not depend on this layout or on the rest of its batch.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = (mid[:, None] + half[:, None] * _X).ravel()
-    v = logf(x)
+    # a node or a log-value past the largest double is named below, and
+    # gives no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        x = (mid[:, None] + half[:, None] * _X).ravel()
+        if not np.isfinite(x).all():
+            row = int((~np.isfinite(x)).argmax()) // len(_X)
+            raise DomainError(f"a node of the panel [{a[row]}, {b[row]}] "
+                              "passes the largest double")
+        v = logf(x)
     t = v.reshape(len(a), len(_X)).T[_TERMS]
     t += _LOG_W
     tk, tg = t[:len(_X)], t[len(_X):]
@@ -196,10 +203,11 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
     return k15, err
 
 
-def _initial_breakpoints(lo: float, hi: float, n: int = 8) -> list[float]:
+def _initial_breakpoints(lo: float, hi: float) -> list[float]:
+    """The ends of the eight geometric or even panels [lo, hi] starts from."""
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
-        return geometric_grid(lo, hi, n + 1)
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+        return geometric_grid(lo, hi, 9)
+    return [lo + (hi - lo) * i / 8 for i in range(9)]
 
 
 def _inside(a: float, b: float) -> bool:

@@ -125,8 +125,9 @@ def build_sharp_example(p: float, q: float, mu: float) -> SharpExample:
         expected_rate = (a + q * c) + p
     r_ref = max(1.0, potential.r_min_positive)
     # v(r_ref) passes the largest double as q -> p - 1, where r+ grows
-    log_s0 = math.log(2.0) + profile.log_value(r_ref)
-    s0 = 2.0 * profile.value(r_ref) if log_s0 < _LOG_MAX else math.inf
+    log_v = profile.log_value(r_ref)
+    log_s0 = math.log(2.0) + log_v
+    s0 = 2.0 * math.exp(log_v) if log_s0 < _LOG_MAX else math.inf
     if s0 == math.inf:
         raise DomainError(
             f"truncation level s0 = 2*v(r_ref) = exp({log_s0:.6g}) at the "
@@ -153,10 +154,11 @@ def default_qs(p: float) -> tuple[float, float, float]:
     return ((p - 1.0 + pivot) / 2.0, pivot, pivot + 1.0)
 
 
-def sharp_grid(ps=(1.5, 2.0, 3.0)) -> list[SharpExample]:
-    """Examples for every p in ps, q below/at/above pivot, mu in {0, p/2, p}."""
+def sharp_grid() -> list[SharpExample]:
+    """The 27 examples: p in {1.5, 2, 3}, q below/at/above pivot, mu in
+    {0, p/2, p}."""
     out = []
-    for p in ps:
+    for p in (1.5, 2.0, 3.0):
         for q in default_qs(p):
             for mu in (0.0, p / 2.0, p):
                 out.append(build_sharp_example(p, q, mu))

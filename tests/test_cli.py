@@ -250,6 +250,44 @@ def test_l1_euclidean_counterexample(capsys):
     assert doc["classification"] == "holds_only_for_small_r"
 
 
+def test_l1_euclidean_past_the_gamma_range(capsys):
+    # Gamma(200) overflows; omega = 2 pi**200 / Gamma(200) is formed from lgamma
+    rc, out, _ = run(capsys, ["l1", "--euclidean", "400", "--p", "600", "--q", "5", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["classification"] == "condition_holds"
+
+
+def test_l1_euclidean_sphere_area_below_the_normal_doubles(capsys):
+    rc, _, err = run(capsys, ["l1", "--euclidean", "1000", "--p", "1200", "--q", "5"])
+    assert rc == 2
+    assert "unit sphere area of dimension n=1000 is below the smallest normal double" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the panel [1e308, 1e308] of the top-end cluster: a + b overflows
+    (["--mu", "1", "--rmin", "1e300", "--rmax", "1e308"],
+     r"a node of the panel \[1e\+308, 1e\+308\] passes the largest double"),
+    # g * (v - s0)**3 = e**(4 s) with its log past the largest double
+    (["--mu", "0", "--rmin", "10", "--rmax", "8e307"],
+     r"integrand log-value at 7\.965821498285148e\+307 is inf"),
+])
+def test_rate_past_the_largest_double_exit_code(capsys, argv, message):
+    # numpy's overflow warnings escaped the integration pass, and the first
+    # error named a node at inf
+    rc, _, err = run(capsys, ["rate", "--p", "2", "--q", "3", *argv])
+    assert rc == 2
+    assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_rate_window_up_to_the_largest_double(capsys):
+    rc, out, _ = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "2", "--rate",
+                              "--rmax", "1e308", "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_liouville_classifications(capsys):
     rc, out, _ = run(capsys, ["liouville", "--p", "2", "--q", "2", "--lambda", "1", "--growth", "1.5", "--format", "json"])
     assert rc == 0

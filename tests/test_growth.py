@@ -45,7 +45,7 @@ from growthlab import (
     PowerLaw,
     RadialProfile,
 )
-from growthlab.models import _log_excess, _log_excess_of, log_sphere_integral
+from growthlab.models import _log_excess_of, log_sphere_integral
 from logspace import log_diff
 
 EX_DECAY = build_sharp_example(2.0, 3.0, 1.0)
@@ -143,12 +143,12 @@ def test_log_excess_array_matches_scalar_loop(ex):
     lvs = ex.profile.log_value(s)
     got = _log_excess_of(log_s0, lvs, lvs - log_s0)
     for x, r in zip(got.tolist(), s.tolist()):
-        ref = _log_excess(ex.profile, log_s0, r)
+        lv = ex.profile.log_value(r)
+        ref = _log_excess_of(log_s0, lv, lv - log_s0)
         assert type(ref) is float
         if ref == -math.inf:
             assert x == ref
         else:
-            lv = ex.profile.log_value(r)
             bound = 8 * 2.0 ** -52 * max(1.0, abs(lv)) * (1.0 + 1.0 / (lv - log_s0))
             assert abs(x - ref) <= max(bound, 8 * 2.0 ** -52 * abs(ref))
 
@@ -176,9 +176,6 @@ def test_log_excess_matches_mpmath(log_s0, d):
     assert type(one) is float
     for got in [one, *many.tolist()]:
         assert abs(got - ref) <= 4 * scale
-    profile = PowerLaw(1.0)
-    assert _log_excess(profile, log_s0, 5.0) == _log_excess_of(
-        log_s0, profile.log_value(5.0), profile.log_value(5.0) - log_s0)
 
 
 @pytest.mark.parametrize("d", [0.0, -0.0, -5e-324, -1.0, -math.inf])
@@ -274,6 +271,30 @@ def test_support_edge_frozen_mpmath(pq_mu, functional, expected):
     assert abs(log_value - float(expected)) <= 2e-15
 
 
+def test_g_edge_table_only_below_a_first_segment_without_a_cluster(monkeypatch):
+    """At (2, 3, 0), g = v = e**s and G's e-fold width is 1/4, so (t0, 14]
+    spans 49 widths: more than _TOP_SPAN, and G's first segment starts from
+    the top-end cluster, with no edge table.  H keeps its edge table.  log G
+    is 40-digit mpmath of the closed form omega * ((e**R - s0)**4 -
+    (e**t0 - s0)**4) / 4, with the double omega, t0 and s0."""
+    ex, R = build_sharp_example(2.0, 3.0, 0.0), 14.0
+    tables, seen = growth.log_quad_tables, []
+
+    def spy(logf, specs, **kwargs):
+        seen.append((specs[growth._G_EDGE], specs[growth._H_EDGE]))
+        return tables(logf, specs, **kwargs)
+
+    monkeypatch.setattr(growth, "log_quad_tables", spy)
+    sample = log_ball_integral(ex.manifold, ex.profile, ex.q, ex.s0, R)
+    log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
+    assert (R - ex.t0) / 0.25 == pytest.approx(49.2, abs=0.1)
+    assert growth._top_width(ex.manifold, ex.profile, ex.q, ex.t0, R) == 0.25
+    assert seen[0][0] == (0.0, [])
+    assert seen[1][1] != (0.0, [])
+    expected = float("56.45156462261332614190485021493447470061")
+    assert abs(math.expm1(sample.logG - expected)) <= sample.quad_error + 4 * math.ulp(expected)
+
+
 # log G and log H of the suite at (3, 7, 0), at the radii whose segments
 # start from a top-end cluster (G over (5.693, 9.386], H over each of
 # (2.347, 4.693], ..., (18.77, 37.55]), from a separate 40-digit mpmath
@@ -360,7 +381,7 @@ def test_ball_integral_two_sided_envelope(pq_mu):
         kappa * R ** beta + (1.0 - beta) * math.log(R),
         kappa * t1 ** beta + (1.0 - beta) * math.log(t1),
     )
-    lower = logw + ex.q * math.log1p(-ex.s0 / ex.profile.value(t1)) + body - math.log(a2)
+    lower = logw + ex.q * math.log1p(-ex.s0 / math.exp(ex.profile.log_value(t1))) + body - math.log(a2)
     assert lower - 1e-9 <= sample.logG <= upper + 1e-9
 
 
@@ -562,6 +583,21 @@ def test_infinite_radius_named(integrate):
     # RuntimeWarnings are errors here, so none may be raised on the way
     with pytest.raises(DomainError, match="integration radius inf is not finite"):
         integrate(EX_DECAY)
+
+
+@pytest.mark.parametrize("pq_mu, radii, message", [
+    # the top-end cluster below 1e308 rounds onto it: a + b overflows on
+    # the panel [1e308, 1e308]
+    ((2.0, 3.0, 1.0), [1e300, 1e305, 1e308], r"panel \[1e\+308, 1e\+308\] passes the largest double"),
+    ((2.0, 3.0, 0.0), [10.0, 1e100, 1e308], r"panel \[1e\+308, 1e\+308\] passes the largest double"),
+    # finite nodes whose log(g * (v - s0)**3), about 4 s, overflows
+    ((2.0, 3.0, 0.0), [10.0, 8e307], r"integrand log-value at 7\.96\d*e\+307 is inf"),
+])
+def test_radii_near_the_largest_double_named(pq_mu, radii, message):
+    # RuntimeWarnings are errors here, so none may be raised on the way
+    ex = build_sharp_example(*pq_mu)
+    with pytest.raises(DomainError, match=message):
+        growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii)
 
 
 def test_measure_rate_power():

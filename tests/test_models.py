@@ -139,7 +139,7 @@ def test_derivatives_against_mpmath(profile, t=3.0):
 )
 def test_level_radius_inverts_value(profile, s):
     r = profile.level_radius(s)
-    assert profile.value(r) == pytest.approx(s, rel=1e-11)
+    assert math.exp(profile.log_value(r)) == pytest.approx(s, rel=1e-11)
 
 
 @pytest.mark.parametrize("profile, s, log_t", [
@@ -194,8 +194,26 @@ def test_euclidean_sphere_constants():
     assert ModelManifold.euclidean(3).omega == pytest.approx(4.0 * math.pi, rel=1e-14)
     assert ModelManifold.euclidean(4).omega == pytest.approx(2.0 * math.pi ** 2, rel=1e-14)
     # area of the sphere of radius 2 in 3-space is 16 pi
-    area = ModelManifold.euclidean(3).log_sphere_area(2.0)
+    manifold = ModelManifold.euclidean(3)
+    area = math.log(manifold.omega) + manifold.warp.log_value(2.0)
     assert area == pytest.approx(math.log(16.0 * math.pi), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [343, 344, 400, 438])
+def test_euclidean_sphere_area_up_to_the_normal_doubles(n):
+    """2 pi**(n/2) / Gamma(n/2) against 30-digit mpmath.  Gamma(n/2) passes
+    the largest double from n = 344 on; there the log of omega, about -700,
+    carries an absolute error of a few ulps, which bounds omega's error."""
+    with mpmath.workdps(30):
+        half = mpmath.mpf(n) / 2
+        exact = float(2 * mpmath.pi ** half / mpmath.gamma(half))
+    assert ModelManifold.euclidean(n).omega == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [439, 1000])
+def test_euclidean_sphere_area_below_the_normal_doubles(n):
+    with pytest.raises(DomainError, match=f"dimension n={n} is below the smallest normal double"):
+        ModelManifold.euclidean(n)
 
 
 def test_potential_constant_case():

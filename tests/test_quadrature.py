@@ -457,6 +457,21 @@ def test_batched_panels_match_loop(which, panels):
             assert gap <= 2 * _BOUND * max(1.0, abs(k_ref))
 
 
+def test_panel_past_the_largest_double_is_named():
+    """a + b overflows on the first panel: its nodes are not formed, no
+    RuntimeWarning is given and logf is not called."""
+    def logf(x):
+        raise AssertionError("logf called")
+    with pytest.raises(DomainError, match=r"^a node of the panel \[1e\+308, 1\.0875e\+308\] "
+                       "passes the largest double$"):
+        log_quad(logf, 1e308, 1.7e308)
+
+
+def test_overflowing_log_values_are_named_without_a_warning():
+    with pytest.raises(DomainError, match="integrand log-value at .* is inf"):
+        log_quad(lambda x: 1e308 * x, 1.0, 2.0)
+
+
 def test_batched_panels_name_first_bad_node():
     f = np.vectorize(lambda t: math.inf if t > 0.5 else 0.0, otypes=[float])
     with pytest.raises(DomainError) as info:

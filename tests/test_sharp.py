@@ -122,7 +122,7 @@ def test_grid_examples_start_positive():
     for ex in sharp_grid():
         assert ex.t0 > ex.potential.r_min_positive
         assert ex.potential(ex.t0) > 0.0
-        assert ex.profile.value(ex.t0) == pytest.approx(ex.s0, rel=1e-11)
+        assert math.exp(ex.profile.log_value(ex.t0)) == pytest.approx(ex.s0, rel=1e-11)
         assert ex.params == Params(ex.p, ex.q, ex.mu, ex.lam)
         assert 0.0 <= ex.eps_for_radius(2.0 * ex.t0) < ex.lam
 
