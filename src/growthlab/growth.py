@@ -263,8 +263,8 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(manifold, profile, q, lo, hi)
         return [hi] if w is None \
-            else [x for f in reversed(_CLUSTER) if (x := hi - f * w) > lo] \
-            + [hi]
+            else [x for f in reversed(_CLUSTER)
+                  if lo < (x := hi - f * w) < hi] + [hi]
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
         w = _bottom_width(manifold, profile, p, q, s0, lo)
@@ -435,24 +435,6 @@ def measure_rate(example: SharpExample, rmax: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _check_tol(base_tol: float, *rel_errors: float) -> float:
-    _check_nonnegative("base_tol", base_tol)
-    return base_tol + 10.0 * sum(rel_errors)
-
-
-def _tables(example: SharpExample, g_radii, h_radii, j_pairs,
-            rel_tol: float) -> tuple[dict, dict, list]:
-    """G as radius -> GrowthSample and H as radius -> (log H, relative
-    error) over the distinct radii given, and J over each pair of j_pairs,
-    from one _integrals call."""
-    g_radii, h_radii = sorted(set(g_radii)), sorted(set(h_radii))
-    G, H, J = _integrals(example.manifold, example.profile, example.p,
-                         example.q, example.s0, g_radii, h_radii, j_pairs,
-                         rel_tol)
-    return ({R: GrowthSample(R, *g) for R, g in zip(g_radii, G)},
-            dict(zip(h_radii, H)), J)
-
-
 def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
                              eps: float = 0.0, base_tol: float = 1e-8,
                              rel_tol: float = 1e-12) -> CheckReport:
@@ -468,38 +450,12 @@ def check_growth_lower_bound(example: SharpExample, R1: float, R: float,
     default eps = 0 is valid on the extremal examples of this package (their
     amplitude deficit only strengthens the bound); for a potential that only
     reaches amplitude lam asymptotically pass eps >= its deficit at R1, for
-    instance SharpExample.eps_for_radius(R1).
+    instance SharpExample.eps_for_radius(R1).  base_tol and the radii are
+    checked first, then G and H are integrated, then eps is checked, so a
+    failing integral is raised before a bad eps (see _checks).
     """
-    t0 = example.t0
-    floor = max(t0, example.potential.r_min_positive)
-    if not (R1 > floor):
-        raise DomainError(
-            f"R1 must exceed max(t0, positivity radius) = {floor}, got {R1}")
-    if not (R > R1):
-        raise DomainError(f"need R > R1, got R={R}, R1={R1}")
-    cc = comparison_constants(example.params, eps)
-    G, H, _ = _tables(example, [R1, R], [R], [], rel_tol)
-    return _growth_lower_bound(example, cc, R1, R, G, H, base_tol)
-
-
-def _growth_lower_bound(example: SharpExample, cc, R1: float, R: float,
-                        G: dict, H: dict, base_tol: float,
-                        suffix: str = "") -> CheckReport:
-    p = example.p
-    g_r1, g_r = G[R1], G[R]
-    h_r, h_err = H[R]
-    if example.is_borderline:
-        log_phi = log_sum([g_r.logG,
-                           math.log(cc.c6) + p * math.log(R) + h_r])
-        rhs = cc.c5 * (math.log(R) - math.log(R1)) + g_r1.logG
-    else:
-        beta = example.beta
-        log_phi = log_sum([g_r.logG,
-                           math.log(cc.c2) + example.mu * math.log(R) + h_r])
-        rhs = (cc.c3 / beta) * (R ** beta - R1 ** beta) + g_r1.logG
-    tol = _check_tol(base_tol, g_r1.quad_error, g_r.quad_error, h_err)
-    return CheckReport(name="growth-lower-bound" + suffix, lhs=log_phi,
-                       rhs=rhs, margin=log_phi - rhs, tolerance=tol)
+    return _checks(example, [(R1, R)], [], [], eps, base_tol, rel_tol,
+                   False)[0]
 
 
 def check_caccioppoli(example: SharpExample, R: float,
@@ -509,27 +465,11 @@ def check_caccioppoli(example: SharpExample, R: float,
 
     The constant is k**(p*p') * (p-1)**(p-1) * 4**p / (gamma * min(1,
     gamma**(p-1))) with gamma = q - p + 1.  The default width h = R**(mu/p)
-    matches the step used by the growth iteration.
+    matches the step used by the growth iteration.  base_tol is checked
+    before R and h (see _checks).
     """
-    if not (R > example.t0):
-        raise DomainError(f"R must exceed t0={example.t0}, got {R}")
-    if h is None:
-        h = R ** (example.mu / example.p)
-    if not (h > 0.0):
-        raise DomainError(f"h must be positive, got {h}")
-    G, H, _ = _tables(example, [R + h], [R], [], rel_tol)
-    return _caccioppoli(example, R, h, G, H, base_tol)
-
-
-def _caccioppoli(example: SharpExample, R: float, h: float, G: dict,
-                 H: dict, base_tol: float, suffix: str = "") -> CheckReport:
-    g_rh = G[R + h]
-    h_r, h_err = H[R]
-    lhs = math.log(_annulus_constant(example.params)) + g_rh.logG
-    rhs = example.p * math.log(h) + h_r
-    tol = _check_tol(base_tol, g_rh.quad_error, h_err)
-    return CheckReport(name="annulus-caccioppoli" + suffix, lhs=lhs, rhs=rhs,
-                       margin=lhs - rhs, tolerance=tol)
+    return _checks(example, [], [(R, h)], [], 0.0, base_tol, rel_tol,
+                   False)[0]
 
 
 def check_surface_capacity(example: SharpExample, r: float, R: float,
@@ -540,25 +480,81 @@ def check_surface_capacity(example: SharpExample, r: float, R: float,
     H(r) <= const * (integral over (r, R) of phi(s)**(1/(1-p)) ds)**(1-p)
     with const = (p-1)**(p-1) / min(1, gamma**p).  The right side decreases
     to the optimal bound as R grows; any R > r gives a valid inequality.
+    base_tol is checked before r and R (see _checks).
     """
-    if not (example.t0 < r < R):
-        raise DomainError(
-            f"need t0 < r < R, got t0={example.t0}, r={r}, R={R}")
-    _, H, (J,) = _tables(example, [], [r], [(r, R)], rel_tol)
-    return _surface_capacity(example, r, H, J, base_tol)
+    return _checks(example, [], [], [(r, R)], 0.0, base_tol, rel_tol,
+                   False)[0]
 
 
-def _surface_capacity(example: SharpExample, r: float, H: dict,
-                      J: tuple[float, float], base_tol: float,
-                      suffix: str = "") -> CheckReport:
-    p, gamma = example.p, example.params.gamma
-    h_r, h_err = H[r]
-    log_j, j_err = J
-    pref = (p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)
-    rhs = math.log(pref) + (1.0 - p) * log_j
-    tol = _check_tol(base_tol, h_err, (p - 1.0) * j_err)
-    return CheckReport(name="surface-capacity" + suffix, lhs=h_r, rhs=rhs,
-                       margin=rhs - h_r, tolerance=tol)
+def _checks(example: SharpExample, growth, annulus, capacity, eps: float,
+            base_tol: float, rel_tol: float, named: bool) -> list[CheckReport]:
+    """The growth lower bound at each (R1, R) of growth, the annulus
+    estimate at each (R, h) of annulus (h None: the width R**(mu/p)) and
+    the capacity bound at each (r, R) of capacity, in that order; named
+    puts the radii in each name.  base_tol, then the pairs are checked;
+    one _integrals call over the distinct radii fails next, then the
+    comparison constants, formed only for growth pairs, raise a bad eps.
+    Each tolerance is base_tol plus 10 times the sum of its integrals'
+    relative errors."""
+    _check_nonnegative("base_tol", base_tol)
+    p, mu, t0, gamma = example.p, example.mu, example.t0, example.params.gamma
+    floor = max(t0, example.potential.r_min_positive)
+    for R1, R in growth:
+        if not (R1 > floor):
+            raise DomainError(f"R1 must exceed max(t0, positivity radius) = "
+                              f"{floor}, got {R1}")
+        if not (R > R1):
+            raise DomainError(f"need R > R1, got R={R}, R1={R1}")
+    widths = [(R, R ** (mu / p) if h is None else h) for R, h in annulus]
+    for R, h in widths:
+        if not (R > t0):
+            raise DomainError(f"R must exceed t0={t0}, got {R}")
+        if not (h > 0.0):
+            raise DomainError(f"h must be positive, got {h}")
+    for r, R in capacity:
+        if not (t0 < r < R):
+            raise DomainError(f"need t0 < r < R, got t0={t0}, r={r}, R={R}")
+    g_radii = sorted({x for pair in growth for x in pair}
+                     | {R + h for R, h in widths})
+    h_radii = sorted({R for _, R in growth} | {R for R, _ in widths}
+                     | {r for r, _ in capacity})
+    G, H, J = _integrals(example.manifold, example.profile, p, example.q,
+                         example.s0, g_radii, h_radii, capacity, rel_tol)
+    G, H = dict(zip(g_radii, G)), dict(zip(h_radii, H))
+
+    def report(name, label, lhs, rhs, margin, *rel_errors):
+        return CheckReport(name=name + label if named else name, lhs=lhs,
+                           rhs=rhs, margin=margin,
+                           tolerance=base_tol + 10.0 * sum(rel_errors))
+
+    reports = []
+    if growth:
+        cc = comparison_constants(example.params, eps)
+    for R1, R in growth:
+        (g_r1, err_r1), (g_r, err_r), (h_r, h_err) = G[R1], G[R], H[R]
+        if example.is_borderline:
+            log_phi = log_sum([g_r, math.log(cc.c6) + p * math.log(R) + h_r])
+            rhs = cc.c5 * (math.log(R) - math.log(R1)) + g_r1
+        else:
+            beta = example.beta
+            log_phi = log_sum([g_r, math.log(cc.c2) + mu * math.log(R) + h_r])
+            rhs = (cc.c3 / beta) * (R ** beta - R1 ** beta) + g_r1
+        reports.append(report("growth-lower-bound", f"(R1={R1:.4g};R={R:.4g})",
+                              log_phi, rhs, log_phi - rhs,
+                              err_r1, err_r, h_err))
+    for R, h in widths:
+        (g_rh, g_err), (h_r, h_err) = G[R + h], H[R]
+        lhs = math.log(_annulus_constant(example.params)) + g_rh
+        rhs = p * math.log(h) + h_r
+        reports.append(report("annulus-caccioppoli", f"(R={R:.4g})",
+                              lhs, rhs, lhs - rhs, g_err, h_err))
+    for (r, R), (log_j, j_err) in zip(capacity, J):
+        h_r, h_err = H[r]
+        rhs = math.log((p - 1.0) ** (p - 1.0) / min(1.0, gamma ** p)) \
+            + (1.0 - p) * log_j
+        reports.append(report("surface-capacity", f"(r={r:.4g};R={R:.4g})",
+                              h_r, rhs, rhs - h_r, h_err, (p - 1.0) * j_err))
+    return reports
 
 
 def default_check_pairs(example: SharpExample) -> dict[str, list]:
@@ -584,26 +580,11 @@ def run_inequality_suite(example: SharpExample, eps: float = 0.0,
 
     G, H and J are computed in one refinement over the union of the radii
     the nine checks need; each report equals its public check_* call up to
-    the rounding of the shared integration segments.  The integrals come
-    before the comparison constants, so they fail first, in the order G's
-    edge, G, H's edge, H, J (see _integrals); then a bad eps raises its
-    DomainError.
+    the rounding of the shared integration segments.  A bad base_tol is
+    raised first, then a failing integral, in the order G's edge, G, H's
+    edge, H, J (see _integrals), then a bad eps (see _checks).
     """
     pairs = default_check_pairs(example)
-    growth = pairs["growth-lower-bound"]
-    annulus = [(r, r ** (example.mu / example.p))
-               for r in pairs["annulus-caccioppoli"]]
-    capacity = pairs["surface-capacity"]
-    g_radii = [x for pair in growth for x in pair] + [r + h for r, h in annulus]
-    h_radii = [r for _, r in growth] + [r for r, _ in annulus] \
-        + [r for r, _ in capacity]
-    G, H, J = _tables(example, g_radii, h_radii, capacity, rel_tol)
-    cc = comparison_constants(example.params, eps)
-    return [_growth_lower_bound(example, cc, r1, r, G, H, base_tol,
-                                f"(R1={r1:.4g};R={r:.4g})")
-            for r1, r in growth] \
-        + [_caccioppoli(example, r, h, G, H, base_tol, f"(R={r:.4g})")
-           for r, h in annulus] \
-        + [_surface_capacity(example, r1, H, j, base_tol,
-                             f"(r={r1:.4g};R={r:.4g})")
-           for (r1, r), j in zip(capacity, J)]
+    return _checks(example, pairs["growth-lower-bound"],
+                   [(R, None) for R in pairs["annulus-caccioppoli"]],
+                   pairs["surface-capacity"], eps, base_tol, rel_tol, True)

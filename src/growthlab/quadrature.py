@@ -13,8 +13,9 @@ The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
 returns an ndarray of the same shape holding the log-integrand at each
 node, with -inf marking zeros.  A nan or +inf among them raises
 DomainError naming the first such node in panel order.  Interval ends and
-radii that are not finite, and a rel_tol that is not finite and positive,
-raise DomainError before any node is formed.
+radii that are not finite, a segment between them wider than the largest
+double, and a rel_tol that is not finite and positive, raise DomainError
+before any node is formed.
 
 Each panel uses the nested 7/15 Gauss-Kronrod pair of QUADPACK's QK15
 (Piessens et al., 1983): the 15-point Kronrod rule K15 integrates
@@ -320,16 +321,19 @@ def _refine(logf, segments: list[tuple], ntables: int,
     Tables are numbered from 0 to ntables - 1 and the segments of each are
     consecutive, in table order.  Each round evaluates the new panels of
     every open segment with one logf call (see _batch); a segment closes
-    once it meets rel_tol.  A panel is halved only when every node of both
-    halves lies strictly inside them (_inside).  The error raised is the
-    one refining the tables alone, in order, would raise.  A segment fails
-    the tolerance test when it misses rel_tol with _MAX_PANELS panels or with
-    a panel to halve below that floor; later segments then stop and earlier
-    ones go on, so the first such failure in list order is raised.  A logf
-    batch that raises (a DomainError of an integrand value, or an initial
-    panel's floor error, see _batch) and spans several tables is redone one
-    table at a time, from scratch and in order, and the first table's error
-    is raised; only that error path pays for the redo.
+    once log toterr - log total <= log rel_tol, a test that holds at any
+    scale (total + log rel_tol rounds to total once ulp(total) exceeds
+    2 |log rel_tol|, and so passed any error there).  A panel is halved
+    only when every node of both halves lies strictly inside them
+    (_inside).  The error raised is the one refining the tables alone, in
+    order, would raise.  A segment fails the tolerance test when it misses
+    rel_tol with _MAX_PANELS panels or with a panel to halve below that
+    floor; later segments then stop and earlier ones go on, so the first
+    such failure in list order is raised.  A logf batch that raises (a
+    DomainError of an integrand value, or an initial panel's floor error,
+    see _batch) and spans several tables is redone one table at a time,
+    from scratch and in order, and the first table's error is raised; only
+    that error path pays for the redo.
     """
     log_rel_tol = math.log(rel_tol)
     segs = [_Segment(*segment) for segment in segments]
@@ -358,7 +362,7 @@ def _refine(logf, segments: list[tuple], ntables: int,
                 break
             seg = segs[i]
             total, toterr = log_sum(seg.k), log_sum(seg.e)
-            if toterr <= total + log_rel_tol or toterr == -math.inf:
+            if toterr - total <= log_rel_tol or toterr == -math.inf:
                 rel = math.exp(toterr - total) if total > -math.inf else 0.0
                 results[i] = LogQuadResult(
                     log_value=total, rel_error=rel, panels=len(seg.k),
@@ -472,6 +476,9 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                 raise DomainError(f"radii must be nondecreasing, got {R} "
                                   f"after {prev}")
             prev = R
+            if not R - start < math.inf:
+                raise DomainError(f"integration segment [{start}, {R}] is "
+                                  "wider than the largest double")
             if R > start:
                 pts = cluster(start, R)
                 if pts[-1] == R:

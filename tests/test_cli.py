@@ -265,9 +265,10 @@ def test_l1_euclidean_sphere_area_below_the_normal_doubles(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the panel [1e308, 1e308] of the top-end cluster: a + b overflows
+    # log G(1e300) is about 4e150, far past 2**53: no panel of the first
+    # segment [t0, 1e300] resolves rel_tol, which fails at the floor
     (["--mu", "1", "--rmin", "1e300", "--rmax", "1e308"],
-     r"a node of the panel \[1e\+308, 1e\+308\] passes the largest double"),
+     r"below the double-precision floor on \[2\.8667473750380914, 1e\+300\]"),
     # g * (v - s0)**3 = e**(4 s) with its log past the largest double
     (["--mu", "0", "--rmin", "10", "--rmax", "8e307"],
      r"integrand log-value at 7\.965821498285148e\+307 is inf"),
@@ -278,6 +279,17 @@ def test_rate_past_the_largest_double_exit_code(capsys, argv, message):
     rc, _, err = run(capsys, ["rate", "--p", "2", "--q", "3", *argv])
     assert rc == 2
     assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_rate_past_the_scale_of_the_relative_tolerance_exit_code(capsys):
+    # log G reaches about 4e17 in the window up to 1e18: the tolerance test
+    # passed segments missing rel_tol there, and the fit passed on samples
+    # whose log G was off by 1e14
+    rc, _, err = run(capsys, ["sharp", "--p", "2", "--q", "3", "--mu", "0", "--rate",
+                              "--rmax", "1e18"])
+    assert rc == 2
+    assert "is below the double-precision floor" in err
     assert "Traceback" not in err
 
 

@@ -586,18 +586,32 @@ def test_infinite_radius_named(integrate):
 
 
 @pytest.mark.parametrize("pq_mu, radii, message", [
-    # the top-end cluster below 1e308 rounds onto it: a + b overflows on
-    # the panel [1e308, 1e308]
-    ((2.0, 3.0, 1.0), [1e300, 1e305, 1e308], r"panel \[1e\+308, 1e\+308\] passes the largest double"),
-    ((2.0, 3.0, 0.0), [10.0, 1e100, 1e308], r"panel \[1e\+308, 1e\+308\] passes the largest double"),
+    # log G(1e300) is about 4e150, far past 2**53: no panel of the first
+    # segment resolves rel_tol, which fails at the floor
+    ((2.0, 3.0, 1.0), [1e300, 1e305, 1e308],
+     r"below the double-precision floor on \[2\.8667473750380914, 1e\+300\]"),
     # finite nodes whose log(g * (v - s0)**3), about 4 s, overflows
+    ((2.0, 3.0, 0.0), [10.0, 1e100, 1e308], r"integrand log-value at 9\.957\d*e\+307 is inf"),
     ((2.0, 3.0, 0.0), [10.0, 8e307], r"integrand log-value at 7\.96\d*e\+307 is inf"),
 ])
 def test_radii_near_the_largest_double_named(pq_mu, radii, message):
     # RuntimeWarnings are errors here, so none may be raised on the way
     ex = build_sharp_example(*pq_mu)
-    with pytest.raises(DomainError, match=message):
+    error = QuadratureError if "floor" in message else DomainError
+    with pytest.raises(error, match=message) as info:
         growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii)
+    assert type(info.value) is error
+
+
+def test_top_end_cluster_has_no_zero_width_panels(monkeypatch):
+    """At (2, 3, 0), w = 1/4, and ten cluster ends R - w * f round onto
+    R = 1e17: each gave a panel [1e17, 1e17] of 15 evals and no mass, 38
+    panels and 570 evals in all."""
+    work = _count_work(monkeypatch)
+    ex = build_sharp_example(2.0, 3.0, 0.0)
+    samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [1e15, 1e17])
+    assert [s.logG for s in samples] == [4000000000000000.5, 4e17]
+    assert (work["panels"], work["evals"]) == (28, 420)
 
 
 def test_measure_rate_power():
@@ -965,6 +979,17 @@ def test_domain_sweep_raises_only_domain_and_quadrature_errors():
     with pytest.raises(DomainError, match=r"level radius t = exp\(1340\.63\) of the level s = 2 "
                        r"exceeds the largest double"):
         build_sharp_example(*_T0_PAST_DOUBLE)
+
+
+def test_public_checks_raise_in_the_suite_order():
+    """A public check, like the suite, checks base_tol first and integrates
+    before it forms the comparison constants: H's edge fails before eps."""
+    ex = build_sharp_example(2.0, 1.01, 0.0)  # gamma = 0.01
+    R1, R = default_check_pairs(ex)["growth-lower-bound"][0]
+    with pytest.raises(QuadratureError, match=r"needed more than 4096 panels on \[0\.0, 1\.0\]"):
+        check_growth_lower_bound(ex, R1, R, eps=1e9)
+    with pytest.raises(DomainError, match="base_tol must be nonnegative"):
+        check_caccioppoli(ex, ex.t0, base_tol=-1.0)
 
 
 def test_integral_failure_raised_before_bad_eps():

@@ -467,6 +467,26 @@ def test_panel_past_the_largest_double_is_named():
         log_quad(logf, 1e308, 1.7e308)
 
 
+def test_interval_wider_than_the_largest_double_is_named():
+    """Its panels' ends were formed from hi - lo = inf, and the first named
+    was [nan, inf]."""
+    with pytest.raises(DomainError, match=r"^integration segment \[-1e\+308, 1\.7e\+308\] "
+                       "is wider than the largest double$"):
+        log_quad(lambda x: 0 * x, -1e308, 1.7e308)
+    with pytest.raises(DomainError, match=r"segment \[-1e\+308, 1e\+308\] is wider"):
+        log_quad_tables(lambda x, starts: 0 * x, [(0.0, [1.0]), (-1e308, [1e308])])
+
+
+def test_tolerance_test_holds_past_two_to_the_58():
+    """With total >= 2**58, total + log(1e-12) rounds back to total, so a
+    test toterr <= total + log(rel_tol) passed every segment: exp(1e18 x)
+    over [0, 1], whose log integral is 1e18 - log(1e18), came back as
+    9.9947e17 with rel_error 1.  No panel resolves it: the floor is met."""
+    with pytest.raises(QuadratureError, match=r"below the double-precision floor on "
+                       r"\[0\.0, 1\.0\] for rel_tol=1e-12; reached 1\.000e\+00"):
+        log_quad(lambda x: 1e18 * x, 0.0, 1.0)
+
+
 def test_overflowing_log_values_are_named_without_a_warning():
     with pytest.raises(DomainError, match="integrand log-value at .* is inf"):
         log_quad(lambda x: 1e308 * x, 1.0, 2.0)
