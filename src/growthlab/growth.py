@@ -236,13 +236,13 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
     G and H may each have an edge table next to t0, shared by all of its
-    radii (see _edge_split).  On edge nodes the excess v - s0 is expanded
-    around t0 through the profile's log_value_delta, treating v(t0) = s0 as
-    exact, and log_value is not called.  Without edge tables the same
-    integrand calls log_value on every node.  p may be None when only
-    G is asked for.  The tables are G's edge, G, H's edge, H, then J, so
-    when several integrals fail, the error raised is the first in that
-    order.
+    radii (see _edge_split).  The integrand, run with numpy's floating-point
+    warnings off (see log_quad_tables), makes one log_value call on all
+    nodes, and on edge nodes expands the excess v - s0 around t0 through
+    the profile's log_value_delta instead, treating v(t0) = s0 as exact.
+    p may be None when only G is asked for.  The tables are G's edge, G,
+    H's edge, H, then J, so when several integrals fail, the error raised
+    is the first in that order.
     """
     gamma = None
     if h_radii:
@@ -275,37 +275,33 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         ge, g, he, h, j = starts[:_J + 1]
         edges = [(lo, hi, m) for lo, hi, m in ((ge, g, m_g), (he, h, m_h))
                  if lo < hi]
-        # the radii s, log v and d = log v - log s0 at every node; the edge
-        # nodes are tau, at s = t0 + tau**m, and s0 > 0 where there is an
-        # edge, so d is finite there
-        s, lv, d = x.copy(), np.empty_like(x), np.empty_like(x)
+        # the radii s; the edge nodes are tau, at s = t0 + eta, eta = tau**m
+        s, deltas = (x.copy() if edges else x), []
         for lo, hi, m in edges:
             eta = x[lo:hi] ** m
             s[lo:hi] = t0 + eta
-            d[lo:hi] = profile.log_value_delta(t0, eta)
-            lv[lo:hi] = log_s0 + d[lo:hi]
-        # log v of the other nodes, in one call, and none if there are none
-        rest = np.concatenate((x[g:he], x[h:]))
-        if rest.size:
-            lv_rest = profile.log_value(rest)
-            lv[g:he], lv[h:] = lv_rest[:he - g], lv_rest[he - g:]
-            d[g:he], d[h:] = lv[g:he] - log_s0, lv[h:] - log_s0
+            deltas.append((lo, hi, profile.log_value_delta(t0, eta)))
+        # log v and d = log v - log s0 from one log_value call, then on the
+        # edge nodes from log_value_delta (s0 > 0 there, so d is finite)
+        lv = profile.log_value(s)
+        d = lv - log_s0
+        for lo, hi, delta in deltas:
+            d[lo:hi] = delta
+            lv[lo:hi] = log_s0 + delta
         le = _log_excess_of(log_s0, lv, d)
         lw = manifold.log_warp(s)
         # G: log(g * w**q), -inf where w = 0
         out = lw + q * le
         if he < j:
             # H vanishes where w = 0, and there (q - p) * le is nan for q = p
-            with np.errstate(invalid="ignore"):
-                out[he:j] = np.where(
-                    le[he:j] > -math.inf,
-                    lw[he:j] + (q - p) * le[he:j]
-                    + p * profile.log_deriv(s[he:j]), -math.inf)
+            out[he:j] = np.where(
+                le[he:j] > -math.inf,
+                lw[he:j] + (q - p) * le[he:j]
+                + p * profile.log_deriv(s[he:j]), -math.inf)
         for lo, hi, m in edges:
             # ds = m * tau**(m - 1) dtau; as m > 1, a node at tau = 0 gives
             # -inf, not nan
-            with np.errstate(divide="ignore"):
-                out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
+            out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
         if j < len(s):
             # J: phi**(1/(1-p)), +inf where phi = 0
             out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
@@ -317,10 +313,14 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         logf, tables, rel_tol=rel_tol)
 
     def whole(radii, piece, results):
-        # the edge piece, empty without an edge, plus the rest up to R
-        sums = [_running_sum(piece + [res])[-1] for res in results]
+        # the edge piece, if any, plus the rest up to R; without one the
+        # rest is the sum, exactly (see _running_sum)
+        sums = [(res.log_value, res.rel_error) for res in results]
+        if piece:
+            edge = (piece[0].log_value, piece[0].rel_error, 0, 0)
+            sums = [_running_sum([edge, (*v, 0, 0)])[-1][:2] for v in sums]
         return [(log_omega + v, rel) if R > t0 else (-math.inf, 0.0)
-                for R, (v, rel, _, _) in zip(radii, sums)]
+                for R, (v, rel) in zip(radii, sums)]
 
     return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
             [(res.log_value, res.rel_error) for (res,) in j_res])
@@ -542,9 +542,11 @@ def _checks(example: SharpExample, growth, annulus, capacity, eps: float,
         reports.append(report("growth-lower-bound", f"(R1={R1:.4g};R={R:.4g})",
                               log_phi, rhs, log_phi - rhs,
                               err_r1, err_r, h_err))
+    if widths:
+        log_annulus = math.log(_annulus_constant(example.params))
     for R, h in widths:
         (g_rh, g_err), (h_r, h_err) = G[R + h], H[R]
-        lhs = math.log(_annulus_constant(example.params)) + g_rh
+        lhs = log_annulus + g_rh
         rhs = p * math.log(h) + h_r
         reports.append(report("annulus-caccioppoli", f"(R={R:.4g})",
                               lhs, rhs, lhs - rhs, g_err, h_err))

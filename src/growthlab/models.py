@@ -19,8 +19,8 @@ Delta_p(v) / v**(p-1), which stays bounded.
 
 log_value, log_deriv and log_value_delta of the three profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
-an ndarray of the same shape: the quadrature evaluates its integrands a
-batch of nodes at a time.  The other methods take one radius.
+an ndarray of the same shape: growth's integrand makes one log_value call
+on all nodes of a quadrature batch.  The other methods take one radius.
 
 numpy is used only on such an array and never imported here, so code that
 evaluates one radius at a time, as verify and l1 do, runs without it.
@@ -128,8 +128,8 @@ class RadialProfile:
             if not (t > self.t_min):
                 raise DomainError(f"radius must exceed {self.t_min}, got {t}")
             return math
-        if not t.min(initial=math.inf) > self.t_min:
-            # min is nan if any radius is: name the first bad one
+        if not xp.minimum.reduce(t, initial=math.inf) > self.t_min:
+            # the minimum is nan if any radius is: name the first bad one
             first = (~(t > self.t_min)).argmax()
             raise DomainError(f"radius must exceed {self.t_min}, "
                               f"got {t[first]}")

@@ -11,11 +11,12 @@ logarithm of the integral with full relative accuracy regardless of scale.
 
 The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
 returns an ndarray of the same shape holding the log-integrand at each
-node, with -inf marking zeros.  A nan or +inf among them raises
-DomainError naming the first such node in panel order.  Interval ends and
-radii that are not finite, a segment between them wider than the largest
-double, and a rel_tol that is not finite and positive, raise DomainError
-before any node is formed.
+node, with -inf marking zeros.  It runs with numpy's floating-point
+warnings off, so np.log(0) is a quiet -inf, but a nan or +inf among its
+values raises DomainError naming the first such node in panel order.
+Interval ends and radii that are not finite, a segment between them wider
+than the largest double, and a rel_tol that is not finite and positive,
+raise DomainError before any node is formed.
 
 Each panel uses the nested 7/15 Gauss-Kronrod pair of QUADPACK's QK15
 (Piessens et al., 1983): the 15-point Kronrod rule K15 integrates
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
@@ -146,18 +147,18 @@ def _floor(a: float, b: float) -> str:
 def _panels(logf, a: np.ndarray, b: np.ndarray):
     """(log K15, log |K15 - G7|) of the panels [a[i], b[i]], one logf call.
 
-    The log-terms v + log w of both rules are laid out node by node, one
-    row per term and one column per panel: 15 K15 rows, then 7 G7 rows.
-    So each rule's largest term, its shift and one exp over all 22 rows
-    are elementwise over whole rows.  Each K15 sum adds its first eight
-    terms as a pairwise tree, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) +
+    The batch, logf included, runs with numpy's floating-point warnings
+    off: nodes and log-values past the largest double are named here, and
+    logs of zero sums are meant.  The log-terms v + log w of both rules are
+    laid out node by node, one row per term and one column per panel: 15
+    K15 rows, then 7 G7 rows, so each rule's largest term, its shift and
+    one exp over all 22 rows are elementwise.  Each K15 sum adds its first
+    eight terms as a pairwise tree, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) +
     (t6 + t7)), then t8, ..., t14 in turn, and each G7 sum adds its seven
-    terms in turn: the order of numpy's pairwise sum along a row, so a
-    panel's sums do not depend on this layout or on the rest of its batch.
+    terms in turn: numpy's pairwise order along a row, so a panel's sums do
+    not depend on this layout or on the rest of its batch.
     """
-    # a node or a log-value past the largest double is named below, and
-    # gives no warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
         x = (mid[:, None] + half[:, None] * _X).ravel()
@@ -166,33 +167,32 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
             raise DomainError(f"a node of the panel [{a[row]}, {b[row]}] "
                               "passes the largest double")
         v = logf(x)
-    t = v.reshape(len(a), len(_X)).T[_TERMS]
-    t += _LOG_W
-    tk, tg = t[:len(_X)], t[len(_X):]
-    m = np.empty((2, len(a)))
-    tk.max(axis=0, out=m[0])
-    tg.max(axis=0, out=m[1])
-    if not m[0].max() < np.inf:
-        # a nan or +inf: name the first, in panel order
-        i = int((~(v < np.inf)).argmax())
-        row = i // len(_X)
-        if x[i] == a[row] or x[i] == b[row]:
-            raise _BelowFloor(row)
-        raise DomainError(f"integrand log-value at {x[i]} is {v[i]}")
-    # a panel of zeros keeps its -inf terms, which exp takes to 0
-    m[m == -np.inf] = 0.0
-    tk -= m[0]
-    tg -= m[1]
-    np.exp(t, out=t)
-    pairs = tk[0:8:2] + tk[1:8:2]
-    quads = pairs[0::2] + pairs[1::2]
-    np.add(quads[0], quads[1], out=tk[7])
-    logs = np.empty((2, len(a)))
-    np.add.reduce(tk[7:], out=logs[0])
-    np.add.reduce(tg, out=logs[1])
-    # log(0) stands for a zero sum here, and where k15 == g7 the masked
-    # difference takes log1p(-1) or inf - inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+        t = v.reshape(len(a), len(_X)).T[_TERMS]
+        t += _LOG_W
+        tk, tg = t[:len(_X)], t[len(_X):]
+        m = np.empty((2, len(a)))
+        np.maximum.reduce(tk, axis=0, out=m[0])
+        np.maximum.reduce(tg, axis=0, out=m[1])
+        if not np.maximum.reduce(m[0]) < np.inf:
+            # a nan or +inf: name the first, in panel order
+            i = int((~(v < np.inf)).argmax())
+            row = i // len(_X)
+            if x[i] == a[row] or x[i] == b[row]:
+                raise _BelowFloor(row)
+            raise DomainError(f"integrand log-value at {x[i]} is {v[i]}")
+        # a panel of zeros keeps its -inf terms, which exp takes to 0
+        m[m == -np.inf] = 0.0
+        tk -= m[0]
+        tg -= m[1]
+        np.exp(t, out=t)
+        pairs = tk[0:8:2] + tk[1:8:2]
+        quads = pairs[0::2] + pairs[1::2]
+        np.add(quads[0], quads[1], out=tk[7])
+        logs = np.empty((2, len(a)))
+        np.add.reduce(tk[7:], out=logs[0])
+        np.add.reduce(tg, out=logs[1])
+        # log(0) stands for a zero sum here, and where k15 == g7 the masked
+        # difference takes log1p(-1) or inf - inf
         np.log(logs, out=logs)
         logs += m
         # log(b - a) rather than log(half): half rounds to 0 on a panel one
@@ -208,7 +208,8 @@ def _initial_breakpoints(lo: float, hi: float) -> list[float]:
     """The ends of the eight geometric or even panels [lo, hi] starts from."""
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
         return geometric_grid(lo, hi, 9)
-    return [lo + (hi - lo) * i / 8 for i in range(9)]
+    width = hi - lo
+    return [lo + width * i / 8 for i in range(9)]
 
 
 def _inside(a: float, b: float) -> bool:
@@ -299,8 +300,8 @@ class _Segment:
 def _batch(logf, pending, segs, ntables: int, rel_tol: float):
     """(log K15, log error) lists of the new panels of pending, with one
     call logf(x, starts): the nodes of table t are x[starts[t]:starts[t+1]]."""
-    a = np.array([x for _, _, ca, _ in pending for x in ca])
-    b = np.array([x for _, _, _, cb in pending for x in cb])
+    a = np.fromiter(chain.from_iterable(ca for _, _, ca, _ in pending), float)
+    b = np.fromiter(chain.from_iterable(cb for _, _, _, cb in pending), float)
     sizes = [0] * (ntables + 1)
     for i, _, ca, _ in pending:
         sizes[segs[i].table + 1] += len(_X) * len(ca)
@@ -315,8 +316,9 @@ def _batch(logf, pending, segs, ntables: int, rel_tol: float):
 
 
 def _refine(logf, segments: list[tuple], ntables: int,
-            rel_tol: float) -> list[LogQuadResult]:
-    """Integrate over each (lo, hi, breakpoints, table) of segments, together.
+            rel_tol: float) -> list[tuple[float, float, int, int]]:
+    """(log value, relative error, panels, evals) of the integral over each
+    (lo, hi, breakpoints, table) of segments, refined together.
 
     Tables are numbered from 0 to ntables - 1 and the segments of each are
     consecutive, in table order.  Each round evaluates the new panels of
@@ -350,23 +352,17 @@ def _refine(logf, segments: list[tuple], ntables: int,
                     _refine(logf, [seg for seg in segments if seg[3] == t],
                             ntables, rel_tol)
             raise
-        pos = 0
-        for i, worst, ca, _ in pending:
-            n = len(ca)
-            segs[i].store(worst, ca, k[pos:pos + n], e[pos:pos + n])
-            pos += n
-        opened = [i for i, _, _, _ in pending]
-        pending = []
-        for i in opened:
+        pos, opened, pending = 0, pending, []
+        for i, halved, left, _ in opened:
             if failure is not None and i > failure[0]:
                 break
-            seg = segs[i]
+            seg, n = segs[i], len(left)
+            seg.store(halved, left, k[pos:pos + n], e[pos:pos + n])
+            pos += n
             total, toterr = log_sum(seg.k), log_sum(seg.e)
             if toterr - total <= log_rel_tol or toterr == -math.inf:
                 rel = math.exp(toterr - total) if total > -math.inf else 0.0
-                results[i] = LogQuadResult(
-                    log_value=total, rel_error=rel, panels=len(seg.k),
-                    evals=15 * seg.evaluated)
+                results[i] = (total, rel, len(seg.k), 15 * seg.evaluated)
                 continue
             if len(seg.k) >= _MAX_PANELS:
                 reason = f"needed more than {_MAX_PANELS} panels"
@@ -392,11 +388,12 @@ def log_quad(logf, lo: float, hi: float,
     logf maps a 1-D float ndarray of radii to an ndarray of the same shape
     holding the log of the (nonnegative) integrand; -inf marks zeros.  It
     is called once per refinement round, with the nodes of every panel
-    that round evaluates.  Returns log of the integral together with an
-    error estimate relative to the integral.  Raises QuadratureError when
-    _MAX_PANELS panels cannot reach rel_tol or refinement meets the floor
-    of double precision, and DomainError when logf produces nan or +inf.
-    It is log_quad_tables with one table and one radius.
+    that round evaluates and numpy's floating-point warnings off.  Returns
+    log of the integral together with an error estimate relative to the
+    integral.  Raises QuadratureError when _MAX_PANELS panels cannot reach
+    rel_tol or refinement meets the floor of double precision, and
+    DomainError when logf produces nan or +inf.  It is log_quad_tables with
+    one table and one radius.
     """
     _check_finite_positive("rel_tol", rel_tol)
     if not (-math.inf < lo <= hi < math.inf):
@@ -408,7 +405,7 @@ def log_quad(logf, lo: float, hi: float,
 
 def _running_sum(parts) -> list[tuple[float, float, int, int]]:
     """(log value, relative error, panels, evals) of the sums of the first
-    0, 1, ..., len(parts) results of parts.
+    0, 1, ..., len(parts) of parts, each such a tuple.
 
     One running log-sum, O(1) per part: the sum so far is
     exp(m) * (1 + rest), m the largest log value so far, and rest, formed
@@ -419,16 +416,16 @@ def _running_sum(parts) -> list[tuple[float, float, int, int]]:
     """
     m, rest, err, panels, evals = -math.inf, 0.0, 0.0, 0, 0
     out = [(-math.inf, 0.0, 0, 0)]
-    for r in parts:
-        panels += r.panels
-        evals += r.evals
-        if r.log_value > m:
-            f = math.exp(m - r.log_value)
-            rest, err = (rest + 1.0) * f, err * f + r.rel_error
-            m = r.log_value
-        elif r.log_value > -math.inf:
-            f = math.exp(r.log_value - m)
-            rest, err = rest + f, err + r.rel_error * f
+    for value, rel, n, k in parts:
+        panels += n
+        evals += k
+        if value > m:
+            f = math.exp(m - value)
+            rest, err = (rest + 1.0) * f, err * f + rel
+            m = value
+        elif value > -math.inf:
+            f = math.exp(value - m)
+            rest, err = rest + f, err + rel * f
         out.append((-math.inf, 0.0, panels, evals) if m == -math.inf else
                    (m + math.log1p(rest), err / (1.0 + rest), panels, evals))
     return out
@@ -451,14 +448,15 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     segment, from lo up to the cluster or from the cluster up to hi.
     Without it they fill the whole segment.  The result at R sums the
     segments up to R, their panels and their evals, with their combined
-    relative error, from one running sum over the table's segments, O(1)
-    per radius (_running_sum); at or below lo it is -inf with zero error.
-    Each round makes one call logf(x, starts) for the new panels of every
-    open segment: x holds the nodes table by table, in table order, and
-    those of table t are x[starts[t]:starts[t + 1]], so logf can give each
-    table its own integrand.  When integrals fail, the error raised is the one
-    that refining the tables one after another, in order, would raise (see
-    _refine).
+    relative error, from one running sum over its segments' result tuples,
+    O(1) per radius (_running_sum), and is the only LogQuadResult built; at
+    or below lo it is -inf with zero error.  Each round makes one call
+    logf(x, starts), with numpy's floating-point warnings off, for the new
+    panels of every open segment: x holds the nodes table by table, in
+    table order, and those of table t are x[starts[t]:starts[t + 1]], so
+    logf can give each table its own integrand.  When integrals fail, the
+    error raised is the one that refining the tables one after another, in
+    order, would raise (see _refine).
     """
     _check_finite_positive("rel_tol", rel_tol)
     segments = []

@@ -46,6 +46,7 @@ from growthlab import (
     RadialProfile,
 )
 from growthlab.models import _log_excess_of, log_sphere_integral
+import integrand_reference
 from logspace import log_diff
 
 EX_DECAY = build_sharp_example(2.0, 3.0, 1.0)
@@ -882,6 +883,37 @@ def _batches_per_example(monkeypatch, run):
         run(ex)
         per_example.append(batches[0])
     return per_example
+
+
+def test_integrand_matches_reference_bit_for_bit(monkeypatch):
+    """Every node of every integrand batch of a suite call and of a rate
+    fit, on every grid example, has the value of integrand_reference's
+    table-by-table formulas, bit for bit.  The batches include nodes of
+    G's and H's edge tables, of G and H past them, and of J."""
+    tables = growth.log_quad_tables
+    batches = []
+
+    def recorded(logf, specs, **kwargs):
+        def spy(x, starts):
+            out = logf(x, starts)
+            batches.append((x.copy(), list(starts), out.copy()))
+            return out
+        return tables(spy, specs, **kwargs)
+
+    monkeypatch.setattr(growth, "log_quad_tables", recorded)
+    seen = set()
+    for ex in sharp_grid():
+        for run, p in [(run_inequality_suite, ex.p), (measure_rate, None)]:
+            batches.clear()
+            run(ex)
+            assert batches
+            for x, starts, out in batches:
+                ref = integrand_reference.integrand(ex.manifold, ex.profile, p, ex.q,
+                                                    ex.s0, x, starts)
+                assert out.tobytes() == ref.tobytes()
+                seen.update(min(t, growth._J) for t in range(len(starts) - 1)
+                            if starts[t] < starts[t + 1])
+    assert seen == {growth._G_EDGE, growth._G, growth._H_EDGE, growth._H, growth._J}
 
 
 def test_sweep_integrand_batches(monkeypatch):

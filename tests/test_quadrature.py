@@ -6,6 +6,7 @@ quadrature is always compared against independent arithmetic.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_log_sum_identities():
     assert log_sum([-math.inf, 0.0]) == 0.0
     assert log_sum([710.0, 710.0]) == pytest.approx(710.0 + math.log(2.0), rel=1e-15)
     assert log_sum([0.0, 0.0, 0.0, 0.0]) == pytest.approx(math.log(4.0), rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@example(value=-math.inf, rel=0.5, panels=8)
+@example(value=2.0 ** 53 + 2.0, rel=1e-13, panels=8)
+@example(value=1e308, rel=0.0, panels=4096)
+@given(value=st.one_of(st.just(-math.inf), st.floats(-1e300, 1e300),
+                       st.floats(2.0 ** 53, sys.float_info.max)),
+       rel=st.floats(0.0, 1.0), panels=st.integers(0, quadrature._MAX_PANELS))
+def test_running_sum_of_one_part_is_that_part(value, rel, panels):
+    """The sum of one part is its log value and relative error exactly, the
+    identity growth._integrals relies on where G or H has no edge table;
+    -inf, a zero integral, has zero error."""
+    part = (value, rel if value > -math.inf else 0.0, panels, 15 * panels)
+    assert quadrature._running_sum([part]) == [(-math.inf, 0.0, 0, 0), part]
 
 
 def test_log_diff_identities():
@@ -490,6 +506,17 @@ def test_tolerance_test_holds_past_two_to_the_58():
 def test_overflowing_log_values_are_named_without_a_warning():
     with pytest.raises(DomainError, match="integrand log-value at .* is inf"):
         log_quad(lambda x: 1e308 * x, 1.0, 2.0)
+
+
+def test_log_of_zero_in_logf_gives_no_warning():
+    """logf runs with numpy's floating-point warnings off, so log(0) is a
+    quiet -inf; a nan it returns still raises DomainError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = log_quad(lambda x: np.log(np.maximum(x, 0.0)), -1.0, 1.0)
+        assert res.log_value == math.log(0.5)
+        with pytest.raises(DomainError, match="integrand log-value at .* is nan"):
+            log_quad(lambda x: np.log(-x), 0.0, 1.0)
 
 
 def test_batched_panels_name_first_bad_node():
