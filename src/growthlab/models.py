@@ -11,35 +11,42 @@ of double precision at the radii the growth checks need.  Every class
 therefore exposes a logarithmic interface
 
     log_value(t) = log v(t),   log_deriv(t) = log v'(t),
-    log_derivs(t) = (log v(t), v'(t) / v(t), v''(t) / v(t)),
     dlog(t) = v'(t) / v(t),
+    scaled_derivs(radii) = ([log v], [r v'/v], [v v''/v'**2]),
 
 and the operator routines work with the scaled quantity
-Delta_p(v) / v**(p-1), which stays bounded.
+r**mu * Delta_p(v) / v**(p-1), which stays of order one.
 
 log_value, log_deriv and log_value_delta of the three profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
 an ndarray of the same shape: growth's integrand makes one log_value call
-on all nodes of a quadrature batch.  The other methods take one radius.
+on all nodes of a quadrature batch.  dlog takes one radius, and
+scaled_derivs a list of radii.
 
 numpy is used only on such an array and never imported here, so code that
-evaluates one radius at a time, as verify and l1 do, runs without it.
+evaluates single radii or lists of them, as verify and l1 do, runs without
+it.
 
-The pointwise check subsolution_residual visits a grid one radius at a
-time, and at each makes one checked call per model object: log_derivs on
-the profile, dlog on the warp and the potential itself.  Python's call
-overhead is most of that cost, so log_derivs returns all three values of
-one radius and does its own radius check inline, and dlog restates the
-slope of log_derivs, bit for bit, for the callers that need it alone.
-The grid is not handed to numpy: numpy's pow differs from libm's in the
-last bit of some values, so a residual would depend on whether numpy is
-loaded, and verify would have to load it.
+The pointwise checks subsolution_residual and fd_cross_check make one
+scaled_derivs call on the profile and one on the warp for their whole
+radius grid, and subsolution_residual one SharpPotential.scaled_values
+call; each call checks every radius and names the first bad one, and the
+residual's loop then does float arithmetic only.  Each value is the O(1) quantity of its radius: r v'/v and
+v v''/v'**2 rather than v'/v and v''/v, and r**mu * V rather than V, so no
+radius is squared and no r**mu is formed, and the verdict holds at every
+radius in double range.  _operator_terms is the one formula that combines
+them.  dlog keeps its own formula, bit for bit, because growth places its
+panel clusters and fd_cross_check its step from it.  The grid is not
+handed to numpy: numpy's pow differs from libm's in the last bit of some
+values, so a residual would depend on whether numpy is loaded, and verify
+would have to load it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .params import DomainError
@@ -94,13 +101,15 @@ class RadialProfile:
     def log_value(self, t: float) -> float:
         raise NotImplementedError
 
-    def log_derivs(self, t: float) -> tuple[float, float, float]:
-        """(log v, v'/v, v''/v) at one radius t, with one radius check."""
+    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+        """Three lists over a list of radii: log v, e1 = t v'/v and
+        k2 = v v''/v'**2, each of order one where v grows like a power or
+        like exp(c t**beta); k2 is nan where v' = 0.  DomainError names the
+        first radius that does not exceed t_min."""
         raise NotImplementedError
 
     def dlog(self, t: float) -> float:
-        """v'/v at one radius: the middle value of log_derivs, bit for bit,
-        without forming the other two."""
+        """v'/v at one radius."""
         raise NotImplementedError
 
     def log_deriv(self, t: float) -> float:
@@ -122,8 +131,8 @@ class RadialProfile:
     def _check_radii(self, t):
         """DomainError unless t, one radius or an array, exceeds t_min;
         returns _ns(t).  The float case is tested first, without a nested
-        call: fd_cross_check and log_sphere_integral pass one radius, and
-        log_derivs and dlog repeat the test inline, saving a call."""
+        call: log_sphere_integral passes one radius, and dlog repeats the
+        test inline, saving a call."""
         if type(t) is float or (xp := _ns(t)) is math:
             if not (t > self.t_min):
                 raise DomainError(f"radius must exceed {self.t_min}, got {t}")
@@ -134,6 +143,10 @@ class RadialProfile:
             raise DomainError(f"radius must exceed {self.t_min}, "
                               f"got {t[first]}")
         return xp
+
+    def _outside(self, t: float) -> DomainError:
+        """The error of a radius t that does not exceed t_min."""
+        return DomainError(f"radius must exceed {self.t_min}, got {t}")
 
 
 class PowerLaw(RadialProfile):
@@ -146,11 +159,15 @@ class PowerLaw(RadialProfile):
         xp = self._check_radii(t)
         return self.c * xp.log(t)
 
-    def log_derivs(self, t: float) -> tuple[float, float, float]:
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        c = self.c
-        return c * math.log(t), c / t, c * (c - 1.0) / (t * t)
+    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+        c, lo, log = self.c, self.t_min, math.log
+        lv = []
+        for t in radii:
+            if not (t > lo):
+                raise self._outside(t)
+            lv.append(c * log(t))
+        n = len(lv)
+        return lv, [c] * n, [(c - 1.0) / c if c else math.nan] * n
 
     def dlog(self, t: float) -> float:
         if not (t > self.t_min):
@@ -194,14 +211,20 @@ class ExpPower(RadialProfile):
         self._check_radii(t)
         return self.c * t ** self.beta
 
-    def log_derivs(self, t: float) -> tuple[float, float, float]:
-        # v'/v = c*b*t**(b-1) and v''/v = c*b*t**(b-2) * ((b-1) + c*b*t**b)
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        c, b = self.c, self.beta
-        tb = t ** b
-        return (c * tb, c * b * t ** (b - 1.0),
-                c * b * t ** (b - 2.0) * ((b - 1.0) + c * b * tb))
+    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+        # with x = t**b: t v'/v = c*b*x and v v''/v'**2 = ((b-1) + c*b*x) / (c*b*x)
+        c, b, lo = self.c, self.beta, self.t_min
+        cb, bm1 = c * b, b - 1.0
+        lv, e1, k2 = [], [], []
+        for t in radii:
+            if not (t > lo):
+                raise self._outside(t)
+            x = t ** b
+            e = cb * x
+            lv.append(c * x)
+            e1.append(e)
+            k2.append((bm1 + e) / e if e else math.nan)
+        return lv, e1, k2
 
     def dlog(self, t: float) -> float:
         if not (t > self.t_min):
@@ -264,13 +287,20 @@ class PHarmonicRn(RadialProfile):
         # log(t**a - 1) without forming t**a, stable for large t
         return a * xp.log(t) + xp.log1p(-t ** (-a))
 
-    def log_derivs(self, t: float) -> tuple[float, float, float]:
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        a = self.alpha
-        ta = t ** (-a)
-        return (a * math.log(t) + math.log1p(-ta), a / (t * (1.0 - ta)),
-                a * (a - 1.0) / (t * t * (1.0 - ta)))
+    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+        # with u = t**-a: t v'/v = a / (1 - u) and v v''/v'**2 = (a-1)(1-u)/a
+        a, lo = self.alpha, self.t_min
+        am1, log, log1p = a - 1.0, math.log, math.log1p
+        lv, e1, k2 = [], [], []
+        for t in radii:
+            if not (t > lo):
+                raise self._outside(t)
+            u = t ** -a
+            w = 1.0 - u
+            lv.append(a * log(t) + log1p(-u))
+            e1.append(a / w)
+            k2.append(am1 * w / a)
+        return lv, e1, k2
 
     def dlog(self, t: float) -> float:
         if not (t > self.t_min):
@@ -366,16 +396,17 @@ def _log_excess_of(log_s0: float, lv, d):
         return lv + math.log1p(-math.exp(-d))
     np = sys.modules["numpy"]
     # both branches on every node, formed in place, each kept where the
-    # float branches above take it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        near = np.expm1(d)
-        np.log(near, out=near)
-        near += log_s0
-        far = np.negative(d)
-        np.exp(far, out=far)
-        np.negative(far, out=far)
-        np.log1p(far, out=far)
-        far += lv
+    # float branches above take it; the nodes with d <= 0 warn, so a caller
+    # on such an array runs this with numpy's warnings off, as
+    # quadrature._panels runs growth's integrand
+    near = np.expm1(d)
+    np.log(near, out=near)
+    near += log_s0
+    far = np.negative(d)
+    np.exp(far, out=far)
+    np.negative(far, out=far)
+    np.log1p(far, out=far)
+    far += lv
     np.copyto(far, near, where=d < _NEAR)
     np.copyto(far, -math.inf, where=d <= 0.0)
     return far
@@ -437,57 +468,102 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
 # ---------------------------------------------------------------------------
 
 
+def _operator_terms(p: float, mu: float, radii: list, e1s: list, k2s: list,
+                    egs: list) -> Iterator[tuple[float, float]]:
+    """The two terms of r**mu * Delta_p(v) / v**(p-1) at each radius.
+
+    With d1 = v'/v, the operator is d1**p * ((p-1)*k2 + e_g/e1) in the
+    scaled values e1 = r*d1 and k2 = v*v''/v'**2 of the profile and
+    e_g = r*g'/g of the warp, so r**mu times it is z**p * (p-1)*k2 plus
+    z**p * e_g/e1, with z = e1 * r**(mu/p - 1).  On the sharp examples z is
+    c*beta (mu < p) or c (mu = p) up to rounding, whatever the radius: the
+    exponent mu/p - 1 is -beta bit for bit as SharpPotential forms
+    beta = 1 - mu/p, and a last-bit mismatch would grow like log r (to
+    4e-13 at r = 1e300).  This is the one operator formula of
+    subsolution_residual, p_laplacian_scaled and fd_cross_check.  A
+    generator, so the residual's loop takes each radius's terms as they are
+    formed; DomainError where e1 is not positive.
+    """
+    pm1, ex = p - 1.0, mu / p - 1.0
+    for r, e1, k2, eg in zip(radii, e1s, k2s, egs):
+        if not (e1 > 0.0):
+            raise DomainError(f"profile must be increasing at r={r}: "
+                              f"v'/v={e1 / r}")
+        zp = (e1 * r ** ex) ** p
+        yield zp * (pm1 * k2), zp * (eg / e1)
+
+
 def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
                        p: float, r: float) -> float:
     """Scaled radial p-Laplacian Delta_p(v) / v**(p-1) at radius r.
 
-    Equals (p-1)*d1**(p-2)*d2 + (g'/g)*d1**(p-1) with d1 = v'/v and
-    d2 = v''/v, which stays in double range even when v itself does not.
-    subsolution_residual forms the same two terms in its loop.
+    This is _operator_terms at mu = 0, which stays in double range even
+    when v itself does not.
     """
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
-    _, d1, d2 = profile.log_derivs(r)
-    if not (d1 > 0.0):
-        raise DomainError(f"profile must be increasing at r={r}: v'/v={d1}")
-    return (p - 1.0) * d1 ** (p - 2.0) * d2 \
-        + manifold.warp.dlog(r) * d1 ** (p - 1.0)
+    _, e1s, k2s = profile.scaled_derivs([r])
+    (t1, t2), = _operator_terms(p, 0.0, [r], e1s, k2s,
+                                manifold.warp.scaled_derivs([r])[1])
+    return t1 + t2
 
 
 def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
                    p: float, r: float, h: float | None = None) -> float:
     """Deviation between analytic and finite-difference scaled p-Laplacian.
 
-    Both v'/v and v''/v are rebuilt from the ratio stencil
-    y_j = v(r + j*h) / v(r) = exp(log v(r + j*h) - log v(r)), which keeps the
-    arithmetic in range for profiles whose raw values overflow.  The default
-    step resolves the shorter of the two local scales, the radius and the
-    logarithmic derivative length v/v'; for exponentially growing profiles
-    the latter stays bounded while r does not.  It is rounded up to a power
-    of two, which makes the nodes r + j*h exact unless h is below the
-    spacing of doubles at r or r + 2*h crosses a power of two; a step whose
-    nodes round raises DomainError.
+    v'/v and v''/v are rebuilt from the five-point ratio stencil
+    y_j - 1 = expm1(log v(x_j) - log v(r)) at the nodes x_j = r + j*h,
+    j = -2..2, which keeps the arithmetic in range for profiles whose raw
+    values overflow.  The weights are those of the offsets x_j - r as
+    rounded, which are exact (Sterbenz) wherever h <= r/4, so a node that
+    rounds, as r + 2*h does just below a power of two, costs nothing; when
+    the offsets are not strictly increasing the stencil has collapsed and
+    DomainError is raised.  The default step resolves the shorter of the
+    two local scales, the radius and the logarithmic derivative length
+    v/v'; for exponentially growing profiles the latter stays bounded while
+    r does not.  It is rounded up to a power of two.  One scaled_derivs
+    call on the profile covers the five nodes, and one on the warp covers
+    r - h, r and r + h; both operators come from _operator_terms at mu = 0.
     Returns |S_fd - S_analytic| / max(1, |S_analytic|).
     """
+    if not (p > 1.0):
+        raise DomainError(f"p must exceed 1, got {p}")
     if h is None:
         d1 = abs(profile.dlog(r))
         scale = min(r, 1.0 / d1) if d1 > 0.0 else r
         h = math.ldexp(1.0, math.frexp(1e-4 * scale)[1])
     if not (h > 0.0) or r - 2.0 * h <= profile.t_min:
         raise DomainError(f"step h={h} leaves the profile domain at r={r}")
-    if ((r - 2.0 * h) - r, (r - h) - r, (r + h) - r, (r + 2.0 * h) - r) \
-            != (-2.0 * h, -h, h, 2.0 * h):
+    xa, xb, xc, xd = r - 2.0 * h, r - h, r + h, r + 2.0 * h
+    # the offsets in units of a power of two u >= h, exactly: their products
+    # stay in range however large r is
+    u = math.ldexp(1.0, math.frexp(h)[1])
+    a, b, c, d = (xa - r) / u, (xb - r) / u, (xc - r) / u, (xd - r) / u
+    if not (a < b < 0.0 < c < d):
         raise DomainError(f"stencil nodes r + j*h round at r={r}, h={h}")
-    base = profile.log_value(r)
-    y = [math.exp(profile.log_value(r + j * h) - base) for j in (-2, -1, 1, 2)]
-    ym2, ym1, yp1, yp2 = y
-    d1 = (-yp2 + 8.0 * yp1 - 8.0 * ym1 + ym2) / (12.0 * h)
-    d2 = (-yp2 + 16.0 * yp1 - 30.0 + 16.0 * ym1 - ym2) / (12.0 * h * h)
+    (la, lb, l0, lc, ld), e1s, k2s = profile.scaled_derivs([xa, xb, r, xc, xd])
+    lgs, egs, _ = manifold.warp.scaled_derivs([xb, r, xc])
+    # u v'/v and u**2 v''/v: the derivatives at 0 of the Lagrange basis on
+    # 0, a, b, c, d, that is each y - 1 over its node's offset times its
+    # differences to the other offsets, weighted by minus the product of
+    # the other three offsets (first) and twice the sum of their pairwise
+    # products (second)
+    expm1 = math.expm1
+    qa = expm1(la - l0) / (a * (a - b) * (a - c) * (a - d))
+    qb = expm1(lb - l0) / (b * (b - a) * (b - c) * (b - d))
+    qc = expm1(lc - l0) / (c * (c - a) * (c - b) * (c - d))
+    qd = expm1(ld - l0) / (d * (d - a) * (d - b) * (d - c))
+    d1 = -(b * c * d * qa + a * c * d * qb + a * b * d * qc + a * b * c * qd)
+    d2 = 2.0 * ((b * c + b * d + c * d) * qa + (a * c + a * d + c * d) * qb
+                + (a * b + a * d + b * d) * qc + (a * b + a * c + b * c) * qd)
     if not (d1 > 0.0):
         raise DomainError(f"stencil sees a non-increasing profile at r={r}")
-    dlg = (manifold.log_warp(r + h) - manifold.log_warp(r - h)) / (2.0 * h)
-    s_fd = (p - 1.0) * d1 ** (p - 2.0) * d2 + dlg * d1 ** (p - 1.0)
-    s_an = p_laplacian_scaled(manifold, profile, p, r)
+    ru = r / u
+    (f1, f2), (a1, a2) = _operator_terms(
+        p, 0.0, [r, r], [ru * d1, e1s[2]], [d2 / (d1 * d1), k2s[2]],
+        [ru * (lgs[2] - lgs[0]) / (c - b), egs[1]])
+    s_fd, s_an = f1 + f2, a1 + a2
     return abs(s_fd - s_an) / max(1.0, abs(s_an))
 
 
@@ -512,7 +588,8 @@ class SharpPotential:
     mu = 1.988 on), and the constructor then raises DomainError.  For
     mu = p the pair (t**(a+p-1), t**c) gives the exact power potential
     V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.
-    V(r) raises DomainError where r**mu passes the largest double.
+    V(r) raises DomainError where r**mu passes the largest double;
+    scaled_values gives r**mu * V(r), which never overflows.
     """
 
     def __init__(self, p: float, mu: float, a: float, c: float):
@@ -559,6 +636,17 @@ class SharpPotential:
                 f"potential at r={r!r} cannot be formed: r**{self.mu!r} "
                 f"exceeds the largest double") from None
 
+    def scaled_values(self, radii: list) -> list:
+        """r**mu * V(r) = lam * (1 - D / r**beta) at each radius of a list,
+        lam itself where D = 0 (mu = 0 or mu = p)."""
+        lam, D, b = self.lam, self.D, self.beta
+        out = []
+        for r in radii:
+            if not (r >= 1.0):
+                raise DomainError(f"potential is defined for r >= 1, got {r}")
+            out.append(lam * (1.0 - D / r ** b) if D else lam)
+        return out
+
     def level_deficit(self, r: float) -> float:
         """Exact value of lam - r**mu * V(r)."""
         if not (r >= 1.0):
@@ -593,9 +681,16 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     mapped to 0 (inside the floor), -inf (strictly above) or +inf
     (violation).  A defect that is nan raises DomainError naming r.
 
-    Each radius makes one log_derivs call on the profile, one dlog call on
-    the warp and one call of the potential; the two operator terms are
-    those of p_laplacian_scaled.
+    Both sides are multiplied by r**mu: the profile and the warp each make
+    one scaled_derivs call over the grid, a SharpPotential one scaled_values
+    call, and _operator_terms combines them, so every term is of order one
+    and the verdict holds at every radius in double range.  Any other
+    potential is called once per radius and goes through the same formula
+    with mu = 0.  The checks of the whole grid run first (finite radii,
+    then each grid call's radius check), and then, radius by radius, an
+    increasing profile, v > s0, a nonnegative potential and a defect that
+    is not nan; so where two radii fail different checks, the radius check
+    of a grid call may be named before an earlier radius's failure.
     """
     radii = list(radii)
     if not radii:
@@ -603,21 +698,25 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
     log_s0 = _log_level(s0)
-    derivs, warp_dlog = profile.log_derivs, manifold.warp.dlog
-    pm1, pm2 = p - 1.0, p - 2.0
     inf = math.inf
+    # one sum screens the grid; it also overflows on finite radii near the
+    # largest double, so the loop looks for the radius
+    if not -inf < sum(radii) < inf:
+        for r in radii:
+            if not -inf < r < inf:
+                raise DomainError(f"radius {r} is not finite")
+    lvs, e1s, k2s = profile.scaled_derivs(radii)
+    egs = manifold.warp.scaled_derivs(radii)[1]
+    if isinstance(potential, SharpPotential):
+        mu, pots = potential.mu, potential.scaled_values(radii)
+    else:
+        mu, pots = 0.0, [float(potential(r)) for r in radii]
     worst = -inf
-    for r in radii:
-        if not -inf < r < inf:
-            raise DomainError(f"radius {r} is not finite")
-        lv, d1, d2 = derivs(r)
+    terms = _operator_terms(p, mu, radii, e1s, k2s, egs)
+    for r, lv, (t1, t2), v_pot in zip(radii, lvs, terms, pots):
         if lv <= log_s0:
             raise DomainError(f"v(r) <= s0 at r={r}: grid leaves the region")
-        if not (d1 > 0.0):
-            raise DomainError(f"profile must be increasing at r={r}: v'/v={d1}")
-        t1, t2 = pm1 * d1 ** pm2 * d2, warp_dlog(r) * d1 ** pm1
         s_val = t1 + t2
-        v_pot = float(potential(r))
         if v_pot > 0.0:
             res = (v_pot - s_val) / v_pot
         elif v_pot == 0.0:

@@ -453,17 +453,36 @@ def test_sharp_rate_window_overflow_exit_code(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, r", [
-    (["--p", "3", "--q", "4", "--mu", "1.5", "--rmax", "1e300"], "6.347721568852575e+206"),
-    (["--p", "2", "--q", "3", "--mu", "2", "--rmax", "1e300"], "2.7028651795847786e+155"),
-    (["--p", "1.5", "--q", "0.625", "--mu", "1.5", "--rmax", "1e250"], "1.1208674117344376e+206"),
-])
-def test_verify_potential_past_double_range_exit_code(capsys, argv, r):
-    # r**mu overflows at the first grid radius r past about 1e205 (1e154 for
-    # mu = 2); it raised OverflowError with a traceback and exit code 1
-    rc, _, err = run(capsys, ["verify", *argv])
+# (p, q, mu, rmax) where r*r or r**mu passes the largest double inside the
+# grid: the two mu = p cases at 1e300 and 1e250 raised DomainError for
+# r**mu, and the 1e200 cases gave a wrong verdict or raised, because the
+# residual formed t*t and r**mu; it now forms r**mu-scaled terms only
+_PAST_R_SQUARED = [
+    ("2", "3", "2", "1e300"),
+    ("1.5", "0.625", "1.5", "1e250"),
+    ("1.5", "0.625", "1.5", "1e200"),
+    ("1.5", "0.875", "1.5", "1e200"),
+    ("2", "3", "2", "1e200"),
+    ("3", "7", "3", "1e200"),
+]
+
+
+@pytest.mark.parametrize("p, q, mu, rmax", _PAST_R_SQUARED, ids=["-".join(c) for c in _PAST_R_SQUARED])
+def test_verify_passes_past_double_range_of_r_squared(capsys, p, q, mu, rmax):
+    rc, out, err = run(capsys, ["verify", "--p", p, "--q", q, "--mu", mu, "--rmax", rmax,
+                                "--format", "json"])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert [c["passed"] for c in doc["checks"]] == [True, True]
+
+
+def test_verify_fd_stencil_that_rounds_exit_code(capsys):
+    # the potential no longer overflows at (3, 4, 1.5); the fd step at the
+    # grid's second fd radius is below the spacing of doubles there
+    rc, _, err = run(capsys, ["verify", "--p", "3", "--q", "4", "--mu", "1.5", "--rmax", "1e300"])
     assert rc == 2
-    assert err.startswith(f"growthlab: error: potential at r={r} cannot be formed")
+    assert err.startswith("growthlab: error: stencil nodes r + j*h round at r=1.0608309184555996e+76")
     assert "Traceback" not in err
 
 
