@@ -235,8 +235,11 @@ def _handle_verify(o: dict) -> Report:
     if num < 2:
         raise DomainError(f"grid needs at least 2 points, got {num}")
     _check_finite_positive("rmax", hi)
+    if not ex.profile.log_value(lo) > math.log(ex.s0):
+        # past t0 ~ 1e13 log v cannot tell t0 + 0.1 from t0
+        lo = max(lo, ex.profile.level_radius(ex.s0 * (1.0 + 2.0 ** -30)))
     if hi <= lo:
-        raise DomainError(f"rmax={hi} must exceed t0 + 0.1 = {lo}")
+        raise DomainError(f"rmax={hi} must exceed the grid start {lo}")
     radii = geometric_grid(lo, hi, num)
     residual = subsolution_residual(ex.manifold, ex.profile, ex.potential,
                                     ex.p, ex.s0, radii)

@@ -33,10 +33,12 @@ of G or of H spanning more than _TOP_SPAN = 24 widths at its top R starts
 with the ends R - w * f inside it, and G has an edge table only where its
 first segment does not (see _top_width).  J's integrand
 phi**(1/(1-p)) decays from the bottom r of its interval, so J starts with
-the ends r + w * f inside the interval, w its width at r (see
-_bottom_width).  On the grid every suite example then closes in its first
-round, and a rate window in one or two: a sweep of the suite over
-sharp_grid() makes 27 integrand batches, and one of measure_rate 33.
+the ends r + w * f inside the interval, w its width at r.  Every width
+comes from the r v'/v columns of one scaled_derivs call on the profile
+and one on the warp, made before the pass (see _widths).  On the grid
+every suite example then closes in its first round, and a rate window in
+one or two: a sweep of the suite over sharp_grid() makes 27 integrand
+batches, and one of measure_rate 33.
 """
 
 from __future__ import annotations
@@ -194,35 +196,43 @@ _CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
 _TOP_SPAN = 24.0
 
 
-def _top_width(manifold: ModelManifold, profile: RadialProfile, q: float,
-               lo: float, hi: float) -> float | None:
-    """The e-fold width w = 1 / (d log(g * v**q) / ds) of G's integrand at
-    hi when [lo, hi] spans more than _TOP_SPAN widths; else None, as for a
-    slope not known, finite and positive.  H's integrand has the same
-    leading log-slope.  G's integrand vanishes like (s - t0)**q at t0, so
-    below a first segment that starts from this cluster the default panels
-    cover G's edge (see _edge_split)."""
+def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
+            q: float, s0: float, tops, bottoms) -> tuple[dict, dict]:
+    """The e-fold widths of the integrands at their segment ends, as two
+    dicts by radius, with e_g = r g'/g and e_v = r v'/v: at each R of tops
+    the width R / (e_g + q * e_v) of g * v**q, whose log-slope G's and H's
+    integrands share to leading order, and at each bottom r of a J
+    interval the width (p - 1) * r / (e_g + q * e_v * v / (v - s0)) of
+    J's phi**(1/(1-p)).  One scaled_derivs call on the profile and one on
+    the warp give them all, v / (v - s0) as -1 / expm1(log s0 - log v)
+    from the profile's log v column.  A width is None where it is not
+    finite and positive, and the dicts are empty for a profile or warp
+    without scaled_derivs."""
+    radii = [*tops, *bottoms]
     try:
-        w = 1.0 / (manifold.warp.dlog(hi) + q * profile.dlog(hi))
-    except (OverflowError, ZeroDivisionError, NotImplementedError):
-        return None
-    return w if w > 0.0 and hi - _TOP_SPAN * w > lo else None
+        lvs, evs, _ = profile.scaled_derivs(radii)
+        egs = manifold.warp.scaled_derivs(radii)[1]
+    except NotImplementedError:
+        return {}, {}
+    log_s0, n, top, bottom = _log_level(s0), len(tops), {}, {}
+    for i, (r, lv, ev, eg) in enumerate(zip(radii, lvs, evs, egs)):
+        try:
+            # at a bottom, v / (v - s0) = -1 / expm1(...), 1 where s0 = 0
+            w = r / (eg + q * ev) if i < n else (p - 1.0) * r / (
+                eg + q * ev * (-1.0 / math.expm1(log_s0 - lv)))
+        except (OverflowError, ZeroDivisionError):
+            w = 0.0
+        (top if i < n else bottom)[r] = w if 0.0 < w < math.inf else None
+    return top, bottom
 
 
-def _bottom_width(manifold: ModelManifold, profile: RadialProfile, p: float,
-                  q: float, s0: float, lo: float) -> float | None:
-    """The e-fold width w = (p - 1) / slope of J's integrand phi**(1/(1-p))
-    at the bottom lo of its interval, with slope = d log phi / ds
-    = g'/g + q * (v'/v) * v / (v - s0); None for a slope not known, finite
-    and positive."""
-    try:
-        # v / (v - s0), 1 where s0 = 0
-        ratio = -1.0 / math.expm1(_log_level(s0) - profile.log_value(lo))
-        slope = manifold.warp.dlog(lo) + q * profile.dlog(lo) * ratio
-        w = (p - 1.0) / slope
-    except (OverflowError, ZeroDivisionError, NotImplementedError):
-        return None
-    return w if 0.0 < w < math.inf else None
+def _top_width(widths: dict, lo: float, hi: float) -> float | None:
+    """The width at hi from the top widths of _widths when [lo, hi] spans
+    more than _TOP_SPAN of them, else None.  G's integrand vanishes like
+    (s - t0)**q at t0, so below a first segment that starts from this
+    cluster the default panels cover G's edge (see _edge_split)."""
+    w = widths.get(hi)
+    return w if w is not None and hi - _TOP_SPAN * w > lo else None
 
 
 def _integrals(manifold: ModelManifold, profile: RadialProfile,
@@ -255,19 +265,22 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
     edge = s0 > 0.0 and t0 > profile.t_min
+    tops, bottoms = _widths(
+        manifold, profile, p, q, s0,
+        [R for R in {*g_radii, *h_radii} if R > t0], [r for r, _ in j_pairs])
     g_edge, g_rest, m_g = _edge_split(
         t0, q + 1.0, g_radii, edge,
-        lambda R_min: _top_width(manifold, profile, q, t0, R_min) is None)
+        lambda R_min: _top_width(tops, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
     def top_ends(lo: float, hi: float) -> list[float]:
-        w = _top_width(manifold, profile, q, lo, hi)
+        w = _top_width(tops, lo, hi)
         return [hi] if w is None \
             else [x for f in reversed(_CLUSTER)
                   if lo < (x := hi - f * w) < hi] + [hi]
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
-        w = _bottom_width(manifold, profile, p, q, s0, lo)
+        w = bottoms.get(lo)
         return [lo] if w is None \
             else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
 

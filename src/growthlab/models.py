@@ -11,7 +11,6 @@ of double precision at the radii the growth checks need.  Every class
 therefore exposes a logarithmic interface
 
     log_value(t) = log v(t),   log_deriv(t) = log v'(t),
-    dlog(t) = v'(t) / v(t),
     scaled_derivs(radii) = ([log v], [r v'/v], [v v''/v'**2]),
 
 and the operator routines work with the scaled quantity
@@ -20,23 +19,23 @@ r**mu * Delta_p(v) / v**(p-1), which stays of order one.
 log_value, log_deriv and log_value_delta of the three profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
 an ndarray of the same shape: growth's integrand makes one log_value call
-on all nodes of a quadrature batch.  dlog takes one radius, and
-scaled_derivs a list of radii.
+on all nodes of a quadrature batch.  scaled_derivs takes a list of radii.
+Its r v'/v column is a profile's one log-slope: growth places its panel
+clusters from it, and fd_cross_check its step.
 
 numpy is used only on such an array and never imported here, so code that
 evaluates single radii or lists of them, as verify and l1 do, runs without
 it.
 
-The pointwise checks subsolution_residual and fd_cross_check make one
-scaled_derivs call on the profile and one on the warp for their whole
-radius grid, and subsolution_residual one SharpPotential.scaled_values
-call; each call checks every radius and names the first bad one, and the
-residual's loop then does float arithmetic only.  Each value is the O(1) quantity of its radius: r v'/v and
-v v''/v'**2 rather than v'/v and v''/v, and r**mu * V rather than V, so no
-radius is squared and no r**mu is formed, and the verdict holds at every
-radius in double range.  _operator_terms is the one formula that combines
-them.  dlog keeps its own formula, bit for bit, because growth places its
-panel clusters and fd_cross_check its step from it.  The grid is not
+The pointwise checks subsolution_residual and fd_cross_check make their
+scaled_derivs calls on the profile and on the warp for whole radius
+lists, and subsolution_residual one SharpPotential.scaled_values call;
+each call checks every radius and names the first bad one, and the
+residual's loop then does float arithmetic only.  Each value is the O(1)
+quantity of its radius: r v'/v and v v''/v'**2 rather than v'/v and
+v''/v, and r**mu * V rather than V, so no radius is squared and no r**mu
+is formed, and the verdict holds at every radius in double range.
+_operator_terms is the one formula that combines them.  The grid is not
 handed to numpy: numpy's pow differs from libm's in the last bit of some
 values, so a residual would depend on whether numpy is loaded, and verify
 would have to load it.
@@ -108,10 +107,6 @@ class RadialProfile:
         first radius that does not exceed t_min."""
         raise NotImplementedError
 
-    def dlog(self, t: float) -> float:
-        """v'/v at one radius."""
-        raise NotImplementedError
-
     def log_deriv(self, t: float) -> float:
         raise NotImplementedError
 
@@ -131,17 +126,14 @@ class RadialProfile:
     def _check_radii(self, t):
         """DomainError unless t, one radius or an array, exceeds t_min;
         returns _ns(t).  The float case is tested first, without a nested
-        call: log_sphere_integral passes one radius, and dlog repeats the
-        test inline, saving a call."""
+        call: log_sphere_integral passes one radius."""
         if type(t) is float or (xp := _ns(t)) is math:
             if not (t > self.t_min):
-                raise DomainError(f"radius must exceed {self.t_min}, got {t}")
+                raise self._outside(t)
             return math
         if not xp.minimum.reduce(t, initial=math.inf) > self.t_min:
             # the minimum is nan if any radius is: name the first bad one
-            first = (~(t > self.t_min)).argmax()
-            raise DomainError(f"radius must exceed {self.t_min}, "
-                              f"got {t[first]}")
+            raise self._outside(t[(~(t > self.t_min)).argmax()])
         return xp
 
     def _outside(self, t: float) -> DomainError:
@@ -168,11 +160,6 @@ class PowerLaw(RadialProfile):
             lv.append(c * log(t))
         n = len(lv)
         return lv, [c] * n, [(c - 1.0) / c if c else math.nan] * n
-
-    def dlog(self, t: float) -> float:
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        return self.c / t
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -225,11 +212,6 @@ class ExpPower(RadialProfile):
             e1.append(e)
             k2.append((bm1 + e) / e if e else math.nan)
         return lv, e1, k2
-
-    def dlog(self, t: float) -> float:
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        return self.c * self.beta * t ** (self.beta - 1.0)
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -301,12 +283,6 @@ class PHarmonicRn(RadialProfile):
             e1.append(a / w)
             k2.append(am1 * w / a)
         return lv, e1, k2
-
-    def dlog(self, t: float) -> float:
-        if not (t > self.t_min):
-            raise DomainError(f"radius must exceed {self.t_min}, got {t}")
-        a = self.alpha
-        return a / (t * (1.0 - t ** (-a)))
 
     def log_deriv(self, t):
         xp = self._check_radii(t)
@@ -522,15 +498,19 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     DomainError is raised.  The default step resolves the shorter of the
     two local scales, the radius and the logarithmic derivative length
     v/v'; for exponentially growing profiles the latter stays bounded while
-    r does not.  It is rounded up to a power of two.  One scaled_derivs
-    call on the profile covers the five nodes, and one on the warp covers
-    r - h, r and r + h; both operators come from _operator_terms at mu = 0.
+    r does not; it is |r v'/v| / r from one scaled_derivs call at r, whose
+    values also feed the analytic side, rounded up to a power of two.  One
+    more call on the profile covers the other four nodes, and one on the
+    warp covers r - h, r and r + h; both operators come from
+    _operator_terms at mu = 0.
     Returns |S_fd - S_analytic| / max(1, |S_analytic|).
     """
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
+    at_r = None
     if h is None:
-        d1 = abs(profile.dlog(r))
+        at_r = profile.scaled_derivs([r])
+        d1 = abs(at_r[1][0]) / r
         scale = min(r, 1.0 / d1) if d1 > 0.0 else r
         h = math.ldexp(1.0, math.frexp(1e-4 * scale)[1])
     if not (h > 0.0) or r - 2.0 * h <= profile.t_min:
@@ -542,7 +522,8 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     a, b, c, d = (xa - r) / u, (xb - r) / u, (xc - r) / u, (xd - r) / u
     if not (a < b < 0.0 < c < d):
         raise DomainError(f"stencil nodes r + j*h round at r={r}, h={h}")
-    (la, lb, l0, lc, ld), e1s, k2s = profile.scaled_derivs([xa, xb, r, xc, xd])
+    (l0,), e1s, k2s = at_r or profile.scaled_derivs([r])
+    la, lb, lc, ld = profile.scaled_derivs([xa, xb, xc, xd])[0]
     lgs, egs, _ = manifold.warp.scaled_derivs([xb, r, xc])
     # u v'/v and u**2 v''/v: the derivatives at 0 of the Lagrange basis on
     # 0, a, b, c, d, that is each y - 1 over its node's offset times its
@@ -561,7 +542,7 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError(f"stencil sees a non-increasing profile at r={r}")
     ru = r / u
     (f1, f2), (a1, a2) = _operator_terms(
-        p, 0.0, [r, r], [ru * d1, e1s[2]], [d2 / (d1 * d1), k2s[2]],
+        p, 0.0, [r, r], [ru * d1, e1s[0]], [d2 / (d1 * d1), k2s[0]],
         [ru * (lgs[2] - lgs[0]) / (c - b), egs[1]])
     s_fd, s_an = f1 + f2, a1 + a2
     return abs(s_fd - s_an) / max(1.0, abs(s_an))
@@ -588,8 +569,9 @@ class SharpPotential:
     mu = 1.988 on), and the constructor then raises DomainError.  For
     mu = p the pair (t**(a+p-1), t**c) gives the exact power potential
     V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.
-    V(r) raises DomainError where r**mu passes the largest double;
-    scaled_values gives r**mu * V(r), which never overflows.
+    scaled_values gives r**mu * V(r), which never overflows, and V(r) is
+    its value at r over r**mu, a DomainError where r**mu passes the largest
+    double.
     """
 
     def __init__(self, p: float, mu: float, a: float, c: float):
@@ -625,12 +607,9 @@ class SharpPotential:
                     f"exceeds double range at p={p}, mu={mu}") from None
 
     def __call__(self, r: float) -> float:
-        if not (r >= 1.0):
-            raise DomainError(f"potential is defined for r >= 1, got {r}")
+        scaled = self.scaled_values([r])[0]
         try:
-            if self.mu == self.p:
-                return self.lam / r ** self.p
-            return self.lam * (1.0 - self.D / r ** self.beta) / r ** self.mu
+            return scaled / r ** self.mu
         except OverflowError:
             raise DomainError(
                 f"potential at r={r!r} cannot be formed: r**{self.mu!r} "

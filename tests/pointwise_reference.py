@@ -6,7 +6,7 @@ object: scaled_derivs on the profile and the warp, scaled_values on a
 SharpPotential, and one operator formula that combines them in r**mu-scaled
 terms.  The tests assert that every value equals these expressions bit for
 bit, so no quantity drifts from its formula, not even in the last bit.
-log_value and dlog keep the formulas of growthlab 0.1.0.
+log_value keeps the formula of growthlab 0.1.0.
 """
 
 import math
@@ -22,17 +22,6 @@ def log_value(profile, t: float) -> float:
     if isinstance(profile, PHarmonicRn):
         a = profile.alpha
         return a * math.log(t) + math.log1p(-t ** (-a))
-    raise TypeError(profile)
-
-
-def dlog(profile, t: float) -> float:
-    if isinstance(profile, PowerLaw):
-        return profile.c / t
-    if isinstance(profile, ExpPower):
-        return profile.c * profile.beta * t ** (profile.beta - 1.0)
-    if isinstance(profile, PHarmonicRn):
-        a = profile.alpha
-        return a / (t * (1.0 - t ** (-a)))
     raise TypeError(profile)
 
 

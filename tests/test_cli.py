@@ -486,6 +486,33 @@ def test_verify_fd_stencil_that_rounds_exit_code(capsys):
     assert "Traceback" not in err
 
 
+# t0 = 4.58e13, where log v does not resolve t0 + 0.1 from t0
+_HUGE_T0 = ["--p", "2.6197565880454388", "--q", "7.0285483973644585",
+            "--mu", "2.4184550030463954"]
+
+
+def test_verify_starts_where_log_v_resolves_the_level(capsys):
+    # the grid starts at the level radius of s0 * (1 + 2**-30), not at
+    # t0 + 0.1, where v > s0 is not seen
+    rc, out, err = run(capsys, ["verify", *_HUGE_T0, "--rmax", "1e20", "--format", "json"])
+    assert rc == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["passed"] for c in checks] == [True, True]
+    assert abs(checks[0]["lhs"]) <= 1e-14
+
+
+@pytest.mark.parametrize("argv, start", [
+    # t0 + 0.1 where that resolves v > s0, the level radius past it
+    (["--p", "2", "--q", "3", "--mu", "1", "--rmax", "1"], "2.96674737503809"),
+    ([*_HUGE_T0, "--rmax", "1e13"], "4580410822877"),
+])
+def test_verify_rmax_below_the_grid_start_names_it(capsys, argv, start):
+    rc, _, err = run(capsys, ["verify", *argv])
+    assert rc == 2
+    assert err.startswith(f"growthlab: error: rmax={float(argv[-1])} must exceed "
+                          f"the grid start {start}")
+
+
 def test_quadrature_error_exit_code(capsys):
     # at gamma = q - p + 1 = 0.01 the singular edge of H runs out of panels
     rc, _, err = run(capsys, ["inequalities", "--p", "1.5", "--q", "0.51", "--mu", "0.75"])

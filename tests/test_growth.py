@@ -40,6 +40,7 @@ from growthlab import (
     run_inequality_suite,
     sharp_grid,
     sphere_log_slope,
+    ExpPower,
     ModelManifold,
     PHarmonicRn,
     PowerLaw,
@@ -295,7 +296,8 @@ def test_g_edge_table_only_below_a_first_segment_without_a_cluster(monkeypatch):
     sample = log_ball_integral(ex.manifold, ex.profile, ex.q, ex.s0, R)
     log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
     assert (R - ex.t0) / 0.25 == pytest.approx(49.2, abs=0.1)
-    assert growth._top_width(ex.manifold, ex.profile, ex.q, ex.t0, R) == 0.25
+    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [R], [])
+    assert growth._top_width(tops, ex.t0, R) == 0.25
     assert seen[0][0] == (0.0, [])
     assert seen[1][1] != (0.0, [])
     expected = float("56.45156462261332614190485021493447470061")
@@ -503,7 +505,8 @@ def test_top_end_panels_match_default_panels(p, log_gamma, mu_frac, log_x, k):
     except DomainError:
         assume(False)
     lo, hi = radii[k], radii[k + 1]
-    assume(growth._top_width(ex.manifold, ex.profile, ex.q, lo, hi) is not None)
+    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [hi], [])
+    assume(growth._top_width(tops, lo, hi) is not None)
     got = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [lo, hi])[1]
     ref = log_quad(np.vectorize(lambda s: log_sphere_integral(
         ex.manifold, ex.profile, ex.q, ex.s0, s), otypes=[float]),
@@ -513,7 +516,7 @@ def test_top_end_panels_match_default_panels(p, log_gamma, mu_frac, log_x, k):
 
 
 class _LinearNoSlope(RadialProfile):
-    """v(t) = t, with no dlog."""
+    """v(t) = t, with no scaled_derivs."""
 
     def log_value(self, t):
         return np.log(t)
@@ -527,7 +530,8 @@ class _LinearNoSlope(RadialProfile):
 ])
 def test_top_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_g):
     manifold = ModelManifold(warp)
-    assert growth._top_width(manifold, profile, 2.0, 1.0, 1e6) is None
+    tops, _ = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [1e6], [])
+    assert growth._top_width(tops, 1.0, 1e6) is None
     [sample] = growth_samples(manifold, profile, 2.0, 0.0, [1e6])
     assert abs(sample.logG - log_g) <= 1e-12
 
@@ -547,7 +551,8 @@ def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
     except DomainError:
         assume(False)
     r = ex.t0 + 10.0 ** log_u * (9.0 * ex.t0 + 10.0)
-    assume(growth._bottom_width(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, r) is not None)
+    _, bottoms = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [r])
+    assume(bottoms.get(r) is not None)
     try:
         ref = log_quad(np.vectorize(lambda s: -log_sphere_integral(
             ex.manifold, ex.profile, ex.q, ex.s0, s) / (ex.p - 1.0), otypes=[float]),
@@ -569,10 +574,81 @@ def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
 ])
 def test_bottom_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_j):
     manifold = ModelManifold(warp)
-    assert growth._bottom_width(manifold, profile, 2.0, 2.0, 0.0, 1.0) is None
+    _, bottoms = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [], [1.0])
+    assert bottoms.get(1.0) is None
     _, _, [(got, _)] = growth._integrals(manifold, profile, 2.0, 2.0, 0.0, [], [],
                                          [(1.0, 4.0)], 1e-12)
     assert abs(got - log_j) <= 1e-12
+
+
+@pytest.mark.parametrize("run", [run_inequality_suite, measure_rate])
+def test_widths_come_from_one_scaled_derivs_call_per_model_object(monkeypatch, run):
+    """A suite call and a rate fit on each grid example read every e-fold
+    width of their panel clusters from one scaled_derivs call on the
+    profile and one on the warp, and make no log_value call on one
+    radius."""
+    for ex in sharp_grid():
+        calls = []
+        for name, obj in (("profile", ex.profile), ("warp", ex.manifold.warp)):
+            def slopes(radii, name=name, method=obj.scaled_derivs):
+                calls.append(name)
+                return method(radii)
+
+            def values(t, name=name, method=obj.log_value):
+                if type(t) is float:
+                    calls.append(f"{name} log_value({t})")
+                return method(t)
+
+            monkeypatch.setattr(obj, "scaled_derivs", slopes)
+            monkeypatch.setattr(obj, "log_value", values)
+        run(ex)
+        assert sorted(calls) == ["profile", "warp"]
+
+
+def _mp_log_and_slope(profile, t):
+    """log v and d log v / dt at t from the closed form, at the working
+    precision."""
+    c = mpmath.mpf(profile.c)
+    if isinstance(profile, PowerLaw):
+        return c * mpmath.log(t), c / t
+    if isinstance(profile, ExpPower):
+        b = mpmath.mpf(profile.beta)
+        return c * t ** b, c * b * t ** (b - 1)
+    raise TypeError(profile)
+
+
+@pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
+def test_widths_match_mpmath_slopes_at_the_suite_radii(monkeypatch, ex):
+    """The widths the suite places its clusters with, at every G and H
+    radius above t0 and every J bottom, are 1 / (d log(g v**q) / ds) and
+    (p - 1) / (d log phi / ds), phi = omega g (v - s0)**q, within 1e-13
+    of 40-digit mpmath of the closed forms with the double parameters."""
+    widths, seen = growth._widths, []
+
+    def spy(*args):
+        seen.append((args[-2], args[-1], widths(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(growth, "_widths", spy)
+    run_inequality_suite(ex)
+    [(tops, bottoms, (top_w, bottom_w))] = seen
+    assert len(tops) >= 5 and len(bottoms) == 3
+    with mpmath.workdps(40):
+        q, log_s0 = mpmath.mpf(ex.q), mpmath.log(ex.s0)
+        for R in tops:
+            t = mpmath.mpf(R)
+            _, e_g = _mp_log_and_slope(ex.manifold.warp, t)
+            _, e_v = _mp_log_and_slope(ex.profile, t)
+            want = 1 / (e_g + q * e_v)
+            assert abs(top_w[R] - want) <= 1e-13 * want
+        for r in bottoms:
+            t = mpmath.mpf(r)
+            _, e_g = _mp_log_and_slope(ex.manifold.warp, t)
+            log_v, e_v = _mp_log_and_slope(ex.profile, t)
+            # v / (v - s0)
+            ratio = -1 / mpmath.expm1(log_s0 - log_v)
+            want = (ex.p - 1) / (e_g + q * e_v * ratio)
+            assert abs(bottom_w[r] - want) <= 1e-13 * want
 
 
 def test_measure_rate_rejects_infinite_rel_tol():

@@ -127,7 +127,6 @@ def test_derivatives_against_mpmath(profile, t=3.0):
     (lv,), (e1,), (k2,) = profile.scaled_derivs([t])
     assert lv == pytest.approx(float(mpmath.log(v(mpmath.mpf(t)))), rel=1e-13)
     assert e1 == pytest.approx(float(t * d1 / v(mpmath.mpf(t))), rel=1e-12)
-    assert profile.dlog(t) == pytest.approx(float(d1 / v(mpmath.mpf(t))), rel=1e-12)
     assert k2 == pytest.approx(float(v(mpmath.mpf(t)) * d2 / d1 ** 2), rel=1e-11, abs=1e-14)
 
 
@@ -382,8 +381,7 @@ POINTWISE = [(pr, [1.5, 3.0, 7.0, 400.0, 1e6]) for pr in PROFILES] \
 def test_log_derivs_and_dlog_match_the_reference_bit_for_bit(profile, radii):
     """The logarithmic derivatives over a grid, scaled_derivs, give the
     reference's log v, t v'/v and v v''/v'**2 at each radius, and the log v
-    column is log_value's; dlog keeps its formula, because growth places its
-    panel clusters from it."""
+    column is log_value's."""
     lvs, e1s, k2s = profile.scaled_derivs(radii)
     assert len(lvs) == len(e1s) == len(k2s) == len(radii)
     for t, lv, e1, k2 in zip(radii, lvs, e1s, k2s):
@@ -391,7 +389,6 @@ def test_log_derivs_and_dlog_match_the_reference_bit_for_bit(profile, radii):
         assert bits(lv) == bits(want[0]) == bits(ref.log_value(profile, t)) == bits(profile.log_value(t))
         assert bits(e1) == bits(want[1])
         assert bits(k2) == bits(want[2])
-        assert bits(profile.dlog(t)) == bits(ref.dlog(profile, t))
 
 
 @pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
