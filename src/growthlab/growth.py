@@ -34,8 +34,8 @@ with the ends R - w * f inside it, and G has an edge table only where its
 first segment does not (see _top_width).  J's integrand
 phi**(1/(1-p)) decays from the bottom r of its interval, so J starts with
 the ends r + w * f inside the interval, w its width at r.  Every width
-comes from the r v'/v columns of one scaled_derivs call on the profile
-and one on the warp, made before the pass (see _widths).  On the grid
+comes from one scaled_derivs call on the profile and one log_slopes
+call on the warp, made before the pass (see _widths).  On the grid
 every suite example then closes in its first round, and a rate window in
 one or two: a sweep of the suite over sharp_grid() makes 27 integrand
 batches, and one of measure_rate 33.
@@ -203,15 +203,15 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
     the width R / (e_g + q * e_v) of g * v**q, whose log-slope G's and H's
     integrands share to leading order, and at each bottom r of a J
     interval the width (p - 1) * r / (e_g + q * e_v * v / (v - s0)) of
-    J's phi**(1/(1-p)).  One scaled_derivs call on the profile and one on
-    the warp give them all, v / (v - s0) as -1 / expm1(log s0 - log v)
-    from the profile's log v column.  A width is None where it is not
-    finite and positive, and the dicts are empty for a profile or warp
-    without scaled_derivs."""
+    J's phi**(1/(1-p)).  One scaled_derivs call on the profile and one
+    log_slopes call on the warp give them all, v / (v - s0) as
+    -1 / expm1(log s0 - log v) from the profile's log v column.  A width
+    is None where it is not finite and positive, and the dicts are empty
+    for a profile or warp without these grid calls."""
     radii = [*tops, *bottoms]
     try:
         lvs, evs, _ = profile.scaled_derivs(radii)
-        egs = manifold.warp.scaled_derivs(radii)[1]
+        egs = manifold.warp.log_slopes(radii)
     except NotImplementedError:
         return {}, {}
     log_s0, n, top, bottom = _log_level(s0), len(tops), {}, {}
@@ -358,7 +358,7 @@ def estimate_rate(samples, beta: float) -> RateEstimate:
     rs, ys = [s.R for s in samples], [s.logG for s in samples]
     if len(rs) < 4:
         raise DomainError(f"need at least 4 samples, got {len(rs)}")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
+    if any(map(operator.le, rs[1:], rs)):
         raise DomainError("sample radii must be strictly increasing")
     if not all(map(math.isfinite, ys)):
         raise DomainError("all samples must have finite logG; "
@@ -367,22 +367,24 @@ def estimate_rate(samples, beta: float) -> RateEstimate:
         raise DomainError(f"beta must be finite and nonnegative, got {beta}")
     power = beta > 0.0
     regime = "power" if power else "log"
-    # lstsq does not return on a design matrix holding inf or nan
+    # the design matrix's rows as one flat list: lstsq does not return on
+    # one holding inf or nan
     try:
-        X = np.array([([r ** beta] if power else [])
-                      + [math.log(r), 1.0] for r in rs])
-        finite = np.isfinite(X).all()
+        X = [x for r in rs for x in ((r ** beta, math.log(r), 1.0) if power
+                                     else (math.log(r), 1.0))]
+        finite = all(map(math.isfinite, X))
     except (OverflowError, ValueError):
         finite = False
     if not finite:
         terms = f"R**beta (beta={beta}) and log R" if power else "log R"
         raise DomainError(f"the {regime} fit needs {terms} finite at every "
                           f"sample radius in [{rs[0]}, {rs[-1]}]")
-    coef, *_ = np.linalg.lstsq(X, np.array(ys), rcond=None)
-    rate = float(coef[0]) * (beta if power else 1.0)
-    resid = float(np.max(np.abs(X @ coef - np.array(ys))))
-    return RateEstimate(rate=rate, fit_residual=resid, regime=regime,
-                        window=(rs[0], rs[-1]), n_samples=len(rs))
+    X, y = np.array(X).reshape(len(rs), -1), np.array(ys)
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    return RateEstimate(rate=float(coef[0]) * (beta if power else 1.0),
+                        fit_residual=float(abs(X @ coef - y).max()),
+                        regime=regime, window=(rs[0], rs[-1]),
+                        n_samples=len(rs))
 
 
 def rate_window(example: SharpExample, rmax: float | None = None,

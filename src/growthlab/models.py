@@ -12,6 +12,7 @@ therefore exposes a logarithmic interface
 
     log_value(t) = log v(t),   log_deriv(t) = log v'(t),
     scaled_derivs(radii) = ([log v], [r v'/v], [v v''/v'**2]),
+    log_slopes(radii) = [r v'/v],
 
 and the operator routines work with the scaled quantity
 r**mu * Delta_p(v) / v**(p-1), which stays of order one.
@@ -19,19 +20,22 @@ r**mu * Delta_p(v) / v**(p-1), which stays of order one.
 log_value, log_deriv and log_value_delta of the three profiles below take
 either one radius, giving a float, or a 1-D float ndarray of radii, giving
 an ndarray of the same shape: growth's integrand makes one log_value call
-on all nodes of a quadrature batch.  scaled_derivs takes a list of radii.
-Its r v'/v column is a profile's one log-slope: growth places its panel
-clusters from it, and fd_cross_check its step.
+on all nodes of a quadrature batch.  scaled_derivs and log_slopes take a
+list of radii, and both come from one loop per profile, _derivs, which
+forms the other two columns only for scaled_derivs.  r v'/v is a
+profile's one log-slope: growth places its panel clusters from it, and
+fd_cross_check its step.
 
 numpy is used only on such an array and never imported here, so code that
 evaluates single radii or lists of them, as verify and l1 do, runs without
 it.
 
-The pointwise checks subsolution_residual and fd_cross_check make their
-scaled_derivs calls on the profile and on the warp for whole radius
-lists, and subsolution_residual one SharpPotential.scaled_values call;
-each call checks every radius and names the first bad one, and the
-residual's loop then does float arithmetic only.  Each value is the O(1)
+The pointwise checks make their grid calls for whole radius lists:
+subsolution_residual one scaled_derivs call on the profile, one
+log_slopes call on the warp (it reads r g'/g alone) and one
+SharpPotential.scaled_values call, and fd_cross_check scaled_derivs
+calls on both.  Each call checks every radius and names the first bad
+one, and the residual's loop then does float arithmetic only.  Each value is the O(1)
 quantity of its radius: r v'/v and v v''/v'**2 rather than v'/v and
 v''/v, and r**mu * V rather than V, so no radius is squared and no r**mu
 is formed, and the verdict holds at every radius in double range.
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .params import DomainError
@@ -105,6 +108,16 @@ class RadialProfile:
         k2 = v v''/v'**2, each of order one where v grows like a power or
         like exp(c t**beta); k2 is nan where v' = 0.  DomainError names the
         first radius that does not exceed t_min."""
+        return self._derivs(radii, True)
+
+    def log_slopes(self, radii: list) -> list:
+        """The e1 = t v'/v column of scaled_derivs alone, from the same
+        loop and with the same radius check."""
+        return self._derivs(radii, False)[1]
+
+    def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
+        """The columns of scaled_derivs, from one loop; without full, only
+        the e1 list is complete, the others may be left empty."""
         raise NotImplementedError
 
     def log_deriv(self, t: float) -> float:
@@ -151,14 +164,15 @@ class PowerLaw(RadialProfile):
         xp = self._check_radii(t)
         return self.c * xp.log(t)
 
-    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+    def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
         c, lo, log = self.c, self.t_min, math.log
         lv = []
         for t in radii:
             if not (t > lo):
                 raise self._outside(t)
-            lv.append(c * log(t))
-        n = len(lv)
+            if full:
+                lv.append(c * log(t))
+        n = len(radii)
         return lv, [c] * n, [(c - 1.0) / c if c else math.nan] * n
 
     def log_deriv(self, t):
@@ -198,7 +212,7 @@ class ExpPower(RadialProfile):
         self._check_radii(t)
         return self.c * t ** self.beta
 
-    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+    def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
         # with x = t**b: t v'/v = c*b*x and v v''/v'**2 = ((b-1) + c*b*x) / (c*b*x)
         c, b, lo = self.c, self.beta, self.t_min
         cb, bm1 = c * b, b - 1.0
@@ -208,9 +222,10 @@ class ExpPower(RadialProfile):
                 raise self._outside(t)
             x = t ** b
             e = cb * x
-            lv.append(c * x)
             e1.append(e)
-            k2.append((bm1 + e) / e if e else math.nan)
+            if full:
+                lv.append(c * x)
+                k2.append((bm1 + e) / e if e else math.nan)
         return lv, e1, k2
 
     def log_deriv(self, t):
@@ -269,7 +284,7 @@ class PHarmonicRn(RadialProfile):
         # log(t**a - 1) without forming t**a, stable for large t
         return a * xp.log(t) + xp.log1p(-t ** (-a))
 
-    def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
+    def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
         # with u = t**-a: t v'/v = a / (1 - u) and v v''/v'**2 = (a-1)(1-u)/a
         a, lo = self.alpha, self.t_min
         am1, log, log1p = a - 1.0, math.log, math.log1p
@@ -279,9 +294,10 @@ class PHarmonicRn(RadialProfile):
                 raise self._outside(t)
             u = t ** -a
             w = 1.0 - u
-            lv.append(a * log(t) + log1p(-u))
             e1.append(a / w)
-            k2.append(am1 * w / a)
+            if full:
+                lv.append(a * log(t) + log1p(-u))
+                k2.append(am1 * w / a)
         return lv, e1, k2
 
     def log_deriv(self, t):
@@ -445,7 +461,7 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
 
 
 def _operator_terms(p: float, mu: float, radii: list, e1s: list, k2s: list,
-                    egs: list) -> Iterator[tuple[float, float]]:
+                    egs: list) -> list[tuple[float, float]]:
     """The two terms of r**mu * Delta_p(v) / v**(p-1) at each radius.
 
     With d1 = v'/v, the operator is d1**p * ((p-1)*k2 + e_g/e1) in the
@@ -456,17 +472,19 @@ def _operator_terms(p: float, mu: float, radii: list, e1s: list, k2s: list,
     exponent mu/p - 1 is -beta bit for bit as SharpPotential forms
     beta = 1 - mu/p, and a last-bit mismatch would grow like log r (to
     4e-13 at r = 1e300).  This is the one operator formula of
-    subsolution_residual, p_laplacian_scaled and fd_cross_check.  A
-    generator, so the residual's loop takes each radius's terms as they are
-    formed; DomainError where e1 is not positive.
+    subsolution_residual, p_laplacian_scaled and fd_cross_check, formed
+    for the whole grid in one loop; DomainError names the first radius
+    where e1 is not positive.
     """
     pm1, ex = p - 1.0, mu / p - 1.0
+    terms = []
     for r, e1, k2, eg in zip(radii, e1s, k2s, egs):
         if not (e1 > 0.0):
             raise DomainError(f"profile must be increasing at r={r}: "
                               f"v'/v={e1 / r}")
         zp = (e1 * r ** ex) ** p
-        yield zp * (pm1 * k2), zp * (eg / e1)
+        terms.append((zp * (pm1 * k2), zp * (eg / e1)))
+    return terms
 
 
 def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
@@ -480,7 +498,7 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError(f"p must exceed 1, got {p}")
     _, e1s, k2s = profile.scaled_derivs([r])
     (t1, t2), = _operator_terms(p, 0.0, [r], e1s, k2s,
-                                manifold.warp.scaled_derivs([r])[1])
+                                manifold.warp.log_slopes([r]))
     return t1 + t2
 
 
@@ -495,7 +513,10 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     rounded, which are exact (Sterbenz) wherever h <= r/4, so a node that
     rounds, as r + 2*h does just below a power of two, costs nothing; when
     the offsets are not strictly increasing the stencil has collapsed and
-    DomainError is raised.  The default step resolves the shorter of the
+    DomainError is raised.  So it is where the stencil sees a
+    non-increasing profile; where the step moves log v by fewer than 4 ulps
+    of log v, which rounding can outweigh, the error names the step
+    instead.  The default step resolves the shorter of the
     two local scales, the radius and the logarithmic derivative length
     v/v'; for exponentially growing profiles the latter stays bounded while
     r does not; it is |r v'/v| / r from one scaled_derivs call at r, whose
@@ -539,6 +560,12 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     d2 = 2.0 * ((b * c + b * d + c * d) * qa + (a * c + a * d + c * d) * qb
                 + (a * b + a * d + b * d) * qc + (a * b + a * c + b * c) * qd)
     if not (d1 > 0.0):
+        # the step moves log v by e1*h/r; each y - 1 rounds by about an ulp
+        # of log v, which moves u*d1 by up to 1.5 ulps (3 across a binade)
+        moved, ulp = e1s[0] * h / r, math.ulp(l0)
+        if 0.0 < moved < 4.0 * ulp:
+            raise DomainError(f"step h={h} moves log v by e1*h/r={moved:.3g}, "
+                              f"fewer than 4 ulps of log v ({ulp:.3g}) at r={r}")
         raise DomainError(f"stencil sees a non-increasing profile at r={r}")
     ru = r / u
     (f1, f2), (a1, a2) = _operator_terms(
@@ -619,12 +646,12 @@ class SharpPotential:
         """r**mu * V(r) = lam * (1 - D / r**beta) at each radius of a list,
         lam itself where D = 0 (mu = 0 or mu = p)."""
         lam, D, b = self.lam, self.D, self.beta
-        out = []
         for r in radii:
             if not (r >= 1.0):
                 raise DomainError(f"potential is defined for r >= 1, got {r}")
-            out.append(lam * (1.0 - D / r ** b) if D else lam)
-        return out
+        if not D:
+            return [lam] * len(radii)
+        return [lam * (1.0 - D / r ** b) for r in radii]
 
     def level_deficit(self, r: float) -> float:
         """Exact value of lam - r**mu * V(r)."""
@@ -660,16 +687,17 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     mapped to 0 (inside the floor), -inf (strictly above) or +inf
     (violation).  A defect that is nan raises DomainError naming r.
 
-    Both sides are multiplied by r**mu: the profile and the warp each make
-    one scaled_derivs call over the grid, a SharpPotential one scaled_values
-    call, and _operator_terms combines them, so every term is of order one
-    and the verdict holds at every radius in double range.  Any other
-    potential is called once per radius and goes through the same formula
-    with mu = 0.  The checks of the whole grid run first (finite radii,
-    then each grid call's radius check), and then, radius by radius, an
-    increasing profile, v > s0, a nonnegative potential and a defect that
-    is not nan; so where two radii fail different checks, the radius check
-    of a grid call may be named before an earlier radius's failure.
+    Both sides are multiplied by r**mu: the profile makes one scaled_derivs
+    call over the grid, the warp one log_slopes call, a SharpPotential one
+    scaled_values call, and _operator_terms combines them, so every term is
+    of order one and the verdict holds at every radius in double range.
+    Any other potential is called once per radius and goes through the same
+    formula with mu = 0.  The checks of the whole grid run first (finite
+    radii, each grid call's radius check, then an increasing profile in
+    _operator_terms), and then, radius by radius, v > s0, a nonnegative
+    potential and a defect that is not nan; so where two radii fail
+    different checks, a whole-grid check may be named before an earlier
+    radius's failure.
     """
     radii = list(radii)
     if not radii:
@@ -685,7 +713,7 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
             if not -inf < r < inf:
                 raise DomainError(f"radius {r} is not finite")
     lvs, e1s, k2s = profile.scaled_derivs(radii)
-    egs = manifold.warp.scaled_derivs(radii)[1]
+    egs = manifold.warp.log_slopes(radii)
     if isinstance(potential, SharpPotential):
         mu, pots = potential.mu, potential.scaled_values(radii)
     else:

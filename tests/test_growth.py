@@ -448,6 +448,27 @@ def test_estimate_rate_rejects_an_infinite_radius():
         estimate_rate(samples, 0.0)
 
 
+def _nested_row_fit(samples, beta):
+    """(rate, fit_residual) of the fit as a design matrix built from nested
+    row lists, lstsq with rcond=None, and the worst misfit max |X coef - y|."""
+    power = beta > 0.0
+    X = np.array([([s.R ** beta] if power else []) + [math.log(s.R), 1.0] for s in samples])
+    y = np.array([s.logG for s in samples])
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    return float(coef[0]) * (beta if power else 1.0), float(np.max(np.abs(X @ coef - y)))
+
+
+@pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
+def test_estimate_rate_matches_the_nested_row_fit_bit_for_bit(ex):
+    """On each grid rate window, rate and fit_residual are those of the
+    nested-row fit, bit for bit; a column-major design matrix moves a
+    fit_residual by an ulp."""
+    samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, rate_window(ex))
+    est = estimate_rate(samples, ex.beta)
+    rate, resid = _nested_row_fit(samples, ex.beta)
+    assert (est.rate.hex(), est.fit_residual.hex()) == (rate.hex(), resid.hex())
+
+
 @pytest.mark.parametrize("num", [5.5, 7.0, "7"])
 def test_rate_window_rejects_a_num_that_is_not_an_integer(num):
     with pytest.raises(DomainError, match="num must be an integer"):
@@ -585,24 +606,26 @@ def test_bottom_end_panels_fall_back_without_a_known_positive_slope(warp, profil
 def test_widths_come_from_one_scaled_derivs_call_per_model_object(monkeypatch, run):
     """A suite call and a rate fit on each grid example read every e-fold
     width of their panel clusters from one scaled_derivs call on the
-    profile and one on the warp, and make no log_value call on one
-    radius."""
+    profile and one log_slopes call on the warp, and make no log_value call
+    on one radius."""
     for ex in sharp_grid():
         calls = []
         for name, obj in (("profile", ex.profile), ("warp", ex.manifold.warp)):
-            def slopes(radii, name=name, method=obj.scaled_derivs):
-                calls.append(name)
-                return method(radii)
+            for method in ("scaled_derivs", "log_slopes"):
+                def grid_call(radii, label=f"{name} {method}", call=getattr(obj, method)):
+                    calls.append(label)
+                    return call(radii)
+
+                monkeypatch.setattr(obj, method, grid_call)
 
             def values(t, name=name, method=obj.log_value):
                 if type(t) is float:
                     calls.append(f"{name} log_value({t})")
                 return method(t)
 
-            monkeypatch.setattr(obj, "scaled_derivs", slopes)
             monkeypatch.setattr(obj, "log_value", values)
         run(ex)
-        assert sorted(calls) == ["profile", "warp"]
+        assert sorted(calls) == ["profile scaled_derivs", "warp log_slopes"]
 
 
 def _mp_log_and_slope(profile, t):

@@ -355,6 +355,17 @@ def test_fd_cross_check_accepts_nodes_that_round(r, h):
     assert fd_cross_check(ex.manifold, ex.profile, ex.p, r, h) <= 1e-6
 
 
+def test_fd_cross_check_names_a_step_below_the_rounding_of_log_v():
+    """At r = 1e300 the default step moves log v by e1*h/r = 1.2e-4, a
+    quarter of an ulp of log v = 4.3e12: log v at the nodes rounds to
+    log v(r), and the stencil reported a non-increasing profile."""
+    ex = build_sharp_example(1.228279419959057, 1.7590572187488909, 1.173227813026388)
+    with pytest.raises(DomainError, match=re.escape(
+            "step h=5.948067633911132e+284 moves log v by e1*h/r=0.000115, "
+            "fewer than 4 ulps of log v (0.000488) at r=1e+300")):
+        fd_cross_check(ex.manifold, ex.profile, ex.p, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # the grid-call pointwise layer against its per-radius formulas
 # ---------------------------------------------------------------------------
@@ -380,15 +391,23 @@ POINTWISE = [(pr, [1.5, 3.0, 7.0, 400.0, 1e6]) for pr in PROFILES] \
 @pytest.mark.parametrize("profile, radii", POINTWISE, ids=[f"{i}-{pr!r}" for i, (pr, _) in enumerate(POINTWISE)])
 def test_log_derivs_and_dlog_match_the_reference_bit_for_bit(profile, radii):
     """The logarithmic derivatives over a grid, scaled_derivs, give the
-    reference's log v, t v'/v and v v''/v'**2 at each radius, and the log v
-    column is log_value's."""
+    reference's log v, t v'/v and v v''/v'**2 at each radius, the log v
+    column is log_value's, and log_slopes gives the t v'/v column.  A
+    radius at or below t_min after the grid raises the same error from
+    both grid calls."""
     lvs, e1s, k2s = profile.scaled_derivs(radii)
-    assert len(lvs) == len(e1s) == len(k2s) == len(radii)
-    for t, lv, e1, k2 in zip(radii, lvs, e1s, k2s):
+    slopes = profile.log_slopes(radii)
+    assert len(lvs) == len(e1s) == len(k2s) == len(slopes) == len(radii)
+    for t, lv, e1, k2, slope in zip(radii, lvs, e1s, k2s, slopes):
         want = ref.scaled_derivs(profile, t)
         assert bits(lv) == bits(want[0]) == bits(ref.log_value(profile, t)) == bits(profile.log_value(t))
-        assert bits(e1) == bits(want[1])
+        assert bits(e1) == bits(want[1]) == bits(slope)
         assert bits(k2) == bits(want[2])
+    for bad in (profile.t_min, profile.t_min - 0.5):
+        for grid_call in (profile.scaled_derivs, profile.log_slopes):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"radius must exceed {profile.t_min}, got {bad}")):
+                grid_call([*radii, bad])
 
 
 @pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
@@ -405,6 +424,26 @@ def test_residual_and_operator_match_the_reference_on_the_grid(ex):
             assert bits(ex.potential(r)) == bits(ref.potential(ex.potential, r))
         for r, v in zip(radii, ex.potential.scaled_values(radii)):
             assert bits(v) == bits(ref.scaled_potential(ex.potential, r)[1])
+
+
+def test_residual_makes_one_grid_call_per_model_object(monkeypatch):
+    """On each grid example, subsolution_residual over the benchmark's 200
+    radii makes one scaled_derivs call on the profile, one log_slopes call
+    on the warp and one scaled_values call, and no other grid call."""
+    for ex in sharp_grid():
+        calls = []
+        for name, obj, methods in (
+                ("profile", ex.profile, ("scaled_derivs", "log_slopes")),
+                ("warp", ex.manifold.warp, ("scaled_derivs", "log_slopes")),
+                ("potential", ex.potential, ("scaled_values",))):
+            for method in methods:
+                def grid_call(radii, label=f"{name} {method}", call=getattr(obj, method)):
+                    calls.append(label)
+                    return call(radii)
+
+                monkeypatch.setattr(obj, method, grid_call)
+        subsolution_residual(ex.manifold, ex.profile, ex.potential, ex.p, ex.s0, benchmark_radii(ex))
+        assert sorted(calls) == ["potential scaled_values", "profile scaled_derivs", "warp log_slopes"]
 
 
 @pytest.mark.parametrize("manifold, profile, p, potential", [
