@@ -57,7 +57,7 @@ from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
                      _check_nonnegative, classify_l1_condition,
                      comparison_constants)
-from .quadrature import _running_sum, log_quad_tables, log_sum
+from .quadrature import _sum_of_two, log_quad_tables, log_sum
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,12 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
     G and H may each have an edge table next to t0, shared by all of its
-    radii (see _edge_split).  The integrand, run with numpy's floating-point
-    warnings off (see log_quad_tables), makes one log_value call on all
-    nodes, and on edge nodes expands the excess v - s0 around t0 through
-    the profile's log_value_delta instead, treating v(t0) = s0 as exact.
+    radii (see _edge_split), that G or H at R adds to the rest up to R
+    (_sum_of_two).  The integrand, run with numpy's floating-point warnings
+    off (see log_quad_tables), makes one log_value call on all nodes, and
+    on edge nodes expands the excess v - s0 around t0 through the profile's
+    log_value_delta instead, treating v(t0) = s0 as exact; it forms each
+    table's formula on that table's nodes only.
     p may be None when only G is asked for.  The tables are G's edge, G,
     H's edge, H, then J, so when several integrals fail, the error raised
     is the first in that order.
@@ -303,21 +305,24 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             lv[lo:hi] = log_s0 + delta
         le = _log_excess_of(log_s0, lv, d)
         lw = manifold.log_warp(s)
-        # G: log(g * w**q), -inf where w = 0
-        out = lw + q * le
+        # G: log(g * w**q), -inf where w = 0; each table's rows in place
+        out = q * le
+        out[:he] += lw[:he]
         if he < j:
             # H vanishes where w = 0, and there (q - p) * le is nan for q = p
-            out[he:j] = np.where(
-                le[he:j] > -math.inf,
-                lw[he:j] + (q - p) * le[he:j]
-                + p * profile.log_deriv(s[he:j]), -math.inf)
+            h, h_le = out[he:j], le[he:j]
+            np.multiply(h_le, q - p, out=h)
+            h += lw[he:j]
+            h += p * profile.log_deriv(s[he:j])
+            h[~(h_le > -math.inf)] = -math.inf
         for lo, hi, m in edges:
             # ds = m * tau**(m - 1) dtau; as m > 1, a node at tau = 0 gives
             # -inf, not nan
             out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
         if j < len(s):
-            # J: phi**(1/(1-p)), +inf where phi = 0
-            out[j:] = -((log_omega + lw[j:]) + q * le[j:]) / (p - 1.0)
+            # J: phi**(1/(1-p)), +inf where phi = 0, from q * le in out
+            out[j:] += lw[j:] + log_omega
+            out[j:] /= 1.0 - p
         return out
 
     tables = [g_edge, (*g_rest, top_ends), h_edge, (*h_rest, top_ends)] \
@@ -326,14 +331,15 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         logf, tables, rel_tol=rel_tol)
 
     def whole(radii, piece, results):
-        # the edge piece, if any, plus the rest up to R; without one the
-        # rest is the sum, exactly (see _running_sum)
-        sums = [(res.log_value, res.rel_error) for res in results]
-        if piece:
-            edge = (piece[0].log_value, piece[0].rel_error, 0, 0)
-            sums = [_running_sum([edge, (*v, 0, 0)])[-1][:2] for v in sums]
-        return [(log_omega + v, rel) if R > t0 else (-math.inf, 0.0)
-                for R, (v, rel) in zip(radii, sums)]
+        # the edge piece, if any, plus the rest up to R (see _sum_of_two)
+        out = []
+        for R, res in zip(radii, results):
+            v, rel = res.log_value, res.rel_error
+            if piece:
+                v, rel = _sum_of_two(piece[0].log_value, piece[0].rel_error,
+                                     v, rel)
+            out.append((log_omega + v, rel) if R > t0 else (-math.inf, 0.0))
+        return out
 
     return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
             [(res.log_value, res.rel_error) for (res,) in j_res])

@@ -75,7 +75,7 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
     """
     y0 = math.log10(lo)
     step = (math.log10(hi) - y0) / (num - 1)
-    return [lo, *(10.0 ** (i * step + y0) for i in range(1, num - 1)), hi]
+    return [lo, *[10.0 ** (i * step + y0) for i in range(1, num - 1)], hi]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,8 @@ def _log_excess_of(log_s0: float, lv, d):
     or ndarrays of radii; lv itself when s0 = 0, and -inf where d <= 0.
 
     Below d = _NEAR, v - s0 = s0 * (exp(d) - 1) is formed from expm1(d),
-    accurate when v is close to s0; above it, v * (1 - exp(-d)).
+    accurate when v is close to s0; above it, v * (1 - exp(-d)).  An array
+    forms the expm1 branch only on the nodes that keep it.
     """
     if log_s0 == -math.inf:
         return lv
@@ -387,21 +388,19 @@ def _log_excess_of(log_s0: float, lv, d):
             return log_s0 + math.log(math.expm1(d))
         return lv + math.log1p(-math.exp(-d))
     np = sys.modules["numpy"]
-    # both branches on every node, formed in place, each kept where the
-    # float branches above take it; the nodes with d <= 0 warn, so a caller
-    # on such an array runs this with numpy's warnings off, as
-    # quadrature._panels runs growth's integrand
-    near = np.expm1(d)
-    np.log(near, out=near)
-    near += log_s0
-    far = np.negative(d)
-    np.exp(far, out=far)
-    np.negative(far, out=far)
-    np.log1p(far, out=far)
-    far += lv
-    np.copyto(far, near, where=d < _NEAR)
-    np.copyto(far, -math.inf, where=d <= 0.0)
-    return far
+    # the far branch on every node, then the near one on the nodes the
+    # float branches take it on (a fifth of a grid suite call's); the nodes
+    # below _NEAR warn, so a caller on such an array runs this with numpy's
+    # warnings off, as quadrature._panels runs growth's integrand
+    out = np.log1p(-np.exp(-d))
+    out += lv
+    near = d < _NEAR
+    if near.any():
+        dn = d[near]
+        le = np.log(np.expm1(dn)) + log_s0
+        le[dn <= 0.0] = -math.inf
+        out[near] = le
+    return out
 
 
 def _log_level(s0: float) -> float:
@@ -513,17 +512,17 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     rounded, which are exact (Sterbenz) wherever h <= r/4, so a node that
     rounds, as r + 2*h does just below a power of two, costs nothing; when
     the offsets are not strictly increasing the stencil has collapsed and
-    DomainError is raised.  So it is where the stencil sees a
-    non-increasing profile; where the step moves log v by fewer than 4 ulps
-    of log v, which rounding can outweigh, the error names the step
-    instead.  The default step resolves the shorter of the
-    two local scales, the radius and the logarithmic derivative length
-    v/v'; for exponentially growing profiles the latter stays bounded while
-    r does not; it is |r v'/v| / r from one scaled_derivs call at r, whose
-    values also feed the analytic side, rounded up to a power of two.  One
-    more call on the profile covers the other four nodes, and one on the
-    warp covers r - h, r and r + h; both operators come from
-    _operator_terms at mu = 0.
+    DomainError is raised.  So it is, before the stencil, where the step
+    moves log v by fewer than 4 ulps, which the stencil cannot tell from
+    rounding (its deviation, absolute where |S_analytic| < 1, would read
+    about 0), and where the stencil sees a non-increasing profile.  The
+    default step resolves the shorter of two local scales, the radius and
+    the logarithmic derivative length v/v'; for exponentially growing
+    profiles the latter stays bounded while r does not; it is |r v'/v| / r
+    from one scaled_derivs call at r, whose values also feed the analytic
+    side, rounded up to a power of two.  One more call on the profile
+    covers the other four nodes, and one on the warp covers r - h, r and
+    r + h; both operators come from _operator_terms at mu = 0.
     Returns |S_fd - S_analytic| / max(1, |S_analytic|).
     """
     if not (p > 1.0):
@@ -544,6 +543,12 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     if not (a < b < 0.0 < c < d):
         raise DomainError(f"stencil nodes r + j*h round at r={r}, h={h}")
     (l0,), e1s, k2s = at_r or profile.scaled_derivs([r])
+    # the step moves log v by e1*h/r; each y - 1 rounds by about an ulp of
+    # log v, which moves u*d1 by up to 1.5 ulps (3 across a binade)
+    moved, ulp = e1s[0] * h / r, math.ulp(l0)
+    if 0.0 < moved < 4.0 * ulp:
+        raise DomainError(f"step h={h} moves log v by e1*h/r={moved:.3g}, "
+                          f"fewer than 4 ulps of log v ({ulp:.3g}) at r={r}")
     la, lb, lc, ld = profile.scaled_derivs([xa, xb, xc, xd])[0]
     lgs, egs, _ = manifold.warp.scaled_derivs([xb, r, xc])
     # u v'/v and u**2 v''/v: the derivatives at 0 of the Lagrange basis on
@@ -560,12 +565,6 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     d2 = 2.0 * ((b * c + b * d + c * d) * qa + (a * c + a * d + c * d) * qb
                 + (a * b + a * d + b * d) * qc + (a * b + a * c + b * c) * qd)
     if not (d1 > 0.0):
-        # the step moves log v by e1*h/r; each y - 1 rounds by about an ulp
-        # of log v, which moves u*d1 by up to 1.5 ulps (3 across a binade)
-        moved, ulp = e1s[0] * h / r, math.ulp(l0)
-        if 0.0 < moved < 4.0 * ulp:
-            raise DomainError(f"step h={h} moves log v by e1*h/r={moved:.3g}, "
-                              f"fewer than 4 ulps of log v ({ulp:.3g}) at r={r}")
         raise DomainError(f"stencil sees a non-increasing profile at r={r}")
     ru = r / u
     (f1, f2), (a1, a2) = _operator_terms(

@@ -8,6 +8,8 @@ before summing the node contributions.  The panels of an integral are
 combined with log-sum-exp, and the integrals of a table up to successive
 radii with one running log-sum over its segments.  So the result is the
 logarithm of the integral with full relative accuracy regardless of scale.
+Each log-sum over panels is exact: math.exp and one math.fsum (numpy's
+exp differs from math.exp by an ulp on some 5% of arguments).
 
 The integrand is vectorised: logf takes a 1-D float ndarray of nodes and
 returns an ndarray of the same shape holding the log-integrand at each
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -107,17 +109,15 @@ _NODES = tuple(
 # terms of each panel, and the log weight of each row
 _X = np.array([x for x, _, _ in _NODES])
 _G7 = [i for i, (_, _, lwg) in enumerate(_NODES) if lwg is not None]
-_TERMS = list(range(len(_NODES))) + _G7
+_TERMS = np.array(list(range(len(_NODES))) + _G7)
 _LOG_W = np.array([[lwk] for _, lwk, _ in _NODES] + [[_NODES[i][2]] for i in _G7])
 
 
 def log_sum(values) -> float:
     """log(sum(exp(v))) over an iterable of log values; -inf for empty input."""
     vals = values if isinstance(values, list) else list(values)
-    if not vals:
-        return -math.inf
-    m = max(vals)
-    if m == -math.inf or m == math.inf:
+    m = max(vals) if vals else -math.inf
+    if not -math.inf < m < math.inf:
         return m
     # exp(-inf - m) is 0.0, which leaves the exactly rounded sum as it is
     return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
@@ -159,7 +159,8 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
     not depend on this layout or on the rest of its batch.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        half = 0.5 * (b - a)
+        width = b - a
+        half = 0.5 * width
         mid = 0.5 * (a + b)
         x = (mid[:, None] + half[:, None] * _X).ravel()
         if not np.isfinite(x).all():
@@ -197,7 +198,7 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
         logs += m
         # log(b - a) rather than log(half): half rounds to 0 on a panel one
         # subnormal wide, and bisection can leave a panel of zero width
-        logs += np.log(b - a) - _LOG2
+        logs += np.log(width) - _LOG2
         k15, g7 = logs
         hi, lo = np.maximum(k15, g7), np.minimum(k15, g7)
         err = np.where(k15 == g7, -np.inf, hi + np.log1p(-np.exp(lo - hi)))
@@ -209,7 +210,8 @@ def _initial_breakpoints(lo: float, hi: float) -> list[float]:
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
         return geometric_grid(lo, hi, 9)
     width = hi - lo
-    return [lo + width * i / 8 for i in range(9)]
+    return [lo + width * i / 8.0
+            for i in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)]
 
 
 def _inside(a: float, b: float) -> bool:
@@ -300,12 +302,13 @@ class _Segment:
 def _batch(logf, pending, segs, ntables: int, rel_tol: float):
     """(log K15, log error) lists of the new panels of pending, with one
     call logf(x, starts): the nodes of table t are x[starts[t]:starts[t+1]]."""
-    a = np.fromiter(chain.from_iterable(ca for _, _, ca, _ in pending), float)
-    b = np.fromiter(chain.from_iterable(cb for _, _, _, cb in pending), float)
-    sizes = [0] * (ntables + 1)
-    for i, _, ca, _ in pending:
-        sizes[segs[i].table + 1] += len(_X) * len(ca)
-    starts = list(accumulate(sizes))
+    sizes, ca, cb = [0] * (ntables + 1), [], []
+    for i, _, left, right in pending:
+        ca += left
+        cb += right
+        sizes[segs[i].table + 1] += len(left)
+    a, b = np.array(ca, float), np.array(cb, float)
+    starts = [len(_X) * n for n in accumulate(sizes)]
     try:
         k, e = _panels(lambda x: logf(x, starts), a, b)
     except _BelowFloor as exc:
@@ -429,6 +432,18 @@ def _running_sum(parts) -> list[tuple[float, float, int, int]]:
         out.append((-math.inf, 0.0, panels, evals) if m == -math.inf else
                    (m + math.log1p(rest), err / (1.0 + rest), panels, evals))
     return out
+
+
+def _sum_of_two(a: float, rel_a: float, b: float, rel_b: float) -> tuple:
+    """(log value, relative error) of the sum of two parts, each a log
+    value, finite or -inf, and a finite relative error >= 0: the bits of
+    _running_sum over the two, without its lists."""
+    if b > a:
+        a, rel_a, b, rel_b = b, rel_b, a, rel_a
+    if a == -math.inf:
+        return -math.inf, 0.0
+    f = math.exp(b - a)
+    return a + math.log1p(f), (rel_a + rel_b * f) / (1.0 + f)
 
 
 def log_quad_tables(logf, tables, rel_tol: float = 1e-12

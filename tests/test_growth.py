@@ -192,6 +192,36 @@ def test_log_excess_vanishes_at_or_below_the_level(d):
     assert many.tolist() == [-math.inf] * 2
 
 
+_NEAR = integrand_reference.NEAR
+# d at and either side of the switch to expm1, at or below the level, nan,
+# and from the smallest subnormal to 1e4
+_EXCESS_D = st.one_of(
+    st.sampled_from([_NEAR, math.nextafter(_NEAR, 0.0), math.nextafter(_NEAR, 1.0),
+                     0.0, -0.0, -5e-324, 5e-324, -math.inf, math.nan]),
+    st.floats(-1e4, 1e4), st.floats(5e-324, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@example(log_s0=-math.inf, ds=[0.5, 2.0, math.nan])
+@example(log_s0=0.0, ds=[math.nextafter(_NEAR, 0.0), _NEAR, math.nextafter(_NEAR, 1.0)])
+@example(log_s0=700.0, ds=[math.nan, -1.0, 1e4, 0.0])
+@example(log_s0=-700.0, ds=[2.0, 3.0])
+@given(log_s0=st.one_of(st.just(-math.inf), st.floats(-700.0, 700.0)),
+       ds=st.lists(_EXCESS_D, min_size=1, max_size=40))
+def test_log_excess_forms_each_branch_only_where_kept_bit_for_bit(log_s0, ds):
+    """The array excess, which forms expm1 and log only on the nodes below
+    _NEAR, equals the form that took both branches on every node
+    (integrand_reference.log_excess) bit for bit, nan and -inf included:
+    for s0 = 0 (log_s0 = -inf), d <= 0, nan, the doubles either side of
+    _NEAR and d up to 1e4, and batches with no node below _NEAR."""
+    d = np.array(ds)
+    lv = log_s0 + d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        got = _log_excess_of(log_s0, lv, d)
+        want = integrand_reference.log_excess(log_s0, lv, d)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------
 # energy integrals
 # ---------------------------------------------------------------------

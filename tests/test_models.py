@@ -366,6 +366,24 @@ def test_fd_cross_check_names_a_step_below_the_rounding_of_log_v():
         fd_cross_check(ex.manifold, ex.profile, ex.p, 1e300)
 
 
+@pytest.mark.parametrize("pq_mu, r", [
+    # the step moves log v by 0.70 of an ulp of log v = 1.2e3: the
+    # deviation read 6.2e-18
+    ((1.5, 1.75, 0.75), 1e25),
+    # 0.096 of an ulp of log v = 1.4e13: the deviation read 0.0
+    ((1.8766580928746008, 3.8477677339385736, 1.7919247906825548), 1e300),
+])
+def test_fd_cross_check_refuses_a_step_below_the_rounding_of_log_v(pq_mu, r):
+    """Where the default step moves log v by fewer than 4 ulps, the stencil
+    sees rounding alone; its deviation is absolute where |S_analytic| < 1,
+    as at these radii, so it passed without checking anything.  The error
+    naming the step now comes before the stencil, whatever it sees."""
+    ex = build_sharp_example(*pq_mu)
+    with pytest.raises(DomainError, match=re.escape(
+            "fewer than 4 ulps of log v") + ".*" + re.escape(f"at r={r}")):
+        fd_cross_check(ex.manifold, ex.profile, ex.p, r)
+
+
 # ---------------------------------------------------------------------------
 # the grid-call pointwise layer against its per-radius formulas
 # ---------------------------------------------------------------------------

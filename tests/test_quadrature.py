@@ -5,6 +5,7 @@ quadrature is always compared against independent arithmetic.
 """
 
 import math
+import struct
 import sys
 import warnings
 
@@ -151,6 +152,32 @@ def test_running_sum_of_one_part_is_that_part(value, rel, panels):
     -inf, a zero integral, has zero error."""
     part = (value, rel if value > -math.inf else 0.0, panels, 15 * panels)
     assert quadrature._running_sum([part]) == [(-math.inf, 0.0, 0, 0), part]
+
+
+_PART_LOG = st.one_of(st.just(-math.inf), st.floats(-40.0, 40.0),
+                     st.floats(-1e300, 1e300),
+                     st.floats(2.0 ** 53, sys.float_info.max))
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=-math.inf, rel_a=0.5, b=-math.inf, rel_b=0.25, equal=False)
+@example(a=-math.inf, rel_a=0.5, b=3.0, rel_b=1e-13, equal=False)
+@example(a=3.0, rel_a=1e-13, b=-math.inf, rel_b=0.5, equal=False)
+@example(a=3.0, rel_a=1e-13, b=0.0, rel_b=2e-13, equal=True)
+@example(a=0.0, rel_a=1e-13, b=-30.0, rel_b=2e-13, equal=False)
+@example(a=2.0 ** 53 + 2.0, rel_a=1e-13, b=2.0 ** 53, rel_b=1e-12, equal=False)
+@example(a=2.0 ** 60, rel_a=1e-12, b=2.0 ** 60 + 2.0 ** 9, rel_b=0.0, equal=False)
+@example(a=sys.float_info.max, rel_a=0.0, b=0.0, rel_b=1.0, equal=True)
+@given(a=_PART_LOG, rel_a=st.floats(0.0, 1.0), b=_PART_LOG,
+       rel_b=st.floats(0.0, 1.0), equal=st.booleans())
+def test_sum_of_two_matches_the_running_sum_bit_for_bit(a, rel_a, b, rel_b, equal):
+    """The two-part sum of an edge piece and the rest, as growth._integrals
+    forms G and H, has the bits of the running sum over the two parts:
+    for -inf parts, equal parts (equal), and log values past 2**53."""
+    b = a if equal else b
+    want = quadrature._running_sum([(a, rel_a, 0, 0), (b, rel_b, 0, 0)])[-1][:2]
+    got = quadrature._sum_of_two(a, rel_a, b, rel_b)
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
 def test_log_diff_identities():
