@@ -17,7 +17,11 @@ without "--" (lambda, quad-tol, rate-tol, eps-auto, ...).  Each option takes
 the first value found of: its flag, the config file, the GROWTHLAB_TOL
 environment variable (--tol only), its default.  One table, _COMMANDS,
 declares every subcommand with its options, handler and provenance.  Only
-the handlers that integrate import growthlab.growth, and with it numpy.
+growthlab.params loads with this module; each handler imports models, sharp
+or growth where it uses them, so constants, liouville and l1 --slope load
+neither models nor sharp, and only the handlers that integrate load growth,
+and with it numpy.  run() is the process: it freezes the collector before
+the interpreter exits, so the exit does not walk the loaded modules.
 
 Exit status: 0 on success with all checks passed, 1 when a requested check
 failed, 2 for usage or domain errors, including a config or environment
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -35,13 +40,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-from .models import (ModelManifold, PHarmonicRn, fd_cross_check,
-                     geometric_grid, sphere_log_slope, subsolution_residual)
 from .params import (CheckReport, DomainError, Params, QuadratureError,
                      _check_finite_positive, _check_nonnegative,
                      classify_l1_condition, comparison_constants, compute_C0,
                      liouville_check, solve_C1)
-from .sharp import build_sharp_example
 
 
 @dataclass
@@ -207,6 +209,7 @@ def _handle_constants(o: dict) -> Report:
 
 
 def _handle_sharp(o: dict) -> Report:
+    from .sharp import build_sharp_example
     _require(o, "p", "q", "mu")
     if o["rate_tol"] is not None:
         _check_nonnegative("rate_tol", o["rate_tol"])
@@ -227,6 +230,8 @@ def _handle_sharp(o: dict) -> Report:
 
 
 def _handle_verify(o: dict) -> Report:
+    from .models import fd_cross_check, geometric_grid, subsolution_residual
+    from .sharp import build_sharp_example
     _require(o, "p", "q", "mu")
     _check_nonnegative("residual_tol", o["residual_tol"])
     _check_nonnegative("fd_tol", o["fd_tol"])
@@ -258,6 +263,10 @@ def _handle_verify(o: dict) -> Report:
 
 
 def _handle_rate(o: dict) -> Report:
+    # sharp and models before growth: compiled from source after numpy has
+    # loaded, they raise the process's peak RSS by about 0.45 MiB
+    from .sharp import build_sharp_example
+    from .models import geometric_grid
     from .growth import estimate_rate, growth_samples, rate_window
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
@@ -282,6 +291,7 @@ def _handle_rate(o: dict) -> Report:
 
 
 def _handle_inequalities(o: dict) -> Report:
+    from .sharp import build_sharp_example  # before growth, as in _handle_rate
     from .growth import default_check_pairs, run_inequality_suite
     _require(o, "p", "q", "mu")
     ex = build_sharp_example(o["p"], o["q"], o["mu"])
@@ -303,6 +313,7 @@ def _handle_l1(o: dict) -> Report:
         slope = o["slope"]
         initial_infinite = o["initial_infinite"]
     elif o["euclidean"] is not None:
+        from .models import ModelManifold, PHarmonicRn, sphere_log_slope
         _require(o, "p", "q")
         n = o["euclidean"]
         profile = PHarmonicRn(n, o["p"])
@@ -313,6 +324,8 @@ def _handle_l1(o: dict) -> Report:
         example = {"space": f"euclidean-{n}", "alpha": profile.alpha,
                    "profile_exponent": profile.alpha}
     else:
+        from .models import sphere_log_slope
+        from .sharp import build_sharp_example
         _require(o, "p", "q", "mu")
         ex = build_sharp_example(o["p"], o["q"], o["mu"])
         lo = max(1e4, 100.0 * ex.t0)
@@ -535,5 +548,20 @@ def main(argv=None) -> int:
     return 1 if report.passed is False else 0
 
 
+def run() -> None:
+    """The growthlab process: main on sys.argv, then exit with its status.
+
+    Whatever main does, the collector is frozen before the interpreter
+    exits: the exit would otherwise collect over every object of the loaded
+    modules, numpy's included, whose memory the OS is about to free anyway.
+    main itself leaves the collector as it found it.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,19 +2,25 @@
 
 Each test invokes main() in process and inspects the exit code together
 with the emitted report, so the full argument, config, and output stack is
-exercised without spawning subprocesses.
+exercised without spawning subprocesses; the process tests at the end run
+``python -m growthlab.cli`` and check that it does what main does.
 """
 
+import gc
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import growthlab
 from growthlab import build_sharp_example, compute_C0, default_check_pairs, solve_C1
-from growthlab.cli import _COMMANDS, main
+from growthlab.cli import _COMMANDS, main, run as cli_run
 
 
 def run(capsys, argv):
@@ -607,3 +613,52 @@ def test_config_file_keys_are_the_flags(capsys, tmp_path, command):
     rc, _, err = run(capsys, [command, "--config", str(cfg)])
     assert rc == 2
     assert "unknown config key" not in err
+
+
+# ---------------------------------------------------------------------------
+# the process: python -m growthlab.cli against main in process
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--format", "json"], 0),
+    (["inequalities", "--p", "2", "--q", "3", "--mu", "1", "--format", "csv"], 0),
+    (["sharp", "--p", "2", "--q", "3", "--mu", "0", "--rate", "--rate-tol", "0"], 1),
+    (["sharp", "--p", "2", "--q", "3", "--mu", "0", "--rate-tol", "-1"], 2),
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--output", "{tmp}"], 0),
+])
+def test_process_matches_main(capsys, monkeypatch, tmp_path, argv, code):
+    monkeypatch.delenv("GROWTHLAB_TOL", raising=False)
+    target = tmp_path / "report.json"
+    argv = [arg.replace("{tmp}", str(target)) for arg in argv]
+    env = dict(os.environ)
+    src = str(Path(growthlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "growthlab.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    written = target.read_bytes() if target.exists() else None
+    target.unlink(missing_ok=True)
+
+    state = gc.isenabled(), gc.get_freeze_count()
+    rc, out, err = run(capsys, argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+    assert rc == code
+    assert written == (target.read_bytes() if target.exists() else None)
+    assert (written is not None) == ("--output" in argv)
+    if code == 2:
+        assert err == "growthlab: error: rate_tol must be nonnegative, got -1.0\n"
+
+
+def test_run_exits_with_the_status_of_main_and_freezes(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["growthlab", "sharp", "--p", "2", "--q", "3",
+                                      "--mu", "0", "--rate-tol", "-1"])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli_run()
+        assert info.value.code == 2
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert "rate_tol" in capsys.readouterr().err

@@ -169,14 +169,15 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
-# the subcommands that compute closed forms or check one radius at a time
+# the subcommands that compute closed forms or check one radius at a time;
+# the first three load neither models nor sharp
 NUMPY_FREE = [
     ["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"],
     ["liouville", "--p", "2", "--q", "2", "--lambda", "1", "--growth", "1.5"],
+    ["l1", "--slope", "0.5", "--p", "2"],
+    ["l1", "--euclidean", "2", "--p", "3", "--q", "3"],
     ["verify", "--p", "2", "--q", "3", "--mu", "1"],
     ["l1", "--p", "2", "--q", "3", "--mu", "1"],
-    ["l1", "--euclidean", "2", "--p", "3", "--q", "3"],
-    ["l1", "--slope", "0.5", "--p", "2"],
 ]
 # the subcommands that integrate
 WITH_NUMPY = [
@@ -188,16 +189,21 @@ WITH_NUMPY = [
 _RUN_COMMANDS = """
 import json, sys
 import growthlab
-print("import", 0, "numpy" in sys.modules, file=sys.stderr)
+def loaded():
+    return " ".join(str(m in sys.modules) for m in
+                    ("numpy", "growthlab.models", "growthlab.sharp"))
+print("import", 0, loaded(), file=sys.stderr)
 from growthlab.cli import main
 for argv in json.loads(sys.argv[1]):
     rc = main(argv)
-    print(argv[0], rc, "numpy" in sys.modules, file=sys.stderr)
+    print(argv[0], rc, loaded(), file=sys.stderr)
 """
 
 
 def test_only_the_integrating_subcommands_load_numpy():
-    # none of NUMPY_FREE loads numpy, so one process can run them in turn
+    # each line: subcommand, exit code, and whether numpy, growthlab.models
+    # and growthlab.sharp are loaded after it; none of NUMPY_FREE loads
+    # numpy, so one process can run them in turn
     env = dict(os.environ)
     src = str(Path(growthlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -205,9 +211,18 @@ def test_only_the_integrating_subcommands_load_numpy():
         [sys.executable, "-c", _RUN_COMMANDS, json.dumps(NUMPY_FREE + WITH_NUMPY)],
         env=env, capture_output=True, text=True, check=True,
     ).stderr
-    expected = [f"{name} 0 False" for name in ["import"] + [a[0] for a in NUMPY_FREE]]
-    expected += [f"{argv[0]} 0 True" for argv in WITH_NUMPY]
-    assert err.splitlines() == expected
+    assert err.splitlines() == [
+        "import 0 False False False",
+        "constants 0 False False False",
+        "liouville 0 False False False",
+        "l1 0 False False False",  # --slope
+        "l1 0 False True False",  # --euclidean
+        "verify 0 False True True",
+        "l1 0 False True True",
+        "sharp 0 True True True",
+        "rate 0 True True True",
+        "inequalities 0 True True True",
+    ]
 
 
 def test_lazy_namespace():
