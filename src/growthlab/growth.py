@@ -189,6 +189,13 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
 # bottom
 _CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
 
+# the rounding of a term of J's log integrand, relative to the term: a pow
+# or log, then a product, each within an ulp (see _integrals); against
+# 40-digit mpmath, J over (r, 4r) stayed within a quarter of the floor
+# this gives, in some 500 draws of the bottom-end property's domain
+# (tests/test_growth.py) where mpmath's own quadrature converged
+_J_ROUNDING = 2.0 * math.ulp(1.0)
+
 # the e-fold widths a segment must span to start from a top-end cluster: one
 # QK15 panel meets rel_tol = 1e-12 on an exponential across up to about 3.3
 # e-folds (its error estimate is 2.3e-13 across 3 and 1.8e-12 across 3.5),
@@ -252,6 +259,10 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     on edge nodes expands the excess v - s0 around t0 through the profile's
     log_value_delta instead, treating v(t0) = s0 as exact; it forms each
     table's formula on that table's nodes only.
+    J's relative error is at least _J_ROUNDING times the condition of its
+    log integrand -log phi / (p - 1), the largest over its nodes of
+    (|log omega| + |log g| + q |log v| v / (v - s0)) / (p - 1): the
+    rounding of those terms, which the quadrature's estimate does not see.
     p may be None when only G is asked for.  The tables are G's edge, G,
     H's edge, H, then J, so when several integrals fail, the error raised
     is the first in that order.
@@ -285,6 +296,8 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         w = bottoms.get(lo)
         return [lo] if w is None \
             else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
+
+    j_cond = [0.0] * len(j_pairs)
 
     def logf(x: np.ndarray, starts: list[int]) -> np.ndarray:
         ge, g, he, h, j = starts[:_J + 1]
@@ -320,6 +333,19 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             # -inf, not nan
             out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
         if j < len(s):
+            # the condition of J's log integrand on each node: |log g| plus
+            # q |log v| amplified by v / (v - s0) = exp(log v - log(v - s0))
+            # in the excess; each J table keeps the largest over its nodes
+            lv_j = lv[j:]
+            cond = np.exp(lv_j - le[j:])
+            cond *= np.abs(lv_j)
+            cond *= q
+            cond += np.abs(lw[j:])
+            ends = starts[_J:]
+            rows = [t for t in range(len(j_cond)) if ends[t] < ends[t + 1]]
+            for t, c in zip(rows, np.maximum.reduceat(
+                    cond, [ends[t] - j for t in rows]).tolist()):
+                j_cond[t] = max(j_cond[t], c)
             # J: phi**(1/(1-p)), +inf where phi = 0, from q * le in out
             out[j:] += lw[j:] + log_omega
             out[j:] /= 1.0 - p
@@ -342,7 +368,9 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         return out
 
     return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
-            [(res.log_value, res.rel_error) for (res,) in j_res])
+            [(res.log_value, max(res.rel_error, _J_ROUNDING
+                                 * (abs(log_omega) + c) / (p - 1.0)))
+             for (res,), c in zip(j_res, j_cond)])
 
 
 # ---------------------------------------------------------------------------

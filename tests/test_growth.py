@@ -590,6 +590,10 @@ def test_top_end_panels_fall_back_without_a_known_positive_slope(warp, profile, 
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(1.5, 4.0), log_gamma=st.floats(-0.5, 0.5),
        mu_frac=st.floats(0.0, 1.0), log_u=st.floats(-3.0, 0.0))
+# draws where J lies further from the reference than the quadrature's own
+# estimate claims, by the rounding of its log integrand
+@example(p=3.46875, log_gamma=0.0, mu_frac=0.828125, log_u=-0.125)
+@example(p=1.5, log_gamma=0.4084223531374873, mu_frac=0.0, log_u=-3.0)
 def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
     """J over (r, 4r), r in (t0, 10 t0 + 10], which gets bottom-end initial
     panels, agrees with a rel_tol=1e-14 log_quad on the default panels of
@@ -614,6 +618,34 @@ def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
         ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [], [(r, 4.0 * r)], 1e-12)
     assert abs(math.expm1(log_j - ref.log_value)) \
         <= j_err + ref.rel_error + 4 * math.ulp(ref.log_value)
+
+
+# log J over (r, 4r) at sharp examples (p, q, mu) with r = t0 + u * (9 t0 +
+# 10), from a separate 45-digit mpmath session: the closed form of
+# phi**(1/(1-p)) with the double omega, s0 and coefficients, on pieces that
+# double in width from r, which agreed to 1e-45 with a 60-digit run
+J_ROUNDING_CASES = [
+    ((3.46875, 3.46875, 2.87255859375), 10.0 ** -0.125,
+     "-0.2303910132871626169112720694572196151645"),
+    ((1.5, 0.5 + 10.0 ** 0.4084223531374873, 0.0), 1e-3,
+     "5.50092895671300521832778128804961298504"),
+    ((1.5, 0.5 + 10.0 ** 0.41163792288111134, 1.5), 10.0 ** -2.9375,
+     "16.7689671595562159648740660893274787324"),
+]
+
+
+@pytest.mark.parametrize("pq_mu, u, expected", J_ROUNDING_CASES)
+def test_capacity_integral_claims_its_rounding(pq_mu, u, expected):
+    """J's claimed error covers its distance from mpmath where that
+    distance comes from the rounding of its log integrand -log phi / (p - 1),
+    which its quadrature estimate alone does not see: the terms of log phi
+    reach 150 in the first case, and near t0 the excess v - s0 forms from
+    log v - log s0 with cancellation."""
+    ex = build_sharp_example(*pq_mu)
+    r = ex.t0 + u * (9.0 * ex.t0 + 10.0)
+    _, _, [(log_j, j_err)] = growth._integrals(
+        ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [], [(r, 4.0 * r)], 1e-12)
+    assert abs(math.expm1(log_j - float(expected))) <= j_err
 
 
 @pytest.mark.parametrize("warp, profile, log_j", [
