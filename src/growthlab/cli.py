@@ -195,6 +195,13 @@ def _example_dict(ex) -> dict:
             "positivity_radius": ex.potential.r_min_positive}
 
 
+def _example(o: dict):
+    """The sharp example of --p, --q and --mu; importing sharp loads models."""
+    _require(o, "p", "q", "mu")
+    from .sharp import build_sharp_example
+    return build_sharp_example(o["p"], o["q"], o["mu"])
+
+
 def _handle_constants(o: dict) -> Report:
     _require(o, "p", "q", "mu", "lam")
     p, q, mu, lam, k = o["p"], o["q"], o["mu"], o["lam"], o["k"]
@@ -209,11 +216,9 @@ def _handle_constants(o: dict) -> Report:
 
 
 def _handle_sharp(o: dict) -> Report:
-    from .sharp import build_sharp_example
-    _require(o, "p", "q", "mu")
+    ex = _example(o)
     if o["rate_tol"] is not None:
         _check_nonnegative("rate_tol", o["rate_tol"])
-    ex = build_sharp_example(o["p"], o["q"], o["mu"])
     report = Report(example=_example_dict(ex))
     if o["rate"]:
         from .growth import measure_rate
@@ -230,12 +235,10 @@ def _handle_sharp(o: dict) -> Report:
 
 
 def _handle_verify(o: dict) -> Report:
+    ex = _example(o)
     from .models import fd_cross_check, geometric_grid, subsolution_residual
-    from .sharp import build_sharp_example
-    _require(o, "p", "q", "mu")
     _check_nonnegative("residual_tol", o["residual_tol"])
     _check_nonnegative("fd_tol", o["fd_tol"])
-    ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = ex.t0 + 0.1, o["rmax"], o["num"]
     if num < 2:
         raise DomainError(f"grid needs at least 2 points, got {num}")
@@ -263,13 +266,12 @@ def _handle_verify(o: dict) -> Report:
 
 
 def _handle_rate(o: dict) -> Report:
-    # sharp and models before growth: compiled from source after numpy has
-    # loaded, they raise the process's peak RSS by about 0.45 MiB
-    from .sharp import build_sharp_example
+    # the example, and with it sharp and models, before growth: compiled
+    # from source after numpy has loaded, they raise the process's peak RSS
+    # by about 0.45 MiB
+    ex = _example(o)
     from .models import geometric_grid
     from .growth import estimate_rate, growth_samples, rate_window
-    _require(o, "p", "q", "mu")
-    ex = build_sharp_example(o["p"], o["q"], o["mu"])
     lo, hi, num = o["rmin"], o["rmax"], o["samples"]
     if lo is None:
         radii = rate_window(ex, rmax=hi, num=num)
@@ -291,10 +293,8 @@ def _handle_rate(o: dict) -> Report:
 
 
 def _handle_inequalities(o: dict) -> Report:
-    from .sharp import build_sharp_example  # before growth, as in _handle_rate
+    ex = _example(o)  # before growth, as in _handle_rate
     from .growth import default_check_pairs, run_inequality_suite
-    _require(o, "p", "q", "mu")
-    ex = build_sharp_example(o["p"], o["q"], o["mu"])
     if o["eps_auto"]:
         # the deficit at the suite's smallest radius; the derived eps is
         # what the report's config shows
@@ -324,11 +324,13 @@ def _handle_l1(o: dict) -> Report:
         example = {"space": f"euclidean-{n}", "alpha": profile.alpha,
                    "profile_exponent": profile.alpha}
     else:
+        ex = _example(o)
         from .models import sphere_log_slope
-        from .sharp import build_sharp_example
-        _require(o, "p", "q", "mu")
-        ex = build_sharp_example(o["p"], o["q"], o["mu"])
         lo = max(1e4, 100.0 * ex.t0)
+        if not 1e4 * lo < math.inf:
+            raise DomainError(
+                f"slope window [R, 1e4*R] with R = max(1e4, 100*t0) reaches "
+                f"past the largest double at t0={ex.t0:.6g}")
         slope = sphere_log_slope(ex.manifold, ex.profile, ex.q, ex.s0,
                                  lo, 1e4 * lo)
         initial_infinite = True  # truncation kills the integrand below t0

@@ -83,25 +83,25 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _past_double(log_t: float, s: float) -> DomainError:
-    """The error of a level radius exp(log_t), for the level s, that passes
-    the largest double."""
-    return DomainError(f"level radius t = exp({log_t:.6g}) of the level "
-                       f"s = {s:.6g} exceeds the largest double")
-
-
 class RadialProfile:
     """Base class for positive radial functions on (t_min, inf).
 
-    Subclasses give the methods below in closed form.  Monotonicity is not
+    The class states the contract once: log_value, log_deriv and
+    log_value_delta check their radius and level_radius its level, then
+    each calls its subclass's closed form, _log_v(t, xp), _log_dv(t, xp),
+    _delta(t, eta, xp) or _level(s), with xp the namespace of _ns.  An
+    OverflowError of _level is a level radius exp(_log_level(s)) past the
+    largest double.  scaled_derivs and log_slopes come from the subclass's
+    one loop, _derivs, which checks its own radii.  A profile that only G
+    and J read at s0 = 0 may override log_value alone.  Monotonicity is not
     assumed by the class itself (warps may decrease); routines that need
     v' > 0 check it.
     """
 
     t_min: float = 0.0
 
-    def log_value(self, t: float) -> float:
-        raise NotImplementedError
+    def log_value(self, t):
+        return self._log_v(t, self._check_radii(t))
 
     def scaled_derivs(self, radii: list) -> tuple[list, list, list]:
         """Three lists over a list of radii: log v, e1 = t v'/v and
@@ -120,21 +120,29 @@ class RadialProfile:
         the e1 list is complete, the others may be left empty."""
         raise NotImplementedError
 
-    def log_deriv(self, t: float) -> float:
-        raise NotImplementedError
+    def log_deriv(self, t):
+        return self._log_dv(t, self._check_radii(t))
 
     def level_radius(self, s: float) -> float:
         """Radius t with v(t) = s; inverse of v on the increasing range."""
-        raise NotImplementedError
+        if not (s > 0.0):
+            raise DomainError(f"level must be positive, got {s}")
+        try:
+            return self._level(s)
+        except OverflowError:
+            raise DomainError(f"level radius t = exp({self._log_level(s):.6g}) "
+                              f"of the level s = {s:.6g} exceeds the largest "
+                              "double") from None
 
-    def log_value_delta(self, t: float, eta: float) -> float:
+    def log_value_delta(self, t: float, eta):
         """log v(t + eta) - log v(t) with full relative accuracy in eta.
 
         Near-edge integrands need this difference for eta many orders of
         magnitude below t, where direct subtraction of the two log values
         loses everything to cancellation.
         """
-        raise NotImplementedError
+        self._check_radii(t)
+        return self._delta(t, eta, _ns(eta))
 
     def _check_radii(self, t):
         """DomainError unless t, one radius or an array, exceeds t_min;
@@ -160,8 +168,7 @@ class PowerLaw(RadialProfile):
     def __init__(self, c: float):
         self.c = float(c)
 
-    def log_value(self, t):
-        xp = self._check_radii(t)
+    def _log_v(self, t, xp):
         return self.c * xp.log(t)
 
     def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
@@ -175,25 +182,21 @@ class PowerLaw(RadialProfile):
         n = len(radii)
         return lv, [c] * n, [(c - 1.0) / c if c else math.nan] * n
 
-    def log_deriv(self, t):
-        xp = self._check_radii(t)
+    def _log_dv(self, t, xp):
         if self.c <= 0.0:
             raise DomainError(f"power profile with c={self.c} is not increasing")
         return math.log(self.c) + (self.c - 1.0) * xp.log(t)
 
-    def level_radius(self, s: float) -> float:
+    def _level(self, s: float) -> float:
         if self.c == 0.0:
             raise DomainError("constant profile has no level radii")
-        if not (s > 0.0):
-            raise DomainError(f"level must be positive, got {s}")
-        try:
-            return s ** (1.0 / self.c)
-        except OverflowError:
-            raise _past_double(math.log(s) / self.c, s) from None
+        return s ** (1.0 / self.c)
 
-    def log_value_delta(self, t: float, eta):
-        self._check_radii(t)
-        return self.c * _ns(eta).log1p(eta / t)
+    def _log_level(self, s: float) -> float:
+        return math.log(s) / self.c
+
+    def _delta(self, t: float, eta, xp):
+        return self.c * xp.log1p(eta / t)
 
     def __repr__(self):
         return f"PowerLaw(c={self.c})"
@@ -208,8 +211,7 @@ class ExpPower(RadialProfile):
         self.c = float(c)
         self.beta = float(beta)
 
-    def log_value(self, t):
-        self._check_radii(t)
+    def _log_v(self, t, xp):
         return self.c * t ** self.beta
 
     def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
@@ -228,30 +230,25 @@ class ExpPower(RadialProfile):
                 k2.append((bm1 + e) / e if e else math.nan)
         return lv, e1, k2
 
-    def log_deriv(self, t):
-        xp = self._check_radii(t)
+    def _log_dv(self, t, xp):
         if self.c <= 0.0:
             raise DomainError(f"exp-power profile with c={self.c} is not increasing")
         return math.log(self.c * self.beta) \
             + (self.beta - 1.0) * xp.log(t) + self.c * t ** self.beta
 
-    def level_radius(self, s: float) -> float:
+    def _level(self, s: float) -> float:
         if self.c == 0.0:
             raise DomainError("constant profile has no level radii")
-        if not (s > 0.0):
-            raise DomainError(f"level must be positive, got {s}")
         x = math.log(s) / self.c
         if x <= 0.0:
             raise DomainError(f"level {s} is not attained for coefficient {self.c}")
-        try:
-            return x ** (1.0 / self.beta)
-        except OverflowError:
-            raise _past_double(math.log(x) / self.beta, s) from None
+        return x ** (1.0 / self.beta)
 
-    def log_value_delta(self, t: float, eta):
+    def _log_level(self, s: float) -> float:
+        return math.log(math.log(s) / self.c) / self.beta
+
+    def _delta(self, t: float, eta, xp):
         # c * ((t+eta)**b - t**b) = c * t**b * expm1(b * log1p(eta/t))
-        self._check_radii(t)
-        xp = _ns(eta)
         return self.c * t ** self.beta \
             * xp.expm1(self.beta * xp.log1p(eta / t))
 
@@ -278,8 +275,7 @@ class PHarmonicRn(RadialProfile):
         self.p = float(p)
         self.alpha = (p - n) / (p - 1.0)
 
-    def log_value(self, t):
-        xp = self._check_radii(t)
+    def _log_v(self, t, xp):
         a = self.alpha
         # log(t**a - 1) without forming t**a, stable for large t
         return a * xp.log(t) + xp.log1p(-t ** (-a))
@@ -300,24 +296,19 @@ class PHarmonicRn(RadialProfile):
                 k2.append(am1 * w / a)
         return lv, e1, k2
 
-    def log_deriv(self, t):
-        xp = self._check_radii(t)
+    def _log_dv(self, t, xp):
         return math.log(self.alpha) + (self.alpha - 1.0) * xp.log(t)
 
-    def level_radius(self, s: float) -> float:
-        if not (s > 0.0):
-            raise DomainError(f"level must be positive, got {s}")
-        try:
-            return (1.0 + s) ** (1.0 / self.alpha)
-        except OverflowError:
-            raise _past_double(math.log1p(s) / self.alpha, s) from None
+    def _level(self, s: float) -> float:
+        return (1.0 + s) ** (1.0 / self.alpha)
 
-    def log_value_delta(self, t: float, eta):
+    def _log_level(self, s: float) -> float:
+        return math.log1p(s) / self.alpha
+
+    def _delta(self, t: float, eta, xp):
         # ((t+eta)**a - 1) / (t**a - 1) = 1 + t**a * u / (t**a - 1) with
         # u = expm1(a * log1p(eta/t)); the last ratio is u / (1 - t**-a)
-        self._check_radii(t)
         a = self.alpha
-        xp = _ns(eta)
         u = xp.expm1(a * xp.log1p(eta / t))
         return xp.log1p(u / (1.0 - t ** (-a)))
 
@@ -437,10 +428,12 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
     geometrically spaced radii.  Returns -inf when phi vanishes on the
     whole window.  Mixed windows (partly inside, partly outside the support
     of (v - s0)+) are rejected; move the window past the support radius
-    instead.
+    instead.  A window end past the largest double raises DomainError.
     """
     if not (0.0 < rmin < rmax):
         raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
+    if rmax == math.inf:
+        raise DomainError(f"window end rmax={rmax} is not finite")
     radii = geometric_grid(rmin, rmax, 9)
     vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
     if all(v == -math.inf for v in vals):

@@ -1,0 +1,112 @@
+"""Digests of every CLI output on the 27 grid tuples, for byte-identity checks.
+
+Runs ``python -m growthlab.cli`` as a fresh process, in a fresh temporary
+directory, for each of the 7 subcommands on each of the 27 ``sharp_grid()``
+tuples, in 4 variants: the human default, ``--format json``, ``--format
+csv`` (verify, rate and inequalities only) and ``--output report.json``.
+sharp runs with ``--rate``; liouville classifies ``--growth 2*C0`` in the
+json variant and ``0.5*C0`` in the others.  That is 648 runs.  Each record
+is [subcommand, tuple index, variant, exit code, stdout, stderr, the written
+file or null], and the script prints the sha256 of the sorted JSON of the
+records for each subcommand and over all of them.
+
+    python tests/cli_outputs.py [TREE]
+
+TREE is the root of a checkout (default: the one holding this script); its
+``src`` is what runs, so two trees give digests to compare line by line.
+Two runs at a time take about a minute on 2 cores.  pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SUBCOMMANDS = ("constants", "sharp", "verify", "rate", "inequalities", "l1",
+               "liouville")
+CSV_CAPABLE = ("verify", "rate", "inequalities")
+VARIANTS = ("human", "json", "csv", "output")
+JOBS = 2
+
+
+def grid_cases(src: Path) -> list[tuple[float, float, float, float, float]]:
+    """(p, q, mu, lam, C0) of each sharp_grid() example, from the tree's
+    own package in a child process, so this one imports none of it."""
+    code = ("import json; from growthlab import sharp_grid, compute_C0; "
+            "print(json.dumps([[ex.p, ex.q, ex.mu, ex.lam, "
+            "compute_C0(ex.p, ex.q, ex.lam)] for ex in sharp_grid()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(src),
+                         capture_output=True, text=True, check=True).stdout
+    return [tuple(case) for case in json.loads(out)]
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ)
+    env.pop("GROWTHLAB_TOL", None)
+    env["PYTHONPATH"] = str(src)
+    return env
+
+
+def argv_of(sub: str, case: tuple, variant: str) -> list[str]:
+    p, q, mu, lam, c0 = case
+    pq = ["--p", repr(p), "--q", repr(q)]
+    if sub == "constants":
+        argv = [*pq, "--mu", repr(mu), "--lambda", repr(lam)]
+    elif sub == "sharp":
+        argv = [*pq, "--mu", repr(mu), "--rate"]
+    elif sub == "liouville":
+        factor = 2.0 if variant == "json" else 0.5
+        argv = [*pq, "--lambda", repr(lam), "--growth", repr(factor * c0)]
+    else:
+        argv = [*pq, "--mu", repr(mu)]
+    tail = {"human": [], "json": ["--format", "json"],
+            "csv": ["--format", "csv"], "output": ["--output", "report.json"]}
+    return [sub, *argv, *tail[variant]]
+
+
+def run_one(src: Path, sub: str, index: int, case: tuple, variant: str) -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab.cli", *argv_of(sub, case, variant)],
+            env=_env(src), cwd=tmp, capture_output=True, text=True)
+        written = Path(tmp, "report.json")
+        text = written.read_text(encoding="utf-8") if written.exists() else None
+    return [sub, index, variant, proc.returncode, proc.stdout, proc.stderr, text]
+
+
+def digest(records: list) -> str:
+    return hashlib.sha256(json.dumps(sorted(records)).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1],
+                        type=Path, help="root of the checkout to run")
+    args = parser.parse_args(argv)
+    src = args.tree.resolve() / "src"
+    cases = grid_cases(src)
+    jobs = [(sub, i, case, variant) for sub in SUBCOMMANDS
+            for i, case in enumerate(cases) for variant in VARIANTS
+            if variant != "csv" or sub in CSV_CAPABLE]
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        records = list(pool.map(lambda job: run_one(src, *job), jobs))
+    codes = Counter(record[3] for record in records)
+    print(f"runs {len(records)}  exit codes "
+          + " ".join(f"{code}:{n}" for code, n in sorted(codes.items())))
+    for sub in SUBCOMMANDS:
+        print(f"{sub:<13} {digest([r for r in records if r[0] == sub])}")
+    print(f"{'all':<13} {digest(records)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -437,6 +437,76 @@ def test_malformed_value_exit_code(capsys, tmp_path, monkeypatch, config, env, k
     assert f"{text!r} for {key}" in err
 
 
+@pytest.mark.parametrize("argv, t0", [
+    (["--p", "2.206009028241012", "--q", "5.430045016579829", "--mu", "2.19099545838915"],
+     "7.60958e+303"),
+    (["--p", "5.081038456343246", "--q", "7.641636973882101", "--mu", "5.028690852538179"],
+     "4.7582e+306"),
+])
+def test_l1_window_past_the_largest_double_exit_code(capsys, argv, t0):
+    # the slope read nan on the first tuple, and the second named [inf, inf]
+    rc, out, err = run(capsys, ["l1", *argv])
+    assert (rc, out) == (2, "")
+    assert err == ("growthlab: error: slope window [R, 1e4*R] with R = max(1e4, 100*t0) "
+                   f"reaches past the largest double at t0={t0}\n")
+
+
+@pytest.mark.parametrize("config, message", [
+    ("p 2\n", "{cfg}:1: expected 'key = value', got 'p 2\\n'"),
+    ("# comment\n = 2\n", "{cfg}:2: empty key"),
+], ids=["no-equals", "empty-key"])
+def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(config)
+    rc, out, err = run(capsys, ["rate", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert err == f"growthlab: error: {message.format(cfg=cfg)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--p", "2", "--q", "3", "--mu", "1", "--num", "1"],
+     "grid needs at least 2 points, got 1"),
+    (["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmin", "2.8667473750380914", "--rmax", "100"],
+     "need t0 < rmin < rmax, got [2.8667473750380914, 100.0]"),
+    (["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmin", "1", "--rmax", "100"],
+     "need t0 < rmin < rmax, got [1.0, 100.0]"),
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--format", "xml"],
+     "unknown format 'xml'; use json or csv"),
+], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml"])
+def test_usage_error_messages(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"growthlab: error: {message}\n"
+
+
+def test_rate_human_sample_block(capsys):
+    argv = ["rate", "--p", "2", "--q", "3", "--mu", "1", "--samples", "4"]
+    rc, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    samples = json.loads(out)["samples"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    lines = out.splitlines()
+    start = lines.index("  R, logG, quad_error:")
+    assert lines[start + 1:start + 5] == [
+        f"    {s['R']:.6e}  {s['logG']:.12g}  {s['quad_error']:.3e}" for s in samples]
+    assert lines[start + 5].startswith("  rate.rate = ")
+
+
+def test_l1_human_classification_line(capsys):
+    argv = ["l1", "--p", "2", "--q", "3", "--mu", "1"]
+    rc, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    slope = json.loads(out)["constants"]["slope"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[:5] == ["command: l1", f"  slope = {slope!r}", "  p = 2.0",
+                         f"  slope_ratio = {slope!r}", "  initial_infinite = True"]
+    assert lines[5].startswith("  example: p=2, q=3, mu=1, ")
+    assert lines[6:] == ["  classification: holds_only_for_small_r"]
+
+
 def test_sharp_truncation_level_overflow_exit_code(capsys):
     # as q -> p - 1 the positivity radius grows until 2*v(r+) passes the largest double
     rc, _, err = run(capsys, ["sharp", "--p", "1.5", "--q", "0.5000001", "--mu", "0.75"])

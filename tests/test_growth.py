@@ -1198,3 +1198,35 @@ def test_integral_failure_raised_before_bad_eps():
         run_inequality_suite(ex, eps=1e9)
     with pytest.raises(DomainError, match="eps must lie in"):
         run_inequality_suite(EX_SINGULAR, eps=1e9)
+
+
+_M = ModelManifold(PowerLaw(1.0))
+_FLOOR = max(EX_DECAY.t0, EX_DECAY.potential.r_min_positive)
+_T0 = EX_DECAY.t0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: growth_samples(_M, PowerLaw(1.0), 0.0, 0.0, [2.0]), "q must be positive, got 0.0"),
+    (lambda: growth_samples(_M, PowerLaw(1.0), 2.0, 0.0, []), "radius grid is empty"),
+    (lambda: growth_samples(_M, PowerLaw(1.0), 2.0, 0.0, [2.0, 2.0]),
+     "radii must be strictly increasing"),
+    (lambda: log_energy_integral(_M, PowerLaw(1.0), 1.0, 2.0, 0.0, 2.0), "p must exceed 1, got 1.0"),
+    (lambda: log_energy_integral(_M, PowerLaw(1.0), 3.0, 2.0, 0.0, 2.0),
+     "q - p + 1 must be positive, got 0.0"),
+    (lambda: check_growth_lower_bound(EX_DECAY, _FLOOR, 4.0 * _FLOOR),
+     f"R1 must exceed max(t0, positivity radius) = {_FLOOR}, got {_FLOOR}"),
+    (lambda: check_growth_lower_bound(EX_DECAY, 10.0, 10.0), "need R > R1, got R=10.0, R1=10.0"),
+    (lambda: check_caccioppoli(EX_DECAY, _T0), f"R must exceed t0={_T0}, got {_T0}"),
+    (lambda: check_caccioppoli(EX_DECAY, 10.0, h=0.0), "h must be positive, got 0.0"),
+    (lambda: check_surface_capacity(EX_DECAY, _T0, 10.0),
+     f"need t0 < r < R, got t0={_T0}, r={_T0}, R=10.0"),
+    (lambda: check_surface_capacity(EX_DECAY, 10.0, 10.0),
+     f"need t0 < r < R, got t0={_T0}, r=10.0, R=10.0"),
+    (lambda: rate_window(EX_DECAY, num=3), "need at least 4 samples, got num=3"),
+], ids=["samples-q", "samples-empty", "samples-not-increasing", "energy-p", "energy-gamma",
+        "growth-R1-floor", "growth-R-R1", "caccioppoli-R", "caccioppoli-h", "capacity-r",
+        "capacity-R", "rate-window-num"])
+def test_growth_layer_error_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

@@ -25,8 +25,10 @@ from growthlab import (
     SharpPotential,
     build_sharp_example,
     fd_cross_check,
+    log_sphere_integral,
     p_laplacian_scaled,
     sharp_grid,
+    sphere_log_slope,
     subsolution_residual,
 )
 
@@ -172,6 +174,39 @@ def test_profile_domain_guards():
         ExpPower(1.0, 1.5)
     with pytest.raises(DomainError):
         PHarmonicRn(3, 2.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PowerLaw(2.0).level_radius(0.0), "level must be positive, got 0.0"),
+    (lambda: ExpPower(1.0, 0.5).level_radius(-1.0), "level must be positive, got -1.0"),
+    (lambda: PHarmonicRn(2, 3.0).level_radius(math.nan), "level must be positive, got nan"),
+    (lambda: PowerLaw(0.0).level_radius(2.0), "constant profile has no level radii"),
+    (lambda: ExpPower(0.0, 0.5).level_radius(2.0), "constant profile has no level radii"),
+    (lambda: ExpPower(1.0, 0.5).level_radius(0.5), "level 0.5 is not attained for coefficient 1.0"),
+    (lambda: ExpPower(-1.0, 0.5).level_radius(2.0), "level 2.0 is not attained for coefficient -1.0"),
+    (lambda: PowerLaw(-1.0).log_deriv(2.0), "power profile with c=-1.0 is not increasing"),
+    (lambda: PowerLaw(0.0).log_deriv(2.0), "power profile with c=0.0 is not increasing"),
+    (lambda: ExpPower(0.0, 0.5).log_deriv(2.0), "exp-power profile with c=0.0 is not increasing"),
+    (lambda: PHarmonicRn(1, 3.0), "dimension must be at least 2, got 1"),
+    (lambda: ModelManifold.euclidean(1), "dimension must be at least 2, got 1"),
+    (lambda: ModelManifold(PowerLaw(1.0), omega=0.0), "omega must be positive, got 0.0"),
+    (lambda: log_sphere_integral(ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, -1.0, 2.0),
+     "s0 must be nonnegative, got -1.0"),
+], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
+        "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
+        "exp-deriv", "harmonic-dimension", "euclidean-dimension", "omega", "s0"])
+def test_model_layer_error_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_sphere_log_slope_rejects_a_window_end_that_is_not_finite():
+    # the fit over a window ending at inf read nan
+    ex = build_sharp_example(2.0, 3.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        sphere_log_slope(ex.manifold, ex.profile, ex.q, ex.s0, 1e4, math.inf)
+    assert str(info.value) == "window end rmax=inf is not finite"
 
 
 def test_p_laplacian_cylinder_frozen():
