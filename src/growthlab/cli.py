@@ -38,7 +38,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .params import (CheckReport, DomainError, Params, QuadratureError,
                      _check_finite_positive, _check_nonnegative,
@@ -110,19 +110,15 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _to_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
+# the spellings a switch accepts from a config file, case and spaces aside
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def _convert(typ, key: str, text: str, source: str):
     try:
-        return _to_bool(text) if typ is bool else typ(text)
-    except ValueError:
+        return _BOOLS[text.strip().lower()] if typ is bool else typ(text)
+    except (KeyError, ValueError):
         raise DomainError(f"{source}: bad {typ.__name__} {text!r} "
                           f"for {key}") from None
 
@@ -175,12 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require(options: dict, *names: str) -> None:
-    missing = [n for n in names if options.get(n) is None]
+    """DomainError naming, by its flag, each of names that has no value."""
+    missing = [_FLAGS[n] for n in names if options.get(n) is None]
     if missing:
-        raise DomainError(
-            "missing required option(s): " + ", ".join(
-                "--lambda" if n == "lam" else "--" + n.replace("_", "-")
-                for n in missing))
+        raise DomainError("missing required option(s): " + ", ".join(missing))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +413,9 @@ _COMMANDS = {
         (_P, _Q, _LAM, _K,
          ("--growth", "growth", float, None, "growth constant to classify"))),
 }
+# dest -> flag of every command's own options, for _require's message
+_FLAGS = {dest: flag for *_, options in _COMMANDS.values()
+          for flag, dest, *_ in options}
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +456,22 @@ def emit_json(report: Report, fh) -> None:
     fh.write("\n")
 
 
-def _csv_num(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_csv(report: Report, fh) -> None:
-    """Tabular section of a report: checks if present, else samples."""
-    writer = csv.writer(fh, lineterminator="\n")
-    if report.checks:
-        writer.writerow(["name", "lhs", "rhs", "margin", "passed",
-                         "tolerance"])
-        for c in report.checks:
-            writer.writerow([c.name, _csv_num(c.lhs), _csv_num(c.rhs),
-                             _csv_num(c.margin),
-                             "true" if c.passed else "false",
-                             _csv_num(c.tolerance)])
-    elif report.samples:
-        writer.writerow(["R", "logG", "quad_error"])
-        for s in report.samples:
-            writer.writerow([_csv_num(s.R), _csv_num(s.logG),
-                             _csv_num(s.quad_error)])
-    else:
+    """Tabular section of a report, checks if present, else samples: one
+    column per field of the record, in order; a string as it is, a boolean
+    as true or false, a number as the repr of its float."""
+    records = report.checks or report.samples
+    if not records:
         raise DomainError(
             f"report for {report.command!r} has no tabular section for csv")
+    names = [f.name for f in fields(records[0])]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(names)
+    for record in records:
+        row = [getattr(record, name) for name in names]
+        writer.writerow([v if isinstance(v, str)
+                         else ("true" if v else "false") if isinstance(v, bool)
+                         else repr(float(v)) for v in row])
 
 
 def emit_human(report: Report, fh) -> None:
@@ -512,25 +502,26 @@ def emit_human(report: Report, fh) -> None:
         print(f"  passed: {report.passed}", file=fh)
 
 
+# --format -> emitter; None is the human summary, which --output replaces
+# by the format its file name ends in
+_EMITTERS = {None: emit_human, "json": emit_json, "csv": emit_csv}
+
+
 def _emit(report: Report, options: dict) -> None:
-    fmt = options.get("fmt")
-    output = options.get("output")
-    if fmt is not None and fmt not in ("json", "csv"):
+    fmt, output = options["fmt"], options["output"]
+    if fmt not in _EMITTERS:
         raise DomainError(f"unknown format {fmt!r}; use json or csv")
     if output:
-        chosen = fmt or ("csv" if output.endswith(".csv") else "json")
-        # render first: a report with no csv table leaves the file as it was
-        text = io.StringIO()
-        (emit_csv if chosen == "csv" else emit_json)(report, text)
+        fmt = fmt or ("csv" if output.endswith(".csv") else "json")
+    # render first: a report with no csv table leaves the file as it was
+    text = io.StringIO()
+    _EMITTERS[fmt](report, text)
+    if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text.getvalue())
-        print(f"wrote {chosen} report to {output}")
-    elif fmt == "json":
-        emit_json(report, sys.stdout)
-    elif fmt == "csv":
-        emit_csv(report, sys.stdout)
+        print(f"wrote {fmt} report to {output}")
     else:
-        emit_human(report, sys.stdout)
+        sys.stdout.write(text.getvalue())
 
 
 def main(argv=None) -> int:

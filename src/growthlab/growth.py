@@ -51,7 +51,7 @@ import numpy as np
 
 # growth re-exports the sphere integrand, CheckReport and the l1 verdict
 from .models import (ModelManifold, RadialProfile,  # noqa: F401
-                     _log_excess_of, _log_level, _support_start,
+                     _log_excess_of, _log_s0, _support_start,
                      geometric_grid, log_sphere_integral, sphere_log_slope)
 from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
@@ -221,7 +221,7 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
         egs = manifold.warp.log_slopes(radii)
     except NotImplementedError:
         return {}, {}
-    log_s0, n, top, bottom = _log_level(s0), len(tops), {}, {}
+    log_s0, n, top, bottom = _log_s0(s0), len(tops), {}, {}
     for i, (r, lv, ev, eg) in enumerate(zip(radii, lvs, evs, egs)):
         try:
             # at a bottom, v / (v - s0) = -1 / expm1(...), 1 where s0 = 0
@@ -274,7 +274,7 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         gamma = q - p + 1.0
         if not (gamma > 0.0):
             raise DomainError(f"q - p + 1 must be positive, got {gamma}")
-    log_s0 = _log_level(s0)
+    log_s0 = _log_s0(s0)
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
     edge = s0 > 0.0 and t0 > profile.t_min

@@ -90,12 +90,12 @@ class RadialProfile:
     log_value_delta check their radius and level_radius its level, then
     each calls its subclass's closed form, _log_v(t, xp), _log_dv(t, xp),
     _delta(t, eta, xp) or _level(s), with xp the namespace of _ns.  An
-    OverflowError of _level is a level radius exp(_log_level(s)) past the
-    largest double.  scaled_derivs and log_slopes come from the subclass's
-    one loop, _derivs, which checks its own radii.  A profile that only G
-    and J read at s0 = 0 may override log_value alone.  Monotonicity is not
-    assumed by the class itself (warps may decrease); routines that need
-    v' > 0 check it.
+    OverflowError of _level, or a result that is not finite, is a level
+    radius exp(_log_level(s)) past the largest double.  scaled_derivs and
+    log_slopes come from the subclass's one loop, _derivs, which checks its
+    own radii.  A profile that only G and J read at s0 = 0 may override
+    log_value alone.  Monotonicity is not assumed by the class itself
+    (warps may decrease); routines that need v' > 0 check it.
     """
 
     t_min: float = 0.0
@@ -128,11 +128,15 @@ class RadialProfile:
         if not (s > 0.0):
             raise DomainError(f"level must be positive, got {s}")
         try:
-            return self._level(s)
+            t = self._level(s)
         except OverflowError:
+            t = math.inf
+        # s ** (1/c) is inf without an OverflowError once 1/c is
+        if not t < math.inf:
             raise DomainError(f"level radius t = exp({self._log_level(s):.6g}) "
                               f"of the level s = {s:.6g} exceeds the largest "
-                              "double") from None
+                              "double")
+        return t
 
     def log_value_delta(self, t: float, eta):
         """log v(t + eta) - log v(t) with full relative accuracy in eta.
@@ -394,7 +398,8 @@ def _log_excess_of(log_s0: float, lv, d):
     return out
 
 
-def _log_level(s0: float) -> float:
+def _log_s0(s0: float) -> float:
+    """log s0 of a truncation level, -inf at s0 = 0."""
     if s0 < 0.0:
         raise DomainError(f"s0 must be nonnegative, got {s0}")
     return math.log(s0) if s0 > 0.0 else -math.inf
@@ -412,7 +417,7 @@ def log_sphere_integral(manifold: ModelManifold, profile: RadialProfile,
     """log of omega * g(s) * (v(s) - s0)**q; -inf where v <= s0."""
     if not (q > 0.0):
         raise DomainError(f"q must be positive, got {q}")
-    log_s0 = _log_level(s0)
+    log_s0 = _log_s0(s0)
     lv = profile.log_value(s)
     le = _log_excess_of(log_s0, lv, lv - log_s0)
     if le == -math.inf:
@@ -696,7 +701,7 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError("radius grid is empty")
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
-    log_s0 = _log_level(s0)
+    log_s0 = _log_s0(s0)
     inf = math.inf
     # one sum screens the grid; it also overflows on finite radii near the
     # largest double, so the loop looks for the radius

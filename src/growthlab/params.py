@@ -281,12 +281,15 @@ def classify_l1_condition(sphere_log_slope: float, p: float,
     (so the integral is infinite for small r) to obtain
     "holds_only_for_small_r"; otherwise the verdict is "condition_fails".
     The distinction matters because the vanishing conclusions require the
-    divergence for every radius, not just for some.
+    divergence for every radius, not just for some.  p must be finite and
+    exceed 1, and the slope must not be nan.
     """
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
     if math.isnan(sphere_log_slope):
         raise DomainError("sphere_log_slope is nan")
+    if not p < math.inf:
+        raise DomainError(f"p must be finite, got {p}")
     if sphere_log_slope / (p - 1.0) <= 1.0:
         return "condition_holds"
     if finite_radius_infinite:

@@ -11,11 +11,15 @@ file or null], and the script prints the sha256 of the sorted JSON of the
 records for each subcommand and over all of them.
 
     python tests/cli_outputs.py [TREE]
+    python tests/cli_outputs.py PARENT CHANGE
 
 TREE is the root of a checkout (default: the one holding this script); its
-``src`` is what runs, so two trees give digests to compare line by line.
-Two runs at a time take about a minute on 2 cores.  pytest does not collect
-this file.
+``src`` is what runs.  Given two trees, the script runs both and prints, for
+each subcommand and over all, ``same`` with the digest or ``differs`` with
+both; on a difference it names the first differing record (subcommand,
+tuple index, variant, and which of its parts differ) and exits 1.  The
+tuples are those of the first tree.  Each tree takes a few minutes on 2
+cores.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -87,24 +91,57 @@ def digest(records: list) -> str:
     return hashlib.sha256(json.dumps(sorted(records)).encode()).hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("tree", nargs="?", default=Path(__file__).resolve().parents[1],
-                        type=Path, help="root of the checkout to run")
-    args = parser.parse_args(argv)
-    src = args.tree.resolve() / "src"
-    cases = grid_cases(src)
+def run_tree(tree: Path, cases: list) -> list:
+    """The records of every job run on the checkout at tree, in job order."""
     jobs = [(sub, i, case, variant) for sub in SUBCOMMANDS
             for i, case in enumerate(cases) for variant in VARIANTS
             if variant != "csv" or sub in CSV_CAPABLE]
+    src = tree.resolve() / "src"
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         records = list(pool.map(lambda job: run_one(src, *job), jobs))
     codes = Counter(record[3] for record in records)
-    print(f"runs {len(records)}  exit codes "
+    print(f"{tree}: runs {len(records)}  exit codes "
           + " ".join(f"{code}:{n}" for code, n in sorted(codes.items())))
-    for sub in SUBCOMMANDS:
-        print(f"{sub:<13} {digest([r for r in records if r[0] == sub])}")
-    print(f"{'all':<13} {digest(records)}")
+    return records
+
+
+def first_difference(parent: list, change: list) -> str | None:
+    """The first record, in job order, that differs between the runs."""
+    parts = ("exit code", "stdout", "stderr", "written file")
+    for a, b in zip(parent, change):
+        if a != b:
+            differing = [name for name, x, y in zip(parts, a[3:], b[3:])
+                         if x != y]
+            return (f"{a[0]} tuple {a[1]} variant {a[2]}: "
+                    + ", ".join(differing))
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path,
+                        help="root of the checkout to run, or the parent and "
+                             "the change to compare")
+    args = parser.parse_args(argv)
+    trees = args.trees or [Path(__file__).resolve().parents[1]]
+    if len(trees) > 2:
+        parser.error("give at most two trees")
+    cases = grid_cases(trees[0].resolve() / "src")
+    runs = [run_tree(tree, cases) for tree in trees]
+    for name in (*SUBCOMMANDS, "all"):
+        digests = [digest([r for r in records if name in ("all", r[0])])
+                   for records in runs]
+        if len(runs) == 1:
+            print(f"{name:<13} {digests[0]}")
+        elif digests[0] == digests[1]:
+            print(f"{name:<13} same     {digests[0]}")
+        else:
+            print(f"{name:<13} differs  {digests[0]} {digests[1]}")
+    if len(runs) == 2:
+        difference = first_difference(*runs)
+        if difference is not None:
+            print(f"first difference: {difference}")
+            return 1
     return 0
 
 

@@ -20,7 +20,7 @@ import pytest
 
 import growthlab
 from growthlab import build_sharp_example, compute_C0, default_check_pairs, solve_C1
-from growthlab.cli import _COMMANDS, main, run as cli_run
+from growthlab.cli import _COMMANDS, Report, main, report_to_dict, run as cli_run
 
 
 def run(capsys, argv):
@@ -472,11 +472,30 @@ def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
      "need t0 < rmin < rmax, got [1.0, 100.0]"),
     (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1", "--format", "xml"],
      "unknown format 'xml'; use json or csv"),
-], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml"])
+    (["liouville"], "missing required option(s): --p, --q, --lambda, --growth"),
+    # c = 2.9e-309, so 1/c and with it t0 are inf
+    *[([command, "--p", "1.5", "--q", "1.7e308", "--mu", mu, "--format", "json"],
+       "level radius t = exp(inf) of the level s = 2 exceeds the largest double")
+      for command, mu in (("sharp", "0"), ("inequalities", "0"), ("verify", "1.5"))],
+    (["l1", "--slope", "inf", "--p", "inf", "--format", "json"], "p must be finite, got inf"),
+    (["l1", "--slope", "1", "--p", "inf"], "p must be finite, got inf"),
+    (["l1", "--slope", "nan", "--p", "2"], "sphere_log_slope is nan"),
+    (["l1", "--slope", "1", "--p", "1"], "p must exceed 1, got 1.0"),
+], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml",
+        "missing-flags", "sharp-t0-inf", "inequalities-t0-inf", "verify-t0-inf",
+        "l1-slope-inf-p-inf", "l1-p-inf", "l1-slope-nan", "l1-p-one"])
 def test_usage_error_messages(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "")
     assert err == f"growthlab: error: {message}\n"
+
+
+def test_json_maps_nan_and_the_infinities_to_strings():
+    report = Report(command="l1", constants={"slope": math.nan, "hi": math.inf, "lo": -math.inf},
+                    samples=[[1.0, math.nan]])
+    doc = report_to_dict(report)
+    assert doc["constants"] == {"slope": "nan", "hi": "inf", "lo": "-inf"}
+    assert doc["samples"] == [[1.0, "nan"]]
 
 
 def test_rate_human_sample_block(capsys):

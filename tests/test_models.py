@@ -150,6 +150,9 @@ def test_level_radius_inverts_value(profile, s):
     (PowerLaw(5e-4), 2.0, 2e3 * math.log(2.0)),
     (ExpPower(0.01, 0.01), 1e100, 100.0 * math.log(100.0 * math.log(1e100))),
     (PHarmonicRn(2, 2.001), 2.0, math.log(3.0) * 1.001 / 0.001),
+    # 1/c is inf, so s ** (1/c) is inf without an OverflowError
+    (PowerLaw(1e-320), 2.0, math.inf),
+    (ExpPower(1e-320, 0.5), 2.0, math.inf),
 ])
 def test_level_radius_past_the_largest_double(profile, s, log_t):
     """A level radius past the largest double is named by its log."""
@@ -176,6 +179,11 @@ def test_profile_domain_guards():
         PHarmonicRn(3, 2.5)
 
 
+_PLANE = ModelManifold(PowerLaw(1.0))
+_GROWING = PowerLaw(2.0)
+_DECREASING = PowerLaw(-1.0)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: PowerLaw(2.0).level_radius(0.0), "level must be positive, got 0.0"),
     (lambda: ExpPower(1.0, 0.5).level_radius(-1.0), "level must be positive, got -1.0"),
@@ -192,9 +200,27 @@ def test_profile_domain_guards():
     (lambda: ModelManifold(PowerLaw(1.0), omega=0.0), "omega must be positive, got 0.0"),
     (lambda: log_sphere_integral(ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, -1.0, 2.0),
      "s0 must be nonnegative, got -1.0"),
+    (lambda: p_laplacian_scaled(_PLANE, _DECREASING, 2.0, 3.0),
+     "profile must be increasing at r=3.0: v'/v=-0.3333333333333333"),
+    (lambda: p_laplacian_scaled(_PLANE, _GROWING, 1.0, 3.0), "p must exceed 1, got 1.0"),
+    (lambda: fd_cross_check(_PLANE, _GROWING, 1.0, 3.0), "p must exceed 1, got 1.0"),
+    (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 1.0, 0.0, [3.0]),
+     "p must exceed 1, got 1.0"),
+    (lambda: fd_cross_check(_PLANE, _GROWING, 2.0, 3.0, h=2.0),
+     "step h=2.0 leaves the profile domain at r=3.0"),
+    (lambda: fd_cross_check(_PLANE, _DECREASING, 2.0, 3.0),
+     "stencil sees a non-increasing profile at r=3.0"),
+    (lambda: SharpPotential(1.0, 0.0, 1.0, 1.0), "p must exceed 1, got 1.0"),
+    (lambda: SharpPotential(2.0, 3.0, 1.0, 1.0), "mu must lie in [0, p], got 3.0"),
+    (lambda: SharpPotential(2.0, 1.0, 1.0, 1.0).level_deficit(0.5),
+     "potential is defined for r >= 1, got 0.5"),
+    (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 2.0, 0.0, []),
+     "radius grid is empty"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
-        "exp-deriv", "harmonic-dimension", "euclidean-dimension", "omega", "s0"])
+        "exp-deriv", "harmonic-dimension", "euclidean-dimension", "omega", "s0",
+        "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
+        "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()
@@ -207,6 +233,23 @@ def test_sphere_log_slope_rejects_a_window_end_that_is_not_finite():
     with pytest.raises(DomainError) as info:
         sphere_log_slope(ex.manifold, ex.profile, ex.q, ex.s0, 1e4, math.inf)
     assert str(info.value) == "window end rmax=inf is not finite"
+
+
+def test_sphere_log_slope_windows():
+    ex = build_sharp_example(2.0, 3.0, 1.0)
+    args = (ex.manifold, ex.profile, ex.q, ex.s0)
+    with pytest.raises(DomainError) as info:
+        sphere_log_slope(*args, 10.0, 10.0)
+    assert str(info.value) == "need 0 < rmin < rmax, got [10.0, 10.0]"
+    # wholly below t0 = 2.87 the truncated integrand vanishes
+    assert sphere_log_slope(*args, 1.0, 2.0) == -math.inf
+    with pytest.raises(DomainError) as info:
+        sphere_log_slope(*args, ex.t0 / 2.0, 2.0 * ex.t0)
+    assert str(info.value) == "window straddles the support radius; move rmin up"
+
+
+def test_potential_repr():
+    assert repr(SharpPotential(2.0, 1.0, 1.0, 1.0)) == "SharpPotential(p=2.0, mu=1.0, a=1.0, c=1.0)"
 
 
 def test_p_laplacian_cylinder_frozen():

@@ -22,6 +22,7 @@ from growthlab import (
     ComparisonConstants,
     DomainError,
     Params,
+    classify_l1_condition,
     comparison_constants,
     compute_C0,
     liouville_check,
@@ -377,3 +378,22 @@ def test_liouville_check_rejects_non_finite():
         liouville_check(params, float("nan"))
     with pytest.raises(DomainError):
         liouville_check(params, float("inf"))
+
+
+@pytest.mark.parametrize("slope, p, message", [
+    (0.5, 1.0, "p must exceed 1, got 1.0"),
+    (math.nan, 2.0, "sphere_log_slope is nan"),
+    (math.inf, math.inf, "p must be finite, got inf"),
+    (1.0, math.inf, "p must be finite, got inf"),
+], ids=["p-one", "slope-nan", "p-inf-slope-inf", "p-inf"])
+def test_classify_l1_condition_error_messages(slope, p, message):
+    with pytest.raises(DomainError) as info:
+        classify_l1_condition(slope, p)
+    assert str(info.value) == message
+
+
+def test_solve_C1_names_a_C0_past_the_largest_double():
+    # C0 = 2 * sqrt(q - 1) * sqrt(lam) / k = 2 * sqrt(2) / 1e-310 is inf
+    with pytest.raises(DomainError) as info:
+        solve_C1(2.0, 3.0, 1.0, 1e-310)
+    assert str(info.value) == "C0 must be positive and finite, got inf at p=2.0"

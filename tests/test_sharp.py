@@ -150,3 +150,18 @@ def test_build_validation():
         build_sharp_example(2.0, 3.0, 2.5)
     with pytest.raises(DomainError):
         build_sharp_example(2.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call", [lambda: choose_ac(1.0, 2.0), lambda: default_qs(1.0)],
+                         ids=["choose_ac", "default_qs"])
+def test_p_of_one_error_message(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == "p must exceed 1, got 1.0"
+
+
+def test_eps_for_radius_needs_a_radius_past_t0():
+    ex = build_sharp_example(2.0, 3.0, 1.0)
+    with pytest.raises(DomainError) as info:
+        ex.eps_for_radius(ex.t0)
+    assert str(info.value) == f"R1 must exceed t0={ex.t0}, got {ex.t0}"
