@@ -212,9 +212,9 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
     interval the width (p - 1) * r / (e_g + q * e_v * v / (v - s0)) of
     J's phi**(1/(1-p)).  One scaled_derivs call on the profile and one
     log_slopes call on the warp give them all, v / (v - s0) as
-    -1 / expm1(log s0 - log v) from the profile's log v column.  A width
-    is None where it is not finite and positive, and the dicts are empty
-    for a profile or warp without these grid calls."""
+    -1 / expm1(-d), d = log v - log s0, from the profile's log v column.
+    A width is None where it is not finite and positive, and the dicts are
+    empty for a profile or warp without these grid calls."""
     radii = [*tops, *bottoms]
     try:
         lvs, evs, _ = profile.scaled_derivs(radii)
@@ -224,7 +224,7 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
     log_s0, n, top, bottom = _log_s0(s0), len(tops), {}, {}
     for i, (r, lv, ev, eg) in enumerate(zip(radii, lvs, evs, egs)):
         try:
-            # at a bottom, v / (v - s0) = -1 / expm1(...), 1 where s0 = 0
+            # at a bottom, v / (v - s0) = -1 / expm1(-d), 1 where s0 = 0
             w = r / (eg + q * ev) if i < n else (p - 1.0) * r / (
                 eg + q * ev * (-1.0 / math.expm1(log_s0 - lv)))
         except (OverflowError, ZeroDivisionError):
@@ -334,11 +334,11 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
         if j < len(s):
             # the condition of J's log integrand on each node: |log g| plus
-            # q |log v| amplified by v / (v - s0) = exp(log v - log(v - s0))
-            # in the excess; each J table keeps the largest over its nodes
-            lv_j = lv[j:]
-            cond = np.exp(lv_j - le[j:])
-            cond *= np.abs(lv_j)
+            # q |log v| amplified by v / (v - s0) = -1 / expm1(-d) in the
+            # excess, as in _widths; each J table keeps the largest over
+            # its nodes
+            cond = -1.0 / np.expm1(-d[j:])
+            cond *= np.abs(lv[j:])
             cond *= q
             cond += np.abs(lw[j:])
             ends = starts[_J:]

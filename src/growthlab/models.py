@@ -273,6 +273,8 @@ class PHarmonicRn(RadialProfile):
     def __init__(self, n: int, p: float):
         if n < 2:
             raise DomainError(f"dimension must be at least 2, got {n}")
+        if not math.isfinite(p):
+            raise DomainError(f"p must be finite, got {p}")
         if not (p > n):
             raise DomainError(f"need p > n for an increasing profile, got p={p}, n={n}")
         self.n = int(n)
@@ -361,41 +363,29 @@ class ModelManifold:
         return cls(warp=PowerLaw(n - 1.0), omega=omega)
 
 
-# the d = log v - log s0 below which log(v - s0) is formed from expm1(d)
-_NEAR = 0.7
-
-
 def _log_excess_of(log_s0: float, lv, d):
-    """log(v - s0) from lv = log v and d = log v - log s0, which a caller
-    may know more accurately than the difference of the two logs: floats,
-    or ndarrays of radii; lv itself when s0 = 0, and -inf where d <= 0.
+    """log(v - s0) = log v + log(1 - exp(-d)) from lv = log v and
+    d = log v - log s0, which a caller may know more accurately than the
+    difference of the two logs: floats, or ndarrays of radii; lv itself
+    when s0 = 0, -inf where d <= 0 and nan where d is nan.
 
-    Below d = _NEAR, v - s0 = s0 * (exp(d) - 1) is formed from expm1(d),
-    accurate when v is close to s0; above it, v * (1 - exp(-d)).  An array
-    forms the expm1 branch only on the nodes that keep it.
+    log(1 - exp(-d)) reaches the integrands only through exp, so its
+    absolute error is what counts, and log(-expm1(-d)) keeps that within
+    an ulp of the larger of 1 and its own size at every d > 0.  An
+    array's nodes at d <= 0 take log(0) and warn, so a caller on such an
+    array runs this with numpy's warnings off, as quadrature._panels runs
+    growth's integrand.
     """
     if log_s0 == -math.inf:
         return lv
-    if _ns(d) is math:
+    xp = _ns(d)
+    if xp is math:
         if d <= 0.0:
             return -math.inf
-        if d < _NEAR:
-            return log_s0 + math.log(math.expm1(d))
-        return lv + math.log1p(-math.exp(-d))
-    np = sys.modules["numpy"]
-    # the far branch on every node, then the near one on the nodes the
-    # float branches take it on (a fifth of a grid suite call's); the nodes
-    # below _NEAR warn, so a caller on such an array runs this with numpy's
-    # warnings off, as quadrature._panels runs growth's integrand
-    out = np.log1p(-np.exp(-d))
-    out += lv
-    near = d < _NEAR
-    if near.any():
-        dn = d[near]
-        le = np.log(np.expm1(dn)) + log_s0
-        le[dn <= 0.0] = -math.inf
-        out[near] = le
-    return out
+    else:
+        # log(0) = -inf rather than the log of a negative where d < 0
+        d = xp.maximum(d, 0.0)
+    return lv + xp.log(-xp.expm1(-d))
 
 
 def _log_s0(s0: float) -> float:

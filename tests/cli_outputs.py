@@ -16,7 +16,11 @@ records for each subcommand and over all of them.
 TREE is the root of a checkout (default: the one holding this script); its
 ``src`` is what runs.  Given two trees, the script runs both and prints, for
 each subcommand and over all, ``same`` with the digest or ``differs`` with
-both; on a difference it names the first differing record (subcommand,
+both.  On a difference it prints, for each subcommand that differs, how many
+of its records differ, whether any exit code, stderr, ``passed`` or
+``classification`` differs, and the largest distance in ulps of each
+numeric field of the JSON and CSV outputs (``lhs``, ``tolerance``,
+``quad_error``, ...); then it names the first differing record (subcommand,
 tuple index, variant, and which of its parts differ) and exits 1.  The
 tuples are those of the first tree.  Each tree takes a few minutes on 2
 cores.  pytest does not collect this file.
@@ -25,9 +29,12 @@ cores.  pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -117,6 +124,94 @@ def first_difference(parent: list, change: list) -> str | None:
     return None
 
 
+def fields(record: list) -> list[tuple[str, object]]:
+    """(name, value) of each leaf of a record's JSON output (--format json
+    or the written file), named by its nearest key, or of each cell of its
+    CSV rows, named by its column, in order; none for human text or for
+    output that does not parse."""
+    _, _, variant, _, stdout, _, written = record
+    if variant == "csv":
+        rows = list(csv.reader(io.StringIO(stdout)))
+        return [(name, _cell(cell)) for row in rows[1:]
+                for name, cell in zip(rows[0], row)]
+    if variant in ("json", "output"):
+        text = written if variant == "output" else stdout
+        try:
+            return list(_leaves(json.loads(text), ""))
+        except (TypeError, ValueError):
+            return []
+    return []
+
+
+def _leaves(doc, name: str):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value, name)
+    else:
+        yield name, doc
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return {"true": True, "false": False}.get(text, text)
+
+
+def ulps(x: float, y: float) -> int:
+    """How many doubles lie from x to y (0 for two nans)."""
+    if x != x or y != y:
+        return 0 if x != x and y != y else sys.maxsize
+
+    def ordinal(v: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", v))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(ordinal(x) - ordinal(y))
+
+
+def summary(parent: list, change: list) -> list[str]:
+    """For each subcommand whose records differ: how many differ, which
+    verdict parts differ, and the largest ulps distance of each numeric
+    field of its JSON and CSV outputs."""
+    lines = []
+    for sub in SUBCOMMANDS:
+        pairs = [(a, b) for a, b in zip(parent, change) if a[0] == sub]
+        differing = [(a, b) for a, b in pairs if a != b]
+        if not differing:
+            continue
+        changed, worst = set(), {}
+        for a, b in differing:
+            if a[3] != b[3]:
+                changed.add("exit code")
+            if a[5] != b[5]:
+                changed.add("stderr")
+            fa, fb = fields(a), fields(b)
+            if [n for n, _ in fa] != [n for n, _ in fb]:
+                changed.add("layout")
+            for (name, x), (_, y) in zip(fa, fb):
+                if name in ("passed", "classification") and x != y:
+                    changed.add(name)
+                elif all(type(v) in (int, float) for v in (x, y)):
+                    worst[name] = max(worst.get(name, 0),
+                                      ulps(float(x), float(y)))
+        verdicts = [f"{part} {'differs' if part in changed else 'same'}"
+                    for part in ("exit code", "stderr", "passed",
+                                 "classification")]
+        if "layout" in changed:
+            verdicts.append("field layout differs")
+        lines.append(f"{sub}: {len(differing)} of {len(pairs)} records "
+                     "differ; " + ", ".join(verdicts))
+        moved = sorted((name, n) for name, n in worst.items() if n)
+        lines.append("  largest ulps: " + ", ".join(
+            [f"{name} {n}" for name, n in moved]
+            + [f"0 in the other {len(worst) - len(moved)} numeric fields"]))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path,
@@ -140,6 +235,7 @@ def main(argv=None) -> int:
     if len(runs) == 2:
         difference = first_difference(*runs)
         if difference is not None:
+            print("\n".join(summary(*runs)))
             print(f"first difference: {difference}")
             return 1
     return 0

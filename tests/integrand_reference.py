@@ -6,8 +6,8 @@ included, and overwrites the edge nodes from log_value_delta, under the one
 errstate of quadrature._panels.  Here log v of the nodes outside the edge
 tables comes from one log_value call on their concatenation, split back
 into G's and H's parts, and each table's expression is written out on its
-own.  The excess log(v - s0) is restated too (log_excess), in the array
-form that formed both of its branches on every node, so a change to
+own.  The excess log(v - s0) is restated too (log_excess), in its one
+formula lv + log(-expm1(-d)), with d <= 0 masked afterwards, so a change to
 models._log_excess_of shows here.  The tests assert that every node's value
 equals this bit for bit, so no integrand drifts from the formula it had,
 not even in the last bit.
@@ -19,22 +19,16 @@ import numpy as np
 
 from growthlab.models import _support_start
 
-# the d = log v - log s0 below which the excess is formed from expm1(d)
-NEAR = 0.7
-
 
 def log_excess(log_s0, lv, d):
     """log(v - s0) on arrays of lv = log v and d = log v - log s0: lv where
-    s0 = 0, else log_s0 + log(expm1(d)) where d < NEAR and
-    lv + log1p(-exp(-d)) elsewhere, both formed on every node, and -inf
-    where d <= 0.  Run with numpy's warnings off."""
+    s0 = 0, else lv + log(-expm1(-d)), and -inf where d <= 0.  Run with
+    numpy's warnings off."""
     if log_s0 == -math.inf:
         return lv
-    near = np.log(np.expm1(d)) + log_s0
-    far = np.log1p(-np.exp(-d)) + lv
-    np.copyto(far, near, where=d < NEAR)
-    np.copyto(far, -math.inf, where=d <= 0.0)
-    return far
+    out = lv + np.log(-np.expm1(-d))
+    np.copyto(out, -math.inf, where=d <= 0.0)
+    return out
 
 
 def integrand(manifold, profile, p, q, s0, x, starts):

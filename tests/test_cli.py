@@ -481,9 +481,12 @@ def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
     (["l1", "--slope", "1", "--p", "inf"], "p must be finite, got inf"),
     (["l1", "--slope", "nan", "--p", "2"], "sphere_log_slope is nan"),
     (["l1", "--slope", "1", "--p", "1"], "p must exceed 1, got 1.0"),
+    # alpha = (p - n) / (p - 1) is nan at p = inf, and the slope with it
+    (["l1", "--euclidean", "3", "--p", "inf", "--q", "1"], "p must be finite, got inf"),
 ], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml",
         "missing-flags", "sharp-t0-inf", "inequalities-t0-inf", "verify-t0-inf",
-        "l1-slope-inf-p-inf", "l1-p-inf", "l1-slope-nan", "l1-p-one"])
+        "l1-slope-inf-p-inf", "l1-p-inf", "l1-slope-nan", "l1-p-one",
+        "l1-euclidean-p-inf"])
 def test_usage_error_messages(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "")

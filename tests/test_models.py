@@ -196,6 +196,7 @@ _DECREASING = PowerLaw(-1.0)
     (lambda: PowerLaw(0.0).log_deriv(2.0), "power profile with c=0.0 is not increasing"),
     (lambda: ExpPower(0.0, 0.5).log_deriv(2.0), "exp-power profile with c=0.0 is not increasing"),
     (lambda: PHarmonicRn(1, 3.0), "dimension must be at least 2, got 1"),
+    (lambda: PHarmonicRn(3, math.inf), "p must be finite, got inf"),
     (lambda: ModelManifold.euclidean(1), "dimension must be at least 2, got 1"),
     (lambda: ModelManifold(PowerLaw(1.0), omega=0.0), "omega must be positive, got 0.0"),
     (lambda: log_sphere_integral(ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, -1.0, 2.0),
@@ -218,8 +219,8 @@ _DECREASING = PowerLaw(-1.0)
      "radius grid is empty"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
-        "exp-deriv", "harmonic-dimension", "euclidean-dimension", "omega", "s0",
-        "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
+        "exp-deriv", "harmonic-dimension", "harmonic-p-inf", "euclidean-dimension", "omega",
+        "s0", "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
         "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
