@@ -57,7 +57,8 @@ from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
                      _annulus_constant, _check_finite_positive,
                      _check_nonnegative, classify_l1_condition,
                      comparison_constants)
-from .quadrature import _sum_of_two, log_quad_tables, log_sum
+from .quadrature import (_initial_breakpoints, _running_sum, log_quad_tables,
+                         log_sum)
 from .sharp import SharpExample
 
 # ---------------------------------------------------------------------------
@@ -253,12 +254,13 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_quad_tables pass, G and H cumulatively through their radii, with
     one integrand that evaluates the excess and the warp once per node.
     G and H may each have an edge table next to t0, shared by all of its
-    radii (see _edge_split), that G or H at R adds to the rest up to R
-    (_sum_of_two).  The integrand, run with numpy's floating-point warnings
-    off (see log_quad_tables), makes one log_value call on all nodes, and
-    on edge nodes expands the excess v - s0 around t0 through the profile's
-    log_value_delta instead, treating v(t0) = s0 as exact; it forms each
-    table's formula on that table's nodes only.
+    radii (see _edge_split), whose result G or H at R adds to the rest up
+    to R with one _running_sum over the two; a q whose edge exponent
+    2(q + 1) is not finite is refused.  The integrand, run with numpy's
+    floating-point warnings off (see log_quad_tables), makes one log_value
+    call on all nodes, and on edge nodes expands the excess v - s0 around
+    t0 through the profile's log_value_delta instead, treating v(t0) = s0
+    as exact; it forms each table's formula on that table's nodes only.
     J's relative error is at least _J_ROUNDING times the condition of its
     log integrand -log phi / (p - 1), the largest over its nodes of
     (|log omega| + |log g| + q |log v| v / (v - s0)) / (p - 1): the
@@ -274,6 +276,10 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         gamma = q - p + 1.0
         if not (gamma > 0.0):
             raise DomainError(f"q - p + 1 must be positive, got {gamma}")
+    # _edge_split's exponents 2 * alpha are at most 2(q + 1)
+    if not 2.0 * (q + 1.0) < math.inf:
+        raise DomainError(f"the support-edge exponent 2(q + 1) is not "
+                          f"finite at q={q}")
     log_s0 = _log_s0(s0)
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
@@ -286,16 +292,20 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         lambda R_min: _top_width(tops, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
+    # the default panels below a top cluster or above a bottom one; with no
+    # width, or every top end rounded onto hi, over the whole segment
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(tops, lo, hi)
-        return [hi] if w is None \
+        top = [hi] if w is None \
             else [x for f in reversed(_CLUSTER)
                   if lo < (x := hi - f * w) < hi] + [hi]
+        return _initial_breakpoints(lo, top[0]) + top[1:]
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
         w = bottoms.get(lo)
-        return [lo] if w is None \
+        bottom = [lo] if w is None \
             else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
+        return bottom[:-1] + _initial_breakpoints(bottom[-1], hi)
 
     j_cond = [0.0] * len(j_pairs)
 
@@ -357,15 +367,10 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         logf, tables, rel_tol=rel_tol)
 
     def whole(radii, piece, results):
-        # the edge piece, if any, plus the rest up to R (see _sum_of_two)
-        out = []
-        for R, res in zip(radii, results):
-            v, rel = res.log_value, res.rel_error
-            if piece:
-                v, rel = _sum_of_two(piece[0].log_value, piece[0].rel_error,
-                                     v, rel)
-            out.append((log_omega + v, rel) if R > t0 else (-math.inf, 0.0))
-        return out
+        # the edge piece, if any, plus the rest up to R, in one running sum
+        sums = [_running_sum([*piece, res])[-1] for res in results]
+        return [(log_omega + v, rel) if R > t0 else (-math.inf, 0.0)
+                for R, (v, rel, _, _) in zip(radii, sums)]
 
     return (whole(g_radii, g_piece, g_res), whole(h_radii, h_piece, h_res),
             [(res.log_value, max(res.rel_error, _J_ROUNDING

@@ -479,10 +479,12 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
     """Scaled radial p-Laplacian Delta_p(v) / v**(p-1) at radius r.
 
     This is _operator_terms at mu = 0, which stays in double range even
-    when v itself does not.
+    when v itself does not.  An infinite r is refused.
     """
     if not (p > 1.0):
         raise DomainError(f"p must exceed 1, got {p}")
+    if r == math.inf:
+        raise DomainError(f"radius {r} is not finite")
     _, e1s, k2s = profile.scaled_derivs([r])
     (t1, t2), = _operator_terms(p, 0.0, [r], e1s, k2s,
                                 manifold.warp.log_slopes([r]))

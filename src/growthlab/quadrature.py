@@ -34,11 +34,11 @@ in a fixed order, the first eight terms as a pairwise tree and the rest
 one by one; the last bits of the two logs, and so which panels are
 bisected, follow that order.
 
-A segment starts from eight even or geometric panels.  log_quad_tables lets
-a table start each of its segments from a cluster of panel ends at its top
-or its bottom, the eight default panels filling the rest: growthlab.growth
-puts the cluster where nearly all of the mass of G, H or J lies, so each
-of them is resolved in its first round or soon after.
+A segment starts from eight even or geometric panels, or from the panel
+ends its table's hook gives: growthlab.growth puts a cluster of ends at the
+top or the bottom of a segment, where nearly all of the mass of G, H or J
+lies, and the eight default panels over the rest, so each of them is
+resolved in its first round or soon after.
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive
 quadrature in the manner of Shampine, 2008).  A round that finds the total
@@ -61,9 +61,9 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,11 +123,11 @@ def log_sum(values) -> float:
     return m + math.log(math.fsum([math.exp(v - m) for v in vals]))
 
 
-@dataclass(frozen=True)
-class LogQuadResult:
+class LogQuadResult(NamedTuple):
     """Logarithm of an integral, its relative error estimate and its cost.
 
     evals counts the integrand values computed, 15 per panel ever evaluated.
+    A result is a part _running_sum takes as it is.
     """
 
     log_value: float
@@ -408,7 +408,7 @@ def log_quad(logf, lo: float, hi: float,
 
 def _running_sum(parts) -> list[tuple[float, float, int, int]]:
     """(log value, relative error, panels, evals) of the sums of the first
-    0, 1, ..., len(parts) of parts, each such a tuple.
+    0, 1, ..., len(parts) of parts, each such a tuple or a LogQuadResult.
 
     One running log-sum, O(1) per part: the sum so far is
     exp(m) * (1 + rest), m the largest log value so far, and rest, formed
@@ -434,18 +434,6 @@ def _running_sum(parts) -> list[tuple[float, float, int, int]]:
     return out
 
 
-def _sum_of_two(a: float, rel_a: float, b: float, rel_b: float) -> tuple:
-    """(log value, relative error) of the sum of two parts, each a log
-    value, finite or -inf, and a finite relative error >= 0: the bits of
-    _running_sum over the two, without its lists."""
-    if b > a:
-        a, rel_a, b, rel_b = b, rel_b, a, rel_a
-    if a == -math.inf:
-        return -math.inf, 0.0
-    f = math.exp(b - a)
-    return a + math.log1p(f), (rel_a + rel_b * f) / (1.0 + f)
-
-
 def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                     ) -> list[list[LogQuadResult]]:
     """Integrals of several integrands, each up to several radii, in one pass.
@@ -455,29 +443,27 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     each radius of a nondecreasing list of finite radii.  The segments
     [lo, R1], [R1, R2], ... of all tables are refined together, each with
     its own initial panels, tolerance test and _MAX_PANELS budget, so it
-    gets the panels it would get refined alone.  A table may carry a
-    third element cluster(lo, hi): the initial panel ends of a cluster at
-    one end of each of its segments [lo, hi], a list that either ends with
-    hi, for a cluster at the top, or starts with lo, for one at the bottom;
-    the default eight even or geometric panels fill the rest of the
-    segment, from lo up to the cluster or from the cluster up to hi.
-    Without it they fill the whole segment.  The result at R sums the
-    segments up to R, their panels and their evals, with their combined
-    relative error, from one running sum over its segments' result tuples,
-    O(1) per radius (_running_sum), and is the only LogQuadResult built; at
-    or below lo it is -inf with zero error.  Each round makes one call
-    logf(x, starts), with numpy's floating-point warnings off, for the new
-    panels of every open segment: x holds the nodes table by table, in
-    table order, and those of table t are x[starts[t]:starts[t + 1]], so
-    logf can give each table its own integrand.  When integrals fail, the
-    error raised is the one that refining the tables one after another, in
-    order, would raise (see _refine).
+    gets the panels it would get refined alone.  A table may carry a third
+    element ends(lo, hi): the initial panel ends of each of its segments
+    [lo, hi], a nondecreasing list from lo to hi; without it a segment
+    starts from the eight even or geometric panels of
+    _initial_breakpoints.  The result at R sums the segments up to R, their
+    panels and their evals, with their combined relative error, from one
+    running sum over its segments' result tuples, O(1) per radius
+    (_running_sum), and is the only LogQuadResult built; at or below lo it
+    is -inf with zero error.  Each round makes one call logf(x, starts),
+    with numpy's floating-point warnings off, for the new panels of every
+    open segment: x holds the nodes table by table, in table order, and
+    those of table t are x[starts[t]:starts[t + 1]], so logf can give each
+    table its own integrand.  When integrals fail, the error raised is the
+    one that refining the tables one after another, in order, would raise
+    (see _refine).
     """
     _check_finite_positive("rel_tol", rel_tol)
     segments = []
     spans = []
     for t, (lo, radii, *hook) in enumerate(tables):
-        cluster = hook[0] if hook else lambda a, b: [b]
+        ends = hook[0] if hook else _initial_breakpoints
         begin, upto = len(segments), []
         start = lo
         prev = -math.inf
@@ -493,12 +479,7 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                 raise DomainError(f"integration segment [{start}, {R}] is "
                                   "wider than the largest double")
             if R > start:
-                pts = cluster(start, R)
-                if pts[-1] == R:
-                    pts[:1] = _initial_breakpoints(start, pts[0])
-                else:
-                    pts[-1:] = _initial_breakpoints(pts[-1], R)
-                segments.append((start, R, pts, t))
+                segments.append((start, R, ends(start, R), t))
                 start = R
             upto.append(len(segments))
         spans.append((begin, len(segments), upto))

@@ -471,6 +471,41 @@ def test_suite_integrals_match_closed_form(pq_mu, monkeypatch):
                 assert miss <= rel_error + 4 * math.ulp(log_value), (name, key)
 
 
+@pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
+                                   if ex.mu in (0.0, ex.p)])
+def test_suite_margins_match_closed_form(pq_mu):
+    """On the 18 grid tuples with mu = 0 or mu = p, every annulus and
+    capacity margin of the suite is within 8 ulps of max(|lhs|, |rhs|, 1) of
+    the margin formed from the closed-form G, H and J (tests/closed_form.py)
+    and the paper's two constants, restated here at 80 digits:
+    k**(p p') (p - 1)**(p - 1) 4**p / (gamma min(1, gamma**(p - 1))) and
+    (p - 1)**(p - 1) / min(1, gamma**p).  A wrong constant moves a margin by
+    its log, which the suite's own tolerance of 1e-8 and more cannot see."""
+    ex = build_sharp_example(*pq_mu)
+    pairs = default_check_pairs(ex)
+    annulus = [(R, R ** (ex.mu / ex.p)) for R in pairs["annulus-caccioppoli"]]
+    capacity = pairs["surface-capacity"]
+    G, H, J = closed_form.log_integrals(
+        ex, [R + h for R, h in annulus],
+        [R for R, _ in annulus] + [r for r, _ in capacity], capacity)
+    with mpmath.workdps(closed_form.DPS):
+        p, q, k = (mpmath.mpf(x) for x in (ex.p, ex.q, ex.params.k))
+        gamma = q - p + 1
+        log_annulus = mpmath.log(k ** (p * p / (p - 1)) * (p - 1) ** (p - 1) * 4 ** p
+                                 / (gamma * min(1, gamma ** (p - 1))))
+        log_capacity = mpmath.log((p - 1) ** (p - 1) / min(1, gamma ** p))
+        want = [log_annulus + g - p * mpmath.log(h) - h_r
+                for (_, h), g, h_r in zip(annulus, G, H)]
+        want += [log_capacity + (1 - p) * j - h_r
+                 for j, h_r in zip(J, H[len(annulus):])]
+    got = [r for r in run_inequality_suite(ex)
+           if r.name.startswith(("annulus-caccioppoli", "surface-capacity"))]
+    assert len(got) == len(want) == 6
+    for report, margin in zip(got, want):
+        scale = max(abs(report.lhs), abs(report.rhs), 1.0)
+        assert abs(report.margin - float(margin)) <= 8 * math.ulp(scale), report.name
+
+
 def test_integrals_without_truncation_closed_form():
     """s0 = 0 leaves G and H no edge table, so every node takes log_value.
 
@@ -1330,9 +1365,17 @@ _T0 = EX_DECAY.t0
     (lambda: check_surface_capacity(EX_DECAY, 10.0, 10.0),
      f"need t0 < r < R, got t0={_T0}, r=10.0, R=10.0"),
     (lambda: rate_window(EX_DECAY, num=3), "need at least 4 samples, got num=3"),
+    # ceil(2 * alpha) of the support-edge exponent overflowed
+    (lambda: log_energy_integral(EX_DECAY.manifold, EX_DECAY.profile, 2.0, 1e308, EX_DECAY.s0, 5.0),
+     "the support-edge exponent 2(q + 1) is not finite at q=1e+308"),
+    (lambda: growth_samples(EX_DECAY.manifold, EX_DECAY.profile, math.inf, EX_DECAY.s0, [5.0]),
+     "the support-edge exponent 2(q + 1) is not finite at q=inf"),
+    (lambda: log_energy_integral(EX_DECAY.manifold, EX_DECAY.profile, 2.0, math.inf, EX_DECAY.s0, 5.0),
+     "the support-edge exponent 2(q + 1) is not finite at q=inf"),
 ], ids=["samples-q", "samples-empty", "samples-not-increasing", "energy-p", "energy-gamma",
         "growth-R1-floor", "growth-R-R1", "caccioppoli-R", "caccioppoli-h", "capacity-r",
-        "capacity-R", "rate-window-num"])
+        "capacity-R", "rate-window-num",
+        "energy-edge-exponent", "samples-q-inf", "energy-q-inf"])
 def test_growth_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()

@@ -182,6 +182,8 @@ def test_profile_domain_guards():
 _PLANE = ModelManifold(PowerLaw(1.0))
 _GROWING = PowerLaw(2.0)
 _DECREASING = PowerLaw(-1.0)
+# at r = inf the operator read nan at (2, 3, 1) and 0.0 at (2, 3, 2)
+_DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example(2.0, 3.0, 2.0)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -217,11 +219,16 @@ _DECREASING = PowerLaw(-1.0)
      "potential is defined for r >= 1, got 0.5"),
     (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 2.0, 0.0, []),
      "radius grid is empty"),
+    (lambda: p_laplacian_scaled(_DECAYING.manifold, _DECAYING.profile, 2.0, math.inf),
+     "radius inf is not finite"),
+    (lambda: p_laplacian_scaled(_BORDERLINE.manifold, _BORDERLINE.profile, 2.0, math.inf),
+     "radius inf is not finite"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
         "exp-deriv", "harmonic-dimension", "harmonic-p-inf", "euclidean-dimension", "omega",
         "s0", "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
-        "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty"])
+        "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty",
+        "laplacian-r-inf-decay", "laplacian-r-inf-borderline"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()

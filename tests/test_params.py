@@ -275,6 +275,18 @@ def test_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(module), name))
 
 
+def test_benchmark_library_names_resolve():
+    """The library names perfbench's worker and workloads call outside the
+    tracer's TARGETS (test_trace_targets_resolve) still exist: the grid's
+    integrand methods, timed per call, and the l1 verdict through growth."""
+    import growthlab.growth
+    import growthlab.models
+
+    assert callable(growthlab.models.ModelManifold.log_warp)
+    assert callable(growthlab.models.RadialProfile.log_value)
+    assert growthlab.growth.classify_l1_condition is growthlab.classify_l1_condition
+
+
 def test_derived_exponents():
     d = Params(3.0, 4.0, 1.5, 1.0)
     assert d.p_conj == pytest.approx(1.5, rel=1e-15)

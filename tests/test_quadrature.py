@@ -5,7 +5,6 @@ quadrature is always compared against independent arithmetic.
 """
 
 import math
-import struct
 import sys
 import warnings
 
@@ -170,14 +169,27 @@ _PART_LOG = st.one_of(st.just(-math.inf), st.floats(-40.0, 40.0),
 @example(a=sys.float_info.max, rel_a=0.0, b=0.0, rel_b=1.0, equal=True)
 @given(a=_PART_LOG, rel_a=st.floats(0.0, 1.0), b=_PART_LOG,
        rel_b=st.floats(0.0, 1.0), equal=st.booleans())
-def test_sum_of_two_matches_the_running_sum_bit_for_bit(a, rel_a, b, rel_b, equal):
-    """The two-part sum of an edge piece and the rest, as growth._integrals
-    forms G and H, has the bits of the running sum over the two parts:
-    for -inf parts, equal parts (equal), and log values past 2**53."""
+def test_running_sum_of_two_parts_matches_mpmath(a, rel_a, b, rel_b, equal):
+    """The running sum over two results, as growth._integrals adds an edge
+    piece to the rest of G or H, is within an ulp of max(|a|, |b|, |value|,
+    1) of log(e^a + e^b), and its error within 2 ulps of the value-weighted
+    mean (rel_a e^a + rel_b e^b)/(e^a + e^b), both from 50-digit mpmath,
+    plus what the rounding of a - b moves that mean by: for -inf parts,
+    equal parts (equal), and log values past 2**53."""
     b = a if equal else b
-    want = quadrature._running_sum([(a, rel_a, 0, 0), (b, rel_b, 0, 0)])[-1][:2]
-    got = quadrature._sum_of_two(a, rel_a, b, rel_b)
-    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+    parts = [LogQuadResult(a, rel_a, 0, 0), LogQuadResult(b, rel_b, 0, 0)]
+    value, rel, _, _ = quadrature._running_sum(parts)[-1]
+    want, want_rel = log_combine(parts)
+    if want == -math.inf:
+        assert (value, rel) == (-math.inf, 0.0)
+        return
+    scale = max(abs(x) for x in (a, b, value, 1.0) if x > -math.inf)
+    assert abs(value - want) <= math.ulp(scale)
+    # the sum weighs the smaller part by f = exp(-|a - b|), whose exponent
+    # rounds by up to ulp(a - b)/2, and d(mean)/df = (rel_b - rel_a)/(1 + f)^2
+    f = math.exp(-abs(a - b)) if min(a, b) > -math.inf else 0.0
+    moved = abs(rel_a - rel_b) * f / (1.0 + f) ** 2 * math.ulp(a - b) / 2.0 if f else 0.0
+    assert abs(rel - want_rel) <= 2.0 * math.ulp(want_rel) + moved
 
 
 def test_log_diff_identities():
@@ -251,10 +263,13 @@ def test_end_cluster_resolves_an_exponential_in_one_round(kL, at_top, monkeypatc
         batches.append(x)
         return (k if at_top else -k) * x
 
+    # each hook gives the segment's whole list of initial panel ends
     if at_top:
-        table = (0.0, [L], lambda lo, hi: [hi - f / k for f in reversed(_CLUSTER)] + [hi])
+        table = (0.0, [L], lambda lo, hi: _initial_breakpoints(lo, hi - _CLUSTER[-1] / k)
+                 + [hi - f / k for f in reversed(_CLUSTER[:-1])] + [hi])
     else:
-        table = (0.0, [L], lambda lo, hi: [lo] + [lo + f / k for f in _CLUSTER])
+        table = (0.0, [L], lambda lo, hi: [lo] + [lo + f / k for f in _CLUSTER[:-1]]
+                 + _initial_breakpoints(lo + _CLUSTER[-1] / k, hi))
     [[res]] = log_quad_tables(logf, [table])
     expected = math.log(-math.expm1(-kL)) - math.log(k) + (kL if at_top else 0.0)
     assert abs(math.expm1(res.log_value - expected)) <= res.rel_error
