@@ -54,9 +54,9 @@ from .models import (ModelManifold, RadialProfile,  # noqa: F401
                      _log_excess_of, _log_s0, _support_start,
                      geometric_grid, log_sphere_integral, sphere_log_slope)
 from .params import (CheckReport, DomainError, QuadratureError,  # noqa: F401
-                     _annulus_constant, _check_finite_positive,
-                     _check_nonnegative, classify_l1_condition,
-                     comparison_constants)
+                     _annulus_constant, _check_exponents,
+                     _check_finite_positive, _check_nonnegative,
+                     classify_l1_condition, comparison_constants)
 from .quadrature import (_initial_breakpoints, _running_sum, log_quad_tables,
                          log_sum)
 from .sharp import SharpExample
@@ -141,8 +141,7 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
     gap between them; _edge_split says how the piece next to t0 is
     integrated.  Radii at or below t0 give logG = -inf with zero error.
     """
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
+    _check_finite_positive("q", q)
     radii = [float(R) for R in radii]
     if not radii:
         raise DomainError("radius grid is empty")
@@ -265,14 +264,14 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log integrand -log phi / (p - 1), the largest over its nodes of
     (|log omega| + |log g| + q |log v| v / (v - s0)) / (p - 1): the
     rounding of those terms, which the quadrature's estimate does not see.
-    p may be None when only G is asked for.  The tables are G's edge, G,
-    H's edge, H, then J, so when several integrals fail, the error raised
-    is the first in that order.
+    p may be None when only G is asked for, else _check_exponents(p, q).
+    The tables are G's edge, G, H's edge, H, then J, so when several
+    integrals fail, the error raised is the first in that order.
     """
     gamma = None
     if h_radii:
-        if not (p > 1.0):
-            raise DomainError(f"p must exceed 1, got {p}")
+        _check_exponents(p, q)
+        # q > p - 1 can still round gamma to 0 when q is far below 1
         gamma = q - p + 1.0
         if not (gamma > 0.0):
             raise DomainError(f"q - p + 1 must be positive, got {gamma}")

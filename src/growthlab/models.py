@@ -51,7 +51,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .params import DomainError
+from .params import DomainError, _check_exponents, _check_finite_positive
 
 
 def _ns(x):
@@ -76,6 +76,21 @@ def geometric_grid(lo: float, hi: float, num: int) -> list[float]:
     y0 = math.log10(lo)
     step = (math.log10(hi) - y0) / (num - 1)
     return [lo, *[10.0 ** (i * step + y0) for i in range(1, num - 1)], hi]
+
+
+def _check_dimension(n) -> None:
+    """DomainError unless the dimension n is a whole number of at least 2."""
+    if not n >= 2:
+        raise DomainError(f"dimension must be at least 2, got {n}")
+    if n % 1:
+        raise DomainError(f"dimension must be a whole number, got {n}")
+
+
+def _coefficient(c: float) -> float:
+    """A profile's coefficient c as a float; DomainError unless finite."""
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
+    return float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +182,10 @@ class RadialProfile:
 
 
 class PowerLaw(RadialProfile):
-    """v(t) = t**c.  Any real exponent is allowed; c > 0 gives growth."""
+    """v(t) = t**c.  Any finite exponent is allowed; c > 0 gives growth."""
 
     def __init__(self, c: float):
-        self.c = float(c)
+        self.c = _coefficient(c)
 
     def _log_v(self, t, xp):
         return self.c * xp.log(t)
@@ -207,12 +222,12 @@ class PowerLaw(RadialProfile):
 
 
 class ExpPower(RadialProfile):
-    """v(t) = exp(c * t**beta) with 0 < beta <= 1.  c may take any sign."""
+    """v(t) = exp(c * t**beta) with 0 < beta <= 1 and c finite, any sign."""
 
     def __init__(self, c: float, beta: float):
         if not (0.0 < beta <= 1.0):
             raise DomainError(f"beta must lie in (0, 1], got {beta}")
-        self.c = float(c)
+        self.c = _coefficient(c)
         self.beta = float(beta)
 
     def _log_v(self, t, xp):
@@ -261,7 +276,7 @@ class ExpPower(RadialProfile):
 
 
 class PHarmonicRn(RadialProfile):
-    """v(t) = t**alpha - 1 with alpha = (p - n) / (p - 1), for p > n >= 2.
+    """v(t) = t**alpha - 1, alpha = (p - n) / (p - 1), for p > n >= 2, n whole.
 
     This is (up to normalisation) the radial p-harmonic function on
     n-dimensional Euclidean space that vanishes on the unit sphere and grows
@@ -271,10 +286,8 @@ class PHarmonicRn(RadialProfile):
     t_min = 1.0
 
     def __init__(self, n: int, p: float):
-        if n < 2:
-            raise DomainError(f"dimension must be at least 2, got {n}")
-        if not math.isfinite(p):
-            raise DomainError(f"p must be finite, got {p}")
+        _check_dimension(n)
+        _check_exponents(p)
         if not (p > n):
             raise DomainError(f"need p > n for an increasing profile, got p={p}, n={n}")
         self.n = int(n)
@@ -339,8 +352,7 @@ class ModelManifold:
     omega: float = 2.0 * math.pi
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise DomainError(f"omega must be positive, got {self.omega}")
+        _check_finite_positive("omega", self.omega)
 
     def log_warp(self, s):
         return self.warp.log_value(s)
@@ -350,8 +362,7 @@ class ModelManifold:
         """Euclidean n-space: omega = 2 * pi**(n/2) / Gamma(n/2), formed
         from lgamma where Gamma(n/2) overflows (n >= 344); below the normal
         doubles (n >= 439) it raises DomainError."""
-        if n < 2:
-            raise DomainError(f"dimension must be at least 2, got {n}")
+        _check_dimension(n)
         try:
             omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         except OverflowError:
@@ -389,8 +400,8 @@ def _log_excess_of(log_s0: float, lv, d):
 
 
 def _log_s0(s0: float) -> float:
-    """log s0 of a truncation level, -inf at s0 = 0."""
-    if s0 < 0.0:
+    """log s0 of a truncation level, -inf at s0 = 0; nan is refused."""
+    if not s0 >= 0.0:
         raise DomainError(f"s0 must be nonnegative, got {s0}")
     return math.log(s0) if s0 > 0.0 else -math.inf
 
@@ -405,8 +416,7 @@ def _support_start(profile: RadialProfile, s0: float) -> float:
 def log_sphere_integral(manifold: ModelManifold, profile: RadialProfile,
                         q: float, s0: float, s: float) -> float:
     """log of omega * g(s) * (v(s) - s0)**q; -inf where v <= s0."""
-    if not (q > 0.0):
-        raise DomainError(f"q must be positive, got {q}")
+    _check_finite_positive("q", q)
     log_s0 = _log_s0(s0)
     lv = profile.log_value(s)
     le = _log_excess_of(log_s0, lv, lv - log_s0)
@@ -420,10 +430,10 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
     """Log-log slope of the sphere integral phi over [rmin, rmax].
 
     The slope is the least-squares fit of log phi against log r at nine
-    geometrically spaced radii.  Returns -inf when phi vanishes on the
-    whole window.  Mixed windows (partly inside, partly outside the support
-    of (v - s0)+) are rejected; move the window past the support radius
-    instead.  A window end past the largest double raises DomainError.
+    geometrically spaced radii; -inf when phi vanishes on the whole window.
+    Mixed windows (partly inside, partly outside the support of (v - s0)+)
+    are rejected: move the window past the support radius.  A window end
+    past the largest double, or a log phi of +inf or nan, raises DomainError.
     """
     if not (0.0 < rmin < rmax):
         raise DomainError(f"need 0 < rmin < rmax, got [{rmin}, {rmax}]")
@@ -431,6 +441,8 @@ def sphere_log_slope(manifold: ModelManifold, profile: RadialProfile,
         raise DomainError(f"window end rmax={rmax} is not finite")
     radii = geometric_grid(rmin, rmax, 9)
     vals = [log_sphere_integral(manifold, profile, q, s0, r) for r in radii]
+    if not all(v < math.inf for v in vals):
+        raise DomainError(f"log phi is +inf or nan on [{rmin}, {rmax}], q={q}")
     if all(v == -math.inf for v in vals):
         return -math.inf
     if any(v == -math.inf for v in vals):
@@ -481,8 +493,7 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
     This is _operator_terms at mu = 0, which stays in double range even
     when v itself does not.  An infinite r is refused.
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     if r == math.inf:
         raise DomainError(f"radius {r} is not finite")
     _, e1s, k2s = profile.scaled_derivs([r])
@@ -515,8 +526,7 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     r + h; both operators come from _operator_terms at mu = 0.
     Returns |S_fd - S_analytic| / max(1, |S_analytic|).
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     at_r = None
     if h is None:
         at_r = profile.scaled_derivs([r])
@@ -584,34 +594,32 @@ class SharpPotential:
     space; as mu -> p it passes the largest double (for p = 2, q = 3 from
     mu = 1.988 on), and the constructor then raises DomainError.  For
     mu = p the pair (t**(a+p-1), t**c) gives the exact power potential
-    V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.
+    V = lam / r**p with lam = c**(p-1) * ((p-1)*c + a) and no deficit.  A
+    lam out of double range, or c not finite and positive, is refused.
     scaled_values gives r**mu * V(r), which never overflows, and V(r) is
     its value at r over r**mu, a DomainError where r**mu passes the largest
     double.
     """
 
     def __init__(self, p: float, mu: float, a: float, c: float):
-        if not (p > 1.0):
-            raise DomainError(f"p must exceed 1, got {p}")
-        if not (0.0 <= mu <= p):
-            raise DomainError(f"mu must lie in [0, p], got {mu}")
-        if not (c > 0.0):
-            raise DomainError(f"c must be positive, got {c}")
+        _check_exponents(p, mu=mu)
+        _check_finite_positive("c", c)
         if not ((p - 1.0) * c + a > 0.0):
             raise DomainError(
                 f"(p-1)*c + a must be positive, got {(p - 1.0) * c + a}")
-        self.p = float(p)
-        self.mu = float(mu)
-        self.a = float(a)
-        self.c = float(c)
+        self.p, self.mu = float(p), float(mu)
+        self.a, self.c = float(a), float(c)
         self.beta = 1.0 - mu / p
-        if mu < p:
-            self.lam = self.beta ** p * c ** (p - 1.0) * ((p - 1.0) * c + a)
-            self.D = (p - 1.0) * (1.0 - self.beta) \
-                / (self.beta * ((p - 1.0) * c + a))
-        else:
-            self.lam = c ** (p - 1.0) * ((p - 1.0) * c + a)
-            self.D = 0.0
+        try:
+            self.lam = (self.beta ** p if mu < p else 1.0) \
+                * c ** (p - 1.0) * ((p - 1.0) * c + a)
+        except OverflowError:
+            self.lam = math.inf
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"potential amplitude lam = {self.lam} leaves "
+                              f"double range at p={p}, mu={mu}")
+        self.D = (p - 1.0) * (1.0 - self.beta) \
+            / (self.beta * ((p - 1.0) * c + a)) if mu < p else 0.0
         self.r_min_positive = 0.0
         if self.D > 0.0:
             log_r = math.log(self.D) / self.beta
@@ -691,8 +699,7 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     radii = list(radii)
     if not radii:
         raise DomainError("radius grid is empty")
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     log_s0 = _log_s0(s0)
     inf = math.inf
     # one sum screens the grid; it also overflows on finite radii near the

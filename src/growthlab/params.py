@@ -10,9 +10,10 @@ constant ``k``.  From these the module computes the two growth thresholds
   unique root above ``p`` of  C**(1/p) * (C - p)**(1/p') = C0,
 
 together with the chain of comparison constants used by the integral
-inequalities in :mod:`growthlab.growth`.  The two error types, the report
-of one check and the two threshold classifications live here too: none of
-them needs numpy, so the subcommands that use only them never load it.
+inequalities in :mod:`growthlab.growth`.  The admissible exponents, the
+two error types, the report of one check and the two threshold
+classifications live here too: none of them needs numpy, so the
+subcommands that use only them never load it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,26 @@ def _check_finite_positive(name: str, r: float) -> None:
 
 
 def _check_nonnegative(name: str, x: float) -> None:
-    """Raise DomainError naming x if it is nan or negative."""
+    """Raise DomainError naming x unless it is finite and nonnegative."""
     if not (x >= 0.0):
         raise DomainError(f"{name} must be nonnegative, got {x}")
+    if x == math.inf:
+        raise DomainError(f"{name} must be finite, got {x}")
+
+
+def _check_exponents(p: float, q: float | None = None,
+                     mu: float | None = None) -> None:
+    """DomainError unless 1 < p < inf, p - 1 < q < inf and 0 <= mu <= p."""
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p}")
+    if not (p > 1.0):
+        raise DomainError(f"p must exceed 1, got {p}")
+    if q is not None and not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
+    if q is not None and not (q > p - 1.0):
+        raise DomainError(f"q must exceed p - 1 = {p - 1}, got {q}")
+    if mu is not None and not (0.0 <= mu <= p):
+        raise DomainError(f"mu must lie in [0, p] = [0, {p}], got {mu}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +98,8 @@ def _check_nonnegative(name: str, x: float) -> None:
 class Params:
     """Validated parameter tuple (p, q, mu, lam, k).
 
-    Constraints: p, q, lam and k finite; p > 1, q > p - 1, 0 <= mu <= p,
-    lam > 0, k > 0.  The exponents every constant is built from are
+    Constraints, in order: the exponents of _check_exponents, then lam and
+    k finite and positive.  The exponents every constant is built from are
     read-only properties: gamma = q - p + 1 > 0, beta = 1 - mu/p in [0, 1]
     (0 exactly at the borderline mu = p) and p_conj = p' = p/(p - 1).
     """
@@ -93,20 +111,9 @@ class Params:
     k: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "q", "lam", "k"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-        if not (self.p > 1.0):
-            raise DomainError(f"p must exceed 1, got {self.p}")
-        if not (self.q > self.p - 1.0):
-            raise DomainError(f"q must exceed p - 1 = {self.p - 1}, got {self.q}")
-        if not (0.0 <= self.mu <= self.p):
-            raise DomainError(f"mu must lie in [0, p] = [0, {self.p}], got {self.mu}")
-        if not (self.lam > 0.0):
-            raise DomainError(f"lam must be positive, got {self.lam}")
-        if not (self.k > 0.0):
-            raise DomainError(f"k must be positive, got {self.k}")
+        _check_exponents(self.p, self.q, self.mu)
+        _check_finite_positive("lam", self.lam)
+        _check_finite_positive("k", self.k)
 
     @property
     def gamma(self) -> float:
@@ -281,15 +288,12 @@ def classify_l1_condition(sphere_log_slope: float, p: float,
     (so the integral is infinite for small r) to obtain
     "holds_only_for_small_r"; otherwise the verdict is "condition_fails".
     The distinction matters because the vanishing conclusions require the
-    divergence for every radius, not just for some.  p must be finite and
-    exceed 1, and the slope must not be nan.
+    divergence for every radius, not just for some.  p must be admissible
+    (see _check_exponents), and then the slope must not be nan.
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     if math.isnan(sphere_log_slope):
         raise DomainError("sphere_log_slope is nan")
-    if not p < math.inf:
-        raise DomainError(f"p must be finite, got {p}")
     if sphere_log_slope / (p - 1.0) <= 1.0:
         return "condition_holds"
     if finite_radius_infinite:

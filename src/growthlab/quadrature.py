@@ -206,12 +206,12 @@ def _panels(logf, a: np.ndarray, b: np.ndarray):
 
 
 def _initial_breakpoints(lo: float, hi: float) -> list[float]:
-    """The ends of the eight geometric or even panels [lo, hi] starts from."""
+    """The ends of the eight geometric or even panels [lo, hi] starts from;
+    the last is hi itself, which lo + (hi - lo) may miss by an ulp."""
     if lo > 0.0 and 16.0 <= hi / lo < math.inf:
         return geometric_grid(lo, hi, 9)
     width = hi - lo
-    return [lo + width * i / 8.0
-            for i in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)]
+    return [lo + width * (i / 8.0) for i in range(8)] + [hi]
 
 
 def _inside(a: float, b: float) -> bool:
@@ -445,8 +445,8 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     its own initial panels, tolerance test and _MAX_PANELS budget, so it
     gets the panels it would get refined alone.  A table may carry a third
     element ends(lo, hi): the initial panel ends of each of its segments
-    [lo, hi], a nondecreasing list from lo to hi; without it a segment
-    starts from the eight even or geometric panels of
+    [lo, hi], a nondecreasing list from lo to hi, else DomainError; without
+    it a segment starts from the eight even or geometric panels of
     _initial_breakpoints.  The result at R sums the segments up to R, their
     panels and their evals, with their combined relative error, from one
     running sum over its segments' result tuples, O(1) per radius
@@ -479,7 +479,11 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
                 raise DomainError(f"integration segment [{start}, {R}] is "
                                   "wider than the largest double")
             if R > start:
-                segments.append((start, R, ends(start, R), t))
+                pts = ends(start, R)
+                if pts[:1] != [start] or pts[-1:] != [R] or pts != sorted(pts):
+                    raise DomainError(f"panel ends {pts} do not run from "
+                                      f"{start} to {R} in nondecreasing order")
+                segments.append((start, R, pts, t))
                 start = R
             upto.append(len(segments))
         spans.append((begin, len(segments), upto))

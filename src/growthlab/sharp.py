@@ -14,7 +14,7 @@ w = (v - s0)+ grows at exactly the threshold rate:
 
 The coefficient pair (a, c) is normalised by (p-1)*a = (q - p*(p-1))*c with
 a in {-1, 0, 1}, which makes a + q*c = p*((p-1)*c + a) hold identically and
-pins the rate to the threshold.
+pins the rate to the threshold.  Inadmissible exponents get Params' message.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .models import ExpPower, ModelManifold, PowerLaw, RadialProfile, SharpPotential
-from .params import DomainError, Params
+from .params import DomainError, Params, _check_exponents
 
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -37,10 +37,7 @@ def choose_ac(p: float, q: float) -> tuple[float, float]:
     normalisation keeps both warp and profile monotone in the natural
     direction and gives the exact identity a + q*c = p*((p-1)*c + a).
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
-    if not (q > p - 1.0):
-        raise DomainError(f"q must exceed p - 1 = {p - 1}, got {q}")
+    _check_exponents(p, q)
     pivot = p * (p - 1.0)
     if q < pivot:
         return -1.0, (p - 1.0) / (pivot - q)
@@ -108,11 +105,9 @@ def build_sharp_example(p: float, q: float, mu: float) -> SharpExample:
     r+ is the radius below which the critical potential goes nonpositive;
     this keeps t0 > r+ so the potential is positive on the whole region the
     checks integrate over.  For most triples r+ < 1 and s0 = 2 * v(1).
-    Raises DomainError when s0 passes the largest double.
+    DomainError also names a lam or s0 that leaves double range.
     """
     a, c = choose_ac(p, q)
-    if not (0.0 <= mu <= p):
-        raise DomainError(f"mu must lie in [0, p], got {mu}")
     potential = SharpPotential(p, mu, a, c)
     beta = potential.beta
     if mu < p:
@@ -148,8 +143,7 @@ def default_qs(p: float) -> tuple[float, float, float]:
     The lower value is the midpoint of (p-1, p*(p-1)); the upper one is the
     pivot plus 1.  For p = 2 this gives (1.5, 2, 3).
     """
-    if not (p > 1.0):
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     pivot = p * (p - 1.0)
     return ((p - 1.0 + pivot) / 2.0, pivot, pivot + 1.0)
 

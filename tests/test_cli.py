@@ -378,11 +378,16 @@ def test_bad_window_radius_exit_code(capsys, argv, flag):
     (["sharp", "--rate", "--rate-tol", "-0.5"], "rate_tol", "-0.5"),
     (["sharp", "--rate", "--rate-tol", "nan"], "rate_tol", "nan"),
     (["inequalities", "--tol", "nan"], "base_tol", "nan"),
+    # a tolerance of inf made a check that cannot fail
+    (["verify", "--residual-tol", "inf"], "residual_tol", "inf"),
+    (["verify", "--fd-tol", "inf"], "fd_tol", "inf"),
+    (["sharp", "--rate", "--rate-tol", "inf"], "rate_tol", "inf"),
 ])
 def test_bad_tolerance_exit_code(capsys, argv, flag, text):
     rc, out, err = run(capsys, [*argv, "--p", "2", "--q", "3", "--mu", "1"])
     assert (rc, out) == (2, "")
-    assert err == f"growthlab: error: {flag} must be nonnegative, got {text}\n"
+    rule = "be finite" if text == "inf" else "be nonnegative"
+    assert err == f"growthlab: error: {flag} must {rule}, got {text}\n"
 
 
 @pytest.mark.parametrize("argv, config, env, message", [
@@ -404,8 +409,14 @@ def test_bad_tolerance_exit_code(capsys, argv, flag, text):
      "rel_tol must be finite and positive, got -1e-12"),
     (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"], None, "nan",
      "base_tol must be nonnegative, got nan"),
+    (["inequalities", "--p", "2", "--q", "3", "--mu", "1", "--tol", "inf"], None, None,
+     "base_tol must be finite, got inf"),
+    (["verify"], "p = 2\nq = 3\nmu = 1\ntol = inf\n", None, "base_tol must be finite, got inf"),
+    (["constants", "--p", "2", "--q", "3", "--mu", "1", "--lambda", "1"], None, "inf",
+     "base_tol must be finite, got inf"),
 ], ids=["verify-tol", "verify-quad-tol", "constants-tol", "l1-quad-tol", "liouville-tol",
-        "sharp-tol", "rate-quad-tol-zero", "config-quad-tol", "env-tol"])
+        "sharp-tol", "rate-quad-tol-zero", "config-quad-tol", "env-tol", "inequalities-tol-inf",
+        "config-tol-inf", "env-tol-inf"])
 def test_bad_shared_tolerance_exit_code(capsys, tmp_path, monkeypatch, argv, config, env, message):
     """--tol and --quad-tol are checked for every command, from any source."""
     if config is not None:
@@ -483,10 +494,19 @@ def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
     (["l1", "--slope", "1", "--p", "1"], "p must exceed 1, got 1.0"),
     # alpha = (p - n) / (p - 1) is nan at p = inf, and the slope with it
     (["l1", "--euclidean", "3", "--p", "inf", "--q", "1"], "p must be finite, got inf"),
+    # q * log v passes the largest double: "sphere_log_slope is nan"
+    (["l1", "--euclidean", "3", "--p", "4", "--q", "1e308"],
+     "log phi is +inf or nan on [10000.0, 100000000.0], q=1e+308"),
+    # c**(p - 1) overflowed with a traceback, or lam = 0.0 reached Params
+    (["sharp", "--p", "50", "--q", "2450.0000001", "--mu", "0"],
+     "potential amplitude lam = inf leaves double range at p=50.0, mu=0.0"),
+    (["sharp", "--p", "1e6", "--q", "1e13", "--mu", "0"],
+     "potential amplitude lam = 0.0 leaves double range at p=1000000.0, mu=0.0"),
 ], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml",
         "missing-flags", "sharp-t0-inf", "inequalities-t0-inf", "verify-t0-inf",
         "l1-slope-inf-p-inf", "l1-p-inf", "l1-slope-nan", "l1-p-one",
-        "l1-euclidean-p-inf"])
+        "l1-euclidean-p-inf", "l1-euclidean-slope-overflow", "sharp-lam-overflow",
+        "sharp-lam-underflow"])
 def test_usage_error_messages(capsys, argv, message):
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "")

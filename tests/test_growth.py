@@ -1348,13 +1348,13 @@ _T0 = EX_DECAY.t0
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: growth_samples(_M, PowerLaw(1.0), 0.0, 0.0, [2.0]), "q must be positive, got 0.0"),
+    (lambda: growth_samples(_M, PowerLaw(1.0), 0.0, 0.0, [2.0]), "q must be finite and positive, got 0.0"),
     (lambda: growth_samples(_M, PowerLaw(1.0), 2.0, 0.0, []), "radius grid is empty"),
     (lambda: growth_samples(_M, PowerLaw(1.0), 2.0, 0.0, [2.0, 2.0]),
      "radii must be strictly increasing"),
     (lambda: log_energy_integral(_M, PowerLaw(1.0), 1.0, 2.0, 0.0, 2.0), "p must exceed 1, got 1.0"),
     (lambda: log_energy_integral(_M, PowerLaw(1.0), 3.0, 2.0, 0.0, 2.0),
-     "q - p + 1 must be positive, got 0.0"),
+     "q must exceed p - 1 = 2.0, got 2.0"),
     (lambda: check_growth_lower_bound(EX_DECAY, _FLOOR, 4.0 * _FLOOR),
      f"R1 must exceed max(t0, positivity radius) = {_FLOOR}, got {_FLOOR}"),
     (lambda: check_growth_lower_bound(EX_DECAY, 10.0, 10.0), "need R > R1, got R=10.0, R1=10.0"),
@@ -1369,13 +1369,16 @@ _T0 = EX_DECAY.t0
     (lambda: log_energy_integral(EX_DECAY.manifold, EX_DECAY.profile, 2.0, 1e308, EX_DECAY.s0, 5.0),
      "the support-edge exponent 2(q + 1) is not finite at q=1e+308"),
     (lambda: growth_samples(EX_DECAY.manifold, EX_DECAY.profile, math.inf, EX_DECAY.s0, [5.0]),
-     "the support-edge exponent 2(q + 1) is not finite at q=inf"),
+     "q must be finite and positive, got inf"),
     (lambda: log_energy_integral(EX_DECAY.manifold, EX_DECAY.profile, 2.0, math.inf, EX_DECAY.s0, 5.0),
-     "the support-edge exponent 2(q + 1) is not finite at q=inf"),
+     "q must be finite, got inf"),
+    # the gamma check read "q - p + 1 must be positive, got -inf"
+    (lambda: log_energy_integral(_M, PowerLaw(1.0), math.inf, 2.0, 0.0, 2.0), "p must be finite, got inf"),
+    (lambda: run_inequality_suite(EX_DECAY, base_tol=math.inf), "base_tol must be finite, got inf"),
 ], ids=["samples-q", "samples-empty", "samples-not-increasing", "energy-p", "energy-gamma",
         "growth-R1-floor", "growth-R-R1", "caccioppoli-R", "caccioppoli-h", "capacity-r",
         "capacity-R", "rate-window-num",
-        "energy-edge-exponent", "samples-q-inf", "energy-q-inf"])
+        "energy-edge-exponent", "samples-q-inf", "energy-q-inf", "energy-p-inf", "suite-tol-inf"])
 def test_growth_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()

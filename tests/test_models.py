@@ -200,7 +200,7 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
     (lambda: PHarmonicRn(1, 3.0), "dimension must be at least 2, got 1"),
     (lambda: PHarmonicRn(3, math.inf), "p must be finite, got inf"),
     (lambda: ModelManifold.euclidean(1), "dimension must be at least 2, got 1"),
-    (lambda: ModelManifold(PowerLaw(1.0), omega=0.0), "omega must be positive, got 0.0"),
+    (lambda: ModelManifold(PowerLaw(1.0), omega=0.0), "omega must be finite and positive, got 0.0"),
     (lambda: log_sphere_integral(ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, -1.0, 2.0),
      "s0 must be nonnegative, got -1.0"),
     (lambda: p_laplacian_scaled(_PLANE, _DECREASING, 2.0, 3.0),
@@ -214,7 +214,7 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
     (lambda: fd_cross_check(_PLANE, _DECREASING, 2.0, 3.0),
      "stencil sees a non-increasing profile at r=3.0"),
     (lambda: SharpPotential(1.0, 0.0, 1.0, 1.0), "p must exceed 1, got 1.0"),
-    (lambda: SharpPotential(2.0, 3.0, 1.0, 1.0), "mu must lie in [0, p], got 3.0"),
+    (lambda: SharpPotential(2.0, 3.0, 1.0, 1.0), "mu must lie in [0, p] = [0, 2.0], got 3.0"),
     (lambda: SharpPotential(2.0, 1.0, 1.0, 1.0).level_deficit(0.5),
      "potential is defined for r >= 1, got 0.5"),
     (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 2.0, 0.0, []),
@@ -223,12 +223,38 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
      "radius inf is not finite"),
     (lambda: p_laplacian_scaled(_BORDERLINE.manifold, _BORDERLINE.profile, 2.0, math.inf),
      "radius inf is not finite"),
+    # each of these returned nan, a wrong number or an object that was
+    # (level radius 1.0, logG = inf, a residual of 0.0, lam = inf)
+    (lambda: p_laplacian_scaled(_PLANE, _GROWING, math.inf, 3.0), "p must be finite, got inf"),
+    (lambda: fd_cross_check(_PLANE, _GROWING, math.inf, 3.0), "p must be finite, got inf"),
+    (lambda: PowerLaw(math.inf), "c must be finite, got inf"),
+    (lambda: ExpPower(math.nan, 0.5), "c must be finite, got nan"),
+    (lambda: PHarmonicRn(2.5, 4.0), "dimension must be a whole number, got 2.5"),
+    (lambda: ModelManifold.euclidean(math.nan), "dimension must be at least 2, got nan"),
+    (lambda: ModelManifold.euclidean(math.inf), "dimension must be a whole number, got inf"),
+    (lambda: ModelManifold(PowerLaw(1.0), omega=math.inf), "omega must be finite and positive, got inf"),
+    (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 2.0, math.nan, [3.0]),
+     "s0 must be nonnegative, got nan"),
+    (lambda: log_sphere_integral(_PLANE, _GROWING, 2.0, math.nan, 2.0), "s0 must be nonnegative, got nan"),
+    (lambda: log_sphere_integral(_PLANE, _GROWING, math.inf, 0.0, 2.0), "q must be finite and positive, got inf"),
+    (lambda: SharpPotential(math.inf, 0.0, 1.0, 1.0), "p must be finite, got inf"),
+    (lambda: SharpPotential(2.0, 0.0, 1.0, math.inf), "c must be finite and positive, got inf"),
+    # c**(p - 1) overflowed with a traceback, or lam underflowed to 0.0
+    (lambda: SharpPotential(50.0, 0.0, 1.0, 49.0 / 1e-7),
+     "potential amplitude lam = inf leaves double range at p=50.0, mu=0.0"),
+    (lambda: SharpPotential(1e6, 0.0, 1.0, 0.1), "potential amplitude lam = 0.0 leaves double range at p=1000000.0, mu=0.0"),
+    # q * log(v) passes the largest double; the slope read nan
+    (lambda: sphere_log_slope(ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 1e308, 0.0, 1e4, 1e8),
+     "log phi is +inf or nan on [10000.0, 100000000.0], q=1e+308"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
         "exp-deriv", "harmonic-dimension", "harmonic-p-inf", "euclidean-dimension", "omega",
         "s0", "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
         "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty",
-        "laplacian-r-inf-decay", "laplacian-r-inf-borderline"])
+        "laplacian-r-inf-decay", "laplacian-r-inf-borderline", "laplacian-p-inf", "fd-p-inf",
+        "power-c-inf", "exp-c-nan", "harmonic-dimension-fraction", "euclidean-nan", "euclidean-inf",
+        "omega-inf", "residual-s0-nan", "sphere-s0-nan", "sphere-q-inf", "potential-p-inf",
+        "potential-c-inf", "potential-lam-overflow", "potential-lam-underflow", "slope-overflow"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()

@@ -397,7 +397,9 @@ def test_liouville_check_rejects_non_finite():
     (math.nan, 2.0, "sphere_log_slope is nan"),
     (math.inf, math.inf, "p must be finite, got inf"),
     (1.0, math.inf, "p must be finite, got inf"),
-], ids=["p-one", "slope-nan", "p-inf-slope-inf", "p-inf"])
+    # p is named before the slope, as for every other p
+    (math.nan, math.inf, "p must be finite, got inf"),
+], ids=["p-one", "slope-nan", "p-inf-slope-inf", "p-inf", "p-inf-slope-nan"])
 def test_classify_l1_condition_error_messages(slope, p, message):
     with pytest.raises(DomainError) as info:
         classify_l1_condition(slope, p)

@@ -62,6 +62,29 @@ def test_initial_breakpoints_match_loop_formula(lo, hi):
     assert (got[0], got[-1]) == (lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(7.294201044197906, 15.790297059846727), (1e308, 1.7e308)])
+def test_even_breakpoints_end_at_hi(lo, hi):
+    """lo + (hi - lo) missed hi by an ulp on the first segment, and
+    (hi - lo) * i overflowed to inf on the second."""
+    got = _initial_breakpoints(lo, hi)
+    assert (got[0], got[-1], len(got)) == (lo, hi, 9)
+    assert got == sorted(got) and all(map(math.isfinite, got))
+
+
+@pytest.mark.parametrize("ends", [
+    lambda lo, hi: [lo - 1.0, hi],
+    lambda lo, hi: [lo, 0.7, 0.3, hi],
+    lambda lo, hi: [lo],
+    lambda lo, hi: [],
+], ids=["below-lo", "decreasing", "no-hi", "empty"])
+def test_tables_reject_panel_ends_that_do_not_cover_the_segment(ends):
+    """A hook's ends were trusted: integrating -x over [-1, 1], -inf from 5
+    panels, or numpy's zero-size error."""
+    with pytest.raises(DomainError, match=r"panel ends .* do not run from 0\.0 to 1\.0 "
+                       "in nondecreasing order"):
+        log_quad_tables(lambda x, starts: -x, [(0.0, [1.0], ends)])
+
+
 def test_deterministic():
     logf = np.vectorize(lambda t: math.sin(t) - t, otypes=[float])
     a = log_quad(logf, 0.0, 30.0)

@@ -9,15 +9,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthlab import (
     DomainError,
+    ModelManifold,
     Params,
+    PowerLaw,
     build_sharp_example,
     choose_ac,
+    classify_l1_condition,
     compute_C0,
     default_qs,
+    fd_cross_check,
+    p_laplacian_scaled,
     sharp_grid,
+    subsolution_residual,
 )
 
 
@@ -158,6 +166,76 @@ def test_p_of_one_error_message(call):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == "p must exceed 1, got 1.0"
+
+
+@pytest.mark.parametrize("call, message", [
+    # c = 0, (inf, inf, inf), "c must be positive" and "q must exceed p - 1 = inf"
+    (lambda: choose_ac(2.0, math.inf), "q must be finite, got inf"),
+    (lambda: default_qs(math.inf), "p must be finite, got inf"),
+    (lambda: build_sharp_example(2.0, math.inf, 1.0), "q must be finite, got inf"),
+    (lambda: build_sharp_example(math.inf, 3.0, 1.0), "p must be finite, got inf"),
+    # c**(p - 1) overflowed with a traceback; lam = 0.0 reached Params
+    (lambda: build_sharp_example(50.0, 2450.0000001, 0.0),
+     "potential amplitude lam = inf leaves double range at p=50.0, mu=0.0"),
+    (lambda: build_sharp_example(1e6, 1e13, 0.0),
+     "potential amplitude lam = 0.0 leaves double range at p=1000000.0, mu=0.0"),
+], ids=["choose-ac-q-inf", "default-qs-p-inf", "build-q-inf", "build-p-inf", "build-lam-overflow",
+        "build-lam-underflow"])
+def test_build_error_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def _near(x):
+    """x and the doubles on either side of it."""
+    return st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
+
+
+@st.composite
+def _exponents(draw):
+    """(p, q, mu) from nan, the infinities, 0, 1 and the domain's edges
+    p = 1, q = p - 1, mu = 0 and mu = p with their neighbouring doubles,
+    mixed with finite draws."""
+    finite = st.floats(-10.0, 10.0)
+    p = draw(st.one_of(_SPECIAL, _near(1.0), finite))
+    q = draw(st.one_of(_SPECIAL, _near(p - 1.0), finite))
+    mu = draw(st.one_of(_SPECIAL, _near(0.0), _near(p), finite))
+    return p, q, mu
+
+
+_PLANE, _GROWING = ModelManifold(PowerLaw(1.0)), PowerLaw(2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pqmu=_exponents())
+@example(pqmu=(math.inf, 3.0, 1.0))
+@example(pqmu=(2.0, 3.0, 3.0))
+def test_one_domain_one_message_at_every_entry_point(pqmu):
+    """Where Params refuses (p, q, mu), build_sharp_example refuses them with
+    the same message, and where p alone is out of the domain, so does every
+    entry point that takes p."""
+    p, q, mu = pqmu
+    try:
+        Params(p, q, mu, 1.0)
+        return
+    except DomainError as exc:
+        message = str(exc)
+    with pytest.raises(DomainError) as info:
+        build_sharp_example(p, q, mu)
+    assert str(info.value) == message
+    if 1.0 < p < math.inf:
+        return
+    for call in (lambda: default_qs(p), lambda: classify_l1_condition(1.0, p),
+                 lambda: p_laplacian_scaled(_PLANE, _GROWING, p, 3.0),
+                 lambda: fd_cross_check(_PLANE, _GROWING, p, 3.0),
+                 lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, p, 0.0, [3.0])):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_eps_for_radius_needs_a_radius_past_t0():
