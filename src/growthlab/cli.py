@@ -20,8 +20,11 @@ declares every subcommand with its options, handler and provenance.  Only
 growthlab.params loads with this module; each handler imports models, sharp
 or growth where it uses them, so constants, liouville and l1 --slope load
 neither models nor sharp, and only the handlers that integrate load growth,
-and with it numpy.  run() is the process: it freezes the collector before
-the interpreter exits, so the exit does not walk the loaded modules.
+and with it numpy.  The records are named tuples and Report a class with
+slots, so no subcommand loads the standard library's data-class module,
+and constants, liouville, verify and l1 load no inspect.  run() is the
+process: it freezes the collector before the interpreter exits, so the
+exit does not walk the loaded modules.
 
 Exit status: 0 on success with all checks passed, 1 when a requested check
 failed, 2 for usage or domain errors, including a config or environment
@@ -38,31 +41,40 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
 
 from .params import (CheckReport, DomainError, Params, QuadratureError,
-                     _check_finite_positive, _check_nonnegative,
+                     _check_finite_positive, _check_nonnegative, _record_repr,
                      classify_l1_condition, comparison_constants, compute_C0,
                      liouville_check, solve_C1)
 
 
-@dataclass
 class Report:
     """Everything a subcommand produced, ready for emission.
 
     Handlers fill in the results; main adds command, config and provenance.
+    __slots__ lists the fields in report order; list and dict defaults are new.
     """
 
-    command: str = ""
-    config: dict = field(default_factory=dict)
-    provenance: list = field(default_factory=list)
-    constants: dict | None = None
-    example: dict | None = None
-    samples: list = field(default_factory=list)
-    rate: dict | None = None
-    checks: list = field(default_factory=list)
-    classification: str | None = None
-    passed: bool | None = None
+    __slots__ = ("command", "config", "provenance", "constants", "example",
+                 "samples", "rate", "checks", "classification", "passed")
+
+    def __init__(self, command="", config=None, provenance=None,
+                 constants=None, example=None, samples=None, rate=None,
+                 checks=None, classification=None, passed=None):
+        self.command, self.constants, self.example = command, constants, example
+        self.rate, self.classification, self.passed = rate, classification, passed
+        self.config = {} if config is None else config
+        self.provenance, self.samples, self.checks = (
+            [] if v is None else v for v in (provenance, samples, checks))
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._asdict() == other._asdict() if same else NotImplemented
+
+    __repr__ = _record_repr
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,7 @@ def _handle_sharp(o: dict) -> Report:
         if rate_tol is None:
             rate_tol = 0.005 if ex.is_borderline else 0.01
         rel_gap = abs(est.rate - ex.expected_rate) / abs(ex.expected_rate)
-        report.rate = dict(asdict(est), expected=ex.expected_rate,
+        report.rate = dict(est._asdict(), expected=ex.expected_rate,
                            rel_gap=rel_gap, rel_tol=rate_tol)
         report.passed = rel_gap <= rate_tol
     return report
@@ -283,7 +295,7 @@ def _handle_rate(o: dict) -> Report:
                              rel_tol=o["quad_tol"])
     est = estimate_rate(samples, ex.beta)
     return Report(example=_example_dict(ex), samples=samples,
-                  rate=dict(asdict(est), expected=ex.expected_rate))
+                  rate=dict(est._asdict(), expected=ex.expected_rate))
 
 
 def _handle_inequalities(o: dict) -> Report:
@@ -433,6 +445,8 @@ def _json_safe(obj):
         if obj == -math.inf:
             return "-inf"
         return obj
+    if hasattr(obj, "_asdict"):  # a record: a dict, not the tuple's list
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -444,7 +458,7 @@ def report_to_dict(report: Report) -> dict:
     """The fields of report in order: command, config and provenance
     always, every other one unless it is None or an empty list."""
     return _json_safe({
-        key: value for key, value in asdict(report).items()
+        key: value for key, value in report._asdict().items()
         if key in ("command", "config", "provenance")
         or (value is not None and value != [])})
 
@@ -464,14 +478,13 @@ def emit_csv(report: Report, fh) -> None:
     if not records:
         raise DomainError(
             f"report for {report.command!r} has no tabular section for csv")
-    names = [f.name for f in fields(records[0])]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(names)
+    writer.writerow(records[0]._asdict())
     for record in records:
-        row = [getattr(record, name) for name in names]
         writer.writerow([v if isinstance(v, str)
                          else ("true" if v else "false") if isinstance(v, bool)
-                         else repr(float(v)) for v in row])
+                         else repr(float(v))
+                         for v in record._asdict().values()])
 
 
 def emit_human(report: Report, fh) -> None:

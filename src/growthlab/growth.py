@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -66,31 +66,25 @@ from .sharp import SharpExample
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthSample:
+class GrowthSample(namedtuple("GrowthSample", "R logG quad_error")):
     """One measurement of a ball functional: radius, log value, error."""
 
-    R: float
-    logG: float
-    quad_error: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RateEstimate:
+class RateEstimate(namedtuple(
+        "RateEstimate", "rate fit_residual regime window n_samples")):
     """Leading growth exponent fitted from samples of a log functional.
 
     regime "power" (beta > 0): logG was modelled as
     A * R**beta + B * log R + C and rate = A * beta, the exponent in
     log G ~ (rate/beta) * R**beta.  regime "log" (beta = 0): logG was
     modelled as A * log R + C and rate = A.  fit_residual is the worst
-    absolute misfit of the model on the samples.
+    absolute misfit of the model on the samples, and window the pair
+    (first R, last R).
     """
 
-    rate: float
-    fit_residual: float
-    regime: str
-    window: tuple[float, float]
-    n_samples: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +265,7 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     gamma = None
     if h_radii:
         _check_exponents(p, q)
-        # q > p - 1 can still round gamma to 0 when q is far below 1
         gamma = q - p + 1.0
-        if not (gamma > 0.0):
-            raise DomainError(f"q - p + 1 must be positive, got {gamma}")
     # _edge_split's exponents 2 * alpha are at most 2(q + 1)
     if not 2.0 * (q + 1.0) < math.inf:
         raise DomainError(f"the support-edge exponent 2(q + 1) is not "

@@ -13,13 +13,15 @@ together with the chain of comparison constants used by the integral
 inequalities in :mod:`growthlab.growth`.  The admissible exponents, the
 two error types, the report of one check and the two threshold
 classifications live here too: none of them needs numpy, so the
-subcommands that use only them never load it.
+subcommands that use only them never load it.  Every record of the
+package is a named tuple rather than a data class, so no subcommand loads
+the standard library's data-class module either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class DomainError(ValueError):
@@ -40,24 +42,32 @@ class QuadratureError(RuntimeError):
         self.panels, self.evals = panels, evals
 
 
-@dataclass(frozen=True)
-class CheckReport:
+def _record_repr(record) -> str:
+    """Class name and each name=value of record._asdict(), in order."""
+    return f"{type(record).__name__}(" + ", ".join(
+        f"{k}={v!r}" for k, v in record._asdict().items()) + ")"
+
+
+class CheckReport(namedtuple("CheckReport", "name lhs rhs margin tolerance")):
     """Outcome of one inequality check.
 
     lhs and rhs are the two sides in log scale; margin is oriented so that
-    the claimed inequality corresponds to margin >= 0.  passed is not an
-    argument: it is derived as margin >= -tolerance.
+    the claimed inequality corresponds to margin >= 0.  passed is not a
+    field: it is derived as margin >= -tolerance, also after _replace, and
+    cannot be set.  _asdict and repr show it between margin and tolerance.
     """
 
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool = field(init=False)
-    tolerance: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", self.margin >= -self.tolerance)
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -self.tolerance
+
+    def _asdict(self) -> dict:
+        return dict(zip(("name", "lhs", "rhs", "margin", "passed", "tolerance"),
+                        (*self[:4], self.passed, self.tolerance)))
+
+    __repr__ = _record_repr
 
 
 def _check_finite_positive(name: str, r: float) -> None:
@@ -76,7 +86,8 @@ def _check_nonnegative(name: str, x: float) -> None:
 
 def _check_exponents(p: float, q: float | None = None,
                      mu: float | None = None) -> None:
-    """DomainError unless 1 < p < inf, p - 1 < q < inf and 0 <= mu <= p."""
+    """DomainError unless 1 < p < inf, p - 1 < q < inf, gamma = q - p + 1
+    > 0 as computed in doubles, and 0 <= mu <= p."""
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p}")
     if not (p > 1.0):
@@ -85,6 +96,10 @@ def _check_exponents(p: float, q: float | None = None,
         raise DomainError(f"q must be finite, got {q}")
     if q is not None and not (q > p - 1.0):
         raise DomainError(f"q must exceed p - 1 = {p - 1}, got {q}")
+    # q > p - 1 can still round gamma to 0 when q is far below 1
+    if q is not None and not (q - p + 1.0 > 0.0):
+        raise DomainError(f"gamma = q - p + 1 must be positive in doubles, "
+                          f"got {q - p + 1.0} at p={p}, q={q}")
     if mu is not None and not (0.0 <= mu <= p):
         raise DomainError(f"mu must lie in [0, p] = [0, {p}], got {mu}")
 
@@ -94,26 +109,28 @@ def _check_exponents(p: float, q: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "p q mu lam k")):
     """Validated parameter tuple (p, q, mu, lam, k).
 
     Constraints, in order: the exponents of _check_exponents, then lam and
-    k finite and positive.  The exponents every constant is built from are
-    read-only properties: gamma = q - p + 1 > 0, beta = 1 - mu/p in [0, 1]
-    (0 exactly at the borderline mu = p) and p_conj = p' = p/(p - 1).
+    k finite and positive; _replace checks them too.  The exponents every
+    constant is built from are read-only properties: gamma = q - p + 1 > 0,
+    beta = 1 - mu/p in [0, 1] (0 exactly at the borderline mu = p) and
+    p_conj = p' = p/(p - 1).
     """
 
-    p: float
-    q: float
-    mu: float
-    lam: float
-    k: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_exponents(self.p, self.q, self.mu)
-        _check_finite_positive("lam", self.lam)
-        _check_finite_positive("k", self.k)
+    def __new__(cls, p: float, q: float, mu: float, lam: float,
+                k: float = 1.0):
+        _check_exponents(p, q, mu)
+        _check_finite_positive("lam", lam)
+        _check_finite_positive("k", k)
+        return super().__new__(cls, p, q, mu, lam, k)
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
 
     @property
     def gamma(self) -> float:
@@ -191,8 +208,16 @@ def solve_C1(p: float, q: float, lam: float, k: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonConstants:
+class ComparisonConstants(namedtuple("ComparisonConstants", [
+        "eps",
+        "c1",   # normalisation of the comparison weight
+        "c2",   # gamma / ((lam-eps) * k**p')
+        "c3",   # C0 evaluated at amplitude lam - eps
+        "C2",   # 1 + annulus constant entering the iteration
+        "c4",   # borderline weight normalisation, or None
+        "c5",   # borderline growth exponent, root of the C1 equation, or None
+        "c6",   # borderline composite coefficient, or None
+])):
     """Constant chain shared by the integral-inequality checks.
 
     All fields are evaluated at effective amplitude lam - eps.  The last
@@ -200,14 +225,7 @@ class ComparisonConstants:
     otherwise.
     """
 
-    eps: float
-    c1: float          # normalisation of the comparison weight
-    c2: float          # gamma / ((lam-eps) * k**p')
-    c3: float          # C0 evaluated at amplitude lam - eps
-    C2: float          # 1 + annulus constant entering the iteration
-    c4: float | None   # borderline weight normalisation
-    c5: float | None   # borderline growth exponent, root of the C1 equation
-    c6: float | None   # borderline composite coefficient
+    __slots__ = ()
 
 
 def _annulus_constant(params: Params) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .models import ExpPower, ModelManifold, PowerLaw, RadialProfile, SharpPotential
 from .params import DomainError, Params, _check_exponents
@@ -46,8 +46,8 @@ def choose_ac(p: float, q: float) -> tuple[float, float]:
     return 1.0, (p - 1.0) / (q - pivot)
 
 
-@dataclass(frozen=True)
-class SharpExample:
+class SharpExample(namedtuple("SharpExample", "p q mu a c lam s0 t0 "
+                              "expected_rate manifold profile potential params")):
     """A fully assembled extremal example.
 
     Carries the surface, the exact solution profile, the critical potential,
@@ -55,19 +55,7 @@ class SharpExample:
     rate the ball integrals must exhibit.
     """
 
-    p: float
-    q: float
-    mu: float
-    a: float
-    c: float
-    lam: float
-    s0: float
-    t0: float
-    expected_rate: float
-    manifold: ModelManifold
-    profile: RadialProfile
-    potential: SharpPotential
-    params: Params
+    __slots__ = ()
 
     @property
     def beta(self) -> float:

@@ -477,6 +477,11 @@ def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--p", "2", "--q", "3", "--mu", "1", "--num", "1"],
      "grid needs at least 2 points, got 1"),
+    *[([*argv, "--p", "2", "--q", "3", "--mu", "1"],
+       "a grid holds at most 10**6 radii, got num=1000001")
+      for argv in (["verify", "--num", "1000001"], ["rate", "--samples", "1000001"],
+                   ["rate", "--rmin", "10", "--rmax", "100", "--samples", "1000001"],
+                   ["sharp", "--rate", "--samples", "1000001"])],
     (["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmin", "2.8667473750380914", "--rmax", "100"],
      "need t0 < rmin < rmax, got [2.8667473750380914, 100.0]"),
     (["rate", "--p", "2", "--q", "3", "--mu", "1", "--rmin", "1", "--rmax", "100"],
@@ -502,7 +507,8 @@ def test_malformed_config_line_exit_code(capsys, tmp_path, config, message):
      "potential amplitude lam = inf leaves double range at p=50.0, mu=0.0"),
     (["sharp", "--p", "1e6", "--q", "1e13", "--mu", "0"],
      "potential amplitude lam = 0.0 leaves double range at p=1000000.0, mu=0.0"),
-], ids=["verify-num", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml",
+], ids=["verify-num", "verify-num-ceiling", "rate-samples-ceiling", "rate-rmin-samples-ceiling",
+        "sharp-samples-ceiling", "rate-rmin-at-t0", "rate-rmin-below-t0", "format-xml",
         "missing-flags", "sharp-t0-inf", "inequalities-t0-inf", "verify-t0-inf",
         "l1-slope-inf-p-inf", "l1-p-inf", "l1-slope-nan", "l1-p-one",
         "l1-euclidean-p-inf", "l1-euclidean-slope-overflow", "sharp-lam-overflow",

@@ -1365,6 +1365,12 @@ _T0 = EX_DECAY.t0
     (lambda: check_surface_capacity(EX_DECAY, 10.0, 10.0),
      f"need t0 < r < R, got t0={_T0}, r=10.0, R=10.0"),
     (lambda: rate_window(EX_DECAY, num=3), "need at least 4 samples, got num=3"),
+    (lambda: rate_window(EX_DECAY, num=10 ** 6 + 1),
+     "a grid holds at most 10**6 radii, got num=1000001"),
+    # q > p - 1, but gamma = q - p + 1 rounds to 0.0
+    (lambda: log_energy_integral(_M, PowerLaw(1.0), 1.0000000000000002, 2.2204460492503214e-16, 0.0, 2.0),
+     "gamma = q - p + 1 must be positive in doubles, got 0.0 at p=1.0000000000000002, "
+     "q=2.2204460492503215e-16"),
     # ceil(2 * alpha) of the support-edge exponent overflowed
     (lambda: log_energy_integral(EX_DECAY.manifold, EX_DECAY.profile, 2.0, 1e308, EX_DECAY.s0, 5.0),
      "the support-edge exponent 2(q + 1) is not finite at q=1e+308"),
@@ -1377,7 +1383,7 @@ _T0 = EX_DECAY.t0
     (lambda: run_inequality_suite(EX_DECAY, base_tol=math.inf), "base_tol must be finite, got inf"),
 ], ids=["samples-q", "samples-empty", "samples-not-increasing", "energy-p", "energy-gamma",
         "growth-R1-floor", "growth-R-R1", "caccioppoli-R", "caccioppoli-h", "capacity-r",
-        "capacity-R", "rate-window-num",
+        "capacity-R", "rate-window-num", "rate-window-num-ceiling", "energy-gamma-rounds-to-0",
         "energy-edge-exponent", "samples-q-inf", "energy-q-inf", "energy-p-inf", "suite-tol-inf"])
 def test_growth_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:

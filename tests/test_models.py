@@ -420,6 +420,13 @@ def test_subsolution_residual_zero_potential(manifold, profile, p, want):
     assert subsolution_residual(manifold, profile, lambda r: 0.0, p, 0.0, radii) == want
 
 
+def test_geometric_grid_refuses_more_than_a_million_radii():
+    # the check comes before any list exists, so this builds nothing
+    with pytest.raises(DomainError) as info:
+        geometric_grid(1.0, 2.0, 10 ** 6 + 1)
+    assert str(info.value) == "a grid holds at most 10**6 radii, got num=1000001"
+
+
 def test_fd_cross_check_families():
     cases = [
         (ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, 5.0),

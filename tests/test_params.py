@@ -192,7 +192,8 @@ import json, sys
 import growthlab
 def loaded():
     return " ".join(str(m in sys.modules) for m in
-                    ("numpy", "growthlab.models", "growthlab.sharp"))
+                    ("numpy", "growthlab.models", "growthlab.sharp",
+                     "dataclasses", "inspect"))
 print("import", 0, loaded(), file=sys.stderr)
 from growthlab.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -202,9 +203,10 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_only_the_integrating_subcommands_load_numpy():
-    # each line: subcommand, exit code, and whether numpy, growthlab.models
-    # and growthlab.sharp are loaded after it; none of NUMPY_FREE loads
-    # numpy, so one process can run them in turn
+    # each line: subcommand, exit code, and whether numpy, growthlab.models,
+    # growthlab.sharp, dataclasses and inspect are loaded after it; none of
+    # NUMPY_FREE loads numpy, so one process can run them in turn.  No
+    # subcommand loads dataclasses, and only numpy loads inspect
     env = dict(os.environ)
     src = str(Path(growthlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -213,16 +215,16 @@ def test_only_the_integrating_subcommands_load_numpy():
         env=env, capture_output=True, text=True, check=True,
     ).stderr
     assert err.splitlines() == [
-        "import 0 False False False",
-        "constants 0 False False False",
-        "liouville 0 False False False",
-        "l1 0 False False False",  # --slope
-        "l1 0 False True False",  # --euclidean
-        "verify 0 False True True",
-        "l1 0 False True True",
-        "sharp 0 True True True",
-        "rate 0 True True True",
-        "inequalities 0 True True True",
+        "import 0 False False False False False",
+        "constants 0 False False False False False",
+        "liouville 0 False False False False False",
+        "l1 0 False False False False False",  # --slope
+        "l1 0 False True False False False",  # --euclidean
+        "verify 0 False True True False False",
+        "l1 0 False True True False False",
+        "sharp 0 True True True False True",
+        "rate 0 True True True False True",
+        "inequalities 0 True True True False True",
     ]
 
 
@@ -313,6 +315,21 @@ def test_derived_exponents():
 def test_params_validation(kwargs):
     with pytest.raises(DomainError):
         Params(**kwargs)
+
+
+def test_gamma_that_rounds_to_zero_is_refused_everywhere(capsys):
+    # q > p - 1 holds, but q - p + 1 rounds to 0.0: liouville printed
+    # C0 = 0.0, and constants blamed the comparison constants' range
+    from growthlab.cli import main
+    p, q = 1.0000000000000002, 2.2204460492503214e-16
+    message = (f"gamma = q - p + 1 must be positive in doubles, got 0.0 at "
+               f"p={p}, q={q}")
+    with pytest.raises(DomainError) as info:
+        Params(p, q, 0.0, 1.0)
+    assert str(info.value) == message
+    for argv in (["constants", "--mu", "0"], ["liouville", "--growth", "1"]):
+        assert main([*argv, "--p", repr(p), "--q", repr(q), "--lambda", "1"]) == 2
+        assert capsys.readouterr() == ("", f"growthlab: error: {message}\n")
 
 
 def check_comparison_identities(params, eps):
