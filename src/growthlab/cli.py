@@ -167,18 +167,22 @@ def _add_arguments(parser, options) -> None:
             parser.add_argument(flag, dest=dest, type=typ, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every subcommand's parser, with arguments only for the one argv's
+    first non-option names, the only one that parsing argv reads."""
     parser = argparse.ArgumentParser(
         prog="growthlab",
         description="sharp growth constants and extremal examples for "
                     "degenerate quasilinear inequalities on model surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
+    own = next((a for a in argv if not a.startswith("-")), None)
     for name, (help_text, _, _, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        _add_arguments(sp, options)
-        sp.add_argument("--config", default=None, metavar="FILE",
-                        help="read defaults from FILE (key = value lines)")
-        _add_arguments(sp, _SHARED)
+        if name == own:
+            _add_arguments(sp, options)
+            sp.add_argument("--config", default=None, metavar="FILE",
+                            help="read defaults from FILE (key = value lines)")
+            _add_arguments(sp, _SHARED)
     return parser
 
 
@@ -257,10 +261,8 @@ def _handle_verify(o: dict) -> Report:
     radii = geometric_grid(lo, hi, num)
     residual = subsolution_residual(ex.manifold, ex.profile, ex.potential,
                                     ex.p, ex.s0, radii)
-    fd_radii = [radii[0], radii[num // 4], radii[num // 2],
-                radii[(3 * num) // 4], radii[-1]]
-    fd_worst = max(fd_cross_check(ex.manifold, ex.profile, ex.p, r)
-                   for r in fd_radii)
+    fd_worst = max(fd_cross_check(ex.manifold, ex.profile, ex.p, radii[i])
+                   for i in (0, num // 4, num // 2, (3 * num) // 4, -1))
     checks = [
         CheckReport(name="equation-residual", lhs=residual, rhs=0.0,
                     margin=-abs(residual), tolerance=o["residual_tol"]),
@@ -390,8 +392,8 @@ _COMMANDS = {
          ("--rmax", "rmax", float, 1e3, "grid end"),
          ("--residual-tol", "residual_tol", float, 1e-9,
           "tolerance on the equation residual"),
-         ("--fd-tol", "fd_tol", float, 1e-6,
-          "tolerance on the finite-difference cross check"))),
+         ("--fd-tol", "fd_tol", float, 1e-13,
+          "tolerance on the derivative cross check"))),
     "rate": (
         "sample ball integrals and fit a rate", _handle_rate,
         ("growthlab.growth:growth_samples",
@@ -438,13 +440,7 @@ _FLAGS = {dest: flag for *_, options in _COMMANDS.values()
 def _json_safe(obj):
     """Map nan and the infinities to strings; keep finite floats exact."""
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if obj == math.inf:
-            return "inf"
-        if obj == -math.inf:
-            return "-inf"
-        return obj
+        return obj if math.isfinite(obj) else str(float(obj))
     if hasattr(obj, "_asdict"):  # a record: a dict, not the tuple's list
         obj = obj._asdict()
     if isinstance(obj, dict):
@@ -538,7 +534,8 @@ def _emit(report: Report, options: dict) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     _, handler, calls, options = _COMMANDS[args.command]
     try:
         resolved = _resolve(args, options + _SHARED)

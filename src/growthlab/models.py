@@ -23,8 +23,7 @@ an ndarray of the same shape: growth's integrand makes one log_value call
 on all nodes of a quadrature batch.  scaled_derivs and log_slopes take a
 list of radii, and both come from one loop per profile, _derivs, which
 forms the other two columns only for scaled_derivs.  r v'/v is a
-profile's one log-slope: growth places its panel clusters from it, and
-fd_cross_check its step.
+profile's one log-slope: growth places its panel clusters from it.
 
 numpy is used only on such an array and never imported here, so code that
 evaluates single radii or lists of them, as verify and l1 do, runs without
@@ -33,8 +32,8 @@ it.
 The pointwise checks make their grid calls for whole radius lists:
 subsolution_residual one scaled_derivs call on the profile, one
 log_slopes call on the warp (it reads r g'/g alone) and one
-SharpPotential.scaled_values call, and fd_cross_check scaled_derivs
-calls on both.  Each call checks every radius and names the first bad
+SharpPotential.scaled_values call, and fd_cross_check the first two at
+its one radius.  Each call checks every radius and names the first bad
 one, and the residual's loop then does float arithmetic only.  Each value is the O(1)
 quantity of its radius: r v'/v and v v''/v'**2 rather than v'/v and
 v''/v, and r**mu * V rather than V, so no radius is squared and no r**mu
@@ -511,76 +510,79 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
     return t1 + t2
 
 
-def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
-                   p: float, r: float, h: float | None = None) -> float:
-    """Deviation between analytic and finite-difference scaled p-Laplacian.
+class _HyperDual:
+    """a + b*e1 + c*e2 + d*e1*e2 with e1**2 = e2**2 = 0: f of one with
+    b = c = 1 and d = 0 carries f, f' twice and f'', exact to rounding
+    (Fike and Alonso, AIAA 2011-886).  The class is _log_v's xp namespace:
+    log, log1p, a float power, sums, negation and products with a float.
+    _chain divides b, c and d by s = a or 1 + a before any product, with
+    g1 = s*f'(a) and g2 = s**2*f''(a): from (r, r, r, r) no r**2 forms."""
 
-    v'/v and v''/v are rebuilt from the five-point ratio stencil
-    y_j - 1 = expm1(log v(x_j) - log v(r)) at the nodes x_j = r + j*h,
-    j = -2..2, which keeps the arithmetic in range for profiles whose raw
-    values overflow.  The weights are those of the offsets x_j - r as
-    rounded, which are exact (Sterbenz) wherever h <= r/4, so a node that
-    rounds, as r + 2*h does just below a power of two, costs nothing; when
-    the offsets are not strictly increasing the stencil has collapsed and
-    DomainError is raised.  So it is, before the stencil, where the step
-    moves log v by fewer than 4 ulps, which the stencil cannot tell from
-    rounding (its deviation, absolute where |S_analytic| < 1, would read
-    about 0), and where the stencil sees a non-increasing profile.  The
-    default step resolves the shorter of two local scales, the radius and
-    the logarithmic derivative length v/v'; for exponentially growing
-    profiles the latter stays bounded while r does not; it is |r v'/v| / r
-    from one scaled_derivs call at r, whose values also feed the analytic
-    side, rounded up to a power of two.  One more call on the profile
-    covers the other four nodes, and one on the warp covers r - h, r and
-    r + h; both operators come from _operator_terms at mu = 0.
-    Returns |S_fd - S_analytic| / max(1, |S_analytic|).
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def _chain(self, value, s, g1, g2):
+        b, c = self.b / s, self.c / s
+        return _HyperDual(value, g1 * b, g1 * c, g1 * (self.d / s) + g2 * b * c)
+
+    def log(self):
+        return self._chain(math.log(self.a), self.a, 1.0, -1.0)
+
+    def log1p(self):
+        return self._chain(math.log1p(self.a), 1.0 + self.a, 1.0, -1.0)
+
+    def __pow__(self, n: float):
+        y = self.a ** n
+        return self._chain(y, self.a, n * y, n * (n - 1.0) * y)
+
+    def __add__(self, o):
+        return _HyperDual(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    def __rmul__(self, k: float):
+        return _HyperDual(k * self.a, k * self.b, k * self.c, k * self.d)
+
+    def __neg__(self):
+        return _HyperDual(-self.a, -self.b, -self.c, -self.d)
+
+
+def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
+                   p: float, r: float) -> float:
+    """Largest relative deviation of the operator terms and of log v' at r
+    between two evaluations.
+
+    The profile's and the warp's _log_v, on the hyper-dual t = (r, r, r, r),
+    give L = log v with L_u and L_uu in u = log r: e1 = L_u and
+    k2 = 1 + (L_uu - L_u) / L_u**2 of the profile, e_g = L_u of the warp.
+    _operator_terms forms each term at mu = 0 from these and from the
+    scaled_derivs and log_slopes columns; _log_dv, which H's integrand
+    uses, is set against log v + log e1 - log r of the columns.  Each
+    deviation is relative to the larger of the two magnitudes, where the
+    first term's counts k2 as at least 1 (either k2 rounds relative to 1,
+    and nears 0 where v'' does) and log v + log e1 - log r counts as the
+    sum of its three logs' magnitudes.  So it reads a few ulps, times p
+    through e1**p, wherever the expressions agree, at any radius in double
+    range.  DomainError names a radius that is not finite or not above
+    t_min, and a profile that is not increasing at r.
     """
     _check_exponents(p)
-    at_r = None
-    if h is None:
-        at_r = profile.scaled_derivs([r])
-        d1 = abs(at_r[1][0]) / r
-        scale = min(r, 1.0 / d1) if d1 > 0.0 else r
-        h = math.ldexp(1.0, math.frexp(1e-4 * scale)[1])
-    if not (h > 0.0) or r - 2.0 * h <= profile.t_min:
-        raise DomainError(f"step h={h} leaves the profile domain at r={r}")
-    xa, xb, xc, xd = r - 2.0 * h, r - h, r + h, r + 2.0 * h
-    # the offsets in units of a power of two u >= h, exactly: their products
-    # stay in range however large r is
-    u = math.ldexp(1.0, math.frexp(h)[1])
-    a, b, c, d = (xa - r) / u, (xb - r) / u, (xc - r) / u, (xd - r) / u
-    if not (a < b < 0.0 < c < d):
-        raise DomainError(f"stencil nodes r + j*h round at r={r}, h={h}")
-    (l0,), e1s, k2s = at_r or profile.scaled_derivs([r])
-    # the step moves log v by e1*h/r; each y - 1 rounds by about an ulp of
-    # log v, which moves u*d1 by up to 1.5 ulps (3 across a binade)
-    moved, ulp = e1s[0] * h / r, math.ulp(l0)
-    if 0.0 < moved < 4.0 * ulp:
-        raise DomainError(f"step h={h} moves log v by e1*h/r={moved:.3g}, "
-                          f"fewer than 4 ulps of log v ({ulp:.3g}) at r={r}")
-    la, lb, lc, ld = profile.scaled_derivs([xa, xb, xc, xd])[0]
-    lgs, egs, _ = manifold.warp.scaled_derivs([xb, r, xc])
-    # u v'/v and u**2 v''/v: the derivatives at 0 of the Lagrange basis on
-    # 0, a, b, c, d, that is each y - 1 over its node's offset times its
-    # differences to the other offsets, weighted by minus the product of
-    # the other three offsets (first) and twice the sum of their pairwise
-    # products (second)
-    expm1 = math.expm1
-    qa = expm1(la - l0) / (a * (a - b) * (a - c) * (a - d))
-    qb = expm1(lb - l0) / (b * (b - a) * (b - c) * (b - d))
-    qc = expm1(lc - l0) / (c * (c - a) * (c - b) * (c - d))
-    qd = expm1(ld - l0) / (d * (d - a) * (d - b) * (d - c))
-    d1 = -(b * c * d * qa + a * c * d * qb + a * b * d * qc + a * b * c * qd)
-    d2 = 2.0 * ((b * c + b * d + c * d) * qa + (a * c + a * d + c * d) * qb
-                + (a * b + a * d + b * d) * qc + (a * b + a * c + b * c) * qd)
-    if not (d1 > 0.0):
-        raise DomainError(f"stencil sees a non-increasing profile at r={r}")
-    ru = r / u
-    (f1, f2), (a1, a2) = _operator_terms(
-        p, 0.0, [r, r], [ru * d1, e1s[0]], [d2 / (d1 * d1), k2s[0]],
-        [ru * (lgs[2] - lgs[0]) / (c - b), egs[1]])
-    s_fd, s_an = f1 + f2, a1 + a2
-    return abs(s_fd - s_an) / max(1.0, abs(s_an))
+    if r == math.inf:
+        raise DomainError(f"radius {r} is not finite")
+    (lv,), (e1,), (k2,) = profile.scaled_derivs([r])
+    eg, = manifold.warp.log_slopes([r])
+    t = _HyperDual(r, r, r, r)
+    hv, hg = profile._log_v(t, _HyperDual), manifold.warp._log_v(t, _HyperDual)
+    # nan where v' = 0, as in scaled_derivs, which _operator_terms refuses
+    hk2 = 1.0 + (hv.d - hv.b) / hv.b / hv.b if hv.b else math.nan
+    (h1, h2), (a1, a2), (s1, _) = _operator_terms(
+        p, 0.0, [r, r, r], [hv.b, e1, e1], [hk2, k2, max(1.0, abs(k2))],
+        [hg.b, eg, eg])
+    le, u = math.log(e1), math.log(r)
+    pairs = ((h1, a1, s1), (h2, a2, abs(h2)),
+             (lv + le - u, profile._log_dv(r, math), abs(lv) + abs(le) + abs(u)))
+    return max(abs(x - y) / max(size, abs(y)) if x != y else 0.0
+               for x, y, size in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,12 @@ def test_acceptance_pointwise_identity():
             dev = fd_cross_check(ex.manifold, ex.profile, ex.p, float(radii[idx]))
             worst_fd = max(worst_fd, dev)
     elapsed = time.perf_counter() - start
-    ok = worst_res <= 1e-9 and worst_fd <= 1e-6 and elapsed < 10.0
+    ok = worst_res <= 1e-9 and worst_fd <= 1e-13 and elapsed < 10.0
     report(
         "pointwise equation identity (27 examples x 200 radii)",
         ok,
         f"worst residual {worst_res:.2e} (limit 1e-9), worst fd deviation "
-        f"{worst_fd:.2e} (limit 1e-6), {elapsed:.1f}s (limit 10s)",
+        f"{worst_fd:.2e} (limit 1e-13), {elapsed:.1f}s (limit 10s)",
     )
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import growthlab
-from growthlab import build_sharp_example, compute_C0, default_check_pairs, solve_C1
-from growthlab.cli import _COMMANDS, Report, main, report_to_dict, run as cli_run
+from growthlab import build_sharp_example, compute_C0, default_check_pairs, sharp_grid, solve_C1
+from growthlab.cli import _COMMANDS, Report, build_parser, main, report_to_dict, run as cli_run
 
 
 def run(capsys, argv):
@@ -324,6 +324,19 @@ def test_unknown_subcommand(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--p", "2"], "verify"), (["--help"], None), (["--x", "l1", "--p", "2"], "l1")])
+def test_parser_adds_the_arguments_of_the_named_subcommand_only(argv, named):
+    """Every subcommand is registered, so help and usage errors list them
+    all; only the first non-option of argv gets its options."""
+    sub, = (a for a in build_parser(argv)._actions if a.dest == "command")
+    assert list(sub.choices) == list(_COMMANDS)
+    for name, parser in sub.choices.items():
+        dests = [a.dest for a in parser._actions if a.dest != "help"]
+        assert dests == ([o[1] for o in _COMMANDS[name][3]] + ["config"]
+                         + ["output", "fmt", "tol", "quad_tol"] if name == named else [])
+
+
 def test_rate_too_few_samples_exit_code(capsys):
     rc, _, err = run(capsys, ["rate", "--p", "2", "--q", "3", "--mu", "1", "--samples", "1", "--rmin", "10", "--rmax", "100"])
     assert rc == 2
@@ -588,6 +601,9 @@ _PAST_R_SQUARED = [
     ("1.5", "0.875", "1.5", "1e200"),
     ("2", "3", "2", "1e200"),
     ("3", "7", "3", "1e200"),
+    # a finite-difference step below the spacing of doubles at r = 1.06e76
+    # exited 2 here
+    ("3", "4", "1.5", "1e300"),
 ]
 
 
@@ -601,13 +617,18 @@ def test_verify_passes_past_double_range_of_r_squared(capsys, p, q, mu, rmax):
     assert [c["passed"] for c in doc["checks"]] == [True, True]
 
 
-def test_verify_fd_stencil_that_rounds_exit_code(capsys):
-    # the potential no longer overflows at (3, 4, 1.5); the fd step at the
-    # grid's second fd radius is below the spacing of doubles there
-    rc, _, err = run(capsys, ["verify", "--p", "3", "--q", "4", "--mu", "1.5", "--rmax", "1e300"])
-    assert rc == 2
-    assert err.startswith("growthlab: error: stencil nodes r + j*h round at r=1.0608309184555996e+76")
-    assert "Traceback" not in err
+_GRID = [(ex.p, ex.q, ex.mu) for ex in sharp_grid()]
+
+
+@pytest.mark.parametrize("p, q, mu", _GRID, ids=["-".join(map(repr, c)) for c in _GRID])
+def test_verify_passes_to_1e300_on_the_grid(capsys, p, q, mu):
+    # a finite-difference cross check exited 2 on 18 of these tuples
+    rc, out, err = run(capsys, ["verify", "--p", repr(p), "--q", repr(q), "--mu", repr(mu),
+                                "--rmax", "1e300", "--format", "json"])
+    assert (rc, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert checks[1]["name"] == "fd-cross-check" and checks[1]["tolerance"] == 1e-13
+    assert checks[1]["lhs"] <= 1e-15
 
 
 # t0 = 4.58e13, where log v does not resolve t0 + 0.1 from t0

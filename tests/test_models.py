@@ -32,7 +32,8 @@ from growthlab import (
     subsolution_residual,
 )
 
-from growthlab.models import _operator_terms, geometric_grid
+from growthlab.cli import _COMMANDS
+from growthlab.models import _HyperDual, _operator_terms, geometric_grid
 
 import pointwise_reference as ref
 
@@ -209,10 +210,8 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
     (lambda: fd_cross_check(_PLANE, _GROWING, 1.0, 3.0), "p must exceed 1, got 1.0"),
     (lambda: subsolution_residual(_PLANE, _GROWING, lambda r: 1.0, 1.0, 0.0, [3.0]),
      "p must exceed 1, got 1.0"),
-    (lambda: fd_cross_check(_PLANE, _GROWING, 2.0, 3.0, h=2.0),
-     "step h=2.0 leaves the profile domain at r=3.0"),
     (lambda: fd_cross_check(_PLANE, _DECREASING, 2.0, 3.0),
-     "stencil sees a non-increasing profile at r=3.0"),
+     "profile must be increasing at r=3.0: v'/v=-0.3333333333333333"),
     (lambda: SharpPotential(1.0, 0.0, 1.0, 1.0), "p must exceed 1, got 1.0"),
     (lambda: SharpPotential(2.0, 3.0, 1.0, 1.0), "mu must lie in [0, p] = [0, 2.0], got 3.0"),
     (lambda: SharpPotential(2.0, 1.0, 1.0, 1.0).level_deficit(0.5),
@@ -246,15 +245,20 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
     # q * log(v) passes the largest double; the slope read nan
     (lambda: sphere_log_slope(ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 1e308, 0.0, 1e4, 1e8),
      "log phi is +inf or nan on [10000.0, 100000000.0], q=1e+308"),
+    (lambda: fd_cross_check(_DECAYING.manifold, _DECAYING.profile, 2.0, math.inf),
+     "radius inf is not finite"),
+    (lambda: fd_cross_check(_PLANE, PHarmonicRn(3, 4.0), 2.0, 1.0), "radius must exceed 1.0, got 1.0"),
+    (lambda: fd_cross_check(_PLANE, PowerLaw(0.0), 2.0, 3.0), "profile must be increasing at r=3.0: v'/v=0.0"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
         "exp-deriv", "harmonic-dimension", "harmonic-p-inf", "euclidean-dimension", "omega",
-        "s0", "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-step",
-        "fd-decreasing", "potential-p", "potential-mu", "deficit-radius", "residual-empty",
+        "s0", "operator-decreasing", "laplacian-p", "fd-p", "residual-p", "fd-decreasing",
+        "potential-p", "potential-mu", "deficit-radius", "residual-empty",
         "laplacian-r-inf-decay", "laplacian-r-inf-borderline", "laplacian-p-inf", "fd-p-inf",
         "power-c-inf", "exp-c-nan", "harmonic-dimension-fraction", "euclidean-nan", "euclidean-inf",
         "omega-inf", "residual-s0-nan", "sphere-s0-nan", "sphere-q-inf", "potential-p-inf",
-        "potential-c-inf", "potential-lam-overflow", "potential-lam-underflow", "slope-overflow"])
+        "potential-c-inf", "potential-lam-overflow", "potential-lam-underflow", "slope-overflow",
+        "fd-r-inf", "fd-radius", "fd-constant"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()
@@ -427,80 +431,128 @@ def test_geometric_grid_refuses_more_than_a_million_radii():
     assert str(info.value) == "a grid holds at most 10**6 radii, got num=1000001"
 
 
+# 4 ulps of 1: every deviation of fd_cross_check below is relative
+_ROUNDING = 4.0 * 2.0 ** -52
+_FD_TOL = {dest: default for _, dest, _, default, _ in _COMMANDS["verify"][3]}["fd_tol"]
+
+
+def test_fd_tol_sits_between_rounding_and_a_change_of_1e_12():
+    # the bound the default is set between, with a margin on each side
+    assert 10.0 * _ROUNDING < _FD_TOL < 3e-13
+
+
 def test_fd_cross_check_families():
     cases = [
         (ModelManifold(PowerLaw(1.0)), PowerLaw(1.0), 2.0, 5.0),
         (ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, 9.0),
         (ModelManifold(ExpPower(2.0, 1.0)), ExpPower(4.0, 1.0), 3.0, 1000.0),
         (ModelManifold(ExpPower(-1.0, 0.5)), ExpPower(1.0, 0.5), 1.5, 500.0),
-        # the (2, 4, 0) example far out, where a step of about 2e-4 that is
-        # not a power of two rounded the nodes r + j*h: 2.5e-5 and 2.0e-3
         (ModelManifold(ExpPower(1.0, 1.0)), ExpPower(0.5, 1.0), 2.0, 1e8),
         (ModelManifold(ExpPower(1.0, 1.0)), ExpPower(0.5, 1.0), 2.0, 1e10),
+        (ModelManifold.euclidean(5), PHarmonicRn(5, 50.0), 50.0, 1e300),
+        (ModelManifold.euclidean(2), PHarmonicRn(2, 2.5), 2.5, 1.0 + 2.0 ** -52),
     ]
     for manifold, profile, p, r in cases:
-        dev = fd_cross_check(manifold, profile, p, r)
-        assert dev <= 1e-6
+        assert fd_cross_check(manifold, profile, p, r) <= _ROUNDING
+
+
+def test_fd_cross_check_reads_rounding_next_to_the_harmonic_zero():
+    """v = r**(1/3) - 1 vanishes at r = 1; a five-point finite-difference
+    stencil read 1.12e22 at r = 1 + 1e-7, where its nodes leave the
+    domain's scale."""
+    dev = fd_cross_check(ModelManifold.euclidean(3), PHarmonicRn(3, 4.0), 4.0, 1 + 1e-7)
+    assert dev <= _ROUNDING
 
 
 def test_fd_cross_check_grid():
+    """At 200 radii from t0 + 0.5 to 1e300 on every grid example."""
     for ex in sharp_grid():
-        r = ex.t0 + 3.0
-        assert fd_cross_check(ex.manifold, ex.profile, ex.p, r) <= 1e-6
+        for r in geometric_grid(ex.t0 + 0.5, 1e300, 200):
+            assert fd_cross_check(ex.manifold, ex.profile, ex.p, r) <= _ROUNDING, (ex.p, ex.q, ex.mu, r)
 
 
-@pytest.mark.parametrize("r, h", [(1e17, None)])
-def test_fd_cross_check_rejects_nodes_that_round(r, h):
-    """Past 1e16 the default step is below the spacing of doubles at r, so
-    the offsets (r + j*h) - r collapse to 0."""
-    ex = build_sharp_example(2.0, 4.0, 0.0)
-    with pytest.raises(DomainError, match=re.escape(f"round at r={r}, h=")):
-        fd_cross_check(ex.manifold, ex.profile, ex.p, r, h)
+def _scale_column(monkeypatch, profile, j):
+    """Column j of profile's scaled_derivs, 0 to 2 (log v, e1 and k2), times 1 + 1e-12."""
+    derivs = profile._derivs
+
+    def scaled(radii, full):
+        cols = list(derivs(radii, full))
+        cols[j] = [x * (1.0 + 1e-12) for x in cols[j]]
+        return tuple(cols)
+    monkeypatch.setattr(profile, "_derivs", scaled)
 
 
-@pytest.mark.parametrize("r, h", [
-    # r + 2h falls in the next binade for every power-of-two h, where r's
-    # last bit is not representable: refused for every such h before
-    (math.nextafter(1024.0, 0.0), None),
-    (math.nextafter(1024.0, 0.0), 2.0 ** -10),
-    (math.nextafter(1024.0, 0.0), 2.0 ** -13),
-    # 1e3 + j*0.1 rounds, and was refused too
-    (1e3, 0.1),
-])
-def test_fd_cross_check_accepts_nodes_that_round(r, h):
-    """The stencil's weights are those of the rounded offsets
-    (r + j*h) - r, which are exact, so a node that rounds costs nothing."""
-    ex = build_sharp_example(2.0, 4.0, 0.0)
-    assert fd_cross_check(ex.manifold, ex.profile, ex.p, r, h) <= 1e-6
+def _move_log_dv(monkeypatch, profile):
+    log_dv = profile._log_dv
+    monkeypatch.setattr(profile, "_log_dv", lambda t, xp: log_dv(t, xp) * (1.0 + 1e-12))
 
 
-def test_fd_cross_check_names_a_step_below_the_rounding_of_log_v():
-    """At r = 1e300 the default step moves log v by e1*h/r = 1.2e-4, a
-    quarter of an ulp of log v = 4.3e12: log v at the nodes rounds to
-    log v(r), and the stencil reported a non-increasing profile."""
-    ex = build_sharp_example(1.228279419959057, 1.7590572187488909, 1.173227813026388)
-    with pytest.raises(DomainError, match=re.escape(
-            "step h=5.948067633911132e+284 moves log v by e1*h/r=0.000115, "
-            "fewer than 4 ulps of log v (0.000488) at r=1e+300")):
-        fd_cross_check(ex.manifold, ex.profile, ex.p, 1e300)
+# each change, and the number of grid examples on which it moves a value
+_CHANGES = {
+    "log-v": (lambda mp, ex: _scale_column(mp, ex.profile, 0), 27),
+    "e1": (lambda mp, ex: _scale_column(mp, ex.profile, 1), 27),
+    "k2": (lambda mp, ex: _scale_column(mp, ex.profile, 2), 22),
+    "e-g": (lambda mp, ex: _scale_column(mp, ex.manifold.warp, 1), 20),
+    "log-dv": (lambda mp, ex: _move_log_dv(mp, ex.profile), 22),
+}
 
 
-@pytest.mark.parametrize("pq_mu, r", [
-    # the step moves log v by 0.70 of an ulp of log v = 1.2e3: the
-    # deviation read 6.2e-18
-    ((1.5, 1.75, 0.75), 1e25),
-    # 0.096 of an ulp of log v = 1.4e13: the deviation read 0.0
-    ((1.8766580928746008, 3.8477677339385736, 1.7919247906825548), 1e300),
-])
-def test_fd_cross_check_refuses_a_step_below_the_rounding_of_log_v(pq_mu, r):
-    """Where the default step moves log v by fewer than 4 ulps, the stencil
-    sees rounding alone; its deviation is absolute where |S_analytic| < 1,
-    as at these radii, so it passed without checking anything.  The error
-    naming the step now comes before the stencil, whatever it sees."""
-    ex = build_sharp_example(*pq_mu)
-    with pytest.raises(DomainError, match=re.escape(
-            "fewer than 4 ulps of log v") + ".*" + re.escape(f"at r={r}")):
-        fd_cross_check(ex.manifold, ex.profile, ex.p, r)
+@pytest.mark.parametrize("change", _CHANGES)
+def test_fd_cross_check_sees_a_change_of_1e_12(monkeypatch, change):
+    """A relative change of 1e-12 to one of the expressions fd_cross_check
+    compares exceeds the default --fd-tol on every grid example, at the
+    five radii verify checks by default, unless the value it scales is 0
+    there: k2 and log v' of v = t, and e_g of a constant warp."""
+    apply, moved = _CHANGES[change]
+    seen = 0
+    for ex in sharp_grid():
+        radii = geometric_grid(ex.t0 + 0.1, 1e3, 200)
+        radii = [radii[i] for i in (0, 50, 100, 150, 199)]
+        before = [ex.profile.scaled_derivs(radii), ex.manifold.warp.scaled_derivs(radii),
+                  [ex.profile.log_deriv(r) for r in radii]]
+        with monkeypatch.context() as mp:
+            apply(mp, ex)
+            after = [ex.profile.scaled_derivs(radii), ex.manifold.warp.scaled_derivs(radii),
+                     [ex.profile.log_deriv(r) for r in radii]]
+            dev = max(fd_cross_check(ex.manifold, ex.profile, ex.p, r) for r in radii)
+        if after == before:
+            assert dev <= _ROUNDING
+        else:
+            assert dev > _FD_TOL, (ex.p, ex.q, ex.mu, dev)
+            seen += 1
+    assert seen == moved
+
+
+# each primitive of the hyper-dual number, applied to t, and the same
+# function of t in mpmath
+_HD_PRIMITIVES = {
+    "log": (lambda t: _HyperDual.log(t), mpmath.log),
+    "log1p": (lambda t: _HyperDual.log1p(t), mpmath.log1p),
+    "power": (lambda t: t ** 0.5, lambda t: t ** mpmath.mpf(0.5)),
+    "negative-power": (lambda t: t ** (-1.0 / 3.0), lambda t: t ** mpmath.mpf(-1.0 / 3.0)),
+    "product": (lambda t: 2.5 * t, lambda t: 2.5 * t),
+    "sum": (lambda t: t + t, lambda t: t + t),
+    "negation": (lambda t: -t, lambda t: -t),
+}
+
+
+@pytest.mark.parametrize("r", [1 + 1e-7, 3.0, 1e10, 1e150, 1e300])
+@pytest.mark.parametrize("name", _HD_PRIMITIVES)
+def test_hyper_dual_primitives_against_mpmath(name, r):
+    """Seeded at t = (r, r, r, r), which is exp(u) at u = log r, a primitive
+    f gives F(u), F'(u) twice and F''(u) of F(u) = f(exp(u)).  Each part is
+    within 4 ulps of mpmath.diff at 50 digits, scaled by |F|, |F'| and, for
+    F'', by the larger of |F''| and |F'|: F'' is a sum of two terms of
+    about |F'|, and log1p's F'' of 1e-300 at r = 1e300 rounds to 0."""
+    hd, fn = _HD_PRIMITIVES[name]
+    with mpmath.workdps(50):
+        u = mpmath.log(mpmath.mpf(r))
+        big_f = lambda x: fn(mpmath.exp(x))
+        f0, f1, f2 = (float(mpmath.diff(big_f, u, n)) for n in range(3))
+    x = hd(_HyperDual(r, r, r, r))
+    for got, want, size in ((x.a, f0, abs(f0)), (x.b, f1, abs(f1)), (x.c, f1, abs(f1)),
+                            (x.d, f2, max(abs(f2), abs(f1)))):
+        assert abs(got - want) <= 4.0 * math.ulp(size), (name, r, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,6 @@ def test_readme_python_blocks_run(capsys):
     out = capsys.readouterr().out.splitlines()
     # the rates and C0, one line per check, then log_quad's line
     assert [float(x) for x in out[0].split()] == pytest.approx([2.0, 2.0], rel=1e-15)
-    assert float(out[1]) == pytest.approx(2.0, rel=1e-7)  # "to about eight digits"
+    assert float(out[1]) == pytest.approx(2.0, rel=1e-7)  # "to seven digits"
     assert [line.split()[-1] for line in out[2:11]] == ["True"] * 9
     assert float(out[11].split()[0]) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
