@@ -29,11 +29,16 @@ after them.
 G, H and J share one cluster of initial panel ends, put where nearly all
 of their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32
 and 48 of the e-fold width w of the integrand (see _CLUSTER).  A segment
-of G or of H spanning more than _TOP_SPAN = 24 widths at its top R starts
-with the ends R - w * f inside it, and G has an edge table only where its
-first segment does not (see _top_width).  J's integrand
-phi**(1/(1-p)) decays from the bottom r of its interval, so J starts with
-the ends r + w * f inside the interval, w its width at r.  Every width
+[lo, R] of G or of H spanning more than _TOP_SPAN = 24 widths at its top
+R starts with the ends R - w * f inside it, and G has an edge table only
+where its first segment does not (see _top_width).  Where the cluster is
+complete, its farthest end R - 48 w strictly inside the segment, one
+panel covers [lo, R - 48 w], which holds about e**-48 of the mass, below
+the rounding of the sum; where it is partial, the eight default panels
+cover the rest.  J's integrand phi**(1/(1-p)) decays from the bottom r of
+its interval (r, R), so J starts with the ends r + w * f inside the
+interval, w its width at r, and one panel covers [r + 48 w, R] where that
+end lies inside it, else the default panels cover the rest.  Every width
 comes from one scaled_derivs call on the profile and one log_slopes
 call on the warp, made before the pass (see _widths).  On the grid
 every suite example then closes in its first round, and a rate window in
@@ -180,7 +185,8 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
 
 # the panel ends of the cluster where the integrands of G and H peak, in
 # e-fold widths below the top of a segment, and where J's peaks, above the
-# bottom
+# bottom; past the last, 48 widths from the peak, one panel covers the rest
+# of a segment, about e**-48 of its mass
 _CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
 
 # the rounding of a term of J's log integrand, relative to the term: a pow
@@ -193,7 +199,8 @@ _J_ROUNDING = 2.0 * math.ulp(1.0)
 # the e-fold widths a segment must span to start from a top-end cluster: one
 # QK15 panel meets rel_tol = 1e-12 on an exponential across up to about 3.3
 # e-folds (its error estimate is 2.3e-13 across 3 and 1.8e-12 across 3.5),
-# so the eight default panels resolve a segment of up to 8 * 3 widths
+# so the eight default panels resolve a segment of up to 8 * 3 widths, and
+# those below a partial cluster, of 24 to 48 widths, the rest of it
 _TOP_SPAN = 24.0
 
 
@@ -231,7 +238,8 @@ def _top_width(widths: dict, lo: float, hi: float) -> float | None:
     """The width at hi from the top widths of _widths when [lo, hi] spans
     more than _TOP_SPAN of them, else None.  G's integrand vanishes like
     (s - t0)**q at t0, so below a first segment that starts from this
-    cluster the default panels cover G's edge (see _edge_split)."""
+    cluster the panels below it cover G's edge (see _edge_split): one
+    panel where the cluster is complete, else the default ones."""
     w = widths.get(hi)
     return w if w is not None and hi - _TOP_SPAN * w > lo else None
 
@@ -282,19 +290,26 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         lambda R_min: _top_width(tops, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
-    # the default panels below a top cluster or above a bottom one; with no
+    # one panel past a complete cluster, whose farthest end lies strictly
+    # inside the segment; the default panels past a partial one; with no
     # width, or every top end rounded onto hi, over the whole segment
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(tops, lo, hi)
-        top = [hi] if w is None \
-            else [x for f in reversed(_CLUSTER)
-                  if lo < (x := hi - f * w) < hi] + [hi]
+        if w is None:
+            return _initial_breakpoints(lo, hi)
+        top = [x for f in reversed(_CLUSTER)
+               if lo < (x := hi - f * w) < hi] + [hi]
+        if lo < hi - _CLUSTER[-1] * w < hi:
+            return [lo] + top
         return _initial_breakpoints(lo, top[0]) + top[1:]
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
         w = bottoms.get(lo)
-        bottom = [lo] if w is None \
-            else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
+        if w is None:
+            return _initial_breakpoints(lo, hi)
+        bottom = [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
+        if lo < lo + _CLUSTER[-1] * w < hi:
+            return bottom + [hi]
         return bottom[:-1] + _initial_breakpoints(bottom[-1], hi)
 
     j_cond = [0.0] * len(j_pairs)

@@ -473,6 +473,22 @@ def test_suite_integrals_match_closed_form(pq_mu, monkeypatch):
 
 @pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
                                    if ex.mu in (0.0, ex.p)])
+def test_rate_window_samples_match_closed_form(pq_mu):
+    """On the 18 grid tuples with mu = 0 or mu = p, every growth sample of
+    measure_rate's window is within its claimed relative error plus 4 ulps
+    of its log of the 80-digit incomplete beta closed form
+    (tests/closed_form.py)."""
+    ex = build_sharp_example(*pq_mu)
+    samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, rate_window(ex))
+    exact, _, _ = closed_form.log_integrals(ex, [s.R for s in samples], [], [])
+    with mpmath.workdps(50):
+        for s, x in zip(samples, exact):
+            miss = abs(mpmath.mpf(s.logG) - x)
+            assert miss <= s.quad_error + 4 * math.ulp(s.logG), s.R
+
+
+@pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
+                                   if ex.mu in (0.0, ex.p)])
 def test_suite_margins_match_closed_form(pq_mu):
     """On the 18 grid tuples with mu = 0 or mu = p, every annulus and
     capacity margin of the suite is within 8 ulps of max(|lhs|, |rhs|, 1) of
@@ -912,12 +928,75 @@ def test_radii_near_the_largest_double_named(pq_mu, radii, message):
 def test_top_end_cluster_has_no_zero_width_panels(monkeypatch):
     """At (2, 3, 0), w = 1/4, and ten cluster ends R - w * f round onto
     R = 1e17: each gave a panel [1e17, 1e17] of 15 evals and no mass, 38
-    panels and 570 evals in all."""
+    panels and 570 evals in all.  Both clusters are complete: 12 panels
+    over (t0, 1e15] and 2 over [1e15, 1e17], the one end left, R - 48 w,
+    rounding to 1e17 - 16."""
     work = _count_work(monkeypatch)
     ex = build_sharp_example(2.0, 3.0, 0.0)
     samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [1e15, 1e17])
     assert [s.logG for s in samples] == [4000000000000000.5, 4e17]
-    assert (work["panels"], work["evals"]) == (28, 420)
+    assert (work["panels"], work["evals"]) == (14, 210)
+
+
+def _initial_ends(monkeypatch):
+    """The initial panel ends of each segment that growth hands its
+    integrator, as (table, ends), from each table's hook."""
+    seen, tables = [], growth.log_quad_tables
+
+    def spy(logf, specs, **kwargs):
+        for t, (lo, radii, *hook) in enumerate(specs):
+            ends = hook[0] if hook else quadrature._initial_breakpoints
+            for R in radii:
+                if R > lo:
+                    seen.append((t, ends(lo, R)))
+                    lo = R
+        return tables(logf, specs, **kwargs)
+
+    monkeypatch.setattr(growth, "log_quad_tables", spy)
+    return seen
+
+
+def test_one_panel_past_a_complete_cluster(monkeypatch):
+    """At (2, 3, 0) every segment of the rate window spans more than 250
+    widths of G: each starts from lo, its 11 cluster ends and R, 12 panels,
+    the first over [lo, R - 48 w], about e**-48 of the mass.  J over the
+    suite's (5.39, 21.5], 66 widths at r, starts from r, its 11 ends and R.
+    J over (2.69, 10.8], 46 widths, and a segment of G spanning 30 widths
+    keep the eight default panels past their partial clusters."""
+    ex = build_sharp_example(2.0, 3.0, 0.0)
+    seen = _initial_ends(monkeypatch)
+    radii = rate_window(ex)
+    growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii)
+    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, radii, [])
+    assert [t for t, _ in seen] == [growth._G] * len(radii)
+    for lo, R, (_, ends) in zip([ex.t0, *radii], radii, seen):
+        w = tops[R]
+        assert (R - lo) / w > 250.0
+        assert ends == [lo, *(R - f * w for f in reversed(growth._CLUSTER)), R]
+        assert len(ends) == 13
+
+    seen.clear()
+    (r_partial, R_partial), (r, R) = default_check_pairs(ex)["surface-capacity"][:2]
+    growth._integrals(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [],
+                      [(r, R), (r_partial, R_partial)], 1e-12)
+    _, bottoms = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [],
+                                [r, r_partial])
+    w, w_partial = bottoms[r], bottoms[r_partial]
+    assert 48.0 < (R - r) / w < 96.0 and 32.0 < (R_partial - r_partial) / w_partial < 48.0
+    assert seen == [
+        (growth._J, [r, *(r + f * w for f in growth._CLUSTER), R]),
+        (growth._J + 1, [r_partial, *(r_partial + f * w_partial for f in growth._CLUSTER[:-1]),
+                         *quadrature._initial_breakpoints(r_partial + 32.0 * w_partial,
+                                                          R_partial)[1:]])]
+
+    seen.clear()
+    R = 100.0
+    w = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [R], [])[0][R]
+    lo = R - 30.0 * w
+    growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [lo, R])
+    assert seen[1] == (growth._G, [
+        *quadrature._initial_breakpoints(lo, R - 22.0 * w),
+        *(R - f * w for f in (16.0, 11.0, 8.0, 6.0, 4.0, 3.0, 2.0, 1.0)), R])
 
 
 def test_measure_rate_power():
@@ -1145,8 +1224,9 @@ def test_suite_sweep_exact_work(monkeypatch):
         run_inequality_suite(ex)
     # every G and H segment spanning more than _TOP_SPAN widths, and every
     # J, starts from its cluster: more first-round panels, and no example
-    # needs a second round
-    assert work == {"integrals": 459, "panels": 4699, "evals": 70485}
+    # needs a second round; the 33 segments with a complete cluster take one
+    # panel below it, not eight
+    assert work == {"integrals": 459, "panels": 4468, "evals": 67020}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
@@ -1154,8 +1234,10 @@ def test_rate_sweep_exact_work(monkeypatch):
     for ex in sharp_grid():
         measure_rate(ex)
     # no G edge in the 18 power-regime examples: 18 integrals fewer; the
-    # 11-end cluster costs more first-round panels and saves later rounds
-    assert work == {"integrals": 198, "panels": 2976, "evals": 44730}
+    # 11-end cluster costs more first-round panels and saves later rounds;
+    # the 126 segments with a complete cluster take one panel below it, not
+    # eight
+    assert work == {"integrals": 198, "panels": 2094, "evals": 31500}
 
 
 def test_capacity_tables_close_in_their_first_round(monkeypatch):
