@@ -33,12 +33,11 @@ and 48 of the e-fold width w of the integrand (see _CLUSTER).  A segment
 R starts with the ends R - w * f inside it, and G has an edge table only
 where its first segment does not (see _top_width).  Where the cluster is
 complete, its farthest end R - 48 w strictly inside the segment, one
-panel covers [lo, R - 48 w], which holds about e**-48 of the mass, below
-the rounding of the sum; where it is partial, the eight default panels
-cover the rest.  J's integrand phi**(1/(1-p)) decays from the bottom r of
-its interval (r, R), so J starts with the ends r + w * f inside the
-interval, w its width at r, and one panel covers [r + 48 w, R] where that
-end lies inside it, else the default panels cover the rest.  Every width
+panel covers [lo, R - 48 w]; where it is partial, the eight default
+panels cover the rest.  J's integrand phi**(1/(1-p)) decays from the
+bottom r of its interval (r, R), so J starts with the ends r + w * f
+inside the interval, w its width at r, and the default panels cover the
+rest (_CLUSTER says why J gets no such one panel).  Every width
 comes from one scaled_derivs call on the profile and one log_slopes
 call on the warp, made before the pass (see _widths).  On the grid
 every suite example then closes in its first round, and a rate window in
@@ -185,8 +184,15 @@ def _edge_split(t0: float, alpha: float, radii, edge: bool,
 
 # the panel ends of the cluster where the integrands of G and H peak, in
 # e-fold widths below the top of a segment, and where J's peaks, above the
-# bottom; past the last, 48 widths from the peak, one panel covers the rest
-# of a segment, about e**-48 of its mass
+# bottom.  Below the last end, 48 widths down, one panel covers the rest of
+# a G or H segment: their integrands rise towards the top with concave logs
+# on the examples, so the rest holds a share of the mass below the rounding
+# of its sum.  J's integrand decays like a power s**-b on the mu = p
+# examples, with a convex log: past r + 48 w it holds about
+# (1 + 48 / b)**(1 - b) of J, 3e-11 at b = 22, which one panel over a long
+# rest misses (J over (2.41, 2.41e5) at (3, 7, 3) came out 2e-6 off the
+# closed form while claiming 5e-14), so the default panels, geometric
+# where the rest is long, cover the rest of J
 _CLUSTER = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 11.0, 16.0, 22.0, 32.0, 48.0)
 
 # the rounding of a term of J's log integrand, relative to the term: a pow
@@ -290,9 +296,11 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         lambda R_min: _top_width(tops, t0, R_min) is None)
     h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
 
-    # one panel past a complete cluster, whose farthest end lies strictly
-    # inside the segment; the default panels past a partial one; with no
-    # width, or every top end rounded onto hi, over the whole segment
+    # below a top cluster, one panel where it is complete, its farthest end
+    # strictly inside the segment, and the default panels where it is
+    # partial; above a bottom cluster, the default panels (see _CLUSTER);
+    # with no width, or every top end rounded onto hi, the default panels
+    # over the whole segment
     def top_ends(lo: float, hi: float) -> list[float]:
         w = _top_width(tops, lo, hi)
         if w is None:
@@ -305,11 +313,8 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
 
     def bottom_ends(lo: float, hi: float) -> list[float]:
         w = bottoms.get(lo)
-        if w is None:
-            return _initial_breakpoints(lo, hi)
-        bottom = [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
-        if lo < lo + _CLUSTER[-1] * w < hi:
-            return bottom + [hi]
+        bottom = [lo] if w is None \
+            else [lo] + [x for f in _CLUSTER if (x := lo + f * w) < hi]
         return bottom[:-1] + _initial_breakpoints(bottom[-1], hi)
 
     j_cond = [0.0] * len(j_pairs)

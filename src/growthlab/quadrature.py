@@ -37,9 +37,9 @@ bisected, follow that order.
 A segment starts from eight even or geometric panels, or from the panel
 ends its table's hook gives: growthlab.growth puts a cluster of ends at the
 top or the bottom of a segment, where nearly all of the mass of G, H or J
-lies, and one panel over the rest past a complete cluster, or the eight
-default panels past a partial one, so each of them is resolved in its
-first round or soon after.
+lies, and one panel below a complete top cluster, or the eight default
+panels, over the rest, so each of them is resolved in its first round or
+soon after.
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive
 quadrature in the manner of Shampine, 2008).  A round that finds the total
@@ -416,8 +416,11 @@ def _running_sum(parts) -> list[tuple[float, float, int, int]]:
     from the terms below the largest, keeps log1p accurate.  The relative
     error of a sum of nonnegative parts is the value-weighted mean of the
     parts' relative errors, exp(m) * err / (exp(m) * (1 + rest)).  A sum of
-    one part is that part's log value and relative error exactly.
+    one part is that part's log value and relative error exactly, taken
+    as it is.
     """
+    if len(parts) == 1:
+        return [(-math.inf, 0.0, 0, 0), tuple(parts[0])]
     m, rest, err, panels, evals = -math.inf, 0.0, 0.0, 0, 0
     out = [(-math.inf, 0.0, 0, 0)]
     for value, rel, n, k in parts:
@@ -451,8 +454,7 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     _initial_breakpoints.  The result at R sums the segments up to R, their
     panels and their evals, with their combined relative error, from one
     running sum over its segments' result tuples, O(1) per radius
-    (_running_sum), or, in a table of one segment, from that segment's
-    tuple, and is the only LogQuadResult built; at or below lo it
+    (_running_sum), and is the only LogQuadResult built; at or below lo it
     is -inf with zero error.  Each round makes one call logf(x, starts),
     with numpy's floating-point warnings off, for the new panels of every
     open segment: x holds the nodes table by table, in table order, and
@@ -492,8 +494,6 @@ def log_quad_tables(logf, tables, rel_tol: float = 1e-12
     parts = _refine(logf, segments, len(tables), rel_tol) if segments else []
     out = []
     for begin, end, upto in spans:
-        # the sum of one part is that part exactly, as _running_sum gives it
-        sums = _running_sum(parts[begin:end]) if end - begin > 1 \
-            else [(-math.inf, 0.0, 0, 0), *parts[begin:end]]
+        sums = _running_sum(parts[begin:end])
         out.append([LogQuadResult(*sums[n - begin]) for n in upto])
     return out

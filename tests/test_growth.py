@@ -393,9 +393,10 @@ def test_top_end_clusters_frozen_mpmath(monkeypatch):
         assert abs(log_value - float(expected)) <= rel_error + 4 * math.ulp(log_value)
 
 
-def _suite_integrals(monkeypatch, ex):
-    """The suite's G, H and J at ex as _integrals returns them, by key
-    ("G", R), ("H", R) and ("J", r, R): (log value, relative error)."""
+def _suite_integrals(monkeypatch, ex, run=run_inequality_suite):
+    """The G, H and J that run(ex), by default the suite, asks _integrals
+    for, as it returns them, by key ("G", R), ("H", R) and ("J", r, R):
+    (log value, relative error)."""
     integrals, seen = growth._integrals, {}
 
     def spy(manifold, profile, p, q, s0, g_radii, h_radii, j_pairs, rel_tol):
@@ -406,7 +407,7 @@ def _suite_integrals(monkeypatch, ex):
         return G, H, J
 
     monkeypatch.setattr(growth, "_integrals", spy)
-    run_inequality_suite(ex)
+    run(ex)
     return seen
 
 
@@ -459,7 +460,28 @@ def test_suite_integrals_match_closed_form(pq_mu, monkeypatch):
     suite is within its claimed relative error plus 4 ulps of its log of
     the 80-digit incomplete beta closed form (tests/closed_form.py)."""
     ex = build_sharp_example(*pq_mu)
-    seen = _suite_integrals(monkeypatch, ex)
+    _assert_closed_form(ex, _suite_integrals(monkeypatch, ex))
+
+
+@pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
+                                   if ex.mu in (0.0, ex.p)])
+def test_capacity_over_long_intervals_matches_closed_form(pq_mu, monkeypatch):
+    """check_surface_capacity takes any R > r: over (r, 1e3 r) and
+    (r, 1e5 r) from each of the suite's bottoms r, on the 18 grid tuples
+    with mu = 0 or mu = p, J and H(r) are within their claimed relative
+    errors plus 4 ulps of the closed form.  At mu = p J's integrand decays
+    like a power, so the interval above its bottom cluster holds a share of
+    J well above the rounding; one panel over it came out 2e-6 off at
+    (3, 7, 3) over (2.41, 2.41e5) while claiming 5e-14."""
+    ex = build_sharp_example(*pq_mu)
+    bottoms = [r for r, _ in default_check_pairs(ex)["surface-capacity"]]
+    _assert_closed_form(ex, _suite_integrals(monkeypatch, ex, lambda ex: [
+        check_surface_capacity(ex, r, f * r) for r in bottoms for f in (1e3, 1e5)]))
+
+
+def _assert_closed_form(ex, seen):
+    """Each (log value, relative error) of seen, keyed as _suite_integrals
+    keys them, is within its claim plus 4 ulps of the closed form at ex."""
     keys = {name: [key[1:] for key in seen if key[0] == name] for name in "GHJ"}
     exact = closed_form.log_integrals(
         ex, [R for R, in keys["G"]], [R for R, in keys["H"]], keys["J"])
@@ -959,10 +981,12 @@ def _initial_ends(monkeypatch):
 def test_one_panel_past_a_complete_cluster(monkeypatch):
     """At (2, 3, 0) every segment of the rate window spans more than 250
     widths of G: each starts from lo, its 11 cluster ends and R, 12 panels,
-    the first over [lo, R - 48 w], about e**-48 of the mass.  J over the
-    suite's (5.39, 21.5], 66 widths at r, starts from r, its 11 ends and R.
-    J over (2.69, 10.8], 46 widths, and a segment of G spanning 30 widths
-    keep the eight default panels past their partial clusters."""
+    the first over [lo, R - 48 w], about e**-48 of the mass.  J gets no
+    such panel: over the suite's (5.39, 21.5], 66 widths at r, it starts
+    from r, its 11 ends and the eight default panels over [r + 48 w, R],
+    as over (2.69, 10.8], 46 widths, past its partial cluster.  A segment
+    of G spanning 30 widths keeps the eight default panels below its
+    partial cluster."""
     ex = build_sharp_example(2.0, 3.0, 0.0)
     seen = _initial_ends(monkeypatch)
     radii = rate_window(ex)
@@ -984,7 +1008,8 @@ def test_one_panel_past_a_complete_cluster(monkeypatch):
     w, w_partial = bottoms[r], bottoms[r_partial]
     assert 48.0 < (R - r) / w < 96.0 and 32.0 < (R_partial - r_partial) / w_partial < 48.0
     assert seen == [
-        (growth._J, [r, *(r + f * w for f in growth._CLUSTER), R]),
+        (growth._J, [r, *(r + f * w for f in growth._CLUSTER),
+                     *quadrature._initial_breakpoints(r + 48.0 * w, R)[1:]]),
         (growth._J + 1, [r_partial, *(r_partial + f * w_partial for f in growth._CLUSTER[:-1]),
                          *quadrature._initial_breakpoints(r_partial + 32.0 * w_partial,
                                                           R_partial)[1:]])]
@@ -1224,9 +1249,9 @@ def test_suite_sweep_exact_work(monkeypatch):
         run_inequality_suite(ex)
     # every G and H segment spanning more than _TOP_SPAN widths, and every
     # J, starts from its cluster: more first-round panels, and no example
-    # needs a second round; the 33 segments with a complete cluster take one
-    # panel below it, not eight
-    assert work == {"integrals": 459, "panels": 4468, "evals": 67020}
+    # needs a second round; the 16 G and H segments with a complete cluster
+    # take one panel below it, not eight
+    assert work == {"integrals": 459, "panels": 4587, "evals": 68805}
 
 
 def test_rate_sweep_exact_work(monkeypatch):
