@@ -262,14 +262,17 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     one integrand that evaluates the excess and the warp once per node.
     G and H may each have an edge table next to t0, shared by all of its
     radii (see _edge_split), whose result G or H at R adds to the rest up
-    to R with one _running_sum over the two; a q whose edge exponent
-    2(q + 1) is not finite is refused.  The integrand, run with numpy's
+    to R with one _running_sum over the two.  A q whose edge exponent
+    2(q + 1) is not finite is refused, and so is G at t0 = 0 where its
+    integrand g * v**q behaves like s**e with e <= -1, e = e_g + q * e_v
+    read from the log_slopes of the warp and the profile (if both have it)
+    at the smallest positive double.  The integrand, run with numpy's
     floating-point warnings off (see log_quad_tables), makes one log_value
     call on all nodes, and on edge nodes expands the excess v - s0 around
     t0 through the profile's log_value_delta instead, treating v(t0) = s0
     as exact; it forms each table's formula on that table's nodes only.
-    J's relative error is at least _J_ROUNDING times the condition of its
-    log integrand -log phi / (p - 1), the largest over its nodes of
+    J's relative error is at least _J_ROUNDING, 2 ulps, times the condition
+    of its log integrand -log phi / (p - 1), the largest over its nodes of
     (|log omega| + |log g| + q |log v| v / (v - s0)) / (p - 1): the
     rounding of those terms, which the quadrature's estimate does not see.
     p may be None when only G is asked for, else _check_exponents(p, q).
@@ -288,9 +291,20 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
     edge = s0 > 0.0 and t0 > profile.t_min
+    if t0 == 0.0 and g_radii and g_radii[-1] > t0:
+        try:
+            e = manifold.warp.log_slopes([5e-324])[0] \
+                + q * profile.log_slopes([5e-324])[0]
+        except NotImplementedError:
+            e = 0.0
+        if e <= -1.0:
+            raise DomainError(f"G diverges at t0 = 0: its integrand behaves "
+                              f"like s**{e} there, with exponent <= -1")
+    # an infinite radius is left to log_quad_tables to name
     tops, bottoms = _widths(
         manifold, profile, p, q, s0,
-        [R for R in {*g_radii, *h_radii} if R > t0], [r for r, _ in j_pairs])
+        [R for R in {*g_radii, *h_radii} if t0 < R < math.inf],
+        [r for r, _ in j_pairs])
     g_edge, g_rest, m_g = _edge_split(
         t0, q + 1.0, g_radii, edge,
         lambda R_min: _top_width(tops, t0, R_min) is None)

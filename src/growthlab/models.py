@@ -126,7 +126,7 @@ class RadialProfile:
         """Three lists over a list of radii: log v, e1 = t v'/v and
         k2 = v v''/v'**2, each of order one where v grows like a power or
         like exp(c t**beta); k2 is nan where v' = 0.  DomainError names the
-        first radius that does not exceed t_min."""
+        first radius that is not finite, or else does not exceed t_min."""
         return self._derivs(radii, True)
 
     def log_slopes(self, radii: list) -> list:
@@ -184,6 +184,12 @@ class RadialProfile:
         """The error of a radius t that does not exceed t_min."""
         return DomainError(f"radius must exceed {self.t_min}, got {t}")
 
+    def _refused(self, t: float) -> DomainError:
+        """_outside, after the error of a radius that is not finite."""
+        if not -math.inf < t < math.inf:
+            return DomainError(f"radius {t} is not finite")
+        return self._outside(t)
+
 
 class PowerLaw(RadialProfile):
     """v(t) = t**c.  Any finite exponent is allowed; c > 0 gives growth."""
@@ -195,11 +201,11 @@ class PowerLaw(RadialProfile):
         return self.c * xp.log(t)
 
     def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
-        c, lo, log = self.c, self.t_min, math.log
+        c, lo, inf, log = self.c, self.t_min, math.inf, math.log
         lv = []
         for t in radii:
-            if not (t > lo):
-                raise self._outside(t)
+            if not lo < t < inf:
+                raise self._refused(t)
             if full:
                 lv.append(c * log(t))
         n = len(radii)
@@ -239,12 +245,12 @@ class ExpPower(RadialProfile):
 
     def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
         # with x = t**b: t v'/v = c*b*x and v v''/v'**2 = ((b-1) + c*b*x) / (c*b*x)
-        c, b, lo = self.c, self.beta, self.t_min
+        c, b, lo, inf = self.c, self.beta, self.t_min, math.inf
         cb, bm1 = c * b, b - 1.0
         lv, e1, k2 = [], [], []
         for t in radii:
-            if not (t > lo):
-                raise self._outside(t)
+            if not lo < t < inf:
+                raise self._refused(t)
             x = t ** b
             e = cb * x
             e1.append(e)
@@ -305,12 +311,12 @@ class PHarmonicRn(RadialProfile):
 
     def _derivs(self, radii: list, full: bool) -> tuple[list, list, list]:
         # with u = t**-a: t v'/v = a / (1 - u) and v v''/v'**2 = (a-1)(1-u)/a
-        a, lo = self.alpha, self.t_min
+        a, lo, inf = self.alpha, self.t_min, math.inf
         am1, log, log1p = a - 1.0, math.log, math.log1p
         lv, e1, k2 = [], [], []
         for t in radii:
-            if not (t > lo):
-                raise self._outside(t)
+            if not lo < t < inf:
+                raise self._refused(t)
             u = t ** -a
             w = 1.0 - u
             e1.append(a / w)
@@ -499,11 +505,9 @@ def p_laplacian_scaled(manifold: ModelManifold, profile: RadialProfile,
     """Scaled radial p-Laplacian Delta_p(v) / v**(p-1) at radius r.
 
     This is _operator_terms at mu = 0, which stays in double range even
-    when v itself does not.  An infinite r is refused.
+    when v itself does not.  An r that is not finite is refused.
     """
     _check_exponents(p)
-    if r == math.inf:
-        raise DomainError(f"radius {r} is not finite")
     _, e1s, k2s = profile.scaled_derivs([r])
     (t1, t2), = _operator_terms(p, 0.0, [r], e1s, k2s,
                                 manifold.warp.log_slopes([r]))
@@ -567,8 +571,6 @@ def fd_cross_check(manifold: ModelManifold, profile: RadialProfile,
     t_min, and a profile that is not increasing at r.
     """
     _check_exponents(p)
-    if r == math.inf:
-        raise DomainError(f"radius {r} is not finite")
     (lv,), (e1,), (k2,) = profile.scaled_derivs([r])
     eg, = manifold.warp.log_slopes([r])
     t = _HyperDual(r, r, r, r)
@@ -700,8 +702,9 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     scaled_values call, and _operator_terms combines them, so every term is
     of order one and the verdict holds at every radius in double range.
     Any other potential is called once per radius and goes through the same
-    formula with mu = 0.  The checks of the whole grid run first (finite
-    radii, each grid call's radius check, then an increasing profile in
+    formula with mu = 0.  The checks of the whole grid run first (each
+    grid call's radius check, the profile's naming the first radius that is
+    not finite or not above t_min, then an increasing profile in
     _operator_terms), and then, radius by radius, v > s0, a nonnegative
     potential and a defect that is not nan; so where two radii fail
     different checks, a whole-grid check may be named before an earlier
@@ -713,12 +716,6 @@ def subsolution_residual(manifold: ModelManifold, profile: RadialProfile,
     _check_exponents(p)
     log_s0 = _log_s0(s0)
     inf = math.inf
-    # one sum screens the grid; it also overflows on finite radii near the
-    # largest double, so the loop looks for the radius
-    if not -inf < sum(radii) < inf:
-        for r in radii:
-            if not -inf < r < inf:
-                raise DomainError(f"radius {r} is not finite")
     lvs, e1s, k2s = profile.scaled_derivs(radii)
     egs = manifold.warp.log_slopes(radii)
     if isinstance(potential, SharpPotential):

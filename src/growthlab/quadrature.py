@@ -35,35 +35,30 @@ one by one; the last bits of the two logs, and so which panels are
 bisected, follow that order.
 
 A segment starts from eight even or geometric panels, or from the panel
-ends its table's hook gives: growthlab.growth puts a cluster of ends at the
-top or the bottom of a segment, where nearly all of the mass of G, H or J
-lies, and one panel below a complete top cluster, or the eight default
-panels, over the rest, so each of them is resolved in its first round or
-soon after.
+ends its table's hook gives (growthlab.growth states where it puts them).
 
 Refinement is globally adaptive and runs in rounds (vectorised adaptive
-quadrature in the manner of Shampine, 2008).  A round that finds the total
-estimated error above rel_tol times the total value bisects the fewest
-worst panels whose removal would bring the remaining error under that
-bound, ties going to the lower index, and evaluates all of their children
+quadrature in the manner of Shampine, 2008).  Each segment owns its round,
+as each subinterval of QUADPACK's QAG owns its tolerance test: it stores
+the values the round evaluated, and where its total estimated error is
+above rel_tol times its total value it bisects the fewest worst panels
+whose removal would bring the remaining error under that bound, ties going
+to the lower index.  The new panels of every open segment are evaluated
 with one call of logf.  Refinement stops at the floor of double precision
 with QuadratureError: a panel whose halves' nodes would round onto their
 ends is not halved, and an initial panel with a node rounded onto an end
 where the integrand is not finite fails too.  log_quad_tables refines
 integrals of several integrands up to several radii together, each with
 its own panels, tolerance test and panel budget, so a round costs one
-call however many are open: growthlab.growth refines every integral of an
-example (G and H, each with its support edge, and J) in one pass.  When
-integrals fail, the error raised is the one refining the tables alone, in
-order, would raise.  Panels are kept in position order, so results are
-deterministic.
+call however many are open.  When integrals fail, the error raised is the
+one refining the tables alone, in order, would raise.  Panels are kept in
+position order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -243,55 +238,68 @@ def _worst(errors: list[float], target: float, limit: int) -> list[int]:
 
 
 class _Segment:
-    """The panels of one integral over [lo, hi] in position order: their
-    ends x, panel i being [x[i], x[i + 1]], their log K15 values and log
-    error estimates, the number ever evaluated, and the table the integral
-    belongs to."""
+    """One integral over [lo, hi] of table table, and its refinement round:
+    its panel ends x in position order, panel i being [x[i], x[i + 1]],
+    their log K15 values k and log error estimates e, and the number of
+    panels ever evaluated; a and b end the panels its next round
+    evaluates, every panel of x on the first round (halved None), else
+    the two halves of each panel in halved."""
 
     def __init__(self, lo: float, hi: float, pts: list[float], table: int):
-        self.lo, self.hi = lo, hi
-        self.x = pts
-        self.k: list[float] = []
-        self.e: list[float] = []
-        self.evaluated = 0
-        self.table = table
+        self.lo, self.hi, self.table = lo, hi, table
+        self.x, self.a, self.b, self.halved = pts, pts[:-1], pts[1:], None
+        self.k, self.e, self.evaluated = [], [], 0
 
-    def halves(self, worst: list[int]) -> tuple[list[float], list[float]]:
-        """Ends of the two halves of each panel in worst, in position order."""
-        ca, cb = [], []
-        for i in worst:
-            a, b = self.x[i], self.x[i + 1]
-            m = 0.5 * (a + b)
-            ca += (a, m)
-            cb += (m, b)
-        return ca, cb
-
-    def store(self, worst, ca, k, e) -> None:
-        """Put evaluated panels in place: every panel on the first round
-        (worst is None), else the halves of each panel in worst, with left
-        ends ca."""
+    def close(self, k: list[float], e: list[float], rel_tol: float):
+        """Store the values k, e of this round's panels in position order
+        and test the total.  Returns (log value, relative error, panels,
+        evals) once log toterr - log total <= log rel_tol, a test that
+        holds at any scale (total + log rel_tol rounds to total once
+        ulp(total) exceeds 2 |log rel_tol|); else None, with the halves of
+        the fewest worst panels (_worst) set for the next round; else, at
+        _MAX_PANELS panels or with a half below the floor of _inside, this
+        integral's QuadratureError."""
         self.evaluated += len(k)
-        if worst is None:
+        if self.halved is None:
             self.k, self.e = k, e
-            return
-        # one merge pass: take from each list the panels before each panel
-        # in worst, then its halves, which follow the n old ones; in x a
-        # panel stands for its left end, and the last end stays; with at
-        # least one panel halved, take returns a tuple
-        n, order, prev = len(self.k), [], 0
-        for j, i in enumerate(worst):
-            order += range(prev, i)
-            order += (n + 2 * j, n + 2 * j + 1)
-            prev = i + 1
-        order += range(prev, n)
-        take = itemgetter(*order)
-        self.x = [*take(self.x[:-1] + ca), self.x[-1]]
-        self.k = list(take(self.k + k))
-        self.e = list(take(self.e + e))
-
-    def failure(self, reason: str, rel_tol: float) -> QuadratureError:
-        """This integral's QuadratureError, with its panels' estimate."""
+        else:
+            # a slice walk: halved panel i gives way to its halves j, whose
+            # shared end is a[2j + 1]
+            x, kk, ee, prev = [], [], [], 0
+            for j, i in enumerate(self.halved):
+                x += self.x[prev:i + 1]
+                x.append(self.a[2 * j + 1])
+                kk += self.k[prev:i] + k[2 * j:2 * j + 2]
+                ee += self.e[prev:i] + e[2 * j:2 * j + 2]
+                prev = i + 1
+            self.x = x + self.x[prev:]
+            self.k, self.e = kk + self.k[prev:], ee + self.e[prev:]
         total, toterr = log_sum(self.k), log_sum(self.e)
+        log_rel_tol = math.log(rel_tol)
+        if toterr - total <= log_rel_tol or toterr == -math.inf:
+            rel = math.exp(toterr - total) if total > -math.inf else 0.0
+            return total, rel, len(self.k), 15 * self.evaluated
+        if len(self.k) >= _MAX_PANELS:
+            reason = f"needed more than {_MAX_PANELS} panels"
+        else:
+            worst = _worst(self.e, total + log_rel_tol,
+                           _MAX_PANELS - len(self.k))
+            a, b = [], []
+            for i in worst:
+                mid = 0.5 * (self.x[i] + self.x[i + 1])
+                a += (self.x[i], mid)
+                b += (mid, self.x[i + 1])
+            below = [(lo, hi) for lo, hi in zip(a, b) if not _inside(lo, hi)]
+            if not below:
+                self.a, self.b, self.halved = a, b, worst
+                return None
+            reason = _floor(*below[0])
+        return self.error(reason, rel_tol, total, toterr)
+
+    def error(self, reason: str, rel_tol: float, total: float,
+              toterr: float) -> QuadratureError:
+        """This integral's QuadratureError, from the log total and log error
+        of its panels."""
         rel = math.exp(toterr - total) if total > -math.inf else math.inf
         return QuadratureError(
             f"{reason} on [{self.lo}, {self.hi}] for rel_tol={rel_tol}; "
@@ -300,86 +308,66 @@ class _Segment:
             evals=15 * self.evaluated)
 
 
-def _batch(logf, pending, segs, ntables: int, rel_tol: float):
-    """(log K15, log error) lists of the new panels of pending, with one
-    call logf(x, starts): the nodes of table t are x[starts[t]:starts[t+1]]."""
-    sizes, ca, cb = [0] * (ntables + 1), [], []
-    for i, _, left, right in pending:
-        ca += left
-        cb += right
-        sizes[segs[i].table + 1] += len(left)
-    a, b = np.array(ca, float), np.array(cb, float)
-    starts = [len(_X) * n for n in accumulate(sizes)]
-    try:
-        k, e = _panels(lambda x: logf(x, starts), a, b)
-    except _BelowFloor as exc:
-        row = exc.args[0]
-        seg = segs[[i for i, _, ca, _ in pending for _ in ca][row]]
-        raise seg.failure(_floor(a[row], b[row]), rel_tol) from None
-    return k.tolist(), e.tolist()
-
-
 def _refine(logf, segments: list[tuple], ntables: int,
             rel_tol: float) -> list[tuple[float, float, int, int]]:
     """(log value, relative error, panels, evals) of the integral over each
     (lo, hi, breakpoints, table) of segments, refined together.
 
     Tables are numbered from 0 to ntables - 1 and the segments of each are
-    consecutive, in table order.  Each round evaluates the new panels of
-    every open segment with one logf call (see _batch); a segment closes
-    once log toterr - log total <= log rel_tol, a test that holds at any
-    scale (total + log rel_tol rounds to total once ulp(total) exceeds
-    2 |log rel_tol|, and so passed any error there).  A panel is halved
-    only when every node of both halves lies strictly inside them
-    (_inside).  The error raised is the one refining the tables alone, in
-    order, would raise.  A segment fails the tolerance test when it misses
-    rel_tol with _MAX_PANELS panels or with a panel to halve below that
-    floor; later segments then stop and earlier ones go on, so the first
-    such failure in list order is raised.  A logf batch that raises (a
-    DomainError of an integrand value, or an initial panel's floor error,
-    see _batch) and spans several tables is redone one table at a time,
-    from scratch and in order, and the first table's error is raised; only
-    that error path pays for the redo.
+    consecutive, in table order.  Each round makes one call logf(x, starts)
+    for the new panels of every open segment, those of table t at
+    x[starts[t]:starts[t + 1]], and each segment closes the round on its
+    slice of the values (_Segment.close).  The error raised is the one
+    refining the tables alone, in order, would raise.  A segment that fails
+    its round stops the later ones, and earlier ones go on, so the first
+    failure in list order is raised.  A logf batch that raises (a
+    DomainError of an integrand value, or an initial panel with a node
+    rounded onto an end where the integrand is not finite, which fails its
+    segment at the floor) and spans several tables is redone one table at
+    a time, from scratch and in order, and the first table's error is
+    raised; only that error path pays for the redo.
     """
-    log_rel_tol = math.log(rel_tol)
-    segs = [_Segment(*segment) for segment in segments]
-    results: list = [None] * len(segs)
-    failure = None
-    pending = [(i, None, s.x[:-1], s.x[1:]) for i, s in enumerate(segs)]
-    while pending:
+    live = [(i, _Segment(*segment)) for i, segment in enumerate(segments)]
+    results, failure = [None] * len(live), None
+    while live:
+        sizes, a, b = [0] * (ntables + 1), [], []
+        for _, seg in live:
+            a += seg.a
+            b += seg.b
+            sizes[seg.table + 1] += len(seg.a)
+        starts = [len(_X) * n for n in accumulate(sizes)]
         try:
-            k, e = _batch(logf, pending, segs, ntables, rel_tol)
-        except (DomainError, QuadratureError):
-            tables = sorted({segs[i].table for i, _, _, _ in pending})
+            k, e = _panels(lambda x: logf(x, starts), np.array(a, float),
+                           np.array(b, float))
+        except (DomainError, QuadratureError, _BelowFloor) as exc:
+            tables = sorted({seg.table for _, seg in live})
             if len(tables) > 1:
                 for t in tables:
                     _refine(logf, [seg for seg in segments if seg[3] == t],
                             ntables, rel_tol)
-            raise
-        pos, opened, pending = 0, pending, []
-        for i, halved, left, _ in opened:
+            if not isinstance(exc, _BelowFloor):
+                raise
+            row = exc.args[0]
+            for _, seg in live:
+                if row < len(seg.a):
+                    break
+                row -= len(seg.a)
+            # an initial panel: its segment holds no values yet
+            raise seg.error(_floor(seg.a[row], seg.b[row]), rel_tol,
+                            -math.inf, -math.inf) from None
+        k, e, pos, opened, live = k.tolist(), e.tolist(), 0, live, []
+        for i, seg in opened:
             if failure is not None and i > failure[0]:
                 break
-            seg, n = segs[i], len(left)
-            seg.store(halved, left, k[pos:pos + n], e[pos:pos + n])
+            n = len(seg.a)
+            out = seg.close(k[pos:pos + n], e[pos:pos + n], rel_tol)
             pos += n
-            total, toterr = log_sum(seg.k), log_sum(seg.e)
-            if toterr - total <= log_rel_tol or toterr == -math.inf:
-                rel = math.exp(toterr - total) if total > -math.inf else 0.0
-                results[i] = (total, rel, len(seg.k), 15 * seg.evaluated)
-                continue
-            if len(seg.k) >= _MAX_PANELS:
-                reason = f"needed more than {_MAX_PANELS} panels"
+            if out is None:
+                live.append((i, seg))
+            elif isinstance(out, QuadratureError):
+                failure = (i, out)
             else:
-                worst = _worst(seg.e, total + log_rel_tol,
-                               _MAX_PANELS - len(seg.k))
-                ca, cb = seg.halves(worst)
-                floor = [(a, b) for a, b in zip(ca, cb) if not _inside(a, b)]
-                if not floor:
-                    pending.append((i, worst, ca, cb))
-                    continue
-                reason = _floor(*floor[0])
-            failure = (i, seg.failure(reason, rel_tol))
+                results[i] = out
     if failure is not None:
         raise failure[1]
     return results

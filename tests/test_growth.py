@@ -559,6 +559,12 @@ def test_integrals_without_truncation_closed_form():
         (J[0], math.log((0.5 - 1.0 / 18.0) / (2.0 * math.pi))),
     ]:
         assert abs(got - expected) <= 4 * math.ulp(expected)
+    # g(s) = s**-0.5 keeps G integrable at t0 = 0 (s**-1 and below are
+    # refused, see test_growth_layer_error_messages), bit for bit as before
+    # and within its claim of 30-digit mpmath at s = u**2
+    (log_g, err), = _g_from_zero(-0.5)[0]
+    assert (log_g, err) == (70.23233758983116, 7.422939741407414e-15)
+    assert abs(log_g - 70.2323375898311559366990771552) <= err + math.ulp(log_g)
 
 
 def test_energy_integral_neutral_power_closed_form():
@@ -1450,6 +1456,14 @@ def test_integral_failure_raised_before_bad_eps():
 
 
 _M = ModelManifold(PowerLaw(1.0))
+
+
+def _g_from_zero(c):
+    """G(9.67) on the warp s**c at s0 = 0, t0 = 0: s**c * v**q near 0."""
+    return growth._integrals(ModelManifold(PowerLaw(c)), ExpPower(2.93, 0.94), 3.84,
+                             2.89, 0.0, [9.67], [], [], 1e-12)
+
+
 _FLOOR = max(EX_DECAY.t0, EX_DECAY.potential.r_min_positive)
 _T0 = EX_DECAY.t0
 
@@ -1488,10 +1502,14 @@ _T0 = EX_DECAY.t0
     # the gamma check read "q - p + 1 must be positive, got -inf"
     (lambda: log_energy_integral(_M, PowerLaw(1.0), math.inf, 2.0, 0.0, 2.0), "p must be finite, got inf"),
     (lambda: run_inequality_suite(EX_DECAY, base_tol=math.inf), "base_tol must be finite, got inf"),
+    # G of g(s) = s**c at t0 = 0 diverges for c <= -1; each came back finite
+    *[(lambda c=c: _g_from_zero(c), f"G diverges at t0 = 0: its integrand behaves like "
+       f"s**{c} there, with exponent <= -1") for c in (-1.0, -1.5, -3.0, -5.885)],
 ], ids=["samples-q", "samples-empty", "samples-not-increasing", "energy-p", "energy-gamma",
         "growth-R1-floor", "growth-R-R1", "caccioppoli-R", "caccioppoli-h", "capacity-r",
         "capacity-R", "rate-window-num", "rate-window-num-ceiling", "energy-gamma-rounds-to-0",
-        "energy-edge-exponent", "samples-q-inf", "energy-q-inf", "energy-p-inf", "suite-tol-inf"])
+        "energy-edge-exponent", "samples-q-inf", "energy-q-inf", "energy-p-inf", "suite-tol-inf",
+        "g-diverges-1", "g-diverges-1.5", "g-diverges-3", "g-diverges-5.885"])
 def test_growth_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()

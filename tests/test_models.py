@@ -249,6 +249,12 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
      "radius inf is not finite"),
     (lambda: fd_cross_check(_PLANE, PHarmonicRn(3, 4.0), 2.0, 1.0), "radius must exceed 1.0, got 1.0"),
     (lambda: fd_cross_check(_PLANE, PowerLaw(0.0), 2.0, 3.0), "profile must be increasing at r=3.0: v'/v=0.0"),
+    # the grid loop refuses a radius that is not finite before the t_min rule
+    (lambda: PowerLaw(2.0).scaled_derivs([3.0, math.inf]), "radius inf is not finite"),
+    (lambda: ExpPower(1.0, 0.5).scaled_derivs([math.nan]), "radius nan is not finite"),
+    (lambda: PHarmonicRn(3, 4.0).log_slopes([2.0, math.inf]), "radius inf is not finite"),
+    (lambda: PHarmonicRn(3, 4.0).log_slopes([math.nan, 0.5]), "radius nan is not finite"),
+    (lambda: PowerLaw(2.0).log_slopes([-math.inf]), "radius -inf is not finite"),
 ], ids=["power-level", "exp-level", "harmonic-level", "power-constant", "exp-constant",
         "exp-unattained", "exp-decreasing-unattained", "power-deriv", "power-deriv-constant",
         "exp-deriv", "harmonic-dimension", "harmonic-p-inf", "euclidean-dimension", "omega",
@@ -258,7 +264,8 @@ _DECAYING, _BORDERLINE = build_sharp_example(2.0, 3.0, 1.0), build_sharp_example
         "power-c-inf", "exp-c-nan", "harmonic-dimension-fraction", "euclidean-nan", "euclidean-inf",
         "omega-inf", "residual-s0-nan", "sphere-s0-nan", "sphere-q-inf", "potential-p-inf",
         "potential-c-inf", "potential-lam-overflow", "potential-lam-underflow", "slope-overflow",
-        "fd-r-inf", "fd-radius", "fd-constant"])
+        "fd-r-inf", "fd-radius", "fd-constant", "derivs-inf", "derivs-nan", "slopes-inf",
+        "slopes-nan", "slopes-minus-inf"])
 def test_model_layer_error_messages(call, message):
     with pytest.raises(DomainError) as info:
         call()
