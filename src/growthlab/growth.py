@@ -77,15 +77,15 @@ class GrowthSample(namedtuple("GrowthSample", "R logG quad_error")):
 
 
 class RateEstimate(namedtuple(
-        "RateEstimate", "rate fit_residual regime window n_samples")):
-    """Leading growth exponent fitted from samples of a log functional.
+        "RateEstimate", "rate bias regime window n_samples")):
+    """Growth rate of a ball functional G, from d log G/dR = phi/G.
 
-    regime "power" (beta > 0): logG was modelled as
-    A * R**beta + B * log R + C and rate = A * beta, the exponent in
-    log G ~ (rate/beta) * R**beta.  regime "log" (beta = 0): logG was
-    modelled as A * log R + C and rate = A.  fit_residual is the worst
-    absolute misfit of the model on the samples, and window the pair
-    (first R, last R).
+    r(R) = R**(1 - beta) * phi(R) / G(R) tends to the rate as rate +
+    B * R**-k: k = beta in regime "power" (beta > 0), and in regime "log"
+    (beta = 0) k = min(c, expected_rate), from the truncation term
+    q * s0 * R**-c and G's lower limit.  rate is r at the last two radii
+    after one Richardson step on R**-k, bias = |rate - r(last R)| its size,
+    window (first R, last R) and n_samples the number of window radii.
     """
 
     __slots__ = ()
@@ -407,17 +407,10 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
 # ---------------------------------------------------------------------------
 
 
-def estimate_rate(samples, beta: float) -> RateEstimate:
-    """Fit the leading growth exponent from a list of GrowthSample.
-
-    beta = 1 - mu/p alone decides the model.  beta > 0 (sub-borderline
-    decay, regime "power") fits logG = A * R**beta + B * log R + C and
-    reports rate = A * beta, which on the extremal examples equals the
-    threshold constant.  beta = 0 (borderline decay, regime "log") fits
-    logG = A * log R + C and reports the slope A.  Requires at least 4
-    samples with strictly increasing finite positive radii and finite logG,
-    a finite beta >= 0, and R**beta in double range.
-    """
+def estimate_rate(samples, example: SharpExample) -> RateEstimate:
+    """The rate of an example from a list of GrowthSample, read at the last
+    two (see RateEstimate).  Needs at least 4 samples with strictly increasing
+    finite positive radii and finite logG, and a finite example.beta >= 0."""
     rs, ys = [s.R for s in samples], [s.logG for s in samples]
     if len(rs) < 4:
         raise DomainError(f"need at least 4 samples, got {len(rs)}")
@@ -426,28 +419,37 @@ def estimate_rate(samples, beta: float) -> RateEstimate:
     if not all(map(math.isfinite, ys)):
         raise DomainError("all samples must have finite logG; "
                           "move the window above the support radius")
-    if not (0.0 <= beta < math.inf):
+    if not (0.0 <= (beta := example.beta) < math.inf):
         raise DomainError(f"beta must be finite and nonnegative, got {beta}")
-    power = beta > 0.0
-    regime = "power" if power else "log"
-    # the design matrix's rows as one flat list: lstsq does not return on
-    # one holding inf or nan
-    try:
-        X = [x for r in rs for x in ((r ** beta, math.log(r), 1.0) if power
-                                     else (math.log(r), 1.0))]
-        finite = all(map(math.isfinite, X))
-    except (OverflowError, ValueError):
-        finite = False
-    if not finite:
-        terms = f"R**beta (beta={beta}) and log R" if power else "log R"
-        raise DomainError(f"the {regime} fit needs {terms} finite at every "
-                          f"sample radius in [{rs[0]}, {rs[-1]}]")
-    X, y = np.array(X).reshape(len(rs), -1), np.array(ys)
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return RateEstimate(rate=float(coef[0]) * (beta if power else 1.0),
-                        fit_residual=float(abs(X @ coef - y).max()),
-                        regime=regime, window=(rs[0], rs[-1]),
-                        n_samples=len(rs))
+    if not (0.0 < rs[0] and rs[-1] < math.inf):
+        raise DomainError(f"the rate needs log R finite at every sample "
+                          f"radius in [{rs[0]}, {rs[-1]}]")
+    return _richardson(example, *samples[-2:], (rs[0], rs[-1]), len(rs))
+
+
+def _richardson(example: SharpExample, prev: GrowthSample, last: GrowthSample,
+                window, n_samples: int) -> RateEstimate:
+    """The RateEstimate of r(R) = R**(1 - beta) * phi(R) / G(R) at the radii
+    R_prev < R_last of two samples; rho = (R_prev / R_last)**k, so nothing
+    overflows in rate = r_last + (r_last - r_prev) * rho / (1 - rho)."""
+    beta, power = example.beta, example.beta > 0.0
+    k = beta if power else min(example.c, example.expected_rate)
+    rho = (prev.R / last.R) ** k
+    if not rho < 1.0:
+        raise DomainError(f"the Richardson step needs (R_prev/R_last)**k < 1, "
+                          f"got 1 at k={k} on [{prev.R}, {last.R}]")
+    # log phi - log G first: close, they subtract exactly
+    xs = [log_sphere_integral(example.manifold, example.profile, example.q,
+                              example.s0, s.R) - s.logG
+          + (1.0 - beta) * math.log(s.R) for s in (prev, last)]
+    if not all(-745.0 < x < 709.0 for x in xs):
+        raise DomainError(f"R**(1 - beta) * phi / G leaves double range on "
+                          f"[{prev.R}, {last.R}]: its logs are {xs}")
+    r_prev, r_last = map(math.exp, xs)
+    rate = r_last + (r_last - r_prev) * rho / (1.0 - rho)
+    return RateEstimate(rate=rate, bias=abs(rate - r_last),
+                        regime="power" if power else "log", window=window,
+                        n_samples=n_samples)
 
 
 def rate_window(example: SharpExample, rmax: float | None = None,
@@ -455,17 +457,12 @@ def rate_window(example: SharpExample, rmax: float | None = None,
     """Default sampling radii for measuring an example's rate.
 
     Borderline examples (mu = p) use num log-spaced radii on
-    [max(1e4, 100*t0), rmax or 1e6]; on the built-in grid that window keeps
-    the truncation bias of the fitted rate under 0.25 percent.
-    Sub-borderline examples place radii so that the log-growth variable
-    kappa * beta * R**beta is log-spaced up to 1e4 (or its value at rmax),
-    from 1/30 of that.  The start does not bound the truncation term
-    q * log(1 - s0 * exp(-c * R**beta)), which the "power" model cannot
-    absorb: at (10, 100, 0) the window starts at R = 3.66, where that term
-    is about -20, and the fit gives 90.778 against 91.0 with residual 6.9.
-    Radii past the largest double, a num that is not an integer, or an
-    rmax that is not finite and positive, raise DomainError.  The model
-    fitted to the samples follows from example.beta (see estimate_rate).
+    [max(1e4, 100*t0), rmax or 1e6].  Sub-borderline examples place radii
+    so that the log-growth variable kappa * beta * R**beta is log-spaced up
+    to 1e4 (or its value at rmax), from 1/30 of that; at (10, 100, 0) the
+    window starts at R = 3.66 and its rate is 91.0000000002 (see
+    estimate_rate).  Radii past the largest double, a num that is not an
+    integer, or an rmax that is not finite and positive, raise DomainError.
     """
     try:
         num = operator.index(num)
@@ -501,11 +498,14 @@ def rate_window(example: SharpExample, rmax: float | None = None,
 
 def measure_rate(example: SharpExample, rmax: float | None = None,
                  num: int = 7, rel_tol: float = 1e-12) -> RateEstimate:
-    """Sample the ball integral of an example and fit its growth rate."""
-    samples = growth_samples(example.manifold, example.profile, example.q,
-                             example.s0, rate_window(example, rmax, num),
-                             rel_tol=rel_tol)
-    return estimate_rate(samples, example.beta)
+    """The rate from G at the last two radii of rate_window(example, rmax,
+    num) (see estimate_rate), and at its first radius, which splits the
+    stretch from t0 so that no example needs more refinement rounds."""
+    radii = rate_window(example, rmax, num)
+    _, prev, last = growth_samples(example.manifold, example.profile,
+                                   example.q, example.s0,
+                                   [radii[0], *radii[-2:]], rel_tol=rel_tol)
+    return _richardson(example, prev, last, (radii[0], radii[-1]), num)
 
 
 # ---------------------------------------------------------------------------

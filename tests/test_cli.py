@@ -153,6 +153,18 @@ def test_sharp_rate_report(capsys):
     assert doc["passed"] is True
 
 
+def test_sharp_rate_resolves_a_window_that_starts_in_the_truncation_term(capsys):
+    # the window starts at R = 3.66, where q * log(1 - s0 * exp(-c * R)) is
+    # about -20; the 7-radius fit read 90.778 there, with residual 6.9
+    rc, out, _ = run(capsys, ["sharp", "--p", "10", "--q", "100", "--mu", "0", "--rate",
+                              "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert abs(doc["rate"]["rate"] - 91.0) <= 1e-8
+    assert doc["rate"]["bias"] <= 1e-8
+    assert doc["passed"] is True
+
+
 def test_config_file_defaults_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("# comment line\np = 2\nq = 2\nmu = 0\nlambda = 1\ntol = 0.5\n")

@@ -9,6 +9,7 @@ frozen. Every expectation is independent of the code under test.
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -607,78 +608,133 @@ def test_ball_integral_two_sided_envelope(pq_mu):
 
 
 # ---------------------------------------------------------------------
-# rate fitting
+# rate measurement
 # ---------------------------------------------------------------------
 
 
+def _samples_with_correction(ex, radii, rate, B, k):
+    """Samples whose r(R) = R**(1 - beta) * phi(R) / G(R) is exactly
+    rate + B * R**-k, phi the example's own sphere integrand."""
+    return [GrowthSample(r, log_sphere_integral(ex.manifold, ex.profile, ex.q, ex.s0, r)
+                         + (1.0 - ex.beta) * math.log(r) - math.log(rate + B * r ** -k), 0.0)
+            for r in radii]
+
+
 def test_estimate_rate_power_exact():
-    A, beta, B, C = 2.5, 0.5, 1.2, -3.0
-    radii = np.logspace(1.0, 3.0, 8)
-    samples = [GrowthSample(r, A * r ** beta + B * math.log(r) + C, 0.0) for r in radii]
-    est = estimate_rate(samples, beta)
-    assert est.rate == pytest.approx(A * beta, rel=1e-10)
-    assert est.fit_residual <= 1e-9
-    assert est.regime == "power"
-    assert est.n_samples == 8
+    """One Richardson step removes a correction B * R**-beta exactly, of
+    either sign, and the bias is that correction at the last radius."""
+    radii = list(np.logspace(2.0, 3.0, 8))
+    for B in (3.0, -1.5):
+        est = estimate_rate(_samples_with_correction(EX_DECAY, radii, 2.5, B, EX_DECAY.beta),
+                            EX_DECAY)
+        assert est.rate == pytest.approx(2.5, rel=1e-12)
+        assert est.bias == pytest.approx(abs(B) * radii[-1] ** -EX_DECAY.beta, rel=1e-9)
+        assert (est.regime, est.window, est.n_samples) == ("power", (radii[0], radii[-1]), 8)
 
 
 def test_estimate_rate_log_exact():
-    radii = np.logspace(2.0, 5.0, 6)
-    samples = [GrowthSample(r, 4.5 * math.log(r) - 2.0, 0.0) for r in radii]
-    est = estimate_rate(samples, 0.0)
+    """At the borderline the step removes B * R**-k, k = min(c, rate)."""
+    radii = list(np.logspace(4.0, 6.0, 6))
+    k = min(EX_BORDER.c, EX_BORDER.expected_rate)
+    est = estimate_rate(_samples_with_correction(EX_BORDER, radii, 4.5, 0.8, k), EX_BORDER)
     assert est.rate == pytest.approx(4.5, rel=1e-12)
+    assert est.bias == pytest.approx(0.8 * radii[-1] ** -k, rel=1e-9)
     assert est.regime == "log"
-    assert est.window == (pytest.approx(100.0), pytest.approx(1e5))
+    assert est.window == (pytest.approx(1e4), pytest.approx(1e6))
 
 
 def test_estimate_rate_validation():
     radii = [10.0, 20.0, 40.0, 80.0]
     samples = [GrowthSample(r, math.log(r), 0.0) for r in radii]
     with pytest.raises(DomainError):
-        estimate_rate(samples[:3], 0.0)
-    with pytest.raises(DomainError, match="beta must be finite and nonnegative"):
-        estimate_rate(samples, -0.5)
-    with pytest.raises(DomainError, match="beta must be finite and nonnegative"):
-        estimate_rate(samples, math.nan)
+        estimate_rate(samples[:3], EX_BORDER)
+    for beta in (-0.5, math.nan):
+        with pytest.raises(DomainError, match="beta must be finite and nonnegative"):
+            estimate_rate(samples, SimpleNamespace(beta=beta))
     with pytest.raises(DomainError):
-        estimate_rate(list(reversed(samples)), 0.0)
+        estimate_rate(list(reversed(samples)), EX_BORDER)
     with pytest.raises(DomainError):
-        estimate_rate(samples[:3] + [GrowthSample(160.0, -math.inf, 0.0)], 0.0)
+        estimate_rate(samples[:3] + [GrowthSample(160.0, -math.inf, 0.0)], EX_BORDER)
 
 
 @pytest.mark.parametrize("beta", [math.inf, 1e308])
-def test_estimate_rate_rejects_a_design_matrix_past_double_range(beta):
-    """LAPACK does not return on an inf design matrix; R**1e308 overflows."""
+def test_estimate_rate_rejects_a_beta_that_leaves_double_range(beta):
+    """beta = inf is refused as such; at beta = 1e308, R**(1 - beta) and
+    so r(R) underflow, which is refused, not reported as a rate of 0."""
     samples = [GrowthSample(r, math.log(r), 0.0) for r in [10.0, 20.0, 40.0, 80.0]]
     with pytest.raises(DomainError, match="beta"):
-        estimate_rate(samples, beta)
+        estimate_rate(samples, SimpleNamespace(**EX_DECAY._asdict(), beta=beta))
 
 
 def test_estimate_rate_rejects_an_infinite_radius():
     samples = [GrowthSample(r, 1.0, 0.0) for r in [10.0, 20.0, 40.0, math.inf]]
     with pytest.raises(DomainError, match=r"log R finite at every sample radius in \[10.0, inf\]"):
-        estimate_rate(samples, 0.0)
+        estimate_rate(samples, EX_BORDER)
 
 
-def _nested_row_fit(samples, beta):
-    """(rate, fit_residual) of the fit as a design matrix built from nested
-    row lists, lstsq with rcond=None, and the worst misfit max |X coef - y|."""
-    power = beta > 0.0
-    X = np.array([([s.R ** beta] if power else []) + [math.log(s.R), 1.0] for s in samples])
-    y = np.array([s.logG for s in samples])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return float(coef[0]) * (beta if power else 1.0), float(np.max(np.abs(X @ coef - y)))
+def test_estimate_rate_refuses_radii_too_close_for_the_step():
+    """(R_prev/R_last)**k rounds to 1, so the step would divide by 0."""
+    radii = [1e4, 2e4, 3e4, 3e4 * (1.0 + 2.0 ** -52)]
+    samples = [GrowthSample(r, 2.0 * math.log(r), 0.0) for r in radii]
+    with pytest.raises(DomainError, match=r"\(R_prev/R_last\)\*\*k < 1, got 1"):
+        estimate_rate(samples, EX_BORDER._replace(c=1e-3))
 
 
 @pytest.mark.parametrize("ex", sharp_grid(), ids=lambda ex: f"{ex.p}-{ex.q}-{ex.mu}")
-def test_estimate_rate_matches_the_nested_row_fit_bit_for_bit(ex):
-    """On each grid rate window, rate and fit_residual are those of the
-    nested-row fit, bit for bit; a column-major design matrix moves a
-    fit_residual by an ulp."""
-    samples = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, rate_window(ex))
-    est = estimate_rate(samples, ex.beta)
-    rate, resid = _nested_row_fit(samples, ex.beta)
-    assert (est.rate.hex(), est.fit_residual.hex()) == (rate.hex(), resid.hex())
+def test_measured_rate_is_within_its_bias_of_the_expected_rate(ex):
+    """On each grid example the measured rate misses the designed one by no
+    more than its bias plus 1e-10 of it, and passes the CLI's verdict
+    rel_gap + bias/|expected| <= rate_tol (0.005 at mu = p, else 0.01)."""
+    est = measure_rate(ex)
+    expected = ex.expected_rate
+    assert abs(est.rate - expected) <= est.bias + 1e-10 * abs(expected)
+    rate_tol = 0.005 if ex.is_borderline else 0.01
+    assert abs(est.rate - expected) / abs(expected) + est.bias / abs(expected) <= rate_tol
+    radii = rate_window(ex)
+    assert (est.window, est.n_samples) == ((radii[0], radii[-1]), 7)
+
+
+def _reference_slopes(ex, radii):
+    """r(R) = R**(1 - beta) * phi(R) / G(R) at each radius at 80 digits,
+    with G from tests/closed_form.py and phi = omega * g * (v - s0)**q from
+    the mu = 0 (g = e**(a s), v = e**(c s)) or mu = p (g = s**(a + p - 1),
+    v = s**c) closed forms."""
+    log_g, _, _ = closed_form.log_integrals(ex, radii, [], [])
+    with mpmath.workdps(closed_form.DPS):
+        p, q, a, c, s0, omega = (mpmath.mpf(x) for x in (
+            ex.p, ex.q, ex.a, ex.c, ex.s0, ex.manifold.omega))
+        out = []
+        for R, lg in zip(map(mpmath.mpf, radii), log_g):
+            if ex.mu == 0.0:
+                log_phi = a * R + q * mpmath.log(mpmath.exp(c * R) - s0)
+            else:
+                log_phi = (a + p - 1) * mpmath.log(R) + q * mpmath.log(R ** c - s0)
+            out.append(mpmath.exp(mpmath.log(omega) + log_phi - lg
+                                  + (1 - mpmath.mpf(ex.beta)) * mpmath.log(R)))
+    return out
+
+
+@pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
+                                   if ex.mu in (0.0, ex.p)])
+def test_rate_reads_the_scaled_log_slope_of_the_closed_form(pq_mu):
+    """On the 18 grid tuples with mu = 0 or mu = p, r at the window's last
+    radius, rate less its signed step, is within its sample's claimed
+    quad_error plus 8 ulps of max(|log G|, |log phi|) of r formed from the
+    80-digit closed forms (tests/closed_form.py); the step's sign is that of
+    the 80-digit step.  The worst seen is 5.1 ulps, at (2, 3, 0)."""
+    ex = build_sharp_example(*pq_mu)
+    radii = rate_window(ex)
+    est = measure_rate(ex)
+    last = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [radii[0], *radii[-2:]])[-1]
+    r_prev, r_last = _reference_slopes(ex, radii[-2:])
+    with mpmath.workdps(closed_form.DPS):
+        k = ex.beta if ex.beta > 0.0 else min(ex.c, ex.expected_rate)
+        rho = (mpmath.mpf(radii[-2]) / radii[-1]) ** k
+        step = float((r_last - r_prev) * rho / (1 - rho))
+        got = est.rate - math.copysign(est.bias, step)
+        scale = max(abs(last.logG), abs(log_sphere_integral(ex.manifold, ex.profile, ex.q,
+                                                            ex.s0, radii[-1])))
+        assert abs(got - r_last) <= r_last * (last.quad_error + 8 * math.ulp(scale))
 
 
 @pytest.mark.parametrize("num", [5.5, 7.0, "7"])
@@ -848,10 +904,11 @@ def test_bottom_end_panels_fall_back_without_a_known_positive_slope(warp, profil
 
 @pytest.mark.parametrize("run", [run_inequality_suite, measure_rate])
 def test_widths_come_from_one_scaled_derivs_call_per_model_object(monkeypatch, run):
-    """A suite call and a rate fit on each grid example read every e-fold
-    width of their panel clusters from one scaled_derivs call on the
-    profile and one log_slopes call on the warp, and make no log_value call
-    on one radius."""
+    """A suite call and a rate measurement on each grid example read every
+    e-fold width of their panel clusters from one scaled_derivs call on the
+    profile and one log_slopes call on the warp.  The suite makes no
+    log_value call on one radius, and the rate one on each of profile and
+    warp at each of its last two radii, where it reads phi."""
     for ex in sharp_grid():
         calls = []
         for name, obj in (("profile", ex.profile), ("warp", ex.manifold.warp)):
@@ -869,7 +926,9 @@ def test_widths_come_from_one_scaled_derivs_call_per_model_object(monkeypatch, r
 
             monkeypatch.setattr(obj, "log_value", values)
         run(ex)
-        assert sorted(calls) == ["profile scaled_derivs", "warp log_slopes"]
+        phi_reads = [f"{name} log_value({R})" for R in rate_window(ex)[-2:]
+                     for name in ("profile", "warp")] if run is measure_rate else []
+        assert sorted(calls) == sorted(["profile scaled_derivs", "warp log_slopes", *phi_reads])
 
 
 def _mp_log_and_slope(profile, t):
@@ -1264,11 +1323,11 @@ def test_rate_sweep_exact_work(monkeypatch):
     work = _count_work(monkeypatch)
     for ex in sharp_grid():
         measure_rate(ex)
-    # no G edge in the 18 power-regime examples: 18 integrals fewer; the
-    # 11-end cluster costs more first-round panels and saves later rounds;
-    # the 126 segments with a complete cluster take one panel below it, not
-    # eight
-    assert work == {"integrals": 198, "panels": 2094, "evals": 31500}
+    # G at the first and the last two radii of each window, and G's edge in
+    # the 9 borderline examples: 3 * 27 + 9 integrals; the 11-end cluster
+    # costs more first-round panels and saves later rounds; the segments
+    # with a complete cluster take one panel below it, not eight
+    assert work == {"integrals": 90, "panels": 943, "evals": 14250}
 
 
 def test_capacity_tables_close_in_their_first_round(monkeypatch):
@@ -1360,9 +1419,10 @@ def test_sweep_integrand_batches(monkeypatch):
 def test_top_end_panels_never_cost_a_batch(monkeypatch):
     """With no segment given top-end panels, and so G's edge table wherever
     there is an edge, each grid example needs at least as many batches:
-    178 rate batches per sweep, 9 to 11 per power-regime example, and 41
-    suite batches."""
-    for run, total in [(measure_rate, 178), (run_inequality_suite, 41)]:
+    201 rate batches per sweep, 10 or 11 per power-regime example (the
+    default panels need more rounds on the long segment from the first to
+    the next-to-last radius), and 41 suite batches."""
+    for run, total in [(measure_rate, 201), (run_inequality_suite, 41)]:
         clustered = _batches_per_example(monkeypatch, run)
         with monkeypatch.context() as patched:
             patched.setattr(growth, "_top_width", lambda *args: None)

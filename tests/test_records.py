@@ -34,7 +34,7 @@ RECORDS = [
     (SharpExample, ("p", "q", "mu", "a", "c", "lam", "s0", "t0", "expected_rate", "manifold",
                     "profile", "potential", "params"), tuple(EX), {}),
     (GrowthSample, ("R", "logG", "quad_error"), (10.0, 3.5, 1e-13), {}),
-    (RateEstimate, ("rate", "fit_residual", "regime", "window", "n_samples"),
+    (RateEstimate, ("rate", "bias", "regime", "window", "n_samples"),
      (2.0, 1e-9, "power", (100.0, 1e4), 7), {}),
     (Report, ("command", "config", "provenance", "constants", "example", "samples", "rate",
               "checks", "classification", "passed"),
@@ -156,6 +156,6 @@ def test_readme_python_blocks_run(capsys):
     out = capsys.readouterr().out.splitlines()
     # the rates and C0, one line per check, then log_quad's line
     assert [float(x) for x in out[0].split()] == pytest.approx([2.0, 2.0], rel=1e-15)
-    assert float(out[1]) == pytest.approx(2.0, rel=1e-7)  # "to seven digits"
+    assert float(out[1]) == pytest.approx(2.0, rel=1e-8)  # "to eight digits"
     assert [line.split()[-1] for line in out[2:11]] == ["True"] * 9
     assert float(out[11].split()[0]) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
