@@ -21,10 +21,10 @@ Every G, H and J an example needs is computed in one refinement,
 _integrals: one log_quad_tables pass whose integrand evaluates the excess
 v - s0 and the warp once per node and forms each functional's integrand
 from them, so each round costs one integrand call for all of them.  The
-pieces of G and H next to the support edge t0 are tables of the same pass
-(_edge_split states when and how).  The tables are G's edge, G, H's edge,
-H, then J; integrals fail in that order, and the comparison constants come
-after them.
+pieces of G and H next to the support edge t0 are tables of the same pass,
+in the excess v - s0 (_edge_split states when and how).  The tables are
+G's edge, G, H's edge, H, then J; integrals fail in that order, and the
+comparison constants come after them.
 
 G, H and J share one cluster of initial panel ends, put where nearly all
 of their mass lies, at the factors f = 1, 2, 3, 4, 6, 8, 11, 16, 22, 32
@@ -113,18 +113,14 @@ def log_energy_integral(manifold: ModelManifold, profile: RadialProfile,
     """H(R): log of the integral of omega * g * w**(q-p) * (v')**p.
 
     Returns (log value, relative error estimate).  The integrand behaves
-    like (s - t0)**(gamma - 1) at the support edge, gamma = q - p + 1, and
-    blows up there for q < p; _edge_split says when the piece next to t0
-    is a table of its own, in a variable that removes the singularity,
-    also below a first segment that starts from a top-end cluster, where
-    G has none.  That table comes before the rest in the one pass of
-    _integrals, so its failure is the one raised when both fail.  On the
-    leading piece the excess v - s0 is expanded around the computed edge
-    through the profile's log_value_delta, treating v(t0) = s0 as exact:
-    the difference log v(s) - log s0 is needed at separations far below
-    the cancellation floor of direct subtraction.  (The value of a q < p
-    integral is inherently sensitive to the edge location at relative
-    order ulp**gamma; the margins built from it are insensitive to that.)
+    like w**(gamma - 1) dw in the excess w = v - s0 at the support edge,
+    gamma = q - p + 1, and blows up there for q < p; _edge_split says when
+    the piece next to t0 is a table of its own, in a variable of w that
+    removes the singularity, also below a first segment that starts from a
+    top-end cluster, where G has none.  That table comes before the rest in
+    the one pass of _integrals, so its failure is the one raised when both
+    fail.  On that piece the excess is the variable itself and v(t0) = s0
+    is exact, so no difference log v(s) - log s0 is formed near the edge.
     """
     return _integrals(manifold, profile, p, q, s0, [], [R], [], rel_tol)[1][0]
 
@@ -156,30 +152,42 @@ def growth_samples(manifold: ModelManifold, profile: RadialProfile,
 _G_EDGE, _G, _H_EDGE, _H, _J = range(5)
 
 
-def _edge_split(t0: float, alpha: float, radii, edge: bool,
-                near=lambda R_min: True):
+def _edge_split(profile: RadialProfile, s0: float, t0: float, alpha: float,
+                radii, levels: dict, near=lambda R_min: True):
     """(edge table, rest table, m) of a functional whose integrand behaves
-    like (s - t0)**(alpha - 1) at the support edge t0, up to radii.
+    like w**(alpha - 1) dw in the excess w = v - s0 at the support edge t0,
+    up to radii.
 
     This is the support-edge rule of G (alpha = q + 1) and H
-    (alpha = gamma = q - p + 1, singular at t0 for q < p).  _integrals sets
-    edge when s0 > 0 and t0 > t_min, and gives G a near that is false where
-    its first segment starts from a top-end cluster (see _top_width).  With
-    edge set, a radius above t0, R_min the smallest such radius, and
-    near(R_min) true, the edge piece over (t0, t1] with
-    t1 = t0 + min(1, (R_min - t0)/2) is integrated in tau at the radii
-    s = t0 + tau**m, m = ceil(2*alpha)/alpha, and the rest table starts at
-    t1; else the edge table is empty.  In tau the integrand is
-    tau**(ceil(2*alpha) - 1) times a function of tau**m with m >= 2, so
-    QK15 need not bisect toward t0 to resolve it, and for alpha < 1 (H at
-    q < p) no singularity is left.
+    (alpha = gamma = q - p + 1, singular at t0 for q < p).  _integrals
+    gives G a near that is false where its first segment starts from a
+    top-end cluster (see _top_width).  With s0 > 0, t0 > t_min, a radius
+    above t0, R_min the smallest such radius, and near(R_min) true, the
+    edge piece over the levels (s0, s0 * e**d1], d1 = min(1/2, d/2) with
+    d = log v(R_min) - log s0 (log v from levels, else from log_value), is
+    integrated in tau at the excess w = tau**m, m = ceil(2*alpha)/alpha, up
+    to s0 * expm1(d1); the rest table starts at t1, the radius of the level
+    s0 * e**d1 (_at_level), and a t1 outside (t0, R_min) raises
+    DomainError.  Else the edge table is empty.  In tau the integrand is
+    tau**(ceil(2*alpha) - 1) times a smooth function of w, so QK15 need not
+    bisect toward t0 to resolve it, for alpha < 1 (H at q < p) no
+    singularity is left, and as log w = m log tau is carried, no node
+    underflows, at any alpha or t0.
     """
     above = [R for R in radii if R > t0]
-    if not (edge and above and near(min(above))):
+    if not (s0 > 0.0 and t0 > profile.t_min and above
+            and near(R_min := min(above))):
         return (0.0, []), (t0, radii), 1.0
-    n = math.ceil(2.0 * alpha)
-    t1 = t0 + min(1.0, 0.5 * (min(above) - t0))
-    return (0.0, [(t1 - t0) ** (alpha / n)]), (t1, radii), n / alpha
+    n, log_s0 = math.ceil(2.0 * alpha), math.log(s0)
+    lv = levels[R_min] if R_min in levels else profile.log_value(R_min)
+    d1 = min(0.5, 0.5 * (lv - log_s0))
+    t1 = math.exp(profile._at_level(log_s0 + d1, math)[0])
+    if not t0 < t1 < R_min:
+        raise DomainError(f"the support edge ends at t1 = {t1!r}, the radius "
+                          f"of the level s0 * exp({d1!r}), which is not "
+                          f"strictly between t0 = {t0!r} and R = {R_min!r}")
+    return (0.0, [(s0 * math.expm1(d1)) ** (alpha / n)]), (t1, radii), \
+        n / alpha
 
 
 # the panel ends of the cluster where the integrands of G and H peak, in
@@ -211,9 +219,10 @@ _TOP_SPAN = 24.0
 
 
 def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
-            q: float, s0: float, tops, bottoms) -> tuple[dict, dict]:
+            q: float, s0: float, tops, bottoms) -> tuple[dict, dict, dict]:
     """The e-fold widths of the integrands at their segment ends, as two
-    dicts by radius, with e_g = r g'/g and e_v = r v'/v: at each R of tops
+    dicts by radius, then log v at each radius, with e_g = r g'/g and
+    e_v = r v'/v: at each R of tops
     the width R / (e_g + q * e_v) of g * v**q, whose log-slope G's and H's
     integrands share to leading order, and at each bottom r of a J
     interval the width (p - 1) * r / (e_g + q * e_v * v / (v - s0)) of
@@ -227,7 +236,7 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
         lvs, evs, _ = profile.scaled_derivs(radii)
         egs = manifold.warp.log_slopes(radii)
     except NotImplementedError:
-        return {}, {}
+        return {}, {}, {}
     log_s0, n, top, bottom = _log_s0(s0), len(tops), {}, {}
     for i, (r, lv, ev, eg) in enumerate(zip(radii, lvs, evs, egs)):
         try:
@@ -237,7 +246,7 @@ def _widths(manifold: ModelManifold, profile: RadialProfile, p: float | None,
         except (OverflowError, ZeroDivisionError):
             w = 0.0
         (top if i < n else bottom)[r] = w if 0.0 < w < math.inf else None
-    return top, bottom
+    return top, bottom, dict(zip(radii, lvs))
 
 
 def _top_width(widths: dict, lo: float, hi: float) -> float | None:
@@ -268,9 +277,9 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     read from the log_slopes of the warp and the profile (if both have it)
     at the smallest positive double.  The integrand, run with numpy's
     floating-point warnings off (see log_quad_tables), makes one log_value
-    call on all nodes, and on edge nodes expands the excess v - s0 around
-    t0 through the profile's log_value_delta instead, treating v(t0) = s0
-    as exact; it forms each table's formula on that table's nodes only.
+    call on all nodes; an edge node's excess is its own variable, and its
+    radius and Jacobian come from the profile's level map _at_level.  It
+    forms each table's formula on that table's nodes only.
     J's relative error is at least _J_ROUNDING, 2 ulps, times the condition
     of its log integrand -log phi / (p - 1), the largest over its nodes of
     (|log omega| + |log g| + q |log v| v / (v - s0)) / (p - 1): the
@@ -290,7 +299,6 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
     log_s0 = _log_s0(s0)
     log_omega = math.log(manifold.omega)
     t0 = _support_start(profile, s0)
-    edge = s0 > 0.0 and t0 > profile.t_min
     if t0 == 0.0 and g_radii and g_radii[-1] > t0:
         try:
             e = manifold.warp.log_slopes([5e-324])[0] \
@@ -301,14 +309,14 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             raise DomainError(f"G diverges at t0 = 0: its integrand behaves "
                               f"like s**{e} there, with exponent <= -1")
     # an infinite radius is left to log_quad_tables to name
-    tops, bottoms = _widths(
+    tops, bottoms, levels = _widths(
         manifold, profile, p, q, s0,
         [R for R in {*g_radii, *h_radii} if t0 < R < math.inf],
         [r for r, _ in j_pairs])
     g_edge, g_rest, m_g = _edge_split(
-        t0, q + 1.0, g_radii, edge,
+        profile, s0, t0, q + 1.0, g_radii, levels,
         lambda R_min: _top_width(tops, t0, R_min) is None)
-    h_edge, h_rest, m_h = _edge_split(t0, gamma, h_radii, edge)
+    h_edge, h_rest, m_h = _edge_split(profile, s0, t0, gamma, h_radii, levels)
 
     # below a top cluster, one panel where it is complete, its farthest end
     # strictly inside the segment, and the default panels where it is
@@ -337,20 +345,25 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
         ge, g, he, h, j = starts[:_J + 1]
         edges = [(lo, hi, m) for lo, hi, m in ((ge, g, m_g), (he, h, m_h))
                  if lo < hi]
-        # the radii s; the edge nodes are tau, at s = t0 + eta, eta = tau**m
-        s, deltas = (x.copy() if edges else x), []
+        # the radii s; an edge's nodes are tau, at the excess w = tau**m and
+        # the level lam = log(s0 + w), whose radius and e_v the profile's
+        # level map gives: ds = m * tau**(m - 1) * s / (e_v * v) dtau
+        s, edge_nodes = (x.copy() if edges else x), []
         for lo, hi, m in edges:
-            eta = x[lo:hi] ** m
-            s[lo:hi] = t0 + eta
-            deltas.append((lo, hi, profile.log_value_delta(t0, eta)))
-        # log v and d = log v - log s0 from one log_value call, then on the
-        # edge nodes from log_value_delta (s0 > 0 there, so d is finite)
+            log_tau = np.log(x[lo:hi])
+            log_w = m * log_tau
+            lam = np.log1p(np.exp(log_w - log_s0)) + log_s0
+            log_s, log_ev = profile._at_level(lam, np)
+            s[lo:hi] = np.exp(log_s)
+            edge_nodes.append((lo, hi, log_w, log_s - log_ev - lam
+                               + (math.log(m) + (m - 1.0) * log_tau)))
+        # log v and log(v - s0) from one log_value call; an edge node's
+        # log(v - s0) is its log w
         lv = profile.log_value(s)
         d = lv - log_s0
-        for lo, hi, delta in deltas:
-            d[lo:hi] = delta
-            lv[lo:hi] = log_s0 + delta
         le = _log_excess_of(log_s0, lv, d)
+        for lo, hi, log_w, _ in edge_nodes:
+            le[lo:hi] = log_w
         lw = manifold.log_warp(s)
         # G: log(g * w**q), -inf where w = 0; each table's rows in place
         out = q * le
@@ -362,10 +375,8 @@ def _integrals(manifold: ModelManifold, profile: RadialProfile,
             h += lw[he:j]
             h += p * profile.log_deriv(s[he:j])
             h[~(h_le > -math.inf)] = -math.inf
-        for lo, hi, m in edges:
-            # ds = m * tau**(m - 1) dtau; as m > 1, a node at tau = 0 gives
-            # -inf, not nan
-            out[lo:hi] += math.log(m) + (m - 1.0) * np.log(x[lo:hi])
+        for lo, hi, _, log_jacobian in edge_nodes:
+            out[lo:hi] += log_jacobian
         if j < len(s):
             # the condition of J's log integrand on each node: |log g| plus
             # q |log v| amplified by v / (v - s0) = -1 / expm1(-d) in the

@@ -17,10 +17,11 @@ therefore exposes a logarithmic interface
 and the operator routines work with the scaled quantity
 r**mu * Delta_p(v) / v**(p-1), which stays of order one.
 
-log_value, log_deriv and log_value_delta of the three profiles below take
-either one radius, giving a float, or a 1-D float ndarray of radii, giving
-an ndarray of the same shape: growth's integrand makes one log_value call
-on all nodes of a quadrature batch.  scaled_derivs and log_slopes take a
+log_value, log_deriv and the level map _at_level of the three profiles
+below take either one value, giving a float, or a 1-D float ndarray,
+giving an ndarray of the same shape: growth's integrand makes one
+log_value call on all nodes of a quadrature batch, and reads the radius of
+each support-edge node from its level.  scaled_derivs and log_slopes take a
 list of radii, and both come from one loop per profile, _derivs, which
 forms the other two columns only for scaled_derivs.  r v'/v is a
 profile's one log-slope: growth places its panel clusters from it.
@@ -105,14 +106,16 @@ def _coefficient(c: float) -> float:
 class RadialProfile:
     """Base class for positive radial functions on (t_min, inf).
 
-    The class states the contract once: log_value, log_deriv and
-    log_value_delta check their radius and level_radius its level, then
-    each calls its subclass's closed form, _log_v(t, xp), _log_dv(t, xp),
-    _delta(t, eta, xp) or _level(s), with xp the namespace of _ns.  An
-    OverflowError of _level, or a result that is not finite, is a level
-    radius exp(_log_level(s)) past the largest double.  scaled_derivs and
-    log_slopes come from the subclass's one loop, _derivs, which checks its
-    own radii.  A profile that only G and J read at s0 = 0 may override
+    The class states the contract once: log_value and log_deriv check
+    their radius and level_radius its level, then each calls its
+    subclass's closed form, _log_v(t, xp), _log_dv(t, xp) or _level(s),
+    with xp the namespace of _ns.  _at_level(lam, xp) is the level map:
+    (log s, log |e_v|) at lam = log v(s), e_v = s v'/v, for a float or an
+    array of levels, unchecked; log |e_v| is log e_v wherever v increases.
+    An OverflowError of _level, or a result that is not finite, is a level
+    radius exp(_at_level(log s)[0]) past the largest double.  scaled_derivs
+    and log_slopes come from the subclass's one loop, _derivs, which checks
+    its own radii.  A profile that only G and J read at s0 = 0 may override
     log_value alone.  Monotonicity is not assumed by the class itself
     (warps may decrease); routines that need v' > 0 check it.
     """
@@ -152,20 +155,11 @@ class RadialProfile:
             t = math.inf
         # s ** (1/c) is inf without an OverflowError once 1/c is
         if not t < math.inf:
-            raise DomainError(f"level radius t = exp({self._log_level(s):.6g}) "
+            log_t, _ = self._at_level(math.log(s), math)
+            raise DomainError(f"level radius t = exp({log_t:.6g}) "
                               f"of the level s = {s:.6g} exceeds the largest "
                               "double")
         return t
-
-    def log_value_delta(self, t: float, eta):
-        """log v(t + eta) - log v(t) with full relative accuracy in eta.
-
-        Near-edge integrands need this difference for eta many orders of
-        magnitude below t, where direct subtraction of the two log values
-        loses everything to cancellation.
-        """
-        self._check_radii(t)
-        return self._delta(t, eta, _ns(eta))
 
     def _check_radii(self, t):
         """DomainError unless t, one radius or an array, exceeds t_min;
@@ -221,11 +215,8 @@ class PowerLaw(RadialProfile):
             raise DomainError("constant profile has no level radii")
         return s ** (1.0 / self.c)
 
-    def _log_level(self, s: float) -> float:
-        return math.log(s) / self.c
-
-    def _delta(self, t: float, eta, xp):
-        return self.c * xp.log1p(eta / t)
+    def _at_level(self, lam, xp):
+        return lam / self.c, math.log(abs(self.c))
 
     def __repr__(self):
         return f"PowerLaw(c={self.c})"
@@ -273,13 +264,9 @@ class ExpPower(RadialProfile):
             raise DomainError(f"level {s} is not attained for coefficient {self.c}")
         return x ** (1.0 / self.beta)
 
-    def _log_level(self, s: float) -> float:
-        return math.log(math.log(s) / self.c) / self.beta
-
-    def _delta(self, t: float, eta, xp):
-        # c * ((t+eta)**b - t**b) = c * t**b * expm1(b * log1p(eta/t))
-        return self.c * t ** self.beta \
-            * xp.expm1(self.beta * xp.log1p(eta / t))
+    def _at_level(self, lam, xp):
+        # lam = c * s**b, and e_v = b * lam
+        return xp.log(lam / self.c) / self.beta, xp.log(self.beta * abs(lam))
 
     def __repr__(self):
         return f"ExpPower(c={self.c}, beta={self.beta})"
@@ -331,15 +318,13 @@ class PHarmonicRn(RadialProfile):
     def _level(self, s: float) -> float:
         return (1.0 + s) ** (1.0 / self.alpha)
 
-    def _log_level(self, s: float) -> float:
-        return math.log1p(s) / self.alpha
-
-    def _delta(self, t: float, eta, xp):
-        # ((t+eta)**a - 1) / (t**a - 1) = 1 + t**a * u / (t**a - 1) with
-        # u = expm1(a * log1p(eta/t)); the last ratio is u / (1 - t**-a)
-        a = self.alpha
-        u = xp.expm1(a * xp.log1p(eta / t))
-        return xp.log1p(u / (1.0 - t ** (-a)))
+    def _at_level(self, lam, xp):
+        # s**a = 1 + e**lam and e_v = a * (1 + e**-lam): softplus(lam) / a
+        # and log a + softplus(-lam), in the form stable for either sign,
+        # softplus(x) = max(x, 0) + log1p(e**-|x|)
+        tail = xp.log1p(xp.exp(-abs(lam)))
+        return (0.5 * (lam + abs(lam)) + tail) / self.alpha, \
+            math.log(self.alpha) + (0.5 * (abs(lam) - lam) + tail)
 
     def __repr__(self):
         return f"PHarmonicRn(n={self.n}, p={self.p})"

@@ -23,6 +23,14 @@ support start, as the code's edge tables take v(t0) = s0 to be exact.
 The work runs at 80 digits: B(z_R, 1; A, b) with A large and negative is a
 difference of two continued values, and at 40 digits it lost 1.4e-11 on one
 tuple of the domain sweep.
+
+For mu < p (g = e**(a s**beta), v = e**(c s**beta)) the same z leaves
+(log(s0 / z) / c)**(1/beta - 1) in G's integrand, so log_gh_below_p
+integrates G and H by 40-digit quadrature, in y = (1 - z)**alpha with
+alpha = q + 1 for G and alpha = gamma = q - p + 1 for H, where the factor
+(1 - z)**(alpha - 1) dz = dy / alpha of the support edge is smooth.  In z
+itself it is not: at gamma = 0.01 half of H lies at 1 - z < 1e-30, and a
+40-digit quadrature in z came out 0.43 off in log H.
 """
 
 import mpmath
@@ -61,3 +69,51 @@ def log_integrals(ex, g_radii, h_radii, j_pairs):
                       (q + a / c) / (p - 1), 1 - q / (p - 1), z(R), z(r))
              for r, R in j_pairs]
     return G, H, J
+
+
+def log_gh_below_p(ex, functional, log_v):
+    """log G (functional "G") or log H ("H") of the example ex (mu < p, beta
+    in (0, 1]) from its support start up to the radius where log v reaches
+    log_v, as a 40-digit mpf: with z = s0 / v, L = log v = log s0 - log z
+    and K = q + a / c + 1,
+
+        G = omega / (c beta) * s0**(K - 1) * integral of
+            z**-K * (1 - z)**q * (L / c)**(1/beta - 1) dz,
+        H = omega * (c beta)**(p - 1) * s0**(K - 1) * integral of
+            z**-K * (1 - z)**(q - p) * (L / c)**((p - 1)(beta - 1)/beta) dz,
+
+    over (s0 / e**log_v, 1), log s0 > 0.  The part over z > 1/2 is integrated in
+    y = (1 - z)**alpha, and the rest in log z, on pieces of unit length, so
+    that neither end layer is left to one quadrature.  The double p, q, a,
+    c, beta, s0 and omega, and log_v, are taken as exact."""
+    with mpmath.workdps(40):
+        p, q, a, c, beta, s0, omega = (mpmath.mpf(x) for x in (
+            ex.p, ex.q, ex.a, ex.c, ex.profile.beta, ex.s0, ex.manifold.omega))
+        log_s0, K = mpmath.log(s0), q + a / c + 1
+        if functional == "G":
+            alpha, e, log_pre = q + 1, 1 / beta - 1, -mpmath.log(c * beta)
+        else:
+            alpha = q - p + 1
+            e = (p - 1) * (beta - 1) / beta
+            log_pre = (p - 1) * mpmath.log(c * beta)
+
+        # (L / c)**e = (log s0 / c)**e * (1 - log z / log s0)**e, whose
+        # first factor leaves each integrand of order one: mpmath's
+        # tolerance is absolute
+        def edge(y):
+            log_z = mpmath.log1p(-y ** (1 / alpha))
+            return mpmath.exp(-K * log_z + e * mpmath.log1p(-log_z / log_s0)) / alpha
+
+        def bulk(u):
+            return mpmath.exp((1 - K) * u + (alpha - 1) * mpmath.log1p(-mpmath.exp(u))
+                              + e * mpmath.log1p(-u / log_s0))
+
+        log_top, half = log_s0 - mpmath.mpf(log_v), -mpmath.log(2)
+        if log_top >= half:
+            total = mpmath.quad(edge, [0, (-mpmath.expm1(log_top)) ** alpha])
+        else:
+            pieces = int(mpmath.ceil(half - log_top)) + 1
+            total = mpmath.quad(edge, [0, 2 ** -alpha]) \
+                + mpmath.quad(bulk, mpmath.linspace(log_top, half, pieces))
+        return mpmath.log(omega) + log_pre + e * mpmath.log(log_s0 / c) \
+            + (K - 1) * log_s0 + mpmath.log(total)

@@ -671,11 +671,28 @@ def test_verify_rmax_below_the_grid_start_names_it(capsys, argv, start):
 
 
 def test_quadrature_error_exit_code(capsys):
-    # at gamma = q - p + 1 = 0.01 the singular edge of H runs out of panels
-    rc, _, err = run(capsys, ["inequalities", "--p", "1.5", "--q", "0.51", "--mu", "0.75"])
+    # no panel count reaches --quad-tol 1e-100 on the singular edge of H
+    rc, _, err = run(capsys, ["inequalities", "--p", "1.5", "--q", "0.51", "--mu", "0.75",
+                              "--quad-tol", "1e-100"])
     assert rc == 2
     assert err.startswith("growthlab: error: needed more than 4096 panels")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("pq_mu", [
+    # gamma = q - p + 1 = 0.01: H's support edge behaves like w**-0.99
+    ("1.5", "0.51", "0.75"),
+    # t0 = 4.08e18, where ulp(t0) = 512
+    ("5.186", "4.4673", "4.3199"),
+])
+def test_inequalities_verify_at_a_small_gamma_and_a_huge_t0(capsys, pq_mu):
+    p, q, mu = pq_mu
+    rc, out, err = run(capsys, ["inequalities", "--p", p, "--q", q, "--mu", mu,
+                                "--format", "json"])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert len(doc["checks"]) == 9 and all(c["passed"] for c in doc["checks"])
 
 
 # Each command's config keys in report order, and its provenance, frozen from

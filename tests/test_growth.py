@@ -7,7 +7,6 @@ frozen. Every expectation is independent of the code under test.
 """
 
 import math
-import random
 import sys
 from types import SimpleNamespace
 
@@ -50,6 +49,7 @@ from growthlab import (
 from growthlab.models import _log_excess_of, log_sphere_integral
 import closed_form
 import integrand_reference
+from domain_sweep import sweep_tuples
 from logspace import log_diff
 
 EX_DECAY = build_sharp_example(2.0, 3.0, 1.0)
@@ -276,24 +276,29 @@ def test_energy_integral_singular_edge_frozen(R, expected):
     assert err <= 1e-9
 
 
-# log of the integral of g * (v - s0)**(q - p) * (v')**p over (t0, t0 + 1), the
-# singular-edge piece of H, from a separate 60-digit mpmath session (checked at
-# 90 digits).  It integrates in tau = (s - t0)**gamma over the same double
-# interval (0, ((t0 + 1) - t0)**gamma] as the code, with s = t0 + tau**(1/gamma)
-# and the excess s0 * expm1(c t0**beta expm1(beta log1p(eta/t0))), so that
-# v(t0) = s0 exactly as in the code; the raw difference (t0 + eta)**beta -
-# t0**beta cancels to 0 even at 40 digits.
+# log of the integral of g * (v - s0)**(q - p) * (v')**p over the levels
+# v in (s0, s0 * e**(1/2)], the singular-edge piece of H, from
+# tests/closed_form.py's log_gh_below_p (40 digits, in y = (1 - z)**gamma
+# with z = s0 / v) less log omega, with the double s0, omega and
+# coefficients and v(t0) = s0 exactly.  Each agreed to 1e-40 with a separate 60-digit tanh-sinh in s at
+# s = t0 + tau**(1/gamma), and the first with the incomplete beta closed
+# form; a 60-digit tanh-sinh in s itself came out 0.022 off at gamma = 0.02.
 EDGE_ORACLES = [
-    ((2.0, 1.5, 0.0), "5.529689316137453575933135441253198585809"),  # gamma = 0.5
-    ((1.5, 0.625, 0.75), "4.294068706752794165456490923037133318204"),  # 0.125
-    ((1.5, 0.52, 0.75), "3.811001678838035684837216783239765493253"),  # 0.02
+    ((2.0, 1.5, 0.0), "3.957895296333436106107901499089775860484"),  # gamma = 0.5
+    ((1.5, 0.625, 0.75), "4.061229479174870213207872922254237946143"),  # 0.125
+    ((1.5, 0.52, 0.75), "3.835090630895082617757510664507227635569"),  # 0.02
 ]
 
 
 @pytest.mark.parametrize("pq_mu, expected", EDGE_ORACLES)
 def test_singular_edge_piece_frozen_mpmath(pq_mu, expected, monkeypatch):
-    """H at R = t0 + 2 splits at t1 = t0 + 1; its edge table is the piece."""
+    """H at the first suite radius b, where log v - log s0 exceeds 1: its
+    edge table is the piece up to the level s0 * e**(1/2), integrated in tau
+    at the excess w = tau**m, m = ceil(2 gamma)/gamma, up to
+    w1 = s0 * expm1(1/2)."""
     ex = build_sharp_example(*pq_mu)
+    b = default_check_pairs(ex)["annulus-caccioppoli"][0]
+    assert ex.profile.log_value(b) - math.log(ex.s0) > 1.0
     tables, seen = growth.log_quad_tables, []
 
     def spy(logf, specs, **kwargs):
@@ -302,9 +307,10 @@ def test_singular_edge_piece_frozen_mpmath(pq_mu, expected, monkeypatch):
         return results
 
     monkeypatch.setattr(growth, "log_quad_tables", spy)
-    log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, ex.t0 + 2.0)
+    log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, b)
     [(spec, [res])] = seen
-    assert spec == (0.0, [((ex.t0 + 1.0) - ex.t0) ** (ex.q - ex.p + 1.0)])
+    gamma = ex.q - ex.p + 1.0
+    assert spec == (0.0, [(ex.s0 * math.expm1(0.5)) ** (gamma / math.ceil(2.0 * gamma))])
     assert abs(res.log_value - float(expected)) <= 1e-14
     assert res.rel_error <= 1e-12
 
@@ -352,7 +358,7 @@ def test_g_edge_table_only_below_a_first_segment_without_a_cluster(monkeypatch):
     sample = log_ball_integral(ex.manifold, ex.profile, ex.q, ex.s0, R)
     log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
     assert (R - ex.t0) / 0.25 == pytest.approx(49.2, abs=0.1)
-    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [R], [])
+    tops, _, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [R], [])
     assert growth._top_width(tops, ex.t0, R) == 0.25
     assert seen[0][0] == (0.0, [])
     assert seen[1][1] != (0.0, [])
@@ -452,6 +458,29 @@ def test_suite_integrals_frozen_mpmath_2_3_1(monkeypatch):
             log_value, rel_error = seen[key]
             miss = abs(mpmath.mpf(log_value) - mpmath.mpf(expected))
             assert miss <= rel_error + 2 * math.ulp(log_value), key
+
+
+@pytest.mark.parametrize("pq_mu", [
+    (1.5, 0.51, 0.75),  # gamma = 0.01
+    (2.0, 1.01, 1.0),  # gamma = 0.01
+    (5.186, 4.4673, 4.3199),  # t0 = 4.1e18, where ulp(t0) = 512
+])
+def test_first_suite_radius_matches_the_level_oracle(pq_mu, monkeypatch):
+    """At 0 < mu < p, G and H of the suite at its first radius b are within
+    their claimed relative errors plus 8 ulps of their logs of
+    tests/closed_form.py's 40-digit log_gh_below_p, which integrates in
+    y = (1 - z)**alpha next to the edge, z = s0 / v, and in log z past
+    z = 1/2, up to the level log v(b) = c b**beta, formed at 50 digits from
+    the double b."""
+    ex = build_sharp_example(*pq_mu)
+    b = default_check_pairs(ex)["annulus-caccioppoli"][0]
+    seen = _suite_integrals(monkeypatch, ex)
+    with mpmath.workdps(50):
+        log_v = mpmath.mpf(ex.c) * mpmath.mpf(b) ** mpmath.mpf(ex.profile.beta)
+        for name in "GH":
+            log_value, rel_error = seen[name, b]
+            miss = abs(mpmath.mpf(log_value) - closed_form.log_gh_below_p(ex, name, log_v))
+            assert miss <= rel_error + 8 * math.ulp(log_value), name
 
 
 @pytest.mark.parametrize("pq_mu", [(ex.p, ex.q, ex.mu) for ex in sharp_grid()
@@ -794,7 +823,7 @@ def test_top_end_panels_match_default_panels(p, log_gamma, mu_frac, log_x, k):
     except DomainError:
         assume(False)
     lo, hi = radii[k], radii[k + 1]
-    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [hi], [])
+    tops, _, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [hi], [])
     assume(growth._top_width(tops, lo, hi) is not None)
     got = growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [lo, hi])[1]
     ref = log_quad(np.vectorize(lambda s: log_sphere_integral(
@@ -819,7 +848,7 @@ class _LinearNoSlope(RadialProfile):
 ])
 def test_top_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_g):
     manifold = ModelManifold(warp)
-    tops, _ = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [1e6], [])
+    tops, _, _ = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [1e6], [])
     assert growth._top_width(tops, 1.0, 1e6) is None
     [sample] = growth_samples(manifold, profile, 2.0, 0.0, [1e6])
     assert abs(sample.logG - log_g) <= 1e-12
@@ -844,7 +873,7 @@ def test_bottom_end_panels_match_default_panels(p, log_gamma, mu_frac, log_u):
     except DomainError:
         assume(False)
     r = ex.t0 + 10.0 ** log_u * (9.0 * ex.t0 + 10.0)
-    _, bottoms = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [r])
+    _, bottoms, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [r])
     assume(bottoms.get(r) is not None)
     try:
         ref = log_quad(np.vectorize(lambda s: -log_sphere_integral(
@@ -895,7 +924,7 @@ def test_capacity_integral_claims_its_rounding(pq_mu, u, expected):
 ])
 def test_bottom_end_panels_fall_back_without_a_known_positive_slope(warp, profile, log_j):
     manifold = ModelManifold(warp)
-    _, bottoms = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [], [1.0])
+    _, bottoms, _ = growth._widths(manifold, profile, 2.0, 2.0, 0.0, [], [1.0])
     assert bottoms.get(1.0) is None
     _, _, [(got, _)] = growth._integrals(manifold, profile, 2.0, 2.0, 0.0, [], [],
                                          [(1.0, 4.0)], 1e-12)
@@ -957,7 +986,7 @@ def test_widths_match_mpmath_slopes_at_the_suite_radii(monkeypatch, ex):
 
     monkeypatch.setattr(growth, "_widths", spy)
     run_inequality_suite(ex)
-    [(tops, bottoms, (top_w, bottom_w))] = seen
+    [(tops, bottoms, (top_w, bottom_w, _))] = seen
     assert len(tops) >= 5 and len(bottoms) == 3
     with mpmath.workdps(40):
         q, log_s0 = mpmath.mpf(ex.q), mpmath.log(ex.s0)
@@ -1056,7 +1085,7 @@ def test_one_panel_past_a_complete_cluster(monkeypatch):
     seen = _initial_ends(monkeypatch)
     radii = rate_window(ex)
     growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, radii)
-    tops, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, radii, [])
+    tops, _, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, radii, [])
     assert [t for t, _ in seen] == [growth._G] * len(radii)
     for lo, R, (_, ends) in zip([ex.t0, *radii], radii, seen):
         w = tops[R]
@@ -1068,7 +1097,7 @@ def test_one_panel_past_a_complete_cluster(monkeypatch):
     (r_partial, R_partial), (r, R) = default_check_pairs(ex)["surface-capacity"][:2]
     growth._integrals(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [], [],
                       [(r, R), (r_partial, R_partial)], 1e-12)
-    _, bottoms = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [],
+    _, bottoms, _ = growth._widths(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, [],
                                 [r, r_partial])
     w, w_partial = bottoms[r], bottoms[r_partial]
     assert 48.0 < (R - r) / w < 96.0 and 32.0 < (R_partial - r_partial) / w_partial < 48.0
@@ -1198,44 +1227,67 @@ def test_inequality_suite_matches_public_checks(pq_mu):
         assert rep.passed and single.passed
 
 
-# the suite's reports at (2, 3, 1) as frozen before the suite named them
-# directly: name, lhs, rhs, margin and tolerance; a surface-capacity
-# tolerance (None) carries J's claimed error, which depends on its panels.
-# Re-frozen when the excess log(v - s0) took one formula: H at R = 3.867
-# moved by an ulp, to 2.1e-16 of ORACLES_2_3_1 from 1.1e-15, and with it
-# the first annulus rhs and the first surface-capacity lhs; every other
-# change is in the last bits of a claimed error
+# the names of the suite's reports at (2, 3, 1), as frozen before the suite
+# named them directly
 SUITE_2_3_1 = [
-    ("growth-lower-bound(R1=3.867;R=15.47)", 18.66361984425921, 11.803045678346994,
-     6.860574165912215, 1.0000016411292624e-08),
-    ("growth-lower-bound(R1=7.733;R=30.93)", 25.749190631202502, 22.715272127771357,
-     3.0339185034311456, 1.0000006997325547e-08),
-    ("growth-lower-bound(R1=3.867;R=61.87)", 35.35852650843954, 27.5342831376964,
-     7.82424337074314, 1.0000012247152912e-08),
-    ("annulus-caccioppoli(R=3.867)", 11.05843154783703, 6.010556000577307,
-     5.047875547259722, 1.0000003299845793e-08),
-    ("annulus-caccioppoli(R=7.733)", 16.35726742897049, 11.393407134635515,
-     4.963860294334976, 1.000000600455209e-08),
-    ("annulus-caccioppoli(R=15.47)", 21.99658338637813, 16.77241764613959,
-     5.22416574023854, 1.0000018359492995e-08),
-    ("surface-capacity(r=3.867;R=15.47)", 4.658142318496254, 6.383568255843011,
-     1.725425937346757, None),
-    ("surface-capacity(r=7.733;R=30.93)", 9.347846271994516, 11.588450742906119,
-     2.2406044709116024, None),
-    ("surface-capacity(r=15.47;R=61.87)", 14.033709602938647, 16.565233520006977,
-     2.5315239170683306, None),
+    "growth-lower-bound(R1=3.867;R=15.47)",
+    "growth-lower-bound(R1=7.733;R=30.93)",
+    "growth-lower-bound(R1=3.867;R=61.87)",
+    "annulus-caccioppoli(R=3.867)",
+    "annulus-caccioppoli(R=7.733)",
+    "annulus-caccioppoli(R=15.47)",
+    "surface-capacity(r=3.867;R=15.47)",
+    "surface-capacity(r=7.733;R=30.93)",
+    "surface-capacity(r=15.47;R=61.87)",
 ]
 
 
-def test_inequality_suite_frozen_reports():
-    """Each suite report is built with its final name; names and values are
-    bit for bit those frozen at (2, 3, 1)."""
-    reports = run_inequality_suite(build_sharp_example(2.0, 3.0, 1.0))
-    assert [(r.name, r.lhs, r.rhs, r.margin) for r in reports] \
-        == [row[:4] for row in SUITE_2_3_1]
-    for rep, (*_, tol) in zip(reports, SUITE_2_3_1):
-        assert rep.passed
-        assert rep.tolerance == tol or (tol is None and 1e-8 < rep.tolerance < 1.001e-8)
+def test_inequality_suite_frozen_reports(monkeypatch):
+    """Each suite report at (2, 3, 1) is built with its final name, passes,
+    and has the tolerance base_tol = 1e-8 plus 10 times the claimed
+    relative errors it rests on ((p - 1) times J's).  Its lhs, rhs and
+    margin are each within the sum of those claims plus 8 ulps of
+    max(|lhs|, |rhs|, 1) of the sides formed at 50 digits from the 40-digit
+    G, H and J of ORACLES_2_3_1 and the paper's constants, restated here
+    with the double lam: c2 = gamma / lam, c3 = C0 = p (gamma / (p -
+    1))**(1/p') lam**(1/p), the annulus constant (p - 1)**(p - 1) 4**p /
+    (gamma min(1, gamma**(p - 1))) and the capacity constant (p - 1)**(p -
+    1) / min(1, gamma**p), at k = 1."""
+    ex = EX_DECAY
+    seen = _suite_integrals(monkeypatch, ex)
+    reports = run_inequality_suite(ex)
+    assert [r.name for r in reports] == SUITE_2_3_1
+    pairs = default_check_pairs(ex)
+    oracle = {key: mpmath.mpf(v) for key, v in ORACLES_2_3_1}
+    rows = [(("G", R), ("H", R), ("G", R1)) for R1, R in pairs["growth-lower-bound"]]
+    rows += [(("G", R + R ** (ex.mu / ex.p)), ("H", R)) for R in pairs["annulus-caccioppoli"]]
+    rows += [(("H", r), ("J", r, R)) for r, R in pairs["surface-capacity"]]
+    with mpmath.workdps(50):
+        G = {key[1]: v for key, v in oracle.items() if key[0] == "G"}
+        H = {key[1]: v for key, v in oracle.items() if key[0] == "H"}
+        J = {key[1:]: v for key, v in oracle.items() if key[0] == "J"}
+        p, mu, beta, lam = (mpmath.mpf(x) for x in (ex.p, ex.mu, ex.beta, ex.lam))
+        gamma = mpmath.mpf(ex.q) - p + 1
+        c2 = gamma / lam
+        c3 = p * (gamma / (p - 1)) ** ((p - 1) / p) * lam ** (1 / p)
+        sides = [(mpmath.log(mpmath.exp(G[R]) + c2 * mpmath.mpf(R) ** mu * mpmath.exp(H[R])),
+                  c3 / beta * (mpmath.mpf(R) ** beta - mpmath.mpf(R1) ** beta) + G[R1])
+                 for R1, R in pairs["growth-lower-bound"]]
+        log_annulus = mpmath.log((p - 1) ** (p - 1) * 4 ** p / (gamma * min(1, gamma ** (p - 1))))
+        for R in pairs["annulus-caccioppoli"]:
+            h = R ** (ex.mu / ex.p)
+            sides.append((log_annulus + G[R + h], p * mpmath.log(h) + H[R]))
+        log_capacity = mpmath.log((p - 1) ** (p - 1) / min(1, gamma ** p))
+        sides += [(H[r], log_capacity + (1 - p) * J[r, R]) for r, R in pairs["surface-capacity"]]
+        for rep, keys, (lhs, rhs) in zip(reports, rows, sides):
+            claims = [seen[key][1] * (ex.p - 1.0 if key[0] == "J" else 1.0) for key in keys]
+            assert rep.passed
+            assert rep.tolerance == 1e-8 + 10.0 * sum(claims), rep.name
+            bound = sum(claims) + 8 * math.ulp(max(abs(rep.lhs), abs(rep.rhs), 1.0))
+            # capacity bounds H from above: its margin is rhs - lhs
+            margin = rhs - lhs if rep.name.startswith("surface") else lhs - rhs
+            for got, want in [(rep.lhs, lhs), (rep.rhs, rhs), (rep.margin, margin)]:
+                assert abs(got - want) <= bound, rep.name
 
 
 def test_growth_samples_match_single_radius_integrals():
@@ -1437,33 +1489,21 @@ def test_top_end_panels_never_cost_a_batch(monkeypatch):
 
 
 def test_g_failure_raised_before_the_edge():
-    """At gamma = 0.01 the singular edge of H runs out of panels, and at
-    rel_tol=1e-100 so does G past its own edge, over (t0 + 1, b + 1): G's
-    failure is the one raised, as G alone."""
+    """At rel_tol=1e-100 G runs out of panels past its own edge, over
+    (t1, t0 + 1], and H in its edge table, in tau from 0: G's failure is
+    the one raised, as G alone."""
     ex = build_sharp_example(1.5, 0.51, 0.75)
-    b = default_check_pairs(ex)["annulus-caccioppoli"][0]
+    R = ex.t0 + 0.5
     with pytest.raises(QuadratureError) as alone:
-        growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [b + 1.0], rel_tol=1e-100)
+        growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [R + 0.5], rel_tol=1e-100)
+    with pytest.raises(QuadratureError, match=r"needed more than 4096 panels on \[0\.0, "):
+        log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R, rel_tol=1e-100)
     with pytest.raises(QuadratureError) as info:
-        check_caccioppoli(ex, b, h=1.0, rel_tol=1e-100)
+        check_caccioppoli(ex, R, h=0.5, rel_tol=1e-100)
     assert (str(info.value), info.value.panels) == (str(alone.value), alone.value.panels)
-    assert str(info.value).startswith(f"needed more than 4096 panels on [{ex.t0 + 1.0}, ")
-    with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
-        check_caccioppoli(ex, b)
-
-
-def _sweep_tuples(n):
-    """The first n (p, q, mu) of the domain sweep: random.Random(1),
-    p = 1 + 10**U(-2, 1), gamma = q - p + 1 = 10**U(-3, 1.5), and mu/p
-    drawn from {0, 1, U, U, U}."""
-    rng = random.Random(1)
-    out = []
-    for _ in range(n):
-        p = 1.0 + 10.0 ** rng.uniform(-2.0, 1.0)
-        q = p - 1.0 + 10.0 ** rng.uniform(-3.0, 1.5)
-        frac = rng.choice([0.0, 1.0, None, None, None])
-        out.append((p, q, p * (rng.uniform(0.0, 1.0) if frac is None else frac)))
-    return out
+    assert str(alone.value).startswith("needed more than 4096 panels on [")
+    lo, hi = str(alone.value).split("[")[1].split("]")[0].split(", ")
+    assert ex.t0 < float(lo) < float(hi) == R + 0.5
 
 
 # t0 = 2**(1/c) with c = 5.2e-4 passes the largest double
@@ -1472,24 +1512,25 @@ _T0_PAST_DOUBLE = (1.0123715803923072, 23.94066143126726, 1.0123715803923072)
 
 def test_domain_sweep_raises_only_domain_and_quadrature_errors():
     """Across the first 40 tuples of the domain sweep, and a tuple whose
-    support radius passes the largest double, building the example, the
-    suite and the rate fit each return or raise DomainError or
-    QuadratureError, never another exception."""
-    outcomes = []
-    for pqmu in _sweep_tuples(40) + [_T0_PAST_DOUBLE]:
+    support radius passes the largest double, building the example and the
+    rate fit each return or raise DomainError or QuadratureError, never
+    another exception, and every example that builds passes the suite."""
+    built, outcomes = 0, []
+    for pqmu in sweep_tuples(40) + [_T0_PAST_DOUBLE]:
         try:
             ex = build_sharp_example(*pqmu)
         except (DomainError, QuadratureError) as exc:
             outcomes.append(type(exc))
             continue
-        for run in (run_inequality_suite, measure_rate):
-            try:
-                run(ex)
-                outcomes.append(None)
-            except (DomainError, QuadratureError) as exc:
-                outcomes.append(type(exc))
+        built += 1
+        assert all(r.passed for r in run_inequality_suite(ex)), pqmu
+        try:
+            measure_rate(ex)
+            outcomes.append(None)
+        except (DomainError, QuadratureError) as exc:
+            outcomes.append(type(exc))
     assert outcomes[-1] is DomainError
-    assert outcomes.count(None) > len(outcomes) // 2
+    assert built == 39
     with pytest.raises(DomainError, match=r"level radius t = exp\(1340\.63\) of the level s = 2 "
                        r"exceeds the largest double"):
         build_sharp_example(*_T0_PAST_DOUBLE)
@@ -1497,22 +1538,39 @@ def test_domain_sweep_raises_only_domain_and_quadrature_errors():
 
 def test_public_checks_raise_in_the_suite_order():
     """A public check, like the suite, checks base_tol first and integrates
-    before it forms the comparison constants: H's edge fails before eps."""
+    before it forms the comparison constants: at rel_tol=1e-100 H's edge
+    fails before eps."""
     ex = build_sharp_example(2.0, 1.01, 0.0)  # gamma = 0.01
     R1, R = default_check_pairs(ex)["growth-lower-bound"][0]
-    with pytest.raises(QuadratureError, match=r"needed more than 4096 panels on \[0\.0, 1\.0\]"):
-        check_growth_lower_bound(ex, R1, R, eps=1e9)
+    with pytest.raises(QuadratureError, match=r"needed more than 4096 panels on \[0\.0, "):
+        check_growth_lower_bound(ex, R1, R, eps=1e9, rel_tol=1e-100)
     with pytest.raises(DomainError, match="base_tol must be nonnegative"):
         check_caccioppoli(ex, ex.t0, base_tol=-1.0)
 
 
 def test_integral_failure_raised_before_bad_eps():
     """The suite integrates G and H before it forms the comparison constants."""
-    ex = build_sharp_example(2.0, 1.01, 0.0)  # gamma = 0.01: the edge runs out of panels
+    ex = build_sharp_example(2.0, 1.01, 0.0)  # gamma = 0.01
+    # no panel count reaches rel_tol=1e-100 on H's edge
     with pytest.raises(QuadratureError, match=r"panels on \[0\.0, "):
-        run_inequality_suite(ex, eps=1e9)
+        run_inequality_suite(ex, eps=1e9, rel_tol=1e-100)
     with pytest.raises(DomainError, match="eps must lie in"):
         run_inequality_suite(EX_SINGULAR, eps=1e9)
+
+
+def test_edge_end_outside_the_support_is_refused():
+    """One ulp above t0, log v(R) - log s0 rounds to 0, so the support edge
+    would end at the level s0 itself: that is refused by name, for G and H
+    alike."""
+    ex = EX_DECAY
+    R = math.nextafter(ex.t0, math.inf)
+    message = (r"the support edge ends at t1 = \S+, the radius of the level "
+               rf"s0 \* exp\(0\.0\), which is not strictly between t0 = {ex.t0!r} "
+               rf"and R = {R!r}$")
+    with pytest.raises(DomainError, match=message):
+        log_energy_integral(ex.manifold, ex.profile, ex.p, ex.q, ex.s0, R)
+    with pytest.raises(DomainError, match=message):
+        growth_samples(ex.manifold, ex.profile, ex.q, ex.s0, [R])
 
 
 _M = ModelManifold(PowerLaw(1.0))

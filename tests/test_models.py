@@ -73,20 +73,74 @@ def test_log_value_against_mpmath(profile, t):
     assert profile.log_value(t) == pytest.approx(float(expected), rel=1e-13)
 
 
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
-@pytest.mark.parametrize("eta_rel", [1e-3, 1e-9, 1e-15])
-def test_log_value_delta_against_mpmath(profile, eta_rel, t=5.0):
-    """log v(t + eta) - log v(t) stays fully accurate at tiny separations.
+# a profile and a level lam = log v on it: any lam for PowerLaw, lam > 0 for
+# ExpPower (c > 0), and for PHarmonicRn lam down to -40, near t_min = 1,
+# where lam + log1p(e**-lam) would lose every digit of log s
+_LEVELS = st.one_of(
+    st.tuples(st.builds(PowerLaw, st.floats(0.05, 20.0)), st.floats(-30.0, 30.0)),
+    st.tuples(st.builds(ExpPower, st.floats(0.05, 20.0), st.floats(0.05, 1.0)),
+              st.floats(1e-3, 700.0)),
+    st.tuples(st.integers(2, 5).flatmap(lambda n: st.builds(
+        PHarmonicRn, st.just(n), st.floats(n + 0.01, n + 10.0))), st.floats(-40.0, 40.0)),
+)
 
-    For eta below one ulp of t the naive float subtraction would return 0
-    or pure noise, so the closed forms are compared against a 60-digit
-    evaluation instead.
+
+def _mp_log_radius(profile, lam):
+    """log s at the level lam = log v(s), from the inverse of v at the
+    working precision."""
+    if isinstance(profile, PowerLaw):
+        return lam / mpmath.mpf(profile.c)
+    if isinstance(profile, ExpPower):
+        return mpmath.log(lam / mpmath.mpf(profile.c)) / mpmath.mpf(profile.beta)
+    a = (mpmath.mpf(profile.p) - profile.n) / (mpmath.mpf(profile.p) - 1)
+    return mpmath.log1p(mpmath.exp(lam)) / a
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=_LEVELS, array=st.booleans())
+def test_level_map_against_mpmath(level, array):
+    """_at_level(lam) gives (log s, log e_v) at the level lam = log v(s),
+    e_v = s v'/v, as one float or a 1-element array.  Against 60-digit
+    mpmath, with s* the exact radius of the level, checked against v, and
+    e_v = E'(log s*), E(u) = log v(e**u):
+
+    - log s is within 4 ulps of log s* plus the rounding of lam carried
+      through d log s / d lam = 1 / e_v, 2**-52 |lam| / e_v;
+    - log e_v is within 8 ulps of max(1, |log e_v|);
+    - log_value(exp(log s)) gives back lam within 4 ulps of max(1, |lam|)
+      plus e_v times the error allowed in log s and an ulp of exp, and
+      log_slopes at that radius gives e_v within 8 ulps plus that error
+      carried through d log e_v / d log s = E''/E'.  Both also allow their
+      own rounding of t**-alpha in PHarmonicRn, amplified by e_v / alpha
+      near t = 1, as an ulp of e_v / alpha.
     """
-    eta = eta_rel * t
+    profile, lam = level
     v = mp_profile(profile)
-    expected = mpmath.log(v(mpmath.mpf(t) + mpmath.mpf(eta))) - mpmath.log(v(mpmath.mpf(t)))
-    got = profile.log_value_delta(t, eta)
-    assert got == pytest.approx(float(expected), rel=1e-12)
+    xp = np if array else math
+    got = profile._at_level(np.array([lam]) if array else lam, xp)
+    log_s, log_ev = (float(np.asarray(x).reshape(-1)[0]) for x in got)
+    assume(-700.0 < log_s < 700.0 and (s := math.exp(log_s)) > profile.t_min)
+    amp = 0.0
+    if isinstance(profile, PHarmonicRn):
+        # the double s must resolve v(s) = s**alpha - 1 > 0
+        assume(s ** -profile.alpha < 1.0)
+        amp = 1.0 / profile.alpha
+    with mpmath.workdps(60):
+        def log_v(u):
+            return mpmath.log(v(mpmath.exp(u)))
+
+        exact = _mp_log_radius(profile, mpmath.mpf(lam))
+        assert abs(log_v(exact) - lam) <= mpmath.mpf(10) ** -45 * max(1, abs(lam))
+        e_v, de_v = mpmath.diff(log_v, exact, 1), mpmath.diff(log_v, exact, 2)
+        ulp = 2.0 ** -52
+        log_s_bound = 4 * math.ulp(float(abs(exact))) + ulp * abs(lam) / e_v
+        assert abs(log_s - exact) <= log_s_bound
+        assert abs(log_ev - mpmath.log(e_v)) <= 8 * math.ulp(max(1.0, abs(float(mpmath.log(e_v)))))
+        assert abs(profile.log_value(s) - lam) <= 4 * math.ulp(max(1.0, abs(lam))) \
+            + e_v * (log_s_bound + ulp) + amp * e_v * ulp
+        slope, = profile.log_slopes([s])
+        assert abs(math.log(slope) - log_ev) <= 8 * math.ulp(max(1.0, abs(log_ev))) \
+            + abs(de_v / e_v) * (log_s_bound + ulp) + amp * e_v * ulp
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
@@ -98,12 +152,9 @@ def test_array_methods_match_scalar_loop(profile):
     each result, so the bound, fixed from float64, is 8 units of 2**-52.
     """
     t = np.geomspace(1.5, 400.0, 25)
-    eta = 5.0 * np.geomspace(1e-15, 1e-3, 25)
     for got, loop in [
         (profile.log_value(t), [profile.log_value(x) for x in t.tolist()]),
         (profile.log_deriv(t), [profile.log_deriv(x) for x in t.tolist()]),
-        (profile.log_value_delta(5.0, eta),
-         [profile.log_value_delta(5.0, e) for e in eta.tolist()]),
     ]:
         assert isinstance(got, np.ndarray) and got.shape == (25,)
         assert all(type(x) is float for x in loop)
