@@ -144,6 +144,43 @@ def test_level_map_against_mpmath(level, array):
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
+@pytest.mark.parametrize("eta_rel", [1e-3, 1e-9, 1e-15])
+def test_log_value_delta_against_mpmath(profile, eta_rel, t=5.0):
+    """log v(t + eta) - log v(t) stays fully accurate at tiny separations.
+
+    The support edge of G and H forms it from the excess w = v(t + eta) - s0
+    over s0 = v(t), as delta = log1p(e**(log w - log s0)), and reads the
+    radius and e_v of the level lam = log s0 + delta from the level map.
+    Against 60-digit mpmath, with s* the exact radius of the level s0 + w:
+
+    - delta is within 1e-12 relative, where log v(t + eta) - log v(t) in
+      floats would return 0 or pure noise;
+    - log s is within 4 ulps of log s* plus two ulps of lam carried
+      through d log s / d lam = 1 / e_v (the roundings of log s0 and of
+      the sum);
+    - log e_v is within 8 ulps of max(1, |log e_v|).
+    """
+    v = mp_profile(profile)
+    with mpmath.workdps(60):
+        s0 = float(v(mpmath.mpf(t)))
+        w = float(v(mpmath.mpf(t) + mpmath.mpf(eta_rel * t)) - mpmath.mpf(s0))
+        level = mpmath.log(mpmath.mpf(s0) + mpmath.mpf(w))
+        expected = level - mpmath.log(mpmath.mpf(s0))
+        exact = _mp_log_radius(profile, level)
+        e_v = mpmath.diff(lambda u: mpmath.log(v(mpmath.exp(u))), exact)
+    log_s0 = math.log(s0)
+    delta = np.log1p(np.exp(np.log(np.array([w])) - log_s0))
+    lam = delta + log_s0
+    log_s, log_ev = (float(np.asarray(x).reshape(-1)[0])
+                     for x in profile._at_level(lam, np))
+    assert float(delta[0]) == pytest.approx(float(expected), rel=1e-12)
+    ulp = 2.0 ** -52
+    assert abs(log_s - exact) <= 4 * math.ulp(float(abs(exact))) \
+        + 2 * ulp * max(1.0, abs(float(lam[0]))) / e_v
+    assert abs(log_ev - mpmath.log(e_v)) <= 8 * math.ulp(max(1.0, abs(float(mpmath.log(e_v)))))
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda pr: type(pr).__name__ + repr(getattr(pr, "c", getattr(pr, "n", ""))))
 def test_array_methods_match_scalar_loop(profile):
     """The log methods on an array of radii agree with one call per radius.
 
